@@ -9,8 +9,6 @@ heat-to-resolvent time integral collapsing onto C_a k^{a-2} L_a(kr).
 
 import math
 
-import numpy as np
-
 from connsum import specfun as sf
 
 print("== modified Bessel functions ==")

@@ -13,8 +13,7 @@ import math
 
 import numpy as np
 
-from connsum import bvp, model as md, parametrix as px
-from connsum.specfun import ilg
+from connsum import bvp, checks, model as md, parametrix as px
 
 m = md.build_model()
 sys0 = bvp.GluedSystem(m, 0.0)
@@ -39,9 +38,8 @@ out = px.ilg_expansion(par, v)
 coef, mask = out["coefficients"], out["mask"]
 sol = bvp.solve_laplace(m, v, system=sys0)
 U = bvp.build_log_harmonic(m, system=sys0)
-rel0 = np.max(np.abs(coef[0] - sol.values[mask])) / np.max(np.abs(sol.values[mask]))
-rel1 = np.max(np.abs(coef[1] - (-sol.beta) * U.values[mask])) \
-    / np.max(np.abs(U.values[mask]))
+rel0 = checks.c0_vs_zero_energy_solve(coef[0], sol.values[mask])
+rel1 = checks.c1_vs_beta_log_harmonic(coef[1], -sol.beta, U.values[mask])
 print(f"c_0 against the zero-energy solve:      rel {rel0:.1e}")
 print(f"c_1 against beta x (log-growing U):     rel {rel1:.1e}")
 for terms in (2, 3):
@@ -51,11 +49,5 @@ for terms in (2, 3):
 print("\n== resolvent against the radiation-condition oracle ==")
 vv = np.exp(-2.0 * m.s ** 2)
 for k in (1e-2, 1e-4):
-    Rv = par.resolvent_apply(k, vv)
-    A = md.radial_laplacian(m, None, k=k, order=6)
-    rhs = vv.copy()
-    rhs[0] = rhs[-1] = 0.0
-    u_fd = np.linalg.solve(A, rhs)
-    sel = np.abs(m.s) < 30
     print(f"k = {k:g}: rel difference "
-          f"{np.max(np.abs((Rv - u_fd)[sel])) / np.max(np.abs(u_fd[sel])):.1e}")
+          f"{checks.radiation_oracle_error(par, k, vv):.1e}")

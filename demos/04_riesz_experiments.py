@@ -12,10 +12,8 @@ p > 2; the measured growth exponents land on 1/3 and 1/2 for p = 3, 4.
 
 import math
 
-import numpy as np
-
 from connsum import bvp, keylemma as kl, model as md, riesz as rz
-from connsum.cutoffs import Step
+from connsum.cutoffs import minus_cutoff_source
 
 print("== boundedness side (p <= 2) ==")
 wide = md.build_model(md.GeometryConfig(S_minus=2.0 ** 14, S_plus=2.0 ** 14))
@@ -34,11 +32,8 @@ print("note: at p = 2 the estimate approaches the multiplier bound "
 print("\n== unboundedness side (p > 2) ==")
 wit_model = md.build_model(md.GeometryConfig(S_minus=2.0 ** 24, S_plus=64.0))
 sys0 = bvp.GluedSystem(wit_model, 0.0)
-pa, pb = wit_model.radii.phi
-stp = Step(-pb, -pa, falling=False)
-v_minus = -(-(-stp.d2(wit_model.s))
-            - wit_model.dlog_weight(wit_model.s) * (-stp.d1(wit_model.s)))
-ka = kl.build_key_approximation(wit_model, v_minus, q=3, system=sys0)
+ka = kl.build_key_approximation(wit_model, minus_cutoff_source(wit_model),
+                                q=3, system=sys0)
 wit = rz.unboundedness_witness(wit_model, ka, k0=math.exp(-9.5))
 print(f"beta = {wit.beta:.6f} (> 0: the witness applies)")
 print(f"witness kernel entrywise nonnegative: {wit.entrywise_nonneg}; "

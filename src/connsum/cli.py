@@ -16,11 +16,12 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__
+from . import __version__, checks
 from . import specfun as sf
+from .cutoffs import minus_cutoff_source
 from .errors import ConfigError, DomainError, NonConvergenceError, \
     SingularSystemError
-from .model import GeometryConfig, build_model
+from .model import GeometryConfig, apply_operator, build_model
 from .reports import write_csv, write_report
 
 EXIT_OK = 0
@@ -54,14 +55,8 @@ def cmd_specfun_check(args) -> int:
     rtol = args.bessel_rtol
     failures = []
 
-    nus = np.arange(0, 11, dtype=float)
-    xs = np.geomspace(1e-3, 50.0, 12)
-    worst = 0.0
-    for nu in nus:
-        for x in xs:
-            ref = sf.bessel_K_quadrature(float(nu), float(x))
-            rel = abs(sf.bessel_K(float(nu), float(x)) - ref) / ref
-            worst = max(worst, rel)
+    worst = checks.bessel_vs_quadrature(np.arange(0, 11, dtype=float),
+                                        np.geomspace(1e-3, 50.0, 12))
     if worst > rtol:
         failures.append(("bessel_vs_quadrature", worst))
 
@@ -71,19 +66,12 @@ def cmd_specfun_check(args) -> int:
     bad = 0
     for nu in (0.0, 1.0, 5.0):
         sel = nu_s == nu
-        lhs = sf.bessel_K(nu, y[sel])
-        rhs = np.exp(x[sel] - y[sel]) * sf.bessel_K(nu, x[sel])
-        bad += int(np.sum(lhs > rhs * (1 + 1e-12)))
+        bad += checks.exponential_comparison_violations(nu, x[sel], y[sel])
     if bad:
         failures.append(("exponential_comparison", bad))
 
-    bad = 0
     xs2 = np.geomspace(1e-3, 50.0, 40)
-    for m in range(1, 21):
-        lhs = np.abs(xs2 * np.array([sf.bessel_K_prime(m, float(t))
-                                     for t in xs2]))
-        rhs = (m + xs2) * sf.bessel_K(float(m), xs2)
-        bad += int(np.sum(lhs > rhs * (1 + 1e-12)))
+    bad = sum(checks.derivative_bound_violations(m, xs2) for m in range(1, 21))
     if bad:
         failures.append(("derivative_bound", bad))
 
@@ -160,21 +148,12 @@ def cmd_bvp(args) -> int:
     from . import bvp
 
     model = build_model(_geometry(args))
-    prob = bvp.NeckProblem(model)
-    hom = float(np.linalg.norm(prob.solve(np.zeros(len(prob.idx)))))
+    hom = checks.homogeneous_norm(model)
     sys0 = bvp.GluedSystem(model, 0.0)
-    F = np.exp(-2.0 * model.s ** 2)
-    sol = bvp.solve_laplace(model, F, system=sys0)
-    cfg2 = _geometry(args)
-    from dataclasses import replace
-    fine = build_model(replace(cfg2, grid=replace(
-        cfg2.grid, pts_per_decade=2 * cfg2.grid.pts_per_decade)))
-    sol2 = bvp.solve_laplace(fine, np.exp(-2.0 * fine.s ** 2))
-    beta_shift = abs(sol.beta - sol2.beta)
+    beta, beta_shift = checks.beta_refinement(model, sys0)
     U = bvp.build_log_harmonic(model, system=sys0)
-    far = model.s < -6.0
-    rem = float(np.max(np.abs(U.values[far] - np.log(model.r[far]) - U.c1)))
-    payload = {"homogeneous_norm": hom, "beta": sol.beta,
+    rem = float(np.max(checks.log_harmonic_remainder(model, U)[1]))
+    payload = {"homogeneous_norm": hom, "beta": beta,
                "beta_refinement_shift": beta_shift,
                "log_harmonic_c1": U.c1,
                "minus_remainder_sup": rem}
@@ -188,15 +167,10 @@ def cmd_bvp(args) -> int:
 
 def cmd_keylemma(args) -> int:
     from . import bvp, keylemma as kl
-    from .cutoffs import Step
 
     model = build_model(_geometry(args))
     sys0 = bvp.GluedSystem(model, 0.0)
-    pa, pb = model.radii.phi
-    stp = Step(-pb, -pa, falling=False)
-    d1 = -stp.d1(model.s)
-    d2 = -stp.d2(model.s)
-    v_minus = -(-d2 - model.dlog_weight(model.s) * d1)
+    v_minus = minus_cutoff_source(model)
     slopes = {}
     for q in (2, 3):
         ka = kl.build_key_approximation(model, v_minus, q=q, system=sys0)
@@ -206,8 +180,8 @@ def cmd_keylemma(args) -> int:
     U = bvp.build_log_harmonic(model, system=sys0)
     c1 = ka3.ilg_coefficient(1)
     mask = np.abs(model.s) < 12
-    rel = float(np.max(np.abs(c1[mask] - ka3.stages[0].beta * U.values[mask]))
-                / np.max(np.abs(U.values[mask])))
+    rel = checks.c1_vs_beta_log_harmonic(c1[mask], ka3.stages[0].beta,
+                                         U.values[mask])
     payload = {"residual_slopes": slopes, "lower_bound": low,
                "ilg_coefficient_vs_log_harmonic_rel": rel}
     write_report(_outdir(args) / "keylemma.json", payload,
@@ -220,7 +194,6 @@ def cmd_keylemma(args) -> int:
 
 def cmd_resolvent(args) -> int:
     from . import bvp, parametrix as px
-    from .model import radial_laplacian
 
     model = build_model(_geometry(args))
     sys0 = bvp.GluedSystem(model, 0.0)
@@ -230,22 +203,13 @@ def cmd_resolvent(args) -> int:
     out = px.ilg_expansion(par, v)
     coef, mask = out["coefficients"], out["mask"]
     sol = bvp.solve_laplace(model, v, system=sys0)
-    c0_rel = float(np.max(np.abs(coef[0] - sol.values[mask]))
-                   / np.max(np.abs(sol.values[mask])))
+    c0_rel = checks.c0_vs_zero_energy_solve(coef[0], sol.values[mask])
     U = bvp.build_log_harmonic(model, system=sys0)
-    c1_rel = float(np.max(np.abs(coef[1] - (-sol.beta) * U.values[mask]))
-                   / np.max(np.abs(U.values[mask])))
-    oracle = {}
+    c1_rel = checks.c1_vs_beta_log_harmonic(coef[1], -sol.beta,
+                                            U.values[mask])
     vv = np.exp(-2.0 * model.s ** 2)
-    for k in (1e-2, 1e-3, 1e-4):
-        Rv = par.resolvent_apply(k, vv)
-        A = radial_laplacian(model, None, k=k, order=6)
-        rhs = vv.copy()
-        rhs[0] = rhs[-1] = 0.0
-        u_fd = np.linalg.solve(A, rhs)
-        cmask = np.abs(model.s) < 30
-        oracle[k] = float(np.max(np.abs((Rv - u_fd)[cmask]))
-                          / np.max(np.abs(u_fd[cmask])))
+    oracle = {k: checks.radiation_oracle_error(par, k, vv)
+              for k in (1e-2, 1e-3, 1e-4)}
     payload = {"k0": k0, "c0_vs_bvp_rel": c0_rel,
                "c1_vs_beta_logharmonic_rel": c1_rel,
                "oracle_rel_err": oracle,
@@ -266,7 +230,6 @@ def cmd_riesz(args) -> int:
     from dataclasses import replace
 
     from . import bvp, keylemma as kl, riesz as rz
-    from .cutoffs import Step
 
     cfg = _geometry(args)
     cfg = replace(cfg, S_minus=float(args.sweep_max),
@@ -288,16 +251,10 @@ def cmd_riesz(args) -> int:
         wcfg = replace(cfg, S_minus=2.0 ** 24, S_plus=64.0)
         wmodel = build_model(wcfg)
         wsys = bvp.GluedSystem(wmodel, 0.0)
-        pa, pb = wmodel.radii.phi
-        stp = Step(-pb, -pa, falling=False)
-        d1 = -stp.d1(wmodel.s)
-        d2 = -stp.d2(wmodel.s)
         if args.witness_source == "bump":
-            src = np.exp(-2.0 * wmodel.s ** 2)
-            vsrc = __import__("connsum.model", fromlist=["apply_operator"]) \
-                .apply_operator(wmodel, src)
+            vsrc = apply_operator(wmodel, np.exp(-2.0 * wmodel.s ** 2))
         else:
-            vsrc = -(-d2 - wmodel.dlog_weight(wmodel.s) * d1)
+            vsrc = minus_cutoff_source(wmodel)
         ka = kl.build_key_approximation(wmodel, vsrc, q=3, system=wsys)
         if ka.stages[0].beta <= 0:
             witness_section = {"applicable": False,

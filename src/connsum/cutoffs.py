@@ -59,6 +59,21 @@ class Step:
         return -v if self.falling else v
 
 
+def minus_cutoff(model) -> Step:
+    """The step 1 - phi_minus of the standing minus-end cutoff phi_minus,
+    which is 1 for r >= phi[1] and 0 for r <= phi[0] on the minus end."""
+    pa, pb = model.radii.phi
+    return Step(-pb, -pa, falling=False)
+
+
+def minus_cutoff_source(model) -> np.ndarray:
+    """The source v = -Delta phi_minus on the grid of `model`."""
+    stp = minus_cutoff(model)
+    d1 = -stp.d1(model.s)
+    d2 = -stp.d2(model.s)
+    return -(-d2 - model.dlog_weight(model.s) * d1)
+
+
 @dataclass(frozen=True)
 class Bump:
     """C^4 plateau bump: 0 off [a, d], 1 on [b, c]."""

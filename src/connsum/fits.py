@@ -27,12 +27,6 @@ class EnvelopeFit:
     stable: bool
     refined_constant: float | None = None
 
-    @property
-    def relative_change(self) -> float:
-        if self.refined_constant is None:
-            return 0.0
-        return abs(self.refined_constant - self.constant) / self.constant
-
 
 def fit_envelope(values, shape, refined: tuple | None = None,
                  stability: float = 0.10) -> EnvelopeFit:
@@ -75,17 +69,3 @@ def fit_ilg_series(ks, values, deg: int):
     coef, *_ = np.linalg.lstsq(V, vals, rcond=None)
     return coef
 
-
-def residual_after(ks, values, coef, terms: int):
-    """|values - partial ilg sum with `terms` coefficients| per k."""
-    V = ilg_powers(ks, coef.shape[0] - 1)
-    partial = V[:, :terms] @ coef[:terms]
-    return np.abs(np.asarray(values) - partial)
-
-
-def ilg_residual_slope(ks, values, coef, terms: int) -> float:
-    """Fitted order (in ilg k) of the residual after `terms` series terms."""
-    res = residual_after(ks, values, coef, terms)
-    if res.ndim > 1:
-        res = np.max(res, axis=tuple(range(1, res.ndim)))
-    return loglog_slope(ilg(np.asarray(ks, dtype=float)), res)

@@ -19,7 +19,6 @@ at large m and ~ mu_l at large mu_l R.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -130,26 +129,6 @@ class HarmonicExtension:
         if self.data.end == "minus":
             return self.data.coeffs.get((0, 0), 0.0)
         return 0.0
-
-    @property
-    def tail_rate(self) -> float:
-        """Exponential decay rate of the aggregate l >= 1 part."""
-        ev = self.end_spec.cross_section.eigenvalues
-        return math.sqrt(ev[1]) if len(ev) > 1 else math.inf
-
-    def asymptotic_coefficients(self, max_power: int) -> dict[int, float]:
-        """Coefficients of the expansion in powers r^{-j} (l = 0 part)."""
-        out: dict[int, float] = {}
-        for (m, l), c in self.data.coeffs.items():
-            if l != 0:
-                continue
-            if self.data.end == "minus":
-                j = m
-            else:
-                j = self.end_spec.euclidean_dim - 2 + m
-            if j <= max_power:
-                out[j] = out.get(j, 0.0) + c * self.R ** j
-        return out
 
     def ode_residual(self, m: int, l: int, r, h: float = 1e-3):
         """Residual of the radial channel ODE on the profile, with the

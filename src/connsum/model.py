@@ -141,6 +141,13 @@ class CutoffRadii:
     zeta: tuple[float, float] = (12.0, 16.0)
     basepoint: float = 2.5
 
+    def __post_init__(self):
+        for name in ("chi", "phi", "eta", "zeta"):
+            pair = getattr(self, name)
+            if len(pair) != 2 or not pair[0] < pair[1]:
+                raise ConfigError(
+                    f"radii.{name} must be an increasing pair, got {pair}")
+
     def breakpoints(self) -> list[float]:
         return sorted({*self.chi, *self.phi, *self.eta, *self.zeta})
 
@@ -150,6 +157,11 @@ class GridSpec:
     pts_per_decade: int = 96
     neck_pts: int = 129
     min_segment_pts: int = 33
+
+    def __post_init__(self):
+        if not self.pts_per_decade > 0:
+            raise ConfigError("grid.pts_per_decade must be positive, got "
+                              f"{self.pts_per_decade}")
 
 
 @dataclass(frozen=True)
@@ -179,6 +191,9 @@ class GeometryConfig:
                                     tuple(float(x) for x in spec["spectrum"]))
             raise ConfigError(f"geometry key {key!r} must be a mapping")
 
+        if not isinstance(raw, dict):
+            raise ConfigError("geometry config must be a JSON object, got "
+                              f"{type(raw).__name__}")
         try:
             kwargs = {}
             if "n_plus" in raw:
@@ -507,11 +522,6 @@ class ModelManifold:
         if nk.any():
             out[nk] = self.neck.dradial(arr[nk])
         return float(out[0]) if np.ndim(s) == 0 else out
-
-    def end_of(self, s):
-        """-1 on the minus end, +1 on the plus end, 0 in the neck."""
-        s = np.asarray(s, dtype=float)
-        return np.where(s <= -self.R, -1, np.where(s >= self.R, 1, 0))
 
     def end_spec(self, end: str) -> EndSpec:
         return self.minus if end == "minus" else self.plus

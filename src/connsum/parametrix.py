@@ -34,7 +34,7 @@ import numpy as np
 
 from . import product_kernels as pk
 from .bvp import GluedSystem
-from .cutoffs import Bump, Step
+from .cutoffs import Bump, Step, minus_cutoff, minus_cutoff_source
 from .errors import SingularSystemError
 from .keylemma import KeyApproximation
 from .model import ModelManifold
@@ -86,16 +86,15 @@ class ParametrixPieces:
         self.q = q
         self.kbar = kbar
         s = model.s
-        pa, pb = model.radii.phi
-        step_m = Step(-pb, -pa, falling=False)
+        step_m = minus_cutoff(model)
         self.phi_minus = _field(model, 1.0 - step_m(s), -step_m.d1(s),
                                 -step_m.d2(s))
-        step_p = Step(pa, pb)
+        step_p = Step(*model.radii.phi)
         self.phi_plus = _field(model, step_p(s), step_p.d1(s), step_p.d2(s))
         za, zb = model.radii.zeta
         zeta = Bump(-zb, -za, za, zb)
         self.zeta = _field(model, zeta(s), zeta.d1(s), zeta.d2(s))
-        self.v_minus = -self.phi_minus.lap  # v = -Delta phi
+        self.v_minus = minus_cutoff_source(model)
         self.v_plus = -self.phi_plus.lap
         sys0 = system if system is not None else GluedSystem(model, 0.0)
         self.u_minus = KeyApproximation(model, self.v_minus, q=q, system=sys0)
@@ -209,9 +208,6 @@ class ErrorOperator:
 
     def hs_e2(self) -> float:
         return hs_norm(self.model, self.e2, self.weight)
-
-    def hs_total(self) -> float:
-        return hs_norm(self.model, self.total, self.weight)
 
 
 def error_kernel(pieces: ParametrixPieces, k: float) -> ErrorOperator:

@@ -37,20 +37,6 @@ class ProductPoint:
     x: tuple[float, ...]
     y: float | None = None
 
-    @property
-    def radius(self) -> float:
-        return float(np.linalg.norm(self.x))
-
-
-def product_distance(end: EndSpec, z: ProductPoint, zp: ProductPoint) -> float:
-    dx2 = float(np.sum((np.asarray(z.x) - np.asarray(zp.x)) ** 2))
-    dy = 0.0
-    if end.cross_section.kind == "circle":
-        L = end.cross_section.volume
-        raw = abs((z.y or 0.0) - (zp.y or 0.0)) % L
-        dy = min(raw, L - raw)
-    return math.sqrt(dx2 + dy * dy)
-
 
 def euclid_resolvent(n: int, kappa: float, d):
     """Kernel of (Delta_{R^n} + kappa^2)^{-1} at distance d."""
@@ -84,9 +70,6 @@ class ProductResolvent:
         n_modes = len(end.cross_section.eigenvalues)
         self.l_max = n_modes - 1 if l_max is None else min(l_max, n_modes - 1)
         self.tail_tol = tail_tol
-
-    def _kappa(self, l: int) -> float:
-        return math.sqrt(self.k ** 2 + self.end.cross_section.eigenvalues[l])
 
     def _mode_terms(self, z: ProductPoint, zp: ProductPoint, fn):
         """Sum over cross-section modes of eigenfactor * fn(kappa_l, dx).
@@ -150,15 +133,17 @@ class ProductResolvent:
             dy_val = float(np.dot(-2.0 * w / L * np.sin(w * dy), vals))
         return grad_x, dy_val
 
-    def radial_gradient(self, z: ProductPoint, zp: ProductPoint) -> float:
-        """Component of the Euclidean gradient along the radial direction at z."""
-        grad_x, _ = self.gradient(z, zp)
-        rn = np.asarray(z.x) / max(z.radius, 1e-300)
-        return float(np.dot(grad_x, rn))
-
 
 # ---------------------------------------------------------------------------
 # zero-channel radial reductions (used by the glued-manifold machinery)
+
+
+def _scaled_at(fn, order: float, k: float, r, rp, take_r):
+    """fn(order, k * where(take_r, r, rp), scaled=True), evaluated on r and
+    rp apart and then broadcast: an outer grid r[:, None], rp[None, :]
+    costs len(r) + len(rp) evaluations instead of len(r) * len(rp)."""
+    return np.where(take_r, fn(order, k * r, scaled=True),
+                    fn(order, k * rp, scaled=True))
 
 
 def reduced_kernel(end: EndSpec, k: float, r, rp):
@@ -172,8 +157,8 @@ def reduced_kernel(end: EndSpec, k: float, r, rp):
     rp = np.asarray(rp, dtype=float)
     a = np.minimum(r, rp)
     b = np.maximum(r, rp)
-    ie = sf.bessel_I(nu, k * a, scaled=True)
-    ke = sf.bessel_K(nu, k * b, scaled=True)
+    ie = _scaled_at(sf.bessel_I, nu, k, r, rp, r <= rp)
+    ke = _scaled_at(sf.bessel_K, nu, k, r, rp, r >= rp)
     return (r * rp) ** (-nu) * ie * ke * np.exp(-k * (b - a)) / c
 
 
@@ -187,10 +172,11 @@ def reduced_kernel_dleft(end: EndSpec, k: float, r, rp):
     a = np.minimum(r, rp)
     b = np.maximum(r, rp)
     expf = np.exp(-k * (b - a))
-    val_below = k * sf.bessel_I(nu + 1.0, k * a, scaled=True) \
-        * sf.bessel_K(nu, k * b, scaled=True)
-    val_above = -k * sf.bessel_I(nu, k * a, scaled=True) \
-        * sf.bessel_K(nu + 1.0, k * b, scaled=True)
+    lo, hi = r <= rp, r >= rp
+    val_below = k * _scaled_at(sf.bessel_I, nu + 1.0, k, r, rp, lo) \
+        * _scaled_at(sf.bessel_K, nu, k, r, rp, hi)
+    val_above = -k * _scaled_at(sf.bessel_I, nu, k, r, rp, lo) \
+        * _scaled_at(sf.bessel_K, nu + 1.0, k, r, rp, hi)
     # midpoint convention on the diagonal (value jumps enter kink-corrected
     # compositions with H(0) = 1/2)
     out = np.where(r < rp, val_below,

@@ -148,28 +148,6 @@ def cc_kink_coefficients(n: int) -> tuple[np.ndarray, np.ndarray]:
     return C1, C0
 
 
-_DIFF_CACHE: dict[int, np.ndarray] = {}
-
-
-def cheb_diff_matrix(n: int) -> np.ndarray:
-    """Spectral differentiation matrix on the n Clenshaw-Curtis nodes of
-    [-1, 1] (values -> derivative values)."""
-    hit = _DIFF_CACHE.get(n)
-    if hit is not None:
-        return hit
-    t, _ = clenshaw_curtis(n)
-    V = np.polynomial.chebyshev.chebvander(t, n - 1)
-    Vd = np.zeros((n, n))
-    for k in range(1, n):
-        ek = np.zeros(k + 1)
-        ek[k] = 1.0
-        Vd[:, k] = np.polynomial.chebyshev.chebval(
-            t, np.polynomial.chebyshev.chebder(ek))
-    D = np.linalg.solve(V.T, Vd.T).T
-    _DIFF_CACHE[n] = D
-    return D
-
-
 def chebyshev_cumint(theta: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Cumulative integral of y from theta[0], with theta the (ascending)
     Clenshaw-Curtis nodes of one segment: Chebyshev antiderivative."""

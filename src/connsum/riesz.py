@@ -22,13 +22,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import product_kernels as pk
-from .cutoffs import Bump
+from .cutoffs import Bump, minus_cutoff
 from .errors import DomainError, NonConvergenceError
 from .fits import loglog_slope
 from .model import EndSpec, ModelManifold
 from .parametrix import Parametrix
 from .quadrature import cc_segment, fornberg_weights
-from .specfun import ilg
 
 
 def f_low(xi, k0: float = 1.0):
@@ -419,17 +418,13 @@ def unboundedness_witness(model: ModelManifold, key_approx, p_list=(3.0, 4.0),
     za, zb = model.radii.zeta
     tau = Bump(-zb, -zb + 1.0, -za - 1.0, -za)(model.s)
     rows = np.where(tau > 0)[0]
-    pa, pb = model.radii.phi
+    pa = model.radii.phi[0]
     cols = np.where(model.mask_minus & (model.r >= pa))[0]
     end = model.minus
     r0b = model.basepoint_minus
     rr = model.r[rows]
     rc = model.r[cols]
-    phi_vals = np.ones_like(rc)
-    pstep = 1.0  # phi_- = 1 on r >= pb; transition handled below
-    from .cutoffs import Step
-    stp = Step(-pb, -pa, falling=False)
-    phi_vals = 1.0 - stp(model.s[cols])
+    phi_vals = 1.0 - minus_cutoff(model)(model.s[cols])
     st = ka.stages[0]
     sig, w = cc_segment(math.log(1.0 / k0), sigma_max, n_sigma)
     kern = np.zeros((len(rows), len(cols)))

@@ -1,22 +1,14 @@
 """Modified Bessel functions K_nu / I_nu, the radial profile family L_a,
 and the inverse-log scale function.
 
-Evaluation strategy for K_nu (real order nu >= 0, x > 0):
-
-* x <= 2: Temme's series for the pair (K_mu, K_{mu+1}) with
-  mu = nu - round(nu) in [-1/2, 1/2], then upward recurrence in the order
-  (stable for K).
-* x > 2: the Steed/Thompson-Barnett continued fraction CF2, which yields
-  the same pair in exponentially scaled form, then the same recurrence.
-
-The two branches agree to ~1e-13 at the crossover.  An independent slow
+K_nu and I_nu (real order nu >= 0, x > 0) are thin wrappers over
+scipy.special.kv/kve and iv/ive that add the domain checks and turn a
+value outside the double range into OverflowError.  An independent slow
 reference is the adaptive quadrature of the integral representation
 
     K_nu(x) = int_0^oo exp(-x cosh t) cosh(nu t) dt,
 
-exposed as `bessel_K_quadrature`.  I_nu comes from the continued fraction
-CF1 for I'_nu/I_nu combined with the Wronskian
-I_mu(x) K'_mu(x) - I'_mu(x) K_mu(x) = -1/x.
+exposed as `bessel_K_quadrature`; the tests compare the two.
 
 Everything here is a pure function of its arguments; scalars in give
 scalars out, arrays in give arrays out.
@@ -25,9 +17,9 @@ scalars out, arrays in give arrays out.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
+from scipy import special
 from scipy.integrate import quad
 
 from .errors import DomainError, NonConvergenceError
@@ -36,123 +28,23 @@ EULER_GAMMA = 0.5772156649015328606065
 #: c_gamma = log 2 - gamma, the constant term in K_0(s) ~ -log s + c_gamma.
 C_GAMMA = math.log(2.0) - EULER_GAMMA
 
-_EPS = np.finfo(float).eps
-_FPMIN = 1e-300
-_MAXIT_SERIES = 60
-_MAXIT_CF = 20000
-
-# Taylor coefficients a_k of 1/Gamma(1+z) = 1 + a1 z + a2 z^2 + ...
-_A1 = EULER_GAMMA
-_A3 = -0.04200263503409523553
-_A5 = -0.00042198336982397475
-
-
-def _gam_pair(mu: float) -> tuple[float, float, float, float]:
-    """gam1, gam2, 1/Gamma(1+mu), 1/Gamma(1-mu) for |mu| <= 1/2.
-
-    gam1 = [1/Gamma(1-mu) - 1/Gamma(1+mu)] / (2 mu), continuous at mu=0.
-    """
-    gampl = 1.0 / math.gamma(1.0 + mu)
-    gammi = 1.0 / math.gamma(1.0 - mu)
-    gam2 = 0.5 * (gammi + gampl)
-    if abs(mu) < 1e-4:
-        # series form avoids cancellation
-        gam1 = -(_A1 + _A3 * mu * mu + _A5 * mu ** 4)
-    else:
-        gam1 = (gammi - gampl) / (2.0 * mu)
-    return gam1, gam2, gampl, gammi
-
-
-def _k_temme(mu: float, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(K_mu(x), K_{mu+1}(x)) by Temme's series; requires 0 < x <= 2."""
-    gam1, gam2, gampl, gammi = _gam_pair(mu)
-    x2 = 0.5 * x
-    pimu = math.pi * mu
-    fact = 1.0 if abs(pimu) < 1e-15 else pimu / math.sin(pimu)
-    d = -np.log(x2)
-    e = mu * d
-    fact2 = np.where(np.abs(e) < 1e-15, 1.0, np.sinh(e) / np.where(e == 0, 1.0, e))
-    ff = fact * (gam1 * np.cosh(e) + gam2 * fact2 * d)
-    ssum = ff.copy()
-    e = np.exp(e)
-    p = 0.5 * e / gampl
-    q = 0.5 / (e * gammi)
-    c = np.ones_like(x)
-    d = x2 * x2
-    ssum1 = p.copy()
-    mu2 = mu * mu
-    for i in range(1, _MAXIT_SERIES):
-        ff = (i * ff + p + q) / (i * i - mu2)
-        c = c * d / i
-        p = p / (i - mu)
-        q = q / (i + mu)
-        dl = c * ff
-        ssum = ssum + dl
-        dl1 = c * (p - i * ff)
-        ssum1 = ssum1 + dl1
-        if np.all(np.abs(dl) < np.abs(ssum) * _EPS):
-            break
-    else:
-        raise NonConvergenceError("Temme series for K did not converge")
-    return ssum, ssum1 * (2.0 / x)
-
-
-def _k_cf2(mu: float, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(e^x K_mu(x), e^x K_{mu+1}(x)) by continued fraction CF2; x > 2."""
-    mu2 = mu * mu
-    a1 = 0.25 - mu2
-    b = 2.0 * (1.0 + x)
-    d = 1.0 / b
-    h = d.copy()
-    delh = d.copy()
-    q1 = np.zeros_like(x)
-    q2 = np.ones_like(x)
-    q = np.full_like(x, a1)
-    c = np.full_like(x, a1)
-    a = -a1
-    s = 1.0 + q * delh
-    for i in range(2, 1000):
-        a -= 2 * (i - 1)
-        c = -a * c / i
-        qnew = (q1 - b * q2) / a
-        q1 = q2
-        q2 = qnew
-        q = q + c * qnew
-        b = b + 2.0
-        d = 1.0 / (b + a * d)
-        delh = (b * d - 1.0) * delh
-        h = h + delh
-        dels = q * delh
-        s = s + dels
-        if np.all(np.abs(dels) < np.abs(s) * _EPS):
-            break
-    else:
-        raise NonConvergenceError("continued fraction CF2 for K did not converge")
-    h = a1 * h
-    rkmu = np.sqrt(np.pi / (2.0 * x)) / s
-    rk1 = rkmu * (mu + x + 0.5 - h) / x
-    return rkmu, rk1
-
-
-def _k_pair_scaled(mu: float, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(e^x K_mu, e^x K_{mu+1}) for all x > 0."""
-    k0 = np.empty_like(x)
-    k1 = np.empty_like(x)
-    small = x <= 2.0
-    if small.any():
-        xs = x[small]
-        a, b = _k_temme(mu, xs)
-        ex = np.exp(xs)
-        k0[small], k1[small] = a * ex, b * ex
-    if (~small).any():
-        a, b = _k_cf2(mu, x[~small])
-        k0[~small], k1[~small] = a, b
-    return k0, k1
-
 
 def _as_array(x) -> tuple[np.ndarray, bool]:
     arr = np.asarray(x, dtype=float)
     return np.atleast_1d(arr), arr.ndim == 0
+
+
+def _bessel(name: str, plain, scaled_fn, order: float, x, scaled: bool):
+    if order < 0:
+        raise DomainError(f"{name}: order must be >= 0, got {order}")
+    xa, was_scalar = _as_array(x)
+    if np.any(xa <= 0) or not np.all(np.isfinite(xa)):
+        raise DomainError(f"{name}: argument must be positive and finite")
+    out = (scaled_fn if scaled else plain)(order, xa)
+    if not np.all(np.isfinite(out)):
+        raise OverflowError(f"{name} overflow: order={order}, "
+                            f"x in [{xa.min():g}, {xa.max():g}]")
+    return float(out[0]) if was_scalar else out
 
 
 def bessel_K(order: float, x, scaled: bool = False):
@@ -161,32 +53,10 @@ def bessel_K(order: float, x, scaled: bool = False):
     order: real, >= 0.  x: positive scalar or array.
     scaled=True returns e^x K_order(x), safe for large x.
 
-    Raises DomainError for x <= 0 and OverflowError when the unscaled
-    value exceeds the double range (tiny x at large order).
+    Raises DomainError for x <= 0 and OverflowError when the value
+    exceeds the double range (tiny x at large order).
     """
-    if order < 0:
-        raise DomainError(f"bessel_K: order must be >= 0, got {order}")
-    xa, was_scalar = _as_array(x)
-    if np.any(xa <= 0) or not np.all(np.isfinite(xa)):
-        raise DomainError("bessel_K: argument must be positive and finite")
-    nl = int(order + 0.5)
-    mu = order - nl
-    kmu, kmu1 = _k_pair_scaled(mu, xa)
-    with np.errstate(over="ignore"):
-        for j in range(1, nl):
-            kmu, kmu1 = kmu1, kmu + 2.0 * (mu + j) / xa * kmu1
-    out = kmu1 if nl >= 1 else kmu
-    if not np.all(np.isfinite(out)):
-        raise OverflowError(
-            f"bessel_K overflow: order={order}, min(x)={xa.min():g}")
-    if not scaled:
-        # overflow check before unscaling: log K ~ log Ke - x
-        logk = np.log(out) - xa
-        if np.any(logk > 709.0):
-            raise OverflowError(
-                f"bessel_K overflow: order={order}, min(x)={xa.min():g}")
-        out = out * np.exp(-xa)
-    return float(out[0]) if was_scalar else out
+    return _bessel("bessel_K", special.kv, special.kve, order, x, scaled)
 
 
 def bessel_K_prime(order: float, x):
@@ -203,73 +73,14 @@ def bessel_K_prime(order: float, x):
     return -0.5 * (bessel_K(lower, x) + bessel_K(order + 1.0, x))
 
 
-def _i_cf1(order: float, x: np.ndarray) -> np.ndarray:
-    """I'_order(x) / I_order(x) by continued fraction CF1 (Lentz)."""
-    xi2 = 2.0 / x
-    h = np.maximum(order / x, _FPMIN)
-    b = xi2 * order
-    d = np.zeros_like(x)
-    c = h.copy()
-    for _ in range(_MAXIT_CF):
-        b = b + xi2
-        d = 1.0 / (b + d)
-        c = b + 1.0 / c
-        dl = c * d
-        h = h * dl
-        if np.all(np.abs(dl - 1.0) < 4 * _EPS):
-            return h
-    raise NonConvergenceError("continued fraction CF1 for I did not converge")
-
-
 def bessel_I(order: float, x, scaled: bool = False):
     """Modified Bessel function of the first kind, I_order(x), order >= 0.
 
-    scaled=True returns e^{-x} I_order(x), safe for large x.
+    scaled=True returns e^{-x} I_order(x), safe for large x.  Raises
+    DomainError for x <= 0 and OverflowError when the unscaled value
+    exceeds the double range (large x).
     """
-    if order < 0:
-        raise DomainError(f"bessel_I: order must be >= 0, got {order}")
-    xa, was_scalar = _as_array(x)
-    if np.any(xa <= 0) or not np.all(np.isfinite(xa)):
-        raise DomainError("bessel_I: argument must be positive and finite")
-    out = np.empty_like(xa)
-    tiny = xa < 1e-4
-    if tiny.any():
-        # series: I_nu(x) = (x/2)^nu / Gamma(nu+1) (1 + t + t^2/(2(nu+2)) ...),
-        # t = x^2/(4(nu+1)); three terms give ~1e-16 relative here
-        xt = xa[tiny]
-        t = 0.25 * xt * xt
-        ser = 1.0 + t / (order + 1.0) * (1.0 + t / (2.0 * (order + 2.0)))
-        out[tiny] = (0.5 * xt) ** order / math.gamma(order + 1.0) * ser \
-            * np.exp(-xt)
-    big = ~tiny
-    if big.any():
-        xb = xa[big]
-        nl = int(order + 0.5)
-        mu = order - nl
-        h = _i_cf1(order, xb)
-        # downward recurrence from order to mu, keeping the seed for rescaling
-        ril = np.full_like(xb, _FPMIN)
-        ripl = h * ril
-        fact = order / xb
-        xi = 1.0 / xb
-        for _ in range(nl, 0, -1):
-            ritemp = fact * ril + ripl
-            fact = fact - xi
-            ripl = fact * ritemp + ril
-            ril = ritemp
-        f = ripl / ril  # I'_mu / I_mu
-        kmu, kmu1 = _k_pair_scaled(mu, xb)  # e^x K_mu, e^x K_{mu+1}
-        kmup = mu * xi * kmu - kmu1
-        imu_scaled = xi / (f * kmu - kmup)  # e^{-x} I_mu
-        out[big] = imu_scaled * (_FPMIN / ril)
-    if not scaled:
-        with np.errstate(divide="ignore"):
-            logi = np.log(np.abs(out)) + xa
-        if np.any(logi > 709.0):
-            raise OverflowError(
-                f"bessel_I overflow: order={order}, max(x)={xa.max():g}")
-        out = out * np.exp(xa)
-    return float(out[0]) if was_scalar else out
+    return _bessel("bessel_I", special.iv, special.ive, order, x, scaled)
 
 
 def l_a(a: float, r):
@@ -375,47 +186,6 @@ def bessel_K_quadrature(order: float, x: float, rtol: float = 1e-12) -> float:
         raise NonConvergenceError(
             f"bessel_K_quadrature failed: order={order}, x={x}, err={err:g}")
     return val
-
-
-@dataclass(frozen=True)
-class BesselEval:
-    """One K_nu evaluation with the branch that produced it."""
-    order: float
-    argument: float
-    value: float
-    method: str  # series | asymptotic | quadrature
-
-    def __post_init__(self):
-        if self.order < 0 or self.argument <= 0:
-            raise DomainError("BesselEval: order >= 0 and argument > 0 required")
-        if self.value <= 0:
-            raise DomainError("BesselEval: K is positive on (0, oo)")
-
-
-def bessel_K_eval(order: float, x: float) -> BesselEval:
-    method = "series" if x <= 2.0 else "asymptotic"
-    return BesselEval(order, x, bessel_K(order, x), method)
-
-
-@dataclass(frozen=True)
-class LaValue:
-    a: float
-    r: float
-    value: float
-
-    def __post_init__(self):
-        if self.a < 1 or self.r <= 0 or self.value <= 0:
-            raise DomainError("LaValue: a >= 1, r > 0, value > 0 required")
-
-
-@dataclass(frozen=True)
-class IlgValue:
-    k: float
-    value: float
-
-    def __post_init__(self):
-        if not 0 <= self.k <= 0.5 or self.value < 0:
-            raise DomainError("IlgValue: k in [0,1/2], value >= 0 required")
 
 
 # ---------------------------------------------------------------------------

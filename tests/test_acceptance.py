@@ -18,9 +18,9 @@ import math
 import numpy as np
 import pytest
 
-from connsum import bvp, keylemma as kl, lp_estimator as lpe, model as md, \
-    parametrix as px, riesz as rz, specfun as sf
-from connsum.cutoffs import Step
+from connsum import bvp, checks, keylemma as kl, lp_estimator as lpe, \
+    model as md, parametrix as px, riesz as rz, specfun as sf
+from connsum.cutoffs import minus_cutoff_source
 from connsum.fits import loglog_slope
 from connsum.specfun import ilg
 
@@ -42,36 +42,17 @@ def sys0(model):
     return bvp.GluedSystem(model, 0.0)
 
 
-def minus_source(model):
-    pa, pb = model.radii.phi
-    stp = Step(-pb, -pa, falling=False)
-    d1 = -stp.d1(model.s)
-    d2 = -stp.d2(model.s)
-    return -(-d2 - model.dlog_weight(model.s) * d1)
-
-
 def test_criterion_1_special_functions():
-    worst = 0.0
-    for nu in range(0, 11):
-        for x in np.geomspace(1e-3, 50.0, 12):
-            ref = sf.bessel_K_quadrature(float(nu), float(x))
-            worst = max(worst, abs(sf.bessel_K(float(nu), float(x)) - ref) / ref)
+    worst = checks.bessel_vs_quadrature(range(0, 11),
+                                        np.geomspace(1e-3, 50.0, 12))
     x = RNG.uniform(0.01, 20.0, 10000)
     y = x + RNG.uniform(1e-3, 30.0, 10000)
-    viol_exp = 0
-    for nu in (0.0, 1.0, 5.0):
-        lhs = sf.bessel_K(nu, y)
-        rhs = np.exp(x - y) * sf.bessel_K(nu, x)
-        viol_exp += int(np.sum(lhs > rhs * (1 + 1e-12)))
+    viol_exp = sum(checks.exponential_comparison_violations(nu, x, y)
+                   for nu in (0.0, 1.0, 5.0))
     ms = RNG.integers(1, 21, 10000)
     xs = np.exp(RNG.uniform(np.log(1e-3), np.log(50.0), 10000))
-    viol_der = 0
-    for m in range(1, 21):
-        sel = ms == m
-        lhs = np.abs(xs[sel] * np.array([sf.bessel_K_prime(m, float(t))
-                                         for t in xs[sel]]))
-        rhs = (m + xs[sel]) * sf.bessel_K(float(m), xs[sel])
-        viol_der += int(np.sum(lhs > rhs * (1 + 1e-12)))
+    viol_der = sum(checks.derivative_bound_violations(m, xs[ms == m])
+                   for m in range(1, 21))
     ok = worst <= 1e-10 and viol_exp == 0 and viol_der == 0
     _line(1, ok, f"bessel rel err {worst:.2e} (<=1e-10), "
           f"exp-comparison violations {viol_exp}/10000, "
@@ -123,41 +104,30 @@ def test_criterion_3_harmonic_extensions(model):
 
 
 def test_criterion_4_bvp(model, sys0):
-    from dataclasses import replace
-
-    prob = bvp.NeckProblem(model)
-    hom = float(np.linalg.norm(prob.solve(np.zeros(len(prob.idx)))))
+    hom = checks.homogeneous_norm(model)
     U = bvp.build_log_harmonic(model, system=sys0)
-    far = model.s < -6.0
-    rem_minus = float(np.max(np.abs(U.values[far] - np.log(model.r[far])
-                                    - U.c1)))
+    r_far, rem = checks.log_harmonic_remainder(model, U)
+    rem_minus = float(np.max(rem))
     if rem_minus < 1e-10:
         minus_ok = True
         minus_desc = f"exactly constant ({rem_minus:.1e})"
     else:
-        slope = loglog_slope(model.r[far],
-                             np.abs(U.values[far] - np.log(model.r[far])
-                                    - U.c1))
+        slope = loglog_slope(r_far, rem)
         minus_ok = slope <= -0.9
         minus_desc = f"fitted exponent {slope:.2f}"
     farp = model.s > 6.0
     slope_plus = loglog_slope(model.r[farp], np.abs(U.values[farp]))
     plus_ok = abs(slope_plus + 1.0) <= 0.1
-    F = np.exp(-2.0 * model.s ** 2)
-    beta1 = bvp.solve_laplace(model, F, system=sys0).beta
-    cfg = model.config
-    fine = md.build_model(replace(cfg, grid=replace(
-        cfg.grid, pts_per_decade=2 * cfg.grid.pts_per_decade)))
-    beta2 = bvp.solve_laplace(fine, np.exp(-2.0 * fine.s ** 2)).beta
-    beta_ok = abs(beta1 - beta2) < 1e-4
+    _, beta_shift = checks.beta_refinement(model, sys0)
+    beta_ok = beta_shift < 1e-4
     ok = hom < 1e-10 and minus_ok and plus_ok and beta_ok
     _line(4, ok, f"homogeneous {hom:.1e} (<1e-10); minus remainder "
           f"{minus_desc}; plus exponent {slope_plus:.3f} (-1 +- 0.1); "
-          f"beta refinement shift {abs(beta1 - beta2):.1e} (<1e-4)")
+          f"beta refinement shift {beta_shift:.1e} (<1e-4)")
 
 
 def test_criterion_5_key_lemma(model, sys0):
-    v = minus_source(model)
+    v = minus_cutoff_source(model)
     slopes = {}
     for q in (2, 3):
         ka = kl.build_key_approximation(model, v, q=q, system=sys0)
@@ -168,8 +138,8 @@ def test_criterion_5_key_lemma(model, sys0):
     U = bvp.build_log_harmonic(model, system=sys0)
     c1 = ka3.ilg_coefficient(1)
     mask = np.abs(model.s) < 12
-    rel = float(np.max(np.abs(c1[mask] - ka3.stages[0].beta * U.values[mask]))
-                / np.max(np.abs(U.values[mask])))
+    rel = checks.c1_vs_beta_log_harmonic(c1[mask], ka3.stages[0].beta,
+                                         U.values[mask])
     ok = slope_ok and low["positive"] and rel < 1e-3
     _line(5, ok, f"residual slopes {slopes[2]:.3f}/{slopes[3]:.3f} "
           f"(>= q - 0.2); lower-bound constant {low['constant']:.3f} (>0) "
@@ -187,18 +157,9 @@ def test_criterion_6_parametrix(model, sys0):
     hs1 = [par1.error(math.exp(-2.0 ** j)).hs_e2() for j in js]
     slope1 = loglog_slope(ils, hs1)
     inv = par2.s_operator(1e-3)
-    worst_oracle = 0.0
     v = np.exp(-2.0 * model.s ** 2)
-    for k in (1e-2, 1e-3, 1e-4):
-        Rv = par2.resolvent_apply(k, v)
-        A = md.radial_laplacian(model, None, k=k, order=6)
-        rhs = v.copy()
-        rhs[0] = rhs[-1] = 0.0
-        u_fd = np.linalg.solve(A, rhs)
-        mask = np.abs(model.s) < 30
-        worst_oracle = max(worst_oracle,
-                           float(np.max(np.abs((Rv - u_fd)[mask]))
-                                 / np.max(np.abs(u_fd[mask]))))
+    worst_oracle = max(checks.radiation_oracle_error(par2, k, v)
+                       for k in (1e-2, 1e-3, 1e-4))
     ok = slope2 >= 0.4 and slope1 <= 0.0 \
         and inv.identity_residual < 1e-8 and worst_oracle < 1e-5
     _line(6, ok, f"HS(E'') slope {slope2:.2f} at q=2 (>=0.4: the "
@@ -214,8 +175,7 @@ def test_criterion_7_ilg_expansion(model, sys0):
     out = px.ilg_expansion(par3, v)
     coef, mask = out["coefficients"], out["mask"]
     sol = bvp.solve_laplace(model, v, system=sys0)
-    rel0 = float(np.max(np.abs(coef[0] - sol.values[mask]))
-                 / np.max(np.abs(sol.values[mask])))
+    rel0 = checks.c0_vs_zero_energy_solve(coef[0], sol.values[mask])
     orders = {}
     for terms in (2, 3):
         orders[terms] = px.ilg_residual_order(par3, v, coef, mask,
@@ -258,7 +218,7 @@ def test_criterion_9_riesz_unboundedness():
     cfg = md.GeometryConfig(S_minus=2.0 ** 24, S_plus=64.0)
     wmodel = md.build_model(cfg)
     wsys = bvp.GluedSystem(wmodel, 0.0)
-    ka = kl.build_key_approximation(wmodel, minus_source(wmodel), q=3,
+    ka = kl.build_key_approximation(wmodel, minus_cutoff_source(wmodel), q=3,
                                     system=wsys)
     wit = rz.unboundedness_witness(wmodel, ka, p_list=(3.0, 4.0),
                                    k0=math.exp(-9.5))

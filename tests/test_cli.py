@@ -53,6 +53,24 @@ class TestCli:
                        "--out", str(tmp_path)])
         assert rc == cli.EXIT_CONFIG
 
+    @pytest.mark.parametrize("geometry,message", [
+        ({"grid": {"pts_per_decade": 0}}, "pts_per_decade"),
+        ({"grid": {"pts_per_decade": -5}}, "pts_per_decade"),
+        ([1, 2], "JSON object"),
+        ({"radii": {"chi": [5, 3]}}, "radii.chi"),
+        ({"radii": {"phi": [10, 6]}}, "radii.phi"),
+        ({"radii": {"eta": [8, 4]}}, "radii.eta"),
+        ({"radii": {"zeta": [16, 12]}}, "radii.zeta"),
+    ])
+    def test_malformed_geometry_is_config_error(self, tmp_path, capsys,
+                                                geometry, message):
+        geo = tmp_path / "geo.json"
+        geo.write_text(json.dumps(geometry))
+        rc = cli.main(["model-build", "--geometry", str(geo),
+                       "--out", str(tmp_path)])
+        assert rc == cli.EXIT_CONFIG
+        assert message in capsys.readouterr().err
+
     def test_geometry_file_roundtrip(self, tmp_path):
         geo = tmp_path / "geo.json"
         geo.write_text(json.dumps({

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from connsum import bvp, keylemma as kl, model as md, specfun as sf
-from connsum.cutoffs import Step
+from connsum.cutoffs import Step, minus_cutoff_source
 from connsum.errors import DomainError
 
 
@@ -16,16 +16,6 @@ def model():
 @pytest.fixture(scope="module")
 def sys0(model):
     return bvp.GluedSystem(model, 0.0)
-
-
-def minus_cutoff_source(model):
-    """v = -Delta phi_minus for the standing minus-end cutoff."""
-    pa, pb = model.radii.phi
-    step = Step(-pb, -pa, falling=False)
-    s = model.s
-    d1 = -step.d1(s)
-    d2 = -step.d2(s)
-    return -(-d2 - model.dlog_weight(s) * d1)
 
 
 def plus_cutoff_source(model):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from connsum import bvp, keylemma as kl, model as md, parametrix as px, riesz as rz
-from connsum.cutoffs import Step
+from connsum.cutoffs import minus_cutoff_source
 from connsum.errors import DomainError
 
 
@@ -121,12 +121,8 @@ class TestWitness:
         cfg = md.GeometryConfig(S_minus=2.0 ** 24, S_plus=64.0)
         model = md.build_model(cfg)
         sys0 = bvp.GluedSystem(model, 0.0)
-        pa, pb = model.radii.phi
-        stp = Step(-pb, -pa, falling=False)
-        d1 = -stp.d1(model.s)
-        d2 = -stp.d2(model.s)
-        v_minus = -(-d2 - model.dlog_weight(model.s) * d1)
-        ka = kl.build_key_approximation(model, v_minus, q=3, system=sys0)
+        ka = kl.build_key_approximation(model, minus_cutoff_source(model),
+                                        q=3, system=sys0)
         return model, ka
 
     def test_chain_inequality(self):
