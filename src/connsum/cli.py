@@ -231,6 +231,9 @@ def cmd_riesz(args) -> int:
 
     from . import bvp, keylemma as kl, riesz as rz
 
+    if args.n_sigma < 3 or args.n_sigma % 2 == 0:
+        raise ConfigError("--n-sigma must be an odd integer >= 3, got "
+                          f"{args.n_sigma}")
     cfg = _geometry(args)
     cfg = replace(cfg, S_minus=float(args.sweep_max),
                   S_plus=float(args.sweep_max))
@@ -243,7 +246,9 @@ def cmd_riesz(args) -> int:
              report["verdicts"][r.p]["verdict"]) for r in report["rows"]]
     write_csv(_outdir(args) / "riesz_boundedness.csv", rows,
               ("p", "R_max", "lower", "upper", "verdict"))
-    payload = {"bounded": {str(p): report["verdicts"][p] for p in p_bounded}}
+    payload = {"bounded": {str(p): report["verdicts"][p] for p in p_bounded},
+               "k_quadrature": {"error": kern.quad_error,
+                                "bound": kern.quad_error_bound()}}
 
     witness_section = {"applicable": False}
     growth_ok = True

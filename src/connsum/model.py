@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -159,9 +160,13 @@ class GridSpec:
     min_segment_pts: int = 33
 
     def __post_init__(self):
-        if not self.pts_per_decade > 0:
-            raise ConfigError("grid.pts_per_decade must be positive, got "
-                              f"{self.pts_per_decade}")
+        for name, least in (("pts_per_decade", 1), ("neck_pts", 1),
+                            ("min_segment_pts", 2)):
+            val = getattr(self, name)
+            if not (isinstance(val, numbers.Integral)
+                    and not isinstance(val, bool) and val >= least):
+                raise ConfigError(f"grid.{name} must be an integer >= "
+                                  f"{least}, got {val!r}")
 
 
 @dataclass(frozen=True)

@@ -20,6 +20,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.sparse.linalg import svds
 
 from . import product_kernels as pk
 from .cutoffs import Bump, minus_cutoff
@@ -49,6 +50,10 @@ class DiscretizedKernel:
     values: np.ndarray
     jump_step: np.ndarray | None = None   # diagonal value jump (d/ds kernels)
     quad_error: float = 0.0               # max per-entry k-quadrature error
+
+    def quad_error_bound(self) -> float:
+        """The largest accepted quad_error: 1e-3 of the largest entry."""
+        return 1e-3 * float(np.max(np.abs(self.values)))
 
     def matrix(self) -> np.ndarray:
         out = self.values * self.model.weights[None, :]
@@ -87,7 +92,10 @@ def low_energy_kernel(model: ModelManifold, k0: float, n_sigma: int = 33,
     The substitution k = e^{-sigma} resolves the inverse-log behaviour
     near k = 0 uniformly; the integrand decays like e^{-sigma} so the
     upper truncation contributes ~ e^{-sigma_max}.  The per-entry error
-    estimate compares against the embedded coarse rule.
+    estimate compares against the embedded coarse rule: the nodes of the
+    (n_sigma + 1) // 2 point Clenshaw-Curtis rule are every other node of
+    the n_sigma point rule, so both sums share one resolvent gradient per
+    node.  n_sigma must therefore be odd.
 
     The resolvent gradients come from the exact glued Green system by
     default (stable at every k on the lattice); passing a Parametrix uses
@@ -97,32 +105,37 @@ def low_energy_kernel(model: ModelManifold, k0: float, n_sigma: int = 33,
     """
     from .bvp import GluedSystem
 
+    if n_sigma < 3 or n_sigma % 2 == 0:
+        raise DomainError("n_sigma must be an odd integer >= 3 (the coarse "
+                          f"rule is embedded in the fine one), got {n_sigma}")
+
     def dleft_at(k: float) -> np.ndarray:
         if parametrix is not None:
             return parametrix.resolvent_dleft(k)
         return GluedSystem(model, k).kernel_dleft()
 
-    def assemble(n_nodes: int) -> tuple[np.ndarray, np.ndarray]:
-        sig, w = cc_segment(math.log(1.0 / k0), sigma_max, n_nodes)
-        out = np.zeros((model.n, model.n))
-        jump = np.zeros(model.n)
-        for s_i, w_i in zip(sig, w):
-            k = math.exp(-s_i)
-            out += (2.0 / math.pi) * w_i * k * dleft_at(k)
-            jump += (2.0 / math.pi) * w_i * k * (1.0 / model.v)
-        return out, jump
-
-    vals, jump = assemble(n_sigma)
-    err = 0.0
-    if error_estimate:
-        coarse, _ = assemble(max(9, (n_sigma + 1) // 2))
-        err = float(np.max(np.abs(vals - coarse)))
-        scale = float(np.max(np.abs(vals)))
-        if scale > 0 and err > 1e-3 * scale:
+    sig, w = cc_segment(math.log(1.0 / k0), sigma_max, n_sigma)
+    _, w_coarse = cc_segment(math.log(1.0 / k0), sigma_max, (n_sigma + 1) // 2)
+    vals = np.zeros((model.n, model.n))
+    coarse = np.zeros((model.n, model.n)) if error_estimate else None
+    jump = np.zeros(model.n)
+    for i, (s_i, w_i) in enumerate(zip(sig, w)):
+        k = math.exp(-s_i)
+        dleft = dleft_at(k)
+        vals += (2.0 / math.pi) * w_i * k * dleft
+        jump += (2.0 / math.pi) * w_i * k * (1.0 / model.v)
+        if coarse is not None and i % 2 == 0:
+            coarse += (2.0 / math.pi) * w_coarse[i // 2] * k * dleft
+        del dleft   # free it before the next build
+    kern = DiscretizedKernel(model, vals, jump_step=jump)
+    if coarse is not None:
+        kern.quad_error = float(np.max(np.abs(vals - coarse)))
+        if kern.quad_error > kern.quad_error_bound():
             raise NonConvergenceError(
-                f"k-quadrature unconverged: per-entry error {err:g} "
-                f"against scale {scale:g}")
-    return DiscretizedKernel(model, vals, jump_step=jump, quad_error=err)
+                f"k-quadrature unconverged: per-entry error "
+                f"{kern.quad_error:g} against bound "
+                f"{kern.quad_error_bound():g}")
+    return kern
 
 
 def rank_one_k_integral(c_rate: float, k0: float, r, rp):
@@ -252,6 +265,13 @@ def boyd_lower_bound(mat: np.ndarray, q: np.ndarray, p: float,
     return best
 
 
+def spectral_norm(mat: np.ndarray) -> float:
+    """Largest singular value of a square matrix by Lanczos
+    bidiagonalization; the fixed start vector makes reruns bitwise equal."""
+    return float(svds(mat, k=1, v0=np.ones(mat.shape[0]), tol=0,
+                      return_singular_vectors=False)[0])
+
+
 def schur_upper_bound(mat: np.ndarray, q: np.ndarray, p: float) -> float:
     """|| K ||_{p->p} <= C_1^{1/p'} C_inf^{1/p} with C_1 / C_inf the max
     column / row L^1 masses (Schur interpolation)."""
@@ -276,17 +296,18 @@ def lp_boundedness_report(kern: DiscretizedKernel, p_list, r_maxes,
     Lower bounds: structured test family (radial plateaus, the aligned
     profile ilg(1/r')/r' on the two-dimensional end) plus the positive-
     kernel power iteration; upper bound: Schur interpolation (p = 2 uses
-    the exact weighted spectral norm).
+    the weighted spectral norm, by Lanczos).
     """
     model = kern.model
     q = model.weights
+    mat = kern.matrix()
     rows: list[TrendRow] = []
     verdicts = {}
     for p in p_list:
         series = []
         for rmax in r_maxes:
             mask = model.r <= rmax
-            sub = kern.matrix()[np.ix_(mask, mask)]
+            sub = mat[np.ix_(mask, mask)]
             qs = q[mask]
             lower = 0.0
             # structured family
@@ -306,7 +327,7 @@ def lp_boundedness_report(kern: DiscretizedKernel, p_list, r_maxes,
                 # sits on the boundary of the power-weight lemmas, and
                 # boundedness rides on the multiplier route (signs matter)
                 sq = np.sqrt(qs)
-                upper = float(np.linalg.norm(sq[:, None] * sub / sq[None, :], 2))
+                upper = spectral_norm(sq[:, None] * sub / sq[None, :])
                 lower = upper
             else:
                 lower = max(lower, boyd_lower_bound(sub, qs, p))

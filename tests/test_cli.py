@@ -61,6 +61,12 @@ class TestCli:
         ({"radii": {"phi": [10, 6]}}, "radii.phi"),
         ({"radii": {"eta": [8, 4]}}, "radii.eta"),
         ({"radii": {"zeta": [16, 12]}}, "radii.zeta"),
+        ({"grid": {"min_segment_pts": 0}}, "min_segment_pts"),
+        ({"grid": {"min_segment_pts": 1}}, "min_segment_pts"),
+        ({"grid": {"neck_pts": 0}}, "neck_pts"),
+        ({"grid": {"pts_per_decade": 2.5}}, "pts_per_decade"),
+        ({"grid": {"neck_pts": 129.0}}, "neck_pts"),
+        ({"grid": {"pts_per_decade": True}}, "pts_per_decade"),
     ])
     def test_malformed_geometry_is_config_error(self, tmp_path, capsys,
                                                 geometry, message):
@@ -70,6 +76,13 @@ class TestCli:
                        "--out", str(tmp_path)])
         assert rc == cli.EXIT_CONFIG
         assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("n_sigma", ["32", "1"])
+    def test_riesz_rejects_even_n_sigma(self, tmp_path, capsys, n_sigma):
+        rc = cli.main(["riesz", "--n-sigma", n_sigma, "--out", str(tmp_path)])
+        assert rc == cli.EXIT_CONFIG
+        assert "--n-sigma must be an odd integer" in capsys.readouterr().err
+        assert not (tmp_path / "riesz.json").exists()
 
     def test_geometry_file_roundtrip(self, tmp_path):
         geo = tmp_path / "geo.json"

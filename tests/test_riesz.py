@@ -6,6 +6,7 @@ import pytest
 from connsum import bvp, keylemma as kl, model as md, parametrix as px, riesz as rz
 from connsum.cutoffs import minus_cutoff_source
 from connsum.errors import DomainError
+from connsum.quadrature import cc_segment, clenshaw_curtis
 
 
 @pytest.fixture(scope="module")
@@ -43,10 +44,55 @@ class TestLowEnergyKernel:
             ref, _ = quad(lambda k: math.exp(-c * k * (r + rp)) / r, 0, k0)
             assert val == pytest.approx(ref, rel=1e-10)
 
-    def test_quadrature_error_estimate(self, model):
-        kern = rz.low_energy_kernel(model, k0=0.05, n_sigma=25,
-                                    error_estimate=True)
-        assert kern.quad_error < 1e-3 * np.max(np.abs(kern.values))
+    def test_quadrature_error_estimate(self, low_kernel):
+        assert 0 < low_kernel.quad_error < low_kernel.quad_error_bound()
+        assert low_kernel.quad_error_bound() == \
+            1e-3 * np.max(np.abs(low_kernel.values))
+
+    def test_coarse_rule_is_embedded(self):
+        for m in range(5, 34):
+            fine, _ = clenshaw_curtis(2 * m - 1)
+            coarse, _ = clenshaw_curtis(m)
+            assert np.array_equal(fine[::2], coarse)
+            fine, _ = cc_segment(math.log(1 / 0.05), 40.0, 2 * m - 1)
+            coarse, _ = cc_segment(math.log(1 / 0.05), 40.0, m)
+            assert np.array_equal(fine[::2], coarse)
+
+    def test_one_green_build_per_node(self, model, monkeypatch):
+        calls = []
+        dleft = bvp.GluedSystem.kernel_dleft
+
+        def counting(self):
+            calls.append(self.k)
+            return dleft(self)
+
+        monkeypatch.setattr(bvp.GluedSystem, "kernel_dleft", counting)
+        rz.low_energy_kernel(model, k0=0.05, n_sigma=25)
+        assert len(calls) == 25
+
+    def test_matches_two_pass_reference(self, model, low_kernel):
+        # the former assembly: one full pass per rule
+        def assemble(n_nodes):
+            sig, w = cc_segment(math.log(1.0 / 0.05), 40.0, n_nodes)
+            out = np.zeros((model.n, model.n))
+            jump = np.zeros(model.n)
+            for s_i, w_i in zip(sig, w):
+                k = math.exp(-s_i)
+                out += (2.0 / math.pi) * w_i * k * \
+                    bvp.GluedSystem(model, k).kernel_dleft()
+                jump += (2.0 / math.pi) * w_i * k * (1.0 / model.v)
+            return out, jump
+
+        vals, jump = assemble(25)
+        coarse, _ = assemble(13)
+        assert np.array_equal(low_kernel.values, vals)
+        assert np.array_equal(low_kernel.jump_step, jump)
+        assert low_kernel.quad_error == float(np.max(np.abs(vals - coarse)))
+
+    @pytest.mark.parametrize("n_sigma", [24, 2, 1])
+    def test_even_or_tiny_n_sigma_rejected(self, model, n_sigma):
+        with pytest.raises(DomainError, match="odd"):
+            rz.low_energy_kernel(model, k0=0.05, n_sigma=n_sigma)
 
     def test_provider_agreement_at_deep_k(self, model):
         # the parametrix route and the direct Green route agree where the
@@ -62,7 +108,6 @@ class TestLowEnergyKernel:
     def test_scalar_kernel_symmetry(self, model):
         # the non-gradient analogue (the k-integrated resolvent itself)
         # is symmetric
-        from connsum.quadrature import cc_segment
         sig, w = cc_segment(math.log(1 / 0.05), 30.0, 15)
         out = np.zeros((model.n, model.n))
         for s_i, w_i in zip(sig, w):
@@ -108,6 +153,17 @@ class TestBoundednessReport:
             assert np.all(inc > -1e-6)
             assert inc[-1] < inc[-2] < inc[-3]
             assert inc[-1] < 0.75 * np.max(inc)
+
+    def test_spectral_norm_matches_svd(self, model, low_kernel):
+        q = model.weights
+        sq = np.sqrt(q)
+        for rmax in (64.0, 512.0):
+            mask = model.r <= rmax
+            sub = low_kernel.matrix()[np.ix_(mask, mask)]
+            a = sq[mask][:, None] * sub / sq[mask][None, :]
+            lanczos = rz.spectral_norm(a)
+            assert lanczos == pytest.approx(np.linalg.norm(a, 2), rel=1e-12)
+            assert rz.spectral_norm(a) == lanczos
 
     def test_p2_estimate_near_multiplier_bound(self, model, low_kernel):
         report = rz.lp_boundedness_report(low_kernel, (2.0,), (256.0, 512.0))
