@@ -35,7 +35,7 @@ print(f"(Id + E)(Id + S) - Id at k = 1e-3: {inv.identity_residual:.1e}")
 print("\n== inverse-log series of R(k) v ==")
 v = par.pieces.v_minus
 out = px.ilg_expansion(par, v)
-coef, mask = out["coefficients"], out["mask"]
+coef, mask = out.coefficients, out.mask
 sol = bvp.solve_laplace(m, v, system=sys0)
 U = bvp.build_log_harmonic(m, system=sys0)
 rel0 = checks.c0_vs_zero_energy_solve(coef[0], sol.values[mask])

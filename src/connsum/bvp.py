@@ -29,11 +29,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import specfun as sf
-from .cutoffs import Step
+from .cutoffs import Step, on_grid
 from .errors import DomainError, SingularSystemError
 from .quadrature import cheb_cumint_matrix
-from .model import (ModeChannel, ModelManifold, fornberg_weights,
-                    radiation_logderiv)
+from .model import ModelManifold, fornberg_weights, radiation_logderiv
 
 
 def _neck_collocation(model: ModelManifold, k: float, from_plus: bool,
@@ -203,7 +202,6 @@ class GluedSystem:
         damp = np.exp(-2.0 * k * (-s[mi] - m.R)) if k > 0 else 1.0
         val[mi] = cd * vd * damp + cg * vg
         dval[mi] = cd * dd * damp + cg * dg
-        self._uR_minus_coeffs = (cd, cg)
         return val, dval
 
     # Green machinery ----------------------------------------------------------
@@ -314,21 +312,18 @@ def build_log_harmonic(model: ModelManifold,
     """w_1 + w_2 with w_1 = chi(r) log r (chi = 1 far out on the minus
     end) and Delta w_2 = -Delta w_1 solved by the global Laplace solver."""
     a, b = model.radii.chi
-    chi = Step(-b, -a, falling=False)  # 1 for s <= -b, 0 for s >= -a
+    # 1 for s <= -b, 0 for s >= -a
+    chi = on_grid(model, Step(-b, -a, falling=True))
     s = model.s
-    chi_v = 1.0 - chi(s)
-    chi_d1 = -chi.d1(s)
-    chi_d2 = -chi.d2(s)
     neg = s < -model.R
     logr = np.where(neg, np.log(np.maximum(model.r, 1e-12)), 0.0)
-    w1 = chi_v * logr
+    w1 = chi.values * logr
     dlogr = np.zeros_like(s)
     dlogr[neg] = 1.0 / s[neg]
-    dw1 = chi_d1 * logr + chi_v * dlogr
+    dw1 = chi.d1 * logr + chi.values * dlogr
     # F = -Delta w1 on the minus product region (supp chi' there):
     # Delta(chi log r) = log r Delta chi - 2 chi' (log r)'
-    lap_chi = -chi_d2 - model.dlog_weight(s) * chi_d1
-    F = -(logr * lap_chi) + 2.0 * chi_d1 * dlogr
+    F = -(logr * chi.lap) + 2.0 * chi.d1 * dlogr
     sol = solve_laplace(model, F, system=system)
     return LogHarmonic(w1 + sol.values, dw1 + sol.dvalues,
                        sol.beta, sol.plus_coeff)
@@ -347,10 +342,7 @@ class NeckProblem:
     """
 
     def __init__(self, model: ModelManifold, domain_radius: float = 12.0,
-                 order: int = 4, channel: ModeChannel | None = None):
-        if channel is not None and not channel.is_zero:
-            raise DomainError(
-                "NeckProblem: only the zero channel glues across the neck")
+                 order: int = 4):
         self.model = model
         idx = np.where(np.abs(model.s) <= domain_radius + 1e-9)[0]
         if len(idx) < order + 3:

@@ -201,7 +201,7 @@ def cmd_resolvent(args) -> int:
     k0 = par.choose_k0([1e-4, 1e-3, 1e-2, 0.05])
     v = par.pieces.v_minus
     out = px.ilg_expansion(par, v)
-    coef, mask = out["coefficients"], out["mask"]
+    coef, mask = out.coefficients, out.mask
     sol = bvp.solve_laplace(model, v, system=sys0)
     c0_rel = checks.c0_vs_zero_energy_solve(coef[0], sol.values[mask])
     U = bvp.build_log_harmonic(model, system=sys0)
@@ -294,7 +294,7 @@ def cmd_lp_lemmas(args) -> int:
 
     out = lpe.random_instance_suite(args.instances, seed=args.seed)
     rows = []
-    for kern, (plo, phi) in lpe.paper_instances(3):
+    for kern, _ in lpe.paper_instances(3):
         for p in (1.2, 1.5, 2.5, 3.5):
             try:
                 pred = lpe.lemma_predicate(kern, p)

@@ -60,18 +60,15 @@ class Step:
 
 
 def minus_cutoff(model) -> Step:
-    """The step 1 - phi_minus of the standing minus-end cutoff phi_minus,
-    which is 1 for r >= phi[1] and 0 for r <= phi[0] on the minus end."""
+    """The standing minus-end cutoff phi_minus: 1 for r >= phi[1] and 0
+    for r <= phi[0] on the minus end."""
     pa, pb = model.radii.phi
-    return Step(-pb, -pa, falling=False)
+    return Step(-pb, -pa, falling=True)
 
 
 def minus_cutoff_source(model) -> np.ndarray:
     """The source v = -Delta phi_minus on the grid of `model`."""
-    stp = minus_cutoff(model)
-    d1 = -stp.d1(model.s)
-    d2 = -stp.d2(model.s)
-    return -(-d2 - model.dlog_weight(model.s) * d1)
+    return -on_grid(model, minus_cutoff(model)).lap
 
 
 @dataclass(frozen=True)
@@ -98,3 +95,19 @@ class Bump:
     def d2(self, s):
         up, down = Step(self.a, self.b), Step(self.c, self.d, falling=True)
         return up.d2(s) * down(s) + 2 * up.d1(s) * down.d1(s) + up(s) * down.d2(s)
+
+
+@dataclass
+class CutoffField:
+    """A cutoff sampled on the grid with its s-derivatives and Laplacian."""
+    values: np.ndarray
+    d1: np.ndarray
+    d2: np.ndarray
+    lap: np.ndarray
+
+
+def on_grid(model, cutoff) -> CutoffField:
+    """Sample a Step or Bump on the grid of `model`."""
+    s = model.s
+    d1, d2 = cutoff.d1(s), cutoff.d2(s)
+    return CutoffField(cutoff(s), d1, d2, model.laplacian(d1, d2))

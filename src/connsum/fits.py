@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .specfun import ilg
@@ -19,30 +17,13 @@ def loglog_slope(x, y) -> float:
     return float(np.polyfit(np.log(x[mask]), np.log(y[mask]), 1)[0])
 
 
-@dataclass(frozen=True)
-class EnvelopeFit:
+def fit_envelope(values, shape) -> float:
     """Smallest constant C with |values| <= C * shape over the samples."""
-    constant: float
-    worst_index: int
-    stable: bool
-    refined_constant: float | None = None
-
-
-def fit_envelope(values, shape, refined: tuple | None = None,
-                 stability: float = 0.10) -> EnvelopeFit:
     values = np.abs(np.asarray(values, dtype=float)).ravel()
     shape = np.asarray(shape, dtype=float).ravel()
     if np.any(shape <= 0):
         raise ValueError("fit_envelope: shape must be positive")
-    ratio = values / shape
-    i = int(np.argmax(ratio))
-    c = float(ratio[i])
-    if refined is None:
-        return EnvelopeFit(c, i, True)
-    rv, rs = refined
-    rc = float(np.max(np.abs(np.asarray(rv)).ravel() / np.asarray(rs).ravel()))
-    stable = c > 0 and abs(rc - c) / c <= stability
-    return EnvelopeFit(c, i, stable, rc)
+    return float(np.max(values / shape))
 
 
 def fit_lower_constant(values, shape) -> float:

@@ -145,8 +145,7 @@ class HarmonicExtension:
         return -d2 - (n - 1.0) / r * der(r) + pot * val(r)
 
 
-def extend_minus(end: EndSpec, f: BoundaryData,
-                 tail_tol: float = 1e-12) -> HarmonicExtension:
+def extend_minus(end: EndSpec, f: BoundaryData) -> HarmonicExtension:
     """Unique bounded harmonic extension into the two-dimensional end.
 
     Tends to the (0,0) coefficient times the constant mode at infinity.
@@ -155,22 +154,21 @@ def extend_minus(end: EndSpec, f: BoundaryData,
         raise DomainError("extend_minus needs minus-end boundary data")
     if end.euclidean_dim != 2:
         raise DomainError("extend_minus requires a two-dimensional end")
-    _check_truncation(end, f, tail_tol)
+    _check_truncation(end, f)
     return HarmonicExtension(end, f)
 
 
-def extend_plus(end: EndSpec, f: BoundaryData,
-                tail_tol: float = 1e-12) -> HarmonicExtension:
+def extend_plus(end: EndSpec, f: BoundaryData) -> HarmonicExtension:
     """Unique decaying harmonic extension, O(r^{2-n}) at infinity."""
     if f.end != "plus":
         raise DomainError("extend_plus needs plus-end boundary data")
     if end.euclidean_dim < 3:
         raise DomainError("extend_plus requires an end of dimension >= 3")
-    _check_truncation(end, f, tail_tol)
+    _check_truncation(end, f)
     return HarmonicExtension(end, f)
 
 
-def _check_truncation(end: EndSpec, f: BoundaryData, tol: float):
+def _check_truncation(end: EndSpec, f: BoundaryData):
     n_modes = len(end.cross_section.eigenvalues)
     for (m, l) in f.coeffs:
         if l >= n_modes:

@@ -35,7 +35,7 @@ import numpy as np
 
 from . import specfun as sf
 from .bvp import GlobalHarmonicSolution, GluedSystem, solve_laplace
-from .cutoffs import Step
+from .cutoffs import Step, on_grid
 from .errors import DomainError
 from .fits import fit_envelope, loglog_slope
 from .model import ModeChannel, ModelManifold
@@ -93,17 +93,9 @@ class KeyApproximation:
         sys0 = system if system is not None else GluedSystem(model, 0.0)
         s = model.s
         a, b = model.radii.chi
-        chi = Step(-b, -a, falling=False)   # rising in s
-        self.chi = 1.0 - chi(s)             # 1 far out on the minus end
-        self.chi_d1 = -chi.d1(s)
-        self.chi_d2 = -chi.d2(s)
-        self.lapchi = -self.chi_d2 - model.dlog_weight(s) * self.chi_d1
-        ea, eb = model.radii.eta
-        eta = Step(ea, eb)
-        self.eta = eta(s)
-        self.eta_d1 = eta.d1(s)
-        self.eta_d2 = eta.d2(s)
-        self.lapeta = -self.eta_d2 - model.dlog_weight(s) * self.eta_d1
+        # chi is 1 far out on the minus end, eta 1 far out on the plus end
+        self.chi = on_grid(model, Step(-b, -a, falling=True))
+        self.eta = on_grid(model, Step(*model.radii.eta))
         self.n_plus = model.plus.euclidean_dim
         self.nu = 0.5 * self.n_plus - 1.0
         self.logr = np.log(model.r)
@@ -112,7 +104,7 @@ class KeyApproximation:
         self.dlogr[neg] = 1.0 / s[neg]      # valid on supp chi
         # g = log r - c_gamma and the compact-source generator
         g = self.logr - C_GAMMA
-        self.unit_next = -(g * self.lapchi - 2.0 * self.chi_d1 * self.dlogr)
+        self.unit_next = -(g * self.chi.lap - 2.0 * self.chi.d1 * self.dlogr)
         self.stages: list[KeyStage] = []
         w = self.v
         for _ in range(q):
@@ -135,7 +127,7 @@ class KeyApproximation:
         if k == 0.0:
             return np.zeros(self.model.n), np.zeros(self.model.n)
         s = self.model.s
-        on = self.chi > 0
+        on = self.chi.values > 0
         out = np.zeros_like(s)
         dout = np.zeros_like(s)
         r = self.model.r[on]
@@ -144,24 +136,29 @@ class KeyApproximation:
         dout[on] = il * (self.dlogr[on] + k * sf.k1_tail(k * r))
         return out, dout
 
-    def _deform(self, k: float):
-        """(delta_k eta, d/ds of it) with delta_k = r^{2-n}(g_nu(k r) - 1),
-        supported on the plus-side cutoff eta."""
+    def _delta(self, k: float):
+        """(delta_k, d/ds delta_k) with delta_k = r^{2-n}(g_nu(k r) - 1) on
+        the support of the plus-side cutoff eta, zero elsewhere; k > 0."""
         m = self.model
-        out = np.zeros(m.n)
-        dout = np.zeros(m.n)
-        if k == 0.0:
-            return out, dout
-        on = self.eta > 0
+        on = self.eta.values > 0
         r = m.r[on]
         n = self.n_plus
         gg = _gnu(self.nu, k * r)
         dgg = _gnu_prime(self.nu, k * r)
-        delta = r ** (2.0 - n) * (gg - 1.0)
-        ddelta = (2.0 - n) * r ** (1.0 - n) * (gg - 1.0) + r ** (2.0 - n) * k * dgg
-        out[on] = delta * self.eta[on]
-        dout[on] = ddelta * self.eta[on] + delta * self.eta_d1[on]
-        return out, dout
+        delta = np.zeros(m.n)
+        ddelta = np.zeros(m.n)
+        delta[on] = r ** (2.0 - n) * (gg - 1.0)
+        ddelta[on] = (2.0 - n) * r ** (1.0 - n) * (gg - 1.0) \
+            + r ** (2.0 - n) * k * dgg
+        return delta, ddelta
+
+    def _deform(self, k: float):
+        """(delta_k eta, d/ds of it), supported on the plus-side cutoff eta."""
+        if k == 0.0:
+            return np.zeros(self.model.n), np.zeros(self.model.n)
+        delta, ddelta = self._delta(k)
+        return (delta * self.eta.values,
+                ddelta * self.eta.values + delta * self.eta.d1)
 
     def u(self, k: float):
         """(values, d/ds values) of the approximate solution at energy k."""
@@ -171,8 +168,9 @@ class KeyApproximation:
         vals = np.zeros(self.model.n)
         dvals = np.zeros(self.model.n)
         for i, st in enumerate(self.stages):
-            ui = -st.phi.values + st.beta * self.chi * term
-            dui = -st.phi.dvalues + st.beta * (self.chi_d1 * term + self.chi * dterm)
+            ui = -st.phi.values + st.beta * self.chi.values * term
+            dui = -st.phi.dvalues + st.beta * (self.chi.d1 * term
+                                                + self.chi.values * dterm)
             if k > 0 and st.c_raw != 0.0:
                 ui = ui - st.c_raw * dkv
                 dui = dui - st.c_raw * dkd
@@ -187,35 +185,25 @@ class KeyApproximation:
         out = -(il ** self.q) * self.final_source.copy()
         if k == 0.0:
             return out
-        s = m.s
-        on_chi = (np.abs(self.chi_d1) > 0) | (np.abs(self.chi_d2) > 0)
+        chi, eta = self.chi, self.eta
+        on_chi = (np.abs(chi.d1) > 0) | (np.abs(chi.d2) > 0)
         r_chi = m.r[on_chi]
         R0 = sf.k0_remainder(k * r_chi)
         Q1 = k * sf.bessel_K(1.0, k * r_chi) - 1.0 / r_chi
-        on_eta = (np.abs(self.eta_d1) > 0) | (np.abs(self.eta_d2) > 0) | (self.eta > 0)
-        dkv, _ = self._deform(k)
-        n = self.n_plus
-        r2n_eta = np.where(self.eta > 0, m.r ** (2.0 - n) * self.eta, 0.0)
-        # delta_k and its s-derivative without the eta factor, on supp eta
-        delta = np.zeros(m.n)
-        ddelta = np.zeros(m.n)
-        onp = self.eta > 0
-        rr = m.r[onp]
-        gg = _gnu(self.nu, k * rr)
-        dgg = _gnu_prime(self.nu, k * rr)
-        delta[onp] = rr ** (2.0 - n) * (gg - 1.0)
-        ddelta[onp] = (2.0 - n) * rr ** (1.0 - n) * (gg - 1.0) \
-            + rr ** (2.0 - n) * k * dgg
+        r2n_eta = np.where(eta.values > 0,
+                           m.r ** (2.0 - self.n_plus) * eta.values, 0.0)
+        delta, ddelta = self._delta(k)
         for i, st in enumerate(self.stages):
-            small = k * k * (st.beta * self.chi - st.phi.values + st.c_raw * r2n_eta)
+            small = k * k * (st.beta * chi.values - st.phi.values
+                             + st.c_raw * r2n_eta)
             if st.beta != 0.0:
                 add = np.zeros(m.n)
-                add[on_chi] = -st.beta * il * self.lapchi[on_chi] * R0 \
-                    + 2.0 * st.beta * il * self.chi_d1[on_chi] * Q1
+                add[on_chi] = -st.beta * il * chi.lap[on_chi] * R0 \
+                    + 2.0 * st.beta * il * chi.d1[on_chi] * Q1
                 small = small + add
             if st.c_raw != 0.0:
-                small = small - st.c_raw * (delta * self.lapeta
-                                            - 2.0 * ddelta * self.eta_d1)
+                small = small - st.c_raw * (delta * eta.lap
+                                            - 2.0 * ddelta * eta.d1)
             out = out + il ** i * small
         return out
 
@@ -228,7 +216,8 @@ class KeyApproximation:
             return -self.stages[0].phi.values
         st_prev = self.stages[m - 1]
         st = self.stages[m]
-        return st_prev.beta * self.chi * (self.logr - C_GAMMA) - st.phi.values
+        return st_prev.beta * self.chi.values * (self.logr - C_GAMMA) \
+            - st.phi.values
 
 
 def build_key_approximation(model: ModelManifold, v, q: int = 3,
@@ -279,9 +268,8 @@ def verify_key_estimates(approx: KeyApproximation, ks,
         shapes["grad_plus"].append(gshape)
     out = {}
     for key in regimes:
-        fit = fit_envelope(np.concatenate(regimes[key]),
-                           np.concatenate(shapes[key]))
-        out[key] = fit.constant
+        out[key] = fit_envelope(np.concatenate(regimes[key]),
+                                np.concatenate(shapes[key]))
     out["c_rate"] = c_rate
     out["plus_gradient_gains_ilg"] = refined_plus
     return out
@@ -300,7 +288,7 @@ def verify_lower_bound(approx: KeyApproximation, ks, eps: float = 0.1,
         r0 = m.radii.phi[1] * 1.2
     cs, rems = [], []
     for k in ks:
-        vals, dvals = approx.u(k)
+        _, dvals = approx.u(k)
         dr = -(dvals + st.phi.dvalues)   # d/dr = -d/ds on the minus end
         mask = m.mask_minus & (m.r >= r0) & (k * m.r <= eps)
         if not mask.any():

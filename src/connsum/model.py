@@ -155,12 +155,14 @@ class CutoffRadii:
 
 @dataclass(frozen=True)
 class GridSpec:
+    """Grid resolution.  Each half of the neck gets neck_pts // 2 + 1
+    nodes, so neck_pts >= 32 gives it at least 17."""
     pts_per_decade: int = 96
     neck_pts: int = 129
     min_segment_pts: int = 33
 
     def __post_init__(self):
-        for name, least in (("pts_per_decade", 1), ("neck_pts", 1),
+        for name, least in (("pts_per_decade", 1), ("neck_pts", 32),
                             ("min_segment_pts", 2)):
             val = getattr(self, name)
             if not (isinstance(val, numbers.Integral)
@@ -253,7 +255,6 @@ class NeckProfile:
     def __init__(self, c_minus: float, c_plus: float, n_plus: int, R: float,
                  smoothness: int = 4):
         self.R = R
-        self.smoothness = smoothness
         m = smoothness
         # log v matched to log(c_minus * |s|) at -R, log(c_plus * s^{n-1}) at R
         def end_derivs(c, power, s):
@@ -355,7 +356,7 @@ class ModelManifold:
             t0, t1 = -math.log(hi), -math.log(lo)
             segdefs.append(("minus", t0, t1, count(t0, t1)))
         # split at s = 0: the radial interpolant is only C^4 across the tip
-        half_neck = max(17, c.grid.neck_pts // 2 + 1)
+        half_neck = c.grid.neck_pts // 2 + 1
         segdefs.append(("neck", -c.R, 0.0, half_neck))
         segdefs.append(("neck", 0.0, c.R, half_neck))
         for lo, hi in zip(plus_bounds[:-1], plus_bounds[1:]):
@@ -478,11 +479,16 @@ class ModelManifold:
             mask[start + n - 2:start + n] = False
         return mask
 
+    def laplacian(self, d1, d2) -> np.ndarray:
+        """Delta y = -y'' - (log v)' y' on the grid, from the s-derivatives
+        d1 = y' and d2 = y'' of a zero-channel grid function y."""
+        return -d2 - self.dlog_weight(self.s) * d1
+
     def apply_operator_spectral(self, y, k: float = 0.0) -> np.ndarray:
         """(Delta + k^2) y on the glued zero channel via per-segment
         Chebyshev differentiation."""
         d1, d2 = self.derivatives(y)
-        return -d2 - self.dlog_weight(self.s) * d1 + k * k * np.asarray(y, float)
+        return self.laplacian(d1, d2) + k * k * np.asarray(y, float)
 
     # -- coordinate fields ----------------------------------------------------
 
@@ -573,11 +579,6 @@ def build_model(config: GeometryConfig | dict | None = None) -> ModelManifold:
     elif isinstance(config, dict):
         config = GeometryConfig.from_dict(config)
     return ModelManifold(config)
-
-
-def distance_weighting(model: ModelManifold, s):
-    """The global radial function r(s) (>= 1, exactly |s| on the ends)."""
-    return model.radial(s)
 
 
 @dataclass
@@ -699,20 +700,11 @@ def radial_laplacian(model: ModelManifold, channel: ModeChannel | None = None,
     return A, x
 
 
-def apply_operator(model: ModelManifold, values, k: float = 0.0,
-                   method: str = "spectral", order: int = 6):
-    """(Delta + k^2) applied to a glued zero-channel grid function.
-
-    method "spectral" differentiates per segment in the Chebyshev basis
-    (default; accurate for functions analytic per segment).  method "fd"
-    uses moving finite-difference stencils of the given order, a fully
-    independent route for cross-checks (boundary values set to zero).
-    """
-    if method == "spectral":
-        out = model.apply_operator_spectral(values, k=k)
-        out[0] = out[-1] = 0.0
-        return out
-    A = radial_laplacian(model, None, k=k, order=order, bc="dirichlet")
-    out = A @ np.asarray(values, dtype=float)
+def apply_operator(model: ModelManifold, values, k: float = 0.0):
+    """(Delta + k^2) applied to a glued zero-channel grid function by
+    per-segment Chebyshev differentiation (accurate for functions analytic
+    per segment), with the two boundary values set to zero.
+    `radial_laplacian` is the independent finite-difference route."""
+    out = model.apply_operator_spectral(values, k=k)
     out[0] = out[-1] = 0.0
     return out

@@ -34,7 +34,7 @@ import numpy as np
 
 from . import product_kernels as pk
 from .bvp import GluedSystem
-from .cutoffs import Bump, Step, minus_cutoff, minus_cutoff_source
+from .cutoffs import Bump, Step, minus_cutoff, on_grid
 from .errors import SingularSystemError
 from .keylemma import KeyApproximation
 from .model import ModelManifold
@@ -64,19 +64,6 @@ def hs_norm(model: ModelManifold, kernel: np.ndarray,
     return math.sqrt(float(np.einsum("i,ij,j->", row, kernel ** 2, col)))
 
 
-@dataclass
-class CutoffField:
-    """A standing cutoff with its first derivative and Laplacian on the grid."""
-    values: np.ndarray
-    d1: np.ndarray
-    lap: np.ndarray
-
-
-def _field(model: ModelManifold, step_values, step_d1, step_d2) -> CutoffField:
-    lap = -step_d2 - model.dlog_weight(model.s) * step_d1
-    return CutoffField(step_values, step_d1, lap)
-
-
 class ParametrixPieces:
     """All k-independent ingredients of the parametrix."""
 
@@ -85,16 +72,11 @@ class ParametrixPieces:
         self.model = model
         self.q = q
         self.kbar = kbar
-        s = model.s
-        step_m = minus_cutoff(model)
-        self.phi_minus = _field(model, 1.0 - step_m(s), -step_m.d1(s),
-                                -step_m.d2(s))
-        step_p = Step(*model.radii.phi)
-        self.phi_plus = _field(model, step_p(s), step_p.d1(s), step_p.d2(s))
+        self.phi_minus = on_grid(model, minus_cutoff(model))
+        self.phi_plus = on_grid(model, Step(*model.radii.phi))
         za, zb = model.radii.zeta
-        zeta = Bump(-zb, -za, za, zb)
-        self.zeta = _field(model, zeta(s), zeta.d1(s), zeta.d2(s))
-        self.v_minus = minus_cutoff_source(model)
+        self.zeta = on_grid(model, Bump(-zb, -za, za, zb))
+        self.v_minus = -self.phi_minus.lap
         self.v_plus = -self.phi_plus.lap
         sys0 = system if system is not None else GluedSystem(model, 0.0)
         self.u_minus = KeyApproximation(model, self.v_minus, q=q, system=sys0)
@@ -319,14 +301,7 @@ def _bump_dictionary(model: ModelManifold):
     R = model.R
     spans = [(-R, -R / 2, R / 2, R), (-R, -R / 2, 0.0, R / 2),
              (-R / 2, 0.0, R / 2, R), (-R / 2, -R / 4, R / 4, R / 2)]
-    out = []
-    for a, b, c, d in spans:
-        bump = Bump(a, b, c, d)
-        s = model.s
-        vals = bump(s)
-        lap = -bump.d2(s) - model.dlog_weight(s) * bump.d1(s)
-        out.append((vals, lap))
-    return out
+    return [on_grid(model, Bump(*span)) for span in spans]
 
 
 def finite_rank_fix(pieces: ParametrixPieces,
@@ -380,15 +355,15 @@ def _select_bumps(model, cokernel, null_dim, scale, q):
     used = set()
     for u in cokernel[:null_dim]:
         best, best_score = None, -1.0
-        for j, (vals, lap) in enumerate(cands):
+        for j, cand in enumerate(cands):
             if j in used:
                 continue
-            score = abs(float(np.dot(u, scale * q * lap)))
+            score = abs(float(np.dot(u, scale * q * cand.lap)))
             if score > best_score:
                 best, best_score = j, score
         used.add(best)
-        picked.append(cands[best][0])
-        laps.append(cands[best][1])
+        picked.append(cands[best].values)
+        laps.append(cands[best].lap)
     return picked, laps
 
 
@@ -498,7 +473,6 @@ class Parametrix:
         return G + self._g_matrix(k) @ S + G * c_left[None, :]
 
     def resolvent_apply(self, k: float, v) -> np.ndarray:
-        q = self.model.weights
         v = np.asarray(v, dtype=float)
         inv = self.s_operator(k)
         sv = inv.matrix @ v
@@ -544,19 +518,6 @@ class IlgSeries:
     mask: np.ndarray
     coefficients: np.ndarray   # (deg+1, n_mask)
     values: np.ndarray
-    residual_orders: dict = field(default_factory=dict)
-
-    def __getitem__(self, key):  # dict-compatible access
-        return getattr(self, {"ks": "ks", "mask": "mask",
-                              "coefficients": "coefficients",
-                              "values": "values"}[key])
-
-
-def assemble_parametrix(model: ModelManifold, q: int = 2, kbar: float = 1.0,
-                        system=None) -> ParametrixPieces:
-    """The k-independent parametrix ingredients (cutoffs, key-lemma
-    approximations, frozen interior Green kernel, basepoints, weight)."""
-    return ParametrixPieces(model, q=q, kbar=kbar, system=system)
 
 
 def resolvent(par: Parametrix, k: float, v):
@@ -566,7 +527,7 @@ def resolvent(par: Parametrix, k: float, v):
     vals = par.resolvent_apply(k, v)
     q = par.model.weights
     inv = par.s_operator(k)
-    k1, k0 = par.model.kink_kappa
+    _, k0 = par.model.kink_kappa
     dG = par.pieces.g_tilde_dleft(k)
     dmat = dG * q[None, :] + np.diag(k0 / par.model.v)
     sv = inv.matrix @ np.asarray(v, dtype=float)
@@ -575,7 +536,7 @@ def resolvent(par: Parametrix, k: float, v):
 
 
 def ilg_expansion(parametrix: Parametrix, v, j_list=(4, 5, 6, 7, 8),
-                  region: float = 12.0, deg: int | None = None) -> IlgSeries:
+                  region: float = 12.0) -> IlgSeries:
     """Fit the inverse-log series of R(k) v on a compact set at
     k = e^{-2^j} (a Richardson-style fit: the nodes halve ilg k each
     step).  j <= 8 keeps the scaled Bessel factors inside double range."""
@@ -585,9 +546,7 @@ def ilg_expansion(parametrix: Parametrix, v, j_list=(4, 5, 6, 7, 8),
     mask = np.abs(m.s) <= region
     ks = [math.exp(-2.0 ** j) for j in j_list]
     vals = np.array([parametrix.resolvent_apply(k, v)[mask] for k in ks])
-    if deg is None:
-        deg = len(ks) - 1
-    coef = fit_ilg_series(ks, vals, deg=deg)
+    coef = fit_ilg_series(ks, vals, deg=len(ks) - 1)
     return IlgSeries(ks, mask, coef, vals)
 
 

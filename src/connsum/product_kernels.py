@@ -296,8 +296,8 @@ def verify_envelope(end: EndSpec, form: str, k_list, d_list,
             consts.append(fit_lower_constant(vals, shape))
             consts_fine.append(fit_lower_constant(vals_f, shape_f))
         else:
-            consts.append(fit_envelope(vals, shape).constant)
-            consts_fine.append(fit_envelope(vals_f, shape_f).constant)
+            consts.append(fit_envelope(vals, shape))
+            consts_fine.append(fit_envelope(vals_f, shape_f))
     if lower:
         c0, c1 = min(consts), min(consts_fine)
         stable = c0 > 0 and abs(c1 - c0) / c0 <= 0.10

@@ -21,15 +21,12 @@ def config_hash(payload) -> str:
 
 
 def save_kernel(path, values: np.ndarray, grid: np.ndarray,
-                weights: np.ndarray, k: float | None = None,
-                extra: dict | None = None) -> None:
+                weights: np.ndarray, k: float | None = None) -> None:
     """Kernel snapshot: magic, length-prefixed JSON header (grid, weights,
     k, shape), then row-major float64 values."""
     header = {"shape": list(values.shape), "k": k,
               "grid": np.asarray(grid, dtype=float).tolist(),
               "weights": np.asarray(weights, dtype=float).tolist()}
-    if extra:
-        header.update(extra)
     blob = json.dumps(header).encode()
     with open(path, "wb") as fh:
         fh.write(_MAGIC)

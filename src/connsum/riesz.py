@@ -27,7 +27,6 @@ from .cutoffs import Bump, minus_cutoff
 from .errors import DomainError, NonConvergenceError
 from .fits import loglog_slope
 from .model import EndSpec, ModelManifold
-from .parametrix import Parametrix
 from .quadrature import cc_segment, fornberg_weights
 
 
@@ -62,9 +61,6 @@ class DiscretizedKernel:
             out = out + np.diag(self.jump_step * k0v)
         return out
 
-    def apply(self, f) -> np.ndarray:
-        return self.matrix() @ np.asarray(f, dtype=float)
-
 
 @dataclass
 class RieszSplit:
@@ -85,8 +81,7 @@ class RieszSplit:
 
 
 def low_energy_kernel(model: ModelManifold, k0: float, n_sigma: int = 33,
-                      sigma_max: float = 40.0, error_estimate: bool = True,
-                      parametrix: Parametrix | None = None) -> DiscretizedKernel:
+                      sigma_max: float = 40.0) -> DiscretizedKernel:
     """(2/pi) int_0^{k0} d_s R(k)(z, z') dk on grid x grid.
 
     The substitution k = e^{-sigma} resolves the inverse-log behaviour
@@ -97,11 +92,8 @@ def low_energy_kernel(model: ModelManifold, k0: float, n_sigma: int = 33,
     the n_sigma point rule, so both sums share one resolvent gradient per
     node.  n_sigma must therefore be odd.
 
-    The resolvent gradients come from the exact glued Green system by
-    default (stable at every k on the lattice); passing a Parametrix uses
-    the assembled parametrix route instead, whose finite-stage key
-    approximation is reliable once ilg k is inside the stage-cascade
-    radius.  The two providers are cross-checked in the test suite.
+    The resolvent gradients come from the exact glued Green system, which
+    is stable at every k on the lattice.
     """
     from .bvp import GluedSystem
 
@@ -109,32 +101,26 @@ def low_energy_kernel(model: ModelManifold, k0: float, n_sigma: int = 33,
         raise DomainError("n_sigma must be an odd integer >= 3 (the coarse "
                           f"rule is embedded in the fine one), got {n_sigma}")
 
-    def dleft_at(k: float) -> np.ndarray:
-        if parametrix is not None:
-            return parametrix.resolvent_dleft(k)
-        return GluedSystem(model, k).kernel_dleft()
-
     sig, w = cc_segment(math.log(1.0 / k0), sigma_max, n_sigma)
     _, w_coarse = cc_segment(math.log(1.0 / k0), sigma_max, (n_sigma + 1) // 2)
     vals = np.zeros((model.n, model.n))
-    coarse = np.zeros((model.n, model.n)) if error_estimate else None
+    coarse = np.zeros((model.n, model.n))
     jump = np.zeros(model.n)
     for i, (s_i, w_i) in enumerate(zip(sig, w)):
         k = math.exp(-s_i)
-        dleft = dleft_at(k)
+        dleft = GluedSystem(model, k).kernel_dleft()
         vals += (2.0 / math.pi) * w_i * k * dleft
         jump += (2.0 / math.pi) * w_i * k * (1.0 / model.v)
-        if coarse is not None and i % 2 == 0:
+        if i % 2 == 0:
             coarse += (2.0 / math.pi) * w_coarse[i // 2] * k * dleft
         del dleft   # free it before the next build
-    kern = DiscretizedKernel(model, vals, jump_step=jump)
-    if coarse is not None:
-        kern.quad_error = float(np.max(np.abs(vals - coarse)))
-        if kern.quad_error > kern.quad_error_bound():
-            raise NonConvergenceError(
-                f"k-quadrature unconverged: per-entry error "
-                f"{kern.quad_error:g} against bound "
-                f"{kern.quad_error_bound():g}")
+    kern = DiscretizedKernel(model, vals, jump_step=jump,
+                             quad_error=float(np.max(np.abs(vals - coarse))))
+    if kern.quad_error > kern.quad_error_bound():
+        raise NonConvergenceError(
+            f"k-quadrature unconverged: per-entry error "
+            f"{kern.quad_error:g} against bound "
+            f"{kern.quad_error_bound():g}")
     return kern
 
 
@@ -154,8 +140,8 @@ def rank_one_k_integral(c_rate: float, k0: float, r, rp):
 def _symmetric_channel_operator(model: ModelManifold, end: str, m: int,
                                 l: int, r_max: float, n_pts: int):
     """Symmetric finite-volume radial operator of one channel on
-    [R, r_max] with Dirichlet walls; returns (eigs, modes, weights, grid,
-    D1) with modes orthonormal in the channel volume measure."""
+    [R, r_max] with Dirichlet walls; returns (eigs, modes, weights, grad,
+    grad_weights) with modes orthonormal in the channel volume measure."""
     spec = model.end_spec(end)
     n_dim = spec.euclidean_dim
     r = np.geomspace(model.R, r_max, n_pts)
@@ -183,7 +169,6 @@ def _symmetric_channel_operator(model: ModelManifold, end: str, m: int,
     eigs, Q = np.linalg.eigh(A)
     eigs = np.maximum(eigs, 0.0)
     modes = Q / np.sqrt(wd)[:, None]
-    rd = r[sl]
     # staggered gradient of the quadratic form (zero boundary values):
     # rows = interior cell interfaces, weights v_mid h
     ni = n_pts - 2
@@ -199,7 +184,7 @@ def _symmetric_channel_operator(model: ModelManifold, end: str, m: int,
         elif i == ni:
             grad[i, i - 1] = -1.0 / hd[i]
     gw = vmid * h
-    return eigs, modes, wd, rd, grad, gw
+    return eigs, modes, wd, grad, gw
 
 
 def high_energy_multiplier(model: ModelManifold, channels, k0: float = 1.0,
@@ -212,7 +197,7 @@ def high_energy_multiplier(model: ModelManifold, channels, k0: float = 1.0,
     """
     norms = {}
     for ch in channels:
-        eigs, modes, wd, rd, grad, gw = _symmetric_channel_operator(
+        eigs, modes, wd, grad, gw = _symmetric_channel_operator(
             model, ch.end, ch.angular, ch.cross_index, r_max, n_pts)
         lam = np.sqrt(eigs)
         mult = np.where(lam > 0, f_high(np.maximum(lam, 1e-300), k0), 0.0)
@@ -237,28 +222,25 @@ def lp_norm(q: np.ndarray, f: np.ndarray, p: float) -> float:
 
 
 def boyd_lower_bound(mat: np.ndarray, q: np.ndarray, p: float,
-                     iters: int = 50, f0: np.ndarray | None = None,
-                     signed: bool = True) -> float:
+                     iters: int = 50) -> float:
     """Lower bound for the L^p(q) -> L^p(q) norm of the kernel operator by
-    the nonlinear duality iteration f <- [M*(|M f|^{p-1} sgn)]^{1/(p-1)}.
+    the nonlinear duality iteration f <- [M*(|M f|^{p-1} sgn)]^{1/(p-1)}
+    from f = 1.
 
-    With signed=True the iteration runs on the signed operator (required
-    for Calderon-Zygmund-type kernels, whose absolute value is unbounded);
-    on positive kernels both variants converge to the true norm."""
-    n = mat.shape[0]
-    work = mat if signed else np.abs(mat)
-    f = np.ones(n) if f0 is None else np.asarray(f0, dtype=float)
+    The iteration runs on the signed operator, as Calderon-Zygmund-type
+    kernels require (their absolute value is unbounded)."""
+    f = np.ones(mat.shape[0])
     best = 0.0
     for _ in range(iters):
         nf = lp_norm(q, f, p)
         if not (np.isfinite(nf) and nf > 0):
             break
         f = f / nf
-        g = work @ f
+        g = mat @ f
         best = max(best, lp_norm(q, g, p))
         u = np.abs(g) ** (p - 1.0) * np.sign(g)
         # q-adjoint of the composition matrix: diag(1/q) M^T diag(q)
-        h = (work.T @ (q * u)) / q
+        h = (mat.T @ (q * u)) / q
         f = np.abs(h) ** (1.0 / (p - 1.0)) * np.sign(h)
         if not np.all(np.isfinite(f)):
             break
@@ -445,7 +427,7 @@ def unboundedness_witness(model: ModelManifold, key_approx, p_list=(3.0, 4.0),
     r0b = model.basepoint_minus
     rr = model.r[rows]
     rc = model.r[cols]
-    phi_vals = 1.0 - minus_cutoff(model)(model.s[cols])
+    phi_vals = minus_cutoff(model)(model.s[cols])
     st = ka.stages[0]
     sig, w = cc_segment(math.log(1.0 / k0), sigma_max, n_sigma)
     kern = np.zeros((len(rows), len(cols)))

@@ -73,7 +73,7 @@ class TestSolveLaplace:
         phi = np.exp(-2.0 * s ** 2)
         d1 = -4.0 * s * phi
         d2 = (16.0 * s ** 2 - 4.0) * phi
-        lap = -d2 - model.dlog_weight(s) * d1
+        lap = model.laplacian(d1, d2)
         sol = bvp.solve_laplace(model, lap, system=sys0)
         assert abs(sol.beta) < 1e-10
         np.testing.assert_allclose(sol.values, phi, atol=3e-8)

@@ -67,6 +67,7 @@ class TestCli:
         ({"grid": {"pts_per_decade": 2.5}}, "pts_per_decade"),
         ({"grid": {"neck_pts": 129.0}}, "neck_pts"),
         ({"grid": {"pts_per_decade": True}}, "pts_per_decade"),
+        ({"grid": {"neck_pts": 31}}, "neck_pts"),
     ])
     def test_malformed_geometry_is_config_error(self, tmp_path, capsys,
                                                 geometry, message):

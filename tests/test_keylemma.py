@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from connsum import bvp, keylemma as kl, model as md, specfun as sf
-from connsum.cutoffs import Step, minus_cutoff_source
+from connsum.cutoffs import Step, minus_cutoff_source, on_grid
 from connsum.errors import DomainError
 
 
@@ -19,11 +19,7 @@ def sys0(model):
 
 
 def plus_cutoff_source(model):
-    pa, pb = model.radii.phi
-    step = Step(pa, pb)
-    s = model.s
-    lap = -step.d2(s) - model.dlog_weight(s) * step.d1(s)
-    return -lap
+    return -on_grid(model, Step(*model.radii.phi)).lap
 
 
 @pytest.fixture(scope="module")
@@ -99,7 +95,7 @@ class TestResidual:
                               - ka.v)[mask]))
         inflated = {}
         for delta in (0.05, 0.1):
-            bad = uv - delta * beta * (1.0 - ka.chi)
+            bad = uv - delta * beta * (1.0 - ka.chi.values)
             res = md.apply_operator(model, bad, k=k) - ka.v
             inflated[delta] = np.max(np.abs(res[mask]))
             assert inflated[delta] > 3 * base

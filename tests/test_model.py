@@ -102,11 +102,18 @@ class TestGrid:
             assert sec_out == pytest.approx(sec_in, rel=1e-2, abs=1e-6)
 
 
+    @pytest.mark.parametrize("neck_pts,n_nodes", [(32, 719), (34, 721)])
+    def test_neck_pts_sets_node_count(self, neck_pts, n_nodes):
+        # neck_pts // 2 + 1 nodes per neck half, sharing the node at s = 0
+        m = md.build_model({"grid": {"neck_pts": neck_pts}})
+        assert m.n == n_nodes
+
+
 class TestRadial:
     def test_exact_on_ends(self, default_model):
         m = default_model
-        assert md.distance_weighting(m, 7.0) == 7.0
-        assert md.distance_weighting(m, -33.5) == 33.5
+        assert m.radial(7.0) == 7.0
+        assert m.radial(-33.5) == 33.5
 
     def test_neck_range(self, default_model):
         m = default_model

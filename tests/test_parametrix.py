@@ -232,7 +232,7 @@ class TestIlgExpansion:
         par3 = px.Parametrix(model, q=3, kbar=1.0, system=sys0)
         v = par3.pieces.v_minus
         out = px.ilg_expansion(par3, v)
-        coef, mask = out["coefficients"], out["mask"]
+        coef, mask = out.coefficients, out.mask
         sol = bvp.solve_laplace(model, v, system=sys0)
         rel0 = np.max(np.abs(coef[0] - sol.values[mask])) \
             / np.max(np.abs(sol.values[mask]))

@@ -31,10 +31,3 @@ def test_resolvent_grid_function():
     scale = np.max(np.abs(du[sel]))
     # the parametrix dleft route carries second-order kink remainders
     assert np.max(np.abs((out.dvalues - du)[sel])) < 1e-3 * scale
-
-
-def test_assemble_parametrix_alias():
-    m = md.build_model()
-    pieces = px.assemble_parametrix(m, q=2)
-    assert pieces.q == 2
-    assert pieces.g_tilde(1e-2).shape == (m.n, m.n)
