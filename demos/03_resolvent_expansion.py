@@ -29,8 +29,8 @@ for q in (1, 2):
 par = px.Parametrix(m, q=3, kbar=1.0, system=sys0)
 print(f"\nfinite-rank fix: null space dimension {par.fix.rank} "
       f"(smallest singular value of Id+E(0): {par.fix.sigma_before:.4f})")
-inv = par.s_operator(1e-3)
-print(f"(Id + E)(Id + S) - Id at k = 1e-3: {inv.identity_residual:.1e}")
+identity, _ = checks.identity_residuals(par, 1e-3)
+print(f"(Id + E)(Id + S) - Id at k = 1e-3: {identity:.1e}")
 
 print("\n== inverse-log series of R(k) v ==")
 v = par.pieces.v_minus

@@ -81,6 +81,27 @@ def c0_vs_zero_energy_solve(c0, solution) -> float:
     return float(np.max(np.abs(c0 - solution)) / np.max(np.abs(solution)))
 
 
+def identity_residuals(par, k: float):
+    """(identity, sk_identity) at energy k, in the plain discrete kernel
+    algebra where composition is matrix multiplication with the
+    quadrature weights: sup |(Id + E)(Id + S) - Id| for the S solving it,
+    and the weighted Hilbert-Schmidt norm of S - K relative to that of S,
+    with K = -E + E E + E S E."""
+    from .parametrix import hs_norm
+
+    model = par.model
+    e_total = par.error(k).total
+    q = model.weights
+    eye = np.eye(model.n)
+    A0 = eye + e_total * q[None, :]
+    S0 = np.linalg.solve(A0, -e_total)
+    res_id = float(np.max(np.abs(A0 @ (eye + S0 * q[None, :]) - eye)))
+    rhs_sk = -e_total + (e_total * q[None, :]) @ e_total \
+        + (e_total * q[None, :]) @ ((S0 * q[None, :]) @ e_total)
+    res_sk = hs_norm(model, S0 - rhs_sk) / max(hs_norm(model, S0), 1e-300)
+    return res_id, res_sk
+
+
 def radiation_oracle_error(par, k: float, v) -> float:
     """Relative sup error on |s| < 30 of the parametrix resolvent R(k) v
     against the sixth-order finite-difference radiation oracle."""

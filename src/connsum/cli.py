@@ -210,19 +210,26 @@ def cmd_resolvent(args) -> int:
     vv = np.exp(-2.0 * model.s ** 2)
     oracle = {k: checks.radiation_oracle_error(par, k, vv)
               for k in (1e-2, 1e-3, 1e-4)}
+    identity, sk_identity = checks.identity_residuals(par, 1e-3)
+    identity_bound = 1e-8
     payload = {"k0": k0, "c0_vs_bvp_rel": c0_rel,
                "c1_vs_beta_logharmonic_rel": c1_rel,
                "oracle_rel_err": oracle,
-               "coefficient_norms": np.max(np.abs(coef), axis=1).tolist()}
+               "coefficient_norms": np.max(np.abs(coef), axis=1).tolist(),
+               "identity": {"residual": identity, "bound": identity_bound},
+               "sk_identity": {"residual": sk_identity,
+                               "bound": identity_bound}}
     if args.q == 1:
         payload["hs_divergence_warning"] = (
             "q = 1: the Hilbert-Schmidt norm of the key-lemma error does "
             "not tend to zero as k -> 0; take q > 1")
     write_report(_outdir(args) / "resolvent.json", payload,
                  _config_payload(args), __version__)
-    ok = c0_rel < 1e-4 and max(oracle.values()) < 1e-5
+    ok = c0_rel < 1e-4 and max(oracle.values()) < 1e-5 \
+        and max(identity, sk_identity) < identity_bound
     print(f"resolvent: {'ok' if ok else 'FAILED'} (c0 rel {c0_rel:.1e}, "
-          f"worst oracle {max(oracle.values()):.1e})")
+          f"worst oracle {max(oracle.values()):.1e}, identity "
+          f"{identity:.1e}/{sk_identity:.1e})")
     return EXIT_OK if ok else EXIT_INVARIANT
 
 

@@ -31,6 +31,8 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.linalg import lu_factor, lu_solve
+from scipy.sparse.linalg import LinearOperator
 
 from . import product_kernels as pk
 from .bvp import GluedSystem
@@ -381,31 +383,38 @@ class InvertedError:
     model: ModelManifold
     k: float
     s_kernel: np.ndarray
-    identity_residual: float
-    sk_identity_residual: float
     jump_ramp: np.ndarray
     jump_step: np.ndarray
 
     @property
     def matrix(self) -> np.ndarray:
         """Corrected composition matrix of S as an operator on densities."""
-        k1, k0 = self.model.kink_kappa
         return self.s_kernel * self.model.weights[None, :] \
-            + np.diag(self.jump_ramp * k1 + self.jump_step * k0)
+            + np.diag(_jump_diagonal(self.model, self.jump_ramp,
+                                     self.jump_step))
 
 
-def invert_error(model: ModelManifold, err: ErrorOperator) -> InvertedError:
-    """Solve (Id + E)(Id + S) = Id with kink-corrected compositions.
+def _jump_diagonal(model: ModelManifold, jump_ramp, jump_step) -> np.ndarray:
+    """The diagonal that a kernel's diagonal slope and value jumps add to
+    its corrected composition matrix."""
+    k1, k0 = model.kink_kappa
+    return jump_ramp * k1 + jump_step * k0
 
-    The Nystrom system uses the corrected matrix of E (diagonal-jump
-    defects restored) and accounts for the diagonal kinks of the unknown
-    S(., z') columns (jumps -J_E) on the right-hand side.
+
+def _nystrom_system(model: ModelManifold, err: ErrorOperator):
+    """(A, rhs) of the kink-corrected Nystrom system A S = rhs for the
+    kernel S of (Id + E)(Id + S) = Id.
+
+    A is the corrected matrix of Id + E (diagonal-jump defects restored);
+    rhs accounts for the diagonal kinks of the unknown S(., z') columns
+    (jumps -J_E).
     """
     e_total = err.total
     q = model.weights
     k1, k0 = model.kink_kappa
     # corrected matrix of E acting on smooth densities
-    Ec = e_total * q[None, :] + np.diag(err.jump_ramp * k1 + err.jump_step * k0)
+    Ec = e_total * q[None, :] \
+        + np.diag(_jump_diagonal(model, err.jump_ramp, err.jump_step))
     # left-variable jumps of S columns: ramp -J1_E, value jump +J0_E
     # (the value jump of a d/ds-type kernel flips sign across the left
     # variable); their composition defect against E enters the system as
@@ -413,21 +422,36 @@ def invert_error(model: ModelManifold, err: ErrorOperator) -> InvertedError:
     c_left = -err.jump_ramp * k1 + err.jump_step * k0
     A = np.eye(model.n) + Ec
     rhs = -e_total - e_total * c_left[None, :]
+    return A, rhs
+
+
+def _solve(A: np.ndarray, b: np.ndarray, k: float) -> np.ndarray:
     try:
-        S = np.linalg.solve(A, rhs)
+        return np.linalg.solve(A, b)
     except np.linalg.LinAlgError as exc:
-        raise SingularSystemError(f"Id + E(k) singular at k={err.k}: {exc}") from exc
-    # exactness checks live in the plain discrete kernel algebra, where
-    # composition is matrix multiplication with the quadrature weights
-    A0 = np.eye(model.n) + e_total * q[None, :]
-    S0 = np.linalg.solve(A0, -e_total)
-    res_id = float(np.max(np.abs(A0 @ (np.eye(model.n) + S0 * q[None, :])
-                                 - np.eye(model.n))))
-    rhs_sk = -e_total + (e_total * q[None, :]) @ e_total \
-        + (e_total * q[None, :]) @ ((S0 * q[None, :]) @ e_total)
-    res_sk = hs_norm(model, S0 - rhs_sk) / max(hs_norm(model, S0), 1e-300)
-    return InvertedError(model, err.k, S, res_id, res_sk,
+        raise SingularSystemError(f"Id + E(k) singular at k={k}: {exc}") from exc
+
+
+def invert_error(model: ModelManifold, err: ErrorOperator) -> InvertedError:
+    """Solve (Id + E)(Id + S) = Id with kink-corrected compositions for the
+    whole kernel S(k)."""
+    A, rhs = _nystrom_system(model, err)
+    return InvertedError(model, err.k, _solve(A, rhs, err.k),
                          -err.jump_ramp, -err.jump_step)
+
+
+def smallest_singular_value(M: np.ndarray) -> float:
+    """sigma_min(M) = 1 / ||M^{-1}||_2, with the norm of the inverse by
+    Lanczos on one LU factorization of M."""
+    from .riesz import spectral_norm
+
+    lu = lu_factor(M)
+    if not np.all(np.diag(lu[0])):
+        return 0.0      # an exactly zero pivot: M is singular
+    inv = LinearOperator(M.shape, dtype=float,
+                         matvec=lambda x: lu_solve(lu, x),
+                         rmatvec=lambda x: lu_solve(lu, x, trans=1))
+    return 1.0 / spectral_norm(inv)
 
 
 class Parametrix:
@@ -455,6 +479,17 @@ class Parametrix:
     def s_operator(self, k: float) -> InvertedError:
         return invert_error(self.model, self.error(k))
 
+    def s_apply(self, k: float, v) -> np.ndarray:
+        """S(k) v, the corrected composition matrix of S applied to one
+        density: the Nystrom system of invert_error solved for a single
+        right-hand side."""
+        v = np.asarray(v, dtype=float)
+        err = self.error(k)
+        A, rhs = _nystrom_system(self.model, err)
+        sv = _solve(A, rhs @ (self.model.weights * v), k)
+        return sv + _jump_diagonal(self.model, -err.jump_ramp,
+                                   -err.jump_step) * v
+
     def _g_matrix(self, k: float) -> np.ndarray:
         """Kink-corrected composition matrix of G(k) on densities: the
         pre-parametrix has the exact Green diagonal slope jump -1/v."""
@@ -474,9 +509,7 @@ class Parametrix:
 
     def resolvent_apply(self, k: float, v) -> np.ndarray:
         v = np.asarray(v, dtype=float)
-        inv = self.s_operator(k)
-        sv = inv.matrix @ v
-        return self._g_matrix(k) @ (v + sv)
+        return self._g_matrix(k) @ (v + self.s_apply(k, v))
 
     def resolvent_dleft(self, k: float) -> np.ndarray:
         """d/ds in the left variable of the resolvent kernel."""
@@ -503,8 +536,7 @@ class Parametrix:
         w = self.pieces.weight
         for k in sorted(k_list):
             M = _weighted_operator(self.model, self.error(k).total, w)
-            smin = float(np.linalg.svd(M, compute_uv=False)[-1])
-            if smin > floor:
+            if smallest_singular_value(M) > floor:
                 best = k
         if best is None:
             raise SingularSystemError("no lattice k keeps Id + E(k) invertible")
@@ -524,15 +556,13 @@ def resolvent(par: Parametrix, k: float, v):
     """R(k) v on the grid as a GridFunction (values and d/ds values)."""
     from .model import GridFunction
 
-    vals = par.resolvent_apply(k, v)
+    v = np.asarray(v, dtype=float)
+    vsv = v + par.s_apply(k, v)
     q = par.model.weights
-    inv = par.s_operator(k)
     _, k0 = par.model.kink_kappa
     dG = par.pieces.g_tilde_dleft(k)
     dmat = dG * q[None, :] + np.diag(k0 / par.model.v)
-    sv = inv.matrix @ np.asarray(v, dtype=float)
-    dvals = dmat @ (np.asarray(v, dtype=float) + sv)
-    return GridFunction(vals, dvals)
+    return GridFunction(par._g_matrix(k) @ vsv, dmat @ vsv)
 
 
 def ilg_expansion(parametrix: Parametrix, v, j_list=(4, 5, 6, 7, 8),

@@ -35,31 +35,6 @@ def fornberg_weights(z: float, x: np.ndarray, m: int) -> np.ndarray:
     return c
 
 
-def gregory_weights(n: int, h: float) -> np.ndarray:
-    """Composite trapezoid weights with fourth-order Gregory end
-    corrections on n uniform nodes with spacing h (n >= 7).
-
-    For n < 7 falls back to Simpson (odd n) or plain trapezoid.
-    """
-    if n < 2:
-        raise ValueError("gregory_weights: need at least two nodes")
-    w = np.ones(n)
-    if n >= 7:
-        # Gregory corrections through second differences: O(h^4) error,
-        # endpoint weights [3/8, 7/6, 23/24]
-        w[0] = w[-1] = 3.0 / 8.0
-        w[1] = w[-2] = 7.0 / 6.0
-        w[2] = w[-3] = 23.0 / 24.0
-    elif n % 2 == 1:
-        w = np.ones(n)
-        w[0] = w[-1] = 1.0 / 3.0
-        w[1:-1:2] = 4.0 / 3.0
-        w[2:-1:2] = 2.0 / 3.0
-    else:
-        w[0] = w[-1] = 0.5
-    return w * h
-
-
 _CC_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
 

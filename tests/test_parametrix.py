@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg import LinAlgWarning
 
 from connsum import bvp, checks, model as md, parametrix as px
 from connsum.fits import loglog_slope
@@ -21,6 +22,19 @@ def sys0(model):
 @pytest.fixture(scope="module")
 def par(model, sys0):
     return px.Parametrix(model, q=2, kbar=1.0, system=sys0)
+
+
+def _count_calls(monkeypatch, owner, name) -> list:
+    """Replace owner.name by a wrapper that records each call."""
+    calls = []
+    orig = getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return orig(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counted)
+    return calls
 
 
 class TestAssembly:
@@ -123,12 +137,30 @@ class TestFiniteRank:
 class TestInversion:
     def test_identity_residual(self, par):
         for k in (1e-2, 1e-3, 1e-4):
-            inv = par.s_operator(k)
-            assert inv.identity_residual < 1e-8
+            identity, _ = checks.identity_residuals(par, k)
+            assert identity < 1e-8
 
     def test_sk_identity(self, par):
-        inv = par.s_operator(1e-3)
-        assert inv.sk_identity_residual < 1e-8
+        _, sk_identity = checks.identity_residuals(par, 1e-3)
+        assert sk_identity < 1e-8
+
+    @pytest.mark.parametrize("k", [1e-2, 1e-3, 1e-4, math.exp(-256.0)])
+    def test_s_apply_matches_kernel(self, par, model, k):
+        v = np.exp(-2.0 * model.s ** 2)
+        ref = par.s_operator(k).matrix @ v
+        got = par.s_apply(k, v)
+        assert np.max(np.abs(got - ref)) < 1e-12 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("k", [1e-4, 1e-3, 1e-2, 0.05])
+    def test_smallest_singular_value_matches_svd(self, par, model, k):
+        M = px._weighted_operator(model, par.error(k).total, par.pieces.weight)
+        ref = np.linalg.svd(M, compute_uv=False)[-1]
+        assert abs(px.smallest_singular_value(M) - ref) < 1e-10 * ref
+
+    def test_smallest_singular_value_of_singular_matrix(self):
+        M = np.diag([1.0, 2.0, 0.0, 3.0])
+        with pytest.warns(LinAlgWarning):
+            assert px.smallest_singular_value(M) == 0.0
 
     def test_s_left_decay(self, par, model):
         # S(k) rapidly decaying in the left variable: exactly compactly
@@ -225,6 +257,21 @@ class TestResolvent:
     def test_k0_selection(self, par):
         k0 = par.choose_k0([1e-4, 1e-3, 1e-2, 0.05, 0.1])
         assert k0 >= 0.01
+
+    def test_k0_selection_without_full_svd(self, par, monkeypatch):
+        svd = _count_calls(monkeypatch, np.linalg, "svd")
+        par.choose_k0([1e-4, 1e-3, 1e-2, 0.05])
+        assert svd == []
+
+    def test_apply_path_solves_no_kernel(self, par, model, monkeypatch):
+        inverts = _count_calls(monkeypatch, px, "invert_error")
+        errors = _count_calls(monkeypatch, px, "error_kernel")
+        v = np.exp(-2.0 * model.s ** 2)
+        par.resolvent_apply(1e-3, v)
+        assert inverts == [] and len(errors) == 1
+        px.resolvent(par, 1e-3, v)
+        px.resolvent(par, 1e-4, v)
+        assert inverts == [] and len(errors) == 3
 
 
 class TestIlgExpansion:
