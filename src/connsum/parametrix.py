@@ -313,21 +313,26 @@ def finite_rank_fix(pieces: ParametrixPieces,
     rank-M correction G4 making Id + E(0) invertible.
 
     With no null vectors (singular values all above the relative
-    threshold) the fix is trivial: M = 0 and G4 = 0.
+    threshold) the fix is trivial: M = 0 and G4 = 0.  The extreme singular
+    values come from Lanczos; the singular vectors, by a full SVD, only
+    when there is a null space to repair.
     """
+    from .riesz import spectral_norm
+
     model = pieces.model
     if err0 is None:
         err0 = error_kernel(pieces, 0.0)
     w = pieces.weight
     M = _weighted_operator(model, err0.total, w)
+    thresh = rel_threshold * spectral_norm(M)
+    sigma_min = smallest_singular_value(M)
+    if sigma_min >= thresh:
+        return FiniteRankFix(rank=0, threshold=thresh,
+                             sigma_before=sigma_min, sigma_after=sigma_min)
     U, sig, Vt = np.linalg.svd(M)
-    thresh = rel_threshold * sig[0]
     null_dim = int(np.sum(sig < thresh))
     fix = FiniteRankFix(rank=null_dim, threshold=thresh,
                         sigma_before=float(sig[-1]))
-    if null_dim == 0:
-        fix.sigma_after = float(sig[-1])
-        return fix
     q = model.weights
     scale = np.sqrt(q) / w
     # null vectors back in value coordinates
@@ -338,9 +343,8 @@ def finite_rank_fix(pieces: ParametrixPieces,
     fix.psis = chosen
     fix.psi_laps = laps
     corr = err0.total + fix.g4_error(0.0, model.n)
-    sig_after = np.linalg.svd(_weighted_operator(model, corr, w),
-                              compute_uv=False)
-    fix.sigma_after = float(sig_after[-1])
+    fix.sigma_after = smallest_singular_value(
+        _weighted_operator(model, corr, w))
     if fix.sigma_after < 10 * thresh:
         raise SingularSystemError(
             "finite-rank complement construction failed "

@@ -93,9 +93,11 @@ def low_energy_kernel(model: ModelManifold, k0: float, n_sigma: int = 33,
     node.  n_sigma must therefore be odd.
 
     The resolvent gradients come from the exact glued Green system, which
-    is stable at every k on the lattice.
+    is stable at every k on the lattice.  Both rules are summed together
+    in generator form (bvp.kernel_dleft_sums), the coarse one as its
+    difference from the fine one.
     """
-    from .bvp import GluedSystem
+    from .bvp import GluedSystem, kernel_dleft_sums
 
     if n_sigma < 3 or n_sigma % 2 == 0:
         raise DomainError("n_sigma must be an odd integer >= 3 (the coarse "
@@ -103,19 +105,20 @@ def low_energy_kernel(model: ModelManifold, k0: float, n_sigma: int = 33,
 
     sig, w = cc_segment(math.log(1.0 / k0), sigma_max, n_sigma)
     _, w_coarse = cc_segment(math.log(1.0 / k0), sigma_max, (n_sigma + 1) // 2)
-    vals = np.zeros((model.n, model.n))
-    coarse = np.zeros((model.n, model.n))
+    systems = []
+    fine = np.zeros(n_sigma)
+    coarse = np.zeros(n_sigma)
     jump = np.zeros(model.n)
     for i, (s_i, w_i) in enumerate(zip(sig, w)):
         k = math.exp(-s_i)
-        dleft = GluedSystem(model, k).kernel_dleft()
-        vals += (2.0 / math.pi) * w_i * k * dleft
+        systems.append(GluedSystem(model, k))
+        fine[i] = (2.0 / math.pi) * w_i * k
         jump += (2.0 / math.pi) * w_i * k * (1.0 / model.v)
         if i % 2 == 0:
-            coarse += (2.0 / math.pi) * w_coarse[i // 2] * k * dleft
-        del dleft   # free it before the next build
+            coarse[i] = (2.0 / math.pi) * w_coarse[i // 2] * k
+    vals, diff = kernel_dleft_sums(systems, [fine, fine - coarse])
     kern = DiscretizedKernel(model, vals, jump_step=jump,
-                             quad_error=float(np.max(np.abs(vals - coarse))))
+                             quad_error=float(np.max(np.abs(diff))))
     if kern.quad_error > kern.quad_error_bound():
         raise NonConvergenceError(
             f"k-quadrature unconverged: per-entry error "
@@ -430,16 +433,19 @@ def unboundedness_witness(model: ModelManifold, key_approx, p_list=(3.0, 4.0),
     phi_vals = minus_cutoff(model)(model.s[cols])
     st = ka.stages[0]
     sig, w = cc_segment(math.log(1.0 / k0), sigma_max, n_sigma)
-    kern = np.zeros((len(rows), len(cols)))
+    # the k-sum of rank-one kernels as one (rows x K) @ (K x cols) product
+    left = np.empty((len(rows), len(sig)))
+    right = np.empty((len(sig), len(cols)))
     positive = True
-    for s_i, w_i in zip(sig, w):
+    for i, (s_i, w_i) in enumerate(zip(sig, w)):
         k = math.exp(-s_i)
         _, du = ka.u(k)
         dr_u = -(du + st.phi.dvalues)[rows]   # d_r = -d/ds on the minus end
         if np.any(dr_u <= 0):
             positive = False
-        col = pk.reduced_kernel(end, k, r0b, rc) * phi_vals
-        kern += w_i * k * np.outer(dr_u, col)
+        left[:, i] = dr_u
+        right[i] = w_i * k * pk.reduced_kernel(end, k, r0b, rc) * phi_vals
+    kern = left @ right
     # lower-bound constant against (tau/r) ilg(1/r')/r' in the saturated
     # window r' >= 5/k0
     shape = np.outer(tau[rows] / rr, ilg_clipped(1.0 / rc) / rc)

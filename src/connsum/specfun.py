@@ -20,7 +20,6 @@ import math
 
 import numpy as np
 from scipy import special
-from scipy.integrate import quad
 
 from .errors import DomainError, NonConvergenceError
 
@@ -168,6 +167,8 @@ def bessel_K_quadrature(order: float, x: float, rtol: float = 1e-12) -> float:
 
     Slow; used as the independent oracle for bessel_K.
     """
+    from scipy.integrate import quad
+
     if x <= 0:
         raise DomainError("bessel_K_quadrature: need x > 0")
     nu = float(order)
@@ -203,6 +204,8 @@ def _heat_time_integral(a: float, k: float, r: float, rtol: float) -> float:
     through kr and a prefactor, which makes the scale invariance
     (k, r) -> (ck, r/c) exact in floating point as well.
     """
+    from scipy.integrate import quad
+
     p = 1.0 - 0.5 * a
     kr = k * r
 

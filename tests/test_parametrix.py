@@ -110,9 +110,13 @@ class TestHilbertSchmidt:
 
 
 class TestFiniteRank:
-    def test_default_model_already_invertible(self, par):
+    def test_default_model_already_invertible(self, par, monkeypatch):
         assert par.fix.rank == 0
         assert par.fix.sigma_before > 1e-3
+        # without a null space no singular vectors are computed
+        svd = _count_calls(monkeypatch, np.linalg, "svd")
+        assert px.finite_rank_fix(par.pieces).rank == 0
+        assert svd == []
 
     def test_synthetic_null_space_repaired(self, par, model):
         # feed a degenerate error operator with a known null vector

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -60,18 +61,20 @@ class TestLowEnergyKernel:
 
     def test_one_green_build_per_node(self, model, monkeypatch):
         calls = []
-        dleft = bvp.GluedSystem.kernel_dleft
+        init = bvp.GluedSystem.__init__
 
-        def counting(self):
-            calls.append(self.k)
-            return dleft(self)
+        def counting(self, model, k):
+            calls.append(k)
+            init(self, model, k)
 
-        monkeypatch.setattr(bvp.GluedSystem, "kernel_dleft", counting)
+        monkeypatch.setattr(bvp.GluedSystem, "__init__", counting)
         rz.low_energy_kernel(model, k0=0.05, n_sigma=25)
         assert len(calls) == 25
 
     def test_matches_two_pass_reference(self, model, low_kernel):
-        # the former assembly: one full pass per rule
+        # independent reference: one dense kernel_dleft sum per rule; the
+        # generator form sums in another order, so agreement is to
+        # rounding, not bitwise
         def assemble(n_nodes):
             sig, w = cc_segment(math.log(1.0 / 0.05), 40.0, n_nodes)
             out = np.zeros((model.n, model.n))
@@ -85,9 +88,27 @@ class TestLowEnergyKernel:
 
         vals, jump = assemble(25)
         coarse, _ = assemble(13)
-        assert np.array_equal(low_kernel.values, vals)
+        scale = np.max(np.abs(vals))
+        assert np.max(np.abs(low_kernel.values - vals)) <= 1e-14 * scale
         assert np.array_equal(low_kernel.jump_step, jump)
-        assert low_kernel.quad_error == float(np.max(np.abs(vals - coarse)))
+        assert low_kernel.quad_error == pytest.approx(
+            float(np.max(np.abs(vals - coarse))), rel=1e-12, abs=0.0)
+
+    def test_generator_sums_match_dense(self, model):
+        # k S reaches 4096 at k = 8: every factor needs its block shift,
+        # and no branch may be scaled before it is selected
+        assert model.n % bvp.DLEFT_BLOCK != 0
+        systems = [bvp.GluedSystem(model, float(k))
+                   for k in np.geomspace(1e-3, 8.0, 9)]
+        coefs = np.array([np.linspace(1.0, 2.0, 9), np.cos(np.arange(9))])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            sums = bvp.kernel_dleft_sums(systems, coefs)
+        assert len(sums) == 2
+        for c, got in zip(coefs, sums):
+            ref = sum(c_k * g.kernel_dleft() for c_k, g in zip(c, systems))
+            assert np.all(np.isfinite(got))
+            assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
 
     @pytest.mark.parametrize("n_sigma", [24, 2, 1])
     def test_even_or_tiny_n_sigma_rejected(self, model, n_sigma):

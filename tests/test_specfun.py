@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -229,3 +233,18 @@ class TestHeatIdentity:
         sf.heat_resolvent_identity_check(4.0, 1.0, 1.0)
         assert sf._HEAT_CA_CACHE[4.0] == pytest.approx(2.0 ** 2, rel=1e-9)
 
+
+def test_pipeline_import_leaves_scipy_integrate_unloaded():
+    # only the quadrature oracles need scipy.integrate; a fresh process that
+    # imports the pipeline modules must not pay for it
+    code = ("import sys\n"
+            "import connsum.cli, connsum.bvp, connsum.keylemma, "
+            "connsum.riesz, connsum.parametrix\n"
+            "print('scipy.integrate' in sys.modules)")
+    src = str(Path(sf.__file__).resolve().parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(
+               filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True, timeout=120)
+    assert out.stdout.strip() == "False"
