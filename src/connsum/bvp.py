@@ -32,7 +32,7 @@ from . import specfun as sf
 from .cutoffs import Step, on_grid
 from .errors import DomainError, SingularSystemError
 from .quadrature import cheb_cumint_matrix
-from .model import ModelManifold, fornberg_weights, radiation_logderiv
+from .model import ModelManifold, _fd_operator, radiation_logderiv
 
 
 def _neck_collocation(model: ModelManifold, k: float, from_plus: bool,
@@ -409,21 +409,10 @@ class NeckProblem:
             raise DomainError("NeckProblem: domain too small")
         self.idx = idx
         self.s = model.s[idx]
-        n = len(idx)
-        width = order + 1
-        A = np.zeros((n, n))
-        dlv = model.dlog_weight(self.s)
-        half = width // 2
-        for i in range(1, n - 1):
-            j0 = min(max(i - half, 0), n - width)
-            w = fornberg_weights(self.s[i], self.s[j0:j0 + width], 2)
-            A[i, j0:j0 + width] = -w[2] - dlv[i] * w[1]
-        for i in (0, n - 1):
-            j0 = 0 if i == 0 else n - width
-            w = fornberg_weights(self.s[i], self.s[j0:j0 + width], 1)
-            A[i, j0:j0 + width] = w[1]
-            A[i, i] -= radiation_logderiv(model, None, 0.0, self.s[i])
-        self.matrix = A
+        ends = [radiation_logderiv(model, None, 0.0, xi)
+                for xi in (self.s[0], self.s[-1])]
+        self.matrix = _fd_operator(self.s, model.dlog_weight(self.s), 0.0,
+                                   order, ends)
 
     def solve(self, F) -> np.ndarray:
         """Solve Delta u = F (F given on the sub-grid, boundary rows

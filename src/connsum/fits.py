@@ -1,6 +1,9 @@
-"""Least-squares fitting helpers for slopes, envelopes and inverse-log series."""
+"""Least-squares fitting helpers for slopes, norm trends, envelopes and
+inverse-log series."""
 
 from __future__ import annotations
+
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -15,6 +18,30 @@ def loglog_slope(x, y) -> float:
     if mask.sum() < 2:
         raise ValueError("loglog_slope: need at least two positive samples")
     return float(np.polyfit(np.log(x[mask]), np.log(y[mask]), 1)[0])
+
+
+# a norm series is called bounded when its last three values spread by
+# less than this fraction of their largest
+TREND_STABILITY = 0.05
+
+
+@dataclass(frozen=True)
+class Trend:
+    bounded: bool
+    variation: float                 # spread of the last three values
+    growth_exponent: float | None    # log-log slope of the last four
+
+
+def classify_trend(r_maxes, norms) -> Trend:
+    """Bounded/divergent verdict on norms measured at growing truncation
+    radii r_maxes: bounded when the last three norms vary by less than
+    TREND_STABILITY, else divergent with the log-log slope of the last
+    four as its growth exponent."""
+    tail = np.array(norms[-3:])
+    var = float((tail.max() - tail.min()) / tail.max())
+    if var < TREND_STABILITY:
+        return Trend(True, var, None)
+    return Trend(False, var, loglog_slope(r_maxes[-4:], norms[-4:]))
 
 
 def fit_envelope(values, shape) -> float:

@@ -27,7 +27,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import ConfigError, DomainError
-from .quadrature import (cc_segment, chebyshev_cumint, clenshaw_curtis,
+from .quadrature import (cc_segment, cheb_cumint_matrix, clenshaw_curtis,
                          fornberg_weights)
 
 
@@ -408,7 +408,8 @@ class ModelManifold:
         offset = 0.0
         for start, n, th, jac, _kind in self.segments:
             sl = slice(start, start + n)
-            local = chebyshev_cumint(th, y[sl] * jac)
+            half = 0.5 * (th[-1] - th[0])
+            local = cheb_cumint_matrix(n) @ (y[sl] * jac) * half
             out[sl] = offset + local
             offset = out[start + n - 1]
         return out
@@ -653,51 +654,52 @@ def radial_laplacian(model: ModelManifold, channel: ModeChannel | None = None,
     log-derivative; "dirichlet" forces u = 0 there instead.
     """
     glued = channel is None or channel.is_zero
-    width = order + 1
+    if bc not in ("radiation", "dirichlet"):
+        raise ConfigError(f"unknown bc {bc!r}")
+    radiation = bc == "radiation"
     if glued:
         x = model.s
-        pot = np.zeros_like(x)
-        dlv = model.dlog_weight(x)
-    else:
-        end = model.end_spec(channel.end)
-        _, x = model.channel_grid(channel)
-        pot = model.channel_potential(channel, x)
-        dlv = (end.euclidean_dim - 1.0) / x
+        ends = [None, None]
+        if radiation:
+            ends = [radiation_logderiv(model, channel, k, xi)
+                    for xi in (x[0], x[-1])]
+        return _fd_operator(x, model.dlog_weight(x), k * k, order, ends)
+    end = model.end_spec(channel.end)
+    _, x = model.channel_grid(channel)
+    ends = [None, None]  # Dirichlet row at the gluing sphere
+    if radiation:
+        mu2 = end.cross_section.eigenvalues[channel.cross_index]
+        ends[1] = decaying_radial_logderiv(end, channel.angular,
+                                           math.sqrt(k * k + mu2), x[-1])
+    pot = model.channel_potential(channel, x)
+    return _fd_operator(x, (end.euclidean_dim - 1.0) / x, pot + k * k,
+                        order, ends), x
+
+
+def _fd_operator(x, dlv, shift, order: int, ends) -> np.ndarray:
+    """Finite-difference matrix of u -> -u'' - dlv u' + shift u on the
+    ascending nodes x, by (order + 1)-point Fornberg stencils kept inside
+    the grid.  ends gives the first and last rows: None is the Dirichlet
+    row u = 0, a number L the radiation row u' - L u = 0."""
     n = len(x)
-    A = np.zeros((n, n))
+    width = order + 1
     half = width // 2
+    shift = np.broadcast_to(shift, (n,))
+    A = np.zeros((n, n))
     for i in range(1, n - 1):
         j0 = min(max(i - half, 0), n - width)
-        sten = x[j0:j0 + width]
-        w = fornberg_weights(x[i], sten, 2)
+        w = fornberg_weights(x[i], x[j0:j0 + width], 2)
         A[i, j0:j0 + width] = -w[2] - dlv[i] * w[1]
-        A[i, i] += pot[i] + k * k
-    if glued:
-        for i in (0, n - 1):
-            j0 = 0 if i == 0 else n - width
-            w = fornberg_weights(x[i], x[j0:j0 + width], 1)
-            if bc == "radiation":
-                A[i, j0:j0 + width] = w[1]
-                A[i, i] -= radiation_logderiv(model, channel, k, x[i])
-            elif bc == "dirichlet":
-                A[i, i] = 1.0
-            else:
-                raise ConfigError(f"unknown bc {bc!r}")
-        return A
-    A[0, 0] = 1.0  # Dirichlet row at the gluing sphere
-    i, j0 = n - 1, n - width
-    w = fornberg_weights(x[i], x[j0:j0 + width], 1)
-    if bc == "radiation":
-        mu2 = model.end_spec(channel.end).cross_section.eigenvalues[channel.cross_index]
+        A[i, i] += shift[i]
+    for i, logderiv in zip((0, n - 1), ends):
+        if logderiv is None:
+            A[i, i] = 1.0
+            continue
+        j0 = 0 if i == 0 else n - width
+        w = fornberg_weights(x[i], x[j0:j0 + width], 1)
         A[i, j0:j0 + width] = w[1]
-        A[i, i] -= decaying_radial_logderiv(model.end_spec(channel.end),
-                                            channel.angular,
-                                            math.sqrt(k * k + mu2), x[i])
-    elif bc == "dirichlet":
-        A[i, i] = 1.0
-    else:
-        raise ConfigError(f"unknown bc {bc!r}")
-    return A, x
+        A[i, i] -= logderiv
+    return A
 
 
 def apply_operator(model: ModelManifold, values, k: float = 0.0):

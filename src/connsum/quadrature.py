@@ -76,19 +76,19 @@ _CUMINT_CACHE: dict[int, np.ndarray] = {}
 def cheb_cumint_matrix(n: int) -> np.ndarray:
     """Matrix J with (J y)_i = int_{-1}^{t_i} p(t) dt for the Chebyshev
     interpolant p of the values y on the n Clenshaw-Curtis nodes.
-    Bounded operator: the well-conditioned building block for spectral
-    two-point ODE solves in integral form."""
+    Bounded operator, cached per n: the building block of per-segment
+    cumulative integrals and of spectral two-point ODE solves in integral
+    form."""
     hit = _CUMINT_CACHE.get(n)
     if hit is not None:
         return hit
     t, _ = clenshaw_curtis(n)
-    V = np.polynomial.chebyshev.chebvander(t, n - 1)
-    Vinv = np.linalg.inv(V)
-    cols = np.zeros((n, n))
-    for j in range(n):
-        anti = np.polynomial.chebyshev.chebint(Vinv[:, j])
-        vals = np.polynomial.chebyshev.chebval(t, anti)
-        cols[:, j] = vals - vals[0]
+    C = np.polynomial.chebyshev
+    # Chebyshev coefficients of every cardinal interpolant, integrated
+    # from 0 and evaluated on the nodes, all columns at once
+    anti = C.chebint(np.linalg.inv(C.chebvander(t, n - 1)))
+    vals = C.chebvander(t, n) @ anti
+    cols = vals - vals[0]
     _CUMINT_CACHE[n] = cols
     return cols
 
@@ -121,16 +121,3 @@ def cc_kink_coefficients(n: int) -> tuple[np.ndarray, np.ndarray]:
         C0[p] = (1.0 - t[p]) - float(np.dot(w, step))
     _KINK_CACHE[n] = (C1, C0)
     return C1, C0
-
-
-def chebyshev_cumint(theta: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Cumulative integral of y from theta[0], with theta the (ascending)
-    Clenshaw-Curtis nodes of one segment: Chebyshev antiderivative."""
-    n = len(theta)
-    t, _ = clenshaw_curtis(n)
-    V = np.polynomial.chebyshev.chebvander(t, n - 1)
-    coef = np.linalg.solve(V, np.asarray(y, dtype=float))
-    anti = np.polynomial.chebyshev.chebint(coef)
-    vals = np.polynomial.chebyshev.chebval(t, anti)
-    half = 0.5 * (theta[-1] - theta[0])
-    return (vals - vals[0]) * half

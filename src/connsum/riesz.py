@@ -25,7 +25,8 @@ from scipy.sparse.linalg import svds
 from . import product_kernels as pk
 from .cutoffs import Bump, minus_cutoff
 from .errors import DomainError, NonConvergenceError
-from .fits import loglog_slope
+from .fits import classify_trend, loglog_slope
+from .lp_estimator import boyd_lower_bound, lp_norm
 from .model import EndSpec, ModelManifold
 from .quadrature import cc_segment, fornberg_weights
 
@@ -140,6 +141,37 @@ def rank_one_k_integral(c_rate: float, k0: float, r, rp):
 # high-energy multiplier
 
 
+def _finite_volume(r, n_dim: int, pot, scale: float = 1.0):
+    """Finite-volume form of -v^{-1}(v u')' + pot on the ascending nodes r,
+    v = scale r^{n_dim - 1}, with natural (Neumann) ends: returns the cell
+    weights w, the stiffness matrix (the sum over cells of v_mid u_i' u_j'
+    plus the potential mass) and the weights v_mid h of the cell
+    gradients."""
+    n_pts = len(r)
+    h = np.diff(r)
+    w = np.zeros(n_pts)
+    w[1:-1] = 0.5 * (r[2:] - r[:-2]) * r[1:-1] ** (n_dim - 1)
+    w[0] = 0.5 * h[0] * r[0] ** (n_dim - 1)
+    w[-1] = 0.5 * h[-1] * r[-1] ** (n_dim - 1)
+    w *= scale
+    vmid = scale * (0.5 * (r[1:] + r[:-1])) ** (n_dim - 1)
+    main = np.zeros(n_pts)
+    off = -vmid / h
+    main[:-1] -= off
+    main[1:] -= off
+    S = np.diag(main) + np.diag(off, 1) + np.diag(off, -1)
+    S = S + np.diag(pot * w)
+    return w, S, vmid * h
+
+
+def _weighted_modes(S, w):
+    """Eigenvalues (floored at 0) of the symmetric pencil (S, diag w) and
+    its modes, orthonormal in the weights w."""
+    sq = np.sqrt(w)
+    eigs, Q = np.linalg.eigh(S / sq[:, None] / sq[None, :])
+    return np.maximum(eigs, 0.0), Q / sq[:, None]
+
+
 def _symmetric_channel_operator(model: ModelManifold, end: str, m: int,
                                 l: int, r_max: float, n_pts: int):
     """Symmetric finite-volume radial operator of one channel on
@@ -148,30 +180,13 @@ def _symmetric_channel_operator(model: ModelManifold, end: str, m: int,
     spec = model.end_spec(end)
     n_dim = spec.euclidean_dim
     r = np.geomspace(model.R, r_max, n_pts)
-    h = np.diff(r)
-    w = np.zeros(n_pts)
-    w[1:-1] = 0.5 * (r[2:] - r[:-2]) * r[1:-1] ** (n_dim - 1)
-    w[0] = 0.5 * h[0] * r[0] ** (n_dim - 1)
-    w[-1] = 0.5 * h[-1] * r[-1] ** (n_dim - 1)
-    vmid = (0.5 * (r[1:] + r[:-1])) ** (n_dim - 1)
     mu2 = spec.cross_section.eigenvalues[l]
     ang = m * (m + n_dim - 2)
-    pot = ang / r ** 2 + mu2
-    # stiffness: S_ij = sum of v_mid (u_i' u_j') over cells + potential mass
-    main = np.zeros(n_pts)
-    off = -vmid / h
-    main[:-1] -= off
-    main[1:] -= off
-    S = np.diag(main) + np.diag(off, 1) + np.diag(off, -1)
-    S = S + np.diag(pot * w)
+    w, S, gw = _finite_volume(r, n_dim, ang / r ** 2 + mu2)
     # Dirichlet walls: restrict to the interior
     sl = slice(1, n_pts - 1)
-    Sd = S[sl, sl]
     wd = w[sl]
-    A = Sd / np.sqrt(wd)[:, None] / np.sqrt(wd)[None, :]
-    eigs, Q = np.linalg.eigh(A)
-    eigs = np.maximum(eigs, 0.0)
-    modes = Q / np.sqrt(wd)[:, None]
+    eigs, modes = _weighted_modes(S[sl, sl], wd)
     # staggered gradient of the quadratic form (zero boundary values):
     # rows = interior cell interfaces, weights v_mid h
     ni = n_pts - 2
@@ -186,7 +201,6 @@ def _symmetric_channel_operator(model: ModelManifold, end: str, m: int,
             grad[i, i] = grad[i, i] + 1.0 / hd[i]
         elif i == ni:
             grad[i, i - 1] = -1.0 / hd[i]
-    gw = vmid * h
     return eigs, modes, wd, grad, gw
 
 
@@ -220,36 +234,6 @@ def high_energy_multiplier(model: ModelManifold, channels, k0: float = 1.0,
 # L^p machinery on the model grid
 
 
-def lp_norm(q: np.ndarray, f: np.ndarray, p: float) -> float:
-    return float(np.dot(q, np.abs(f) ** p) ** (1.0 / p))
-
-
-def boyd_lower_bound(mat: np.ndarray, q: np.ndarray, p: float,
-                     iters: int = 50) -> float:
-    """Lower bound for the L^p(q) -> L^p(q) norm of the kernel operator by
-    the nonlinear duality iteration f <- [M*(|M f|^{p-1} sgn)]^{1/(p-1)}
-    from f = 1.
-
-    The iteration runs on the signed operator, as Calderon-Zygmund-type
-    kernels require (their absolute value is unbounded)."""
-    f = np.ones(mat.shape[0])
-    best = 0.0
-    for _ in range(iters):
-        nf = lp_norm(q, f, p)
-        if not (np.isfinite(nf) and nf > 0):
-            break
-        f = f / nf
-        g = mat @ f
-        best = max(best, lp_norm(q, g, p))
-        u = np.abs(g) ** (p - 1.0) * np.sign(g)
-        # q-adjoint of the composition matrix: diag(1/q) M^T diag(q)
-        h = (mat.T @ (q * u)) / q
-        f = np.abs(h) ** (1.0 / (p - 1.0)) * np.sign(h)
-        if not np.all(np.isfinite(f)):
-            break
-    return best
-
-
 def spectral_norm(mat: np.ndarray) -> float:
     """Largest singular value of a square matrix by Lanczos
     bidiagonalization; the fixed start vector makes reruns bitwise equal."""
@@ -273,15 +257,15 @@ class TrendRow:
     upper: float
 
 
-def lp_boundedness_report(kern: DiscretizedKernel, p_list, r_maxes,
-                          stability: float = 0.05) -> dict:
+def lp_boundedness_report(kern: DiscretizedKernel, p_list, r_maxes) -> dict:
     """Norm estimates of the kernel restricted to {r, r' <= R_max} for each
-    p, with a bounded/divergent verdict from the R_max trend.
+    p, with a bounded/divergent verdict from the R_max trend
+    (fits.classify_trend).
 
     Lower bounds: structured test family (radial plateaus, the aligned
-    profile ilg(1/r')/r' on the two-dimensional end) plus the positive-
-    kernel power iteration; upper bound: Schur interpolation (p = 2 uses
-    the weighted spectral norm, by Lanczos).
+    profile ilg(1/r')/r' on the two-dimensional end) plus Boyd's power
+    iteration; upper bound: Schur interpolation (p = 2 uses the weighted
+    spectral norm, by Lanczos).
     """
     model = kern.model
     q = model.weights
@@ -315,19 +299,18 @@ def lp_boundedness_report(kern: DiscretizedKernel, p_list, r_maxes,
                 upper = spectral_norm(sq[:, None] * sub / sq[None, :])
                 lower = upper
             else:
-                lower = max(lower, boyd_lower_bound(sub, qs, p))
+                lower = max(lower, boyd_lower_bound(sub, qs, qs, p, 50))
                 upper = schur_upper_bound(sub, qs, p)
             rows.append(TrendRow(p, rmax, lower, upper))
             series.append(lower)
-        tail = np.array(series[-3:])
-        var = float((tail.max() - tail.min()) / tail.max())
-        if var < stability:
-            verdicts[p] = {"verdict": "bounded-trend", "variation": var}
+        trend = classify_trend(r_maxes, series)
+        if trend.bounded:
+            verdicts[p] = {"verdict": "bounded-trend",
+                           "variation": trend.variation}
         else:
-            slope = loglog_slope(np.array(r_maxes[-4:], dtype=float),
-                                 np.array(series[-4:]))
-            verdicts[p] = {"verdict": "divergent-trend", "variation": var,
-                           "growth_exponent": slope}
+            verdicts[p] = {"verdict": "divergent-trend",
+                           "variation": trend.variation,
+                           "growth_exponent": trend.growth_exponent}
     return {"rows": rows, "verdicts": verdicts}
 
 
@@ -483,7 +466,7 @@ def unboundedness_witness(model: ModelManifold, key_approx, p_list=(3.0, 4.0),
             f = b ** (pp - 1.0)
             qs = q[cols][sel_c]
             g = kern[:, sel_c] @ (qs * f)
-            norms.append(lp_norm(q[rows], g, p) / lp_norm(qs, f, pp * 0 + p))
+            norms.append(lp_norm(q[rows], g, p) / lp_norm(qs, f, p))
         corrected = np.array(norms) * np.log(np.array(r_maxes))
         slope = loglog_slope(np.array(r_maxes, dtype=float), corrected)
         wit.growth[p] = {"norms": norms, "r_maxes": tuple(r_maxes),
@@ -555,22 +538,10 @@ def split_consistency_euclidean(k0: float = 1.0, n_r: int = 160,
         low += (2.0 / math.pi) * w_i * k * \
             pk.reduced_kernel_dleft(end, k, r[:, None], r[None, :])
     # high part kernel: d_r F_>(sqrt(Delta)) by dense eigen-decomposition
-    h = np.diff(r)
-    wcell = np.zeros(n_r)
-    wcell[1:-1] = 0.5 * (r[2:] - r[:-2]) * r[1:-1] ** 2
-    wcell[0] = 0.5 * h[0] * r[0] ** 2
-    wcell[-1] = 0.5 * h[-1] * r[-1] ** 2
-    wcell *= end.weight_constant
-    vmid = end.weight_constant * (0.5 * (r[1:] + r[:-1])) ** 2
-    main = np.zeros(n_r)
-    off = -vmid / h
-    main[:-1] -= off
-    main[1:] -= off
-    S = np.diag(main) + np.diag(off, 1) + np.diag(off, -1)
-    A = S / np.sqrt(wcell)[:, None] / np.sqrt(wcell)[None, :]
-    eigs, Q = np.linalg.eigh(A)
+    w, S, _ = _finite_volume(r, end.euclidean_dim, 0.0, end.weight_constant)
+    eigs, modes = _weighted_modes(S, w)
+    # the constant mode has eigenvalue 0, where f_high is 0/0
     eigs = np.maximum(eigs, 1e-14)
-    modes = Q / np.sqrt(wcell)[:, None]
     kern_h = (modes * f_high(np.sqrt(eigs), k0)[None, :]) @ modes.T
     D1 = np.zeros((n_r, n_r))
     for i in range(n_r):

@@ -196,6 +196,21 @@ class TestNeckProblem:
         scale = np.dot(q, np.abs((A @ b1) * b2)) + 1e-30
         assert abs(left - right) / scale < 5e-6
 
+    @pytest.mark.parametrize("order", [4, 6])
+    def test_interior_rows_match_radial_laplacian(self, model, order):
+        # the neck problem is the glued zero-energy operator on a sub-grid:
+        # rows whose stencil stays inside it are rows of the full operator
+        full = md.radial_laplacian(model, None, k=0.0, order=order)
+        for rad in (8.0, 12.0):
+            prob = bvp.NeckProblem(model, domain_radius=rad, order=order)
+            half = (order + 1) // 2
+            inner = slice(half, len(prob.idx) - order + half)
+            rows = prob.idx[inner]
+            assert np.array_equal(prob.matrix[inner],
+                                  full[np.ix_(rows, prob.idx)])
+            outside = np.delete(np.arange(model.n), prob.idx)
+            assert not np.any(full[np.ix_(rows, outside)])
+
     def test_singular_value_positive_under_refinement(self, model):
         svals = [bvp.NeckProblem(model, domain_radius=rad).smallest_singular_value()
                  for rad in (8.0, 12.0, 16.0)]

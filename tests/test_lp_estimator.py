@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 from connsum import lp_estimator as lpe
@@ -63,6 +64,35 @@ class TestMellin:
         assert max(verdict.norms) <= bound * 1.01
         # the gap closes to within ten percent
         assert max(verdict.norms) > 0.9 * bound
+
+
+class TestBoydLowerBound:
+    @pytest.mark.parametrize("p", [1.25, 1.5, 3.0])
+    def test_rank_one_closed_form(self, p):
+        # the L^p(w2) -> L^p(w1) norm of f -> a (b . f) is
+        # ||a||_{p,w1} ||b/w2||_{p',w2}, attained after one step
+        rng = np.random.default_rng(7)
+        a = rng.standard_normal(40)
+        b = rng.standard_normal(30)
+        w1 = rng.uniform(0.5, 2.0, 40)
+        w2 = rng.uniform(0.1, 3.0, 30)
+        pp = p / (p - 1.0)
+        exact = lpe.lp_norm(w1, a, p) * lpe.lp_norm(w2, b / w2, pp)
+        got = lpe.boyd_lower_bound(np.outer(a, b), w1, w2, p, 5)
+        assert got == pytest.approx(exact, rel=1e-12)
+
+    def test_p2_is_weighted_spectral_norm(self):
+        # at p = 2 the iteration is the power method for M* M, so on a
+        # signed matrix it reaches the largest singular value of
+        # diag(sqrt w1) M diag(1/sqrt w2)
+        rng = np.random.default_rng(3)
+        mat = rng.standard_normal((30, 20))
+        w1 = rng.uniform(0.5, 2.0, 30)
+        w2 = rng.uniform(0.1, 3.0, 20)
+        exact = np.linalg.norm(np.sqrt(w1)[:, None] * mat
+                               / np.sqrt(w2)[None, :], 2)
+        got = lpe.boyd_lower_bound(mat, w1, w2, 2.0, 400)
+        assert got == pytest.approx(exact, rel=1e-10)
 
 
 class TestTrend:

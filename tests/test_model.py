@@ -6,6 +6,7 @@ import pytest
 from connsum.errors import ConfigError
 from connsum import model as md
 from connsum import specfun as sf
+from connsum.quadrature import cheb_cumint_matrix, clenshaw_curtis
 
 
 @pytest.fixture(scope="module")
@@ -101,6 +102,33 @@ class TestGrid:
                       - m.dlog_weight(np.array([s0 + h]))[0]) / (2 * h)
             assert sec_out == pytest.approx(sec_in, rel=1e-2, abs=1e-6)
 
+
+    @pytest.mark.parametrize("n", [33, 65, 579])
+    def test_cumint_matrix_exact_on_chebyshev(self, n):
+        # int_{-1}^t T_j from T_j(cos th) = cos(j th):
+        # [T_{j+1}/(2(j+1)) - T_{j-1}/(2(j-1))] from -1 to t for j >= 2
+        t, _ = clenshaw_curtis(n)
+        th = np.arccos(t)
+        j = np.arange(2, n)
+
+        def T(deg):
+            return np.cos(np.outer(th, deg))
+
+        exact = np.empty((n, n))
+        exact[:, 0] = t + 1.0
+        exact[:, 1] = 0.5 * (t * t - 1.0)
+        exact[:, 2:] = (T(j + 1) + (-1.0) ** j) / (2.0 * (j + 1)) \
+            - (T(j - 1) + (-1.0) ** j) / (2.0 * (j - 1))
+        got = cheb_cumint_matrix(n) @ T(np.arange(n))
+        np.testing.assert_allclose(got, exact, rtol=0, atol=1e-13)
+
+    def test_cumulative_integral_gaussian(self, default_model):
+        # int_{s_0}^s e^{-x^2/100} dx = 5 sqrt(pi) (erf(s/10) - erf(s_0/10))
+        m = default_model
+        exact = 5.0 * math.sqrt(math.pi) * np.array(
+            [math.erf(x / 10.0) - math.erf(m.s[0] / 10.0) for x in m.s])
+        got = m.cumulative_integral(np.exp(-m.s ** 2 / 100.0))
+        np.testing.assert_allclose(got, exact, rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("neck_pts,n_nodes", [(32, 719), (34, 721)])
     def test_neck_pts_sets_node_count(self, neck_pts, n_nodes):

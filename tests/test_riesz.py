@@ -156,6 +156,15 @@ class TestHighEnergy:
         assert out["uniform_bound"] <= 1.0 + 1e-6
         assert out["uniform_bound"] > 0.3
 
+    def test_cross_potential_shifts_spectrum(self, model):
+        # the constant cross-section potential mu_l^2 adds mu_l^2 to every
+        # eigenvalue of the channel operator
+        base = rz._symmetric_channel_operator(model, "minus", 1, 0, 32.0, 80)
+        shifted = rz._symmetric_channel_operator(model, "minus", 1, 2,
+                                                 32.0, 80)
+        mu2 = model.minus.cross_section.eigenvalues[2]
+        np.testing.assert_allclose(shifted[0], base[0] + mu2, rtol=1e-10)
+
     def test_split_consistency_euclidean(self):
         out = rz.split_consistency_euclidean()
         assert out["rel_error"] < 1e-3
