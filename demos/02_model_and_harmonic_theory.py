@@ -30,10 +30,10 @@ print("plus end, constant data: profile", up.channel_values(0, 0, r),
 
 print("\n== exterior DtN multipliers ==")
 for (m_idx, l_idx) in [(0, 0), (1, 0), (0, 1)]:
-    lam = hx.dtn_multiplier(m.minus, "minus", m_idx, l_idx, m.R)
+    lam = hx.dtn_multiplier(m.minus, m_idx, l_idx, m.R)
     print(f"minus channel (m={m_idx}, l={l_idx}): lambda = {lam:.6f}")
 print(f"plus zero mode: lambda = "
-      f"{hx.dtn_multiplier(m.plus, 'plus', 0, 0, m.R):.6f} "
+      f"{hx.dtn_multiplier(m.plus, 0, 0, m.R):.6f} "
       f"(= (n-2)/R = {(m.plus.euclidean_dim - 2) / m.R})")
 
 print("\n== global Laplace solve ==")

@@ -128,7 +128,7 @@ def cmd_extend(args) -> int:
     R = model.R
     report = {}
     for tag, end in (("minus", model.minus), ("plus", model.plus)):
-        chk = hx.dtn_symbol_check(end, tag, R, m_max=max(10, args.m_max))
+        chk = hx.dtn_symbol_check(end, R, m_max=max(10, args.m_max))
         report[tag] = {"worst_angular_ratio_dev": chk["worst_angular"],
                        "cross_ratio_at_largest": chk["cross_at_largest"]}
     data = hx.BoundaryData("minus", R, {(0, 1): 1.0, (2, 0): 0.5})

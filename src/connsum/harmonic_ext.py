@@ -12,7 +12,9 @@ profiles
 
 and the decaying extension on the n-dimensional end replaces the powers
 by r^{-(n-2)-m} and the Bessel profile by r^{-(n-2)/2} K_{(n-2)/2+m}.
-The exterior DtN operator is the diagonal map f -> lambda_{ml} f with
+Both are the one decaying channel solution `model.channel_profile` with
+kappa = mu_l (the n = 2 case gives the first list).  The exterior DtN
+operator is the diagonal map f -> lambda_{ml} f with
 lambda_{ml} = -(d/dr) b_{ml}(R), a first-order symbol: lambda ~ |m|/R
 at large m and ~ mu_l at large mu_l R.
 """
@@ -23,9 +25,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import specfun as sf
 from .errors import DomainError, TruncationError
-from .model import EndSpec
+from .model import EndSpec, channel_profile, decaying_radial_logderiv
 
 Channel = tuple[int, int]  # (angular degree m >= 0, cross index l >= 0)
 
@@ -49,50 +50,6 @@ class BoundaryData:
         return BoundaryData(end, R, {(0, 0): value})
 
 
-def _profile_minus(end: EndSpec, m: int, l: int, R: float):
-    """(value, d/dr) of the bounded minus-end profile, normalized to 1 at R."""
-    if l == 0:
-        if m == 0:
-            return (lambda r: np.ones_like(np.asarray(r, float)),
-                    lambda r: np.zeros_like(np.asarray(r, float)))
-        return (lambda r: (np.asarray(r, float) / R) ** (-m),
-                lambda r: -m / R * (np.asarray(r, float) / R) ** (-m - 1))
-    mu = end.cross_section.mu(l)
-    den = sf.bessel_K(float(m), mu * R)
-    return (lambda r: sf.bessel_K(float(m), mu * np.asarray(r, float)) / den,
-            lambda r: mu * sf.bessel_K_prime(float(m), mu * np.asarray(r, float)) / den)
-
-
-def _profile_plus(end: EndSpec, m: int, l: int, R: float):
-    """(value, d/dr) of the decaying plus-end profile, normalized to 1 at R."""
-    n = end.euclidean_dim
-    if l == 0:
-        p = -(n - 2.0) - m
-        return (lambda r: (np.asarray(r, float) / R) ** p,
-                lambda r: p / R * (np.asarray(r, float) / R) ** (p - 1))
-    mu = end.cross_section.mu(l)
-    nu = 0.5 * (n - 2.0) + m
-    a = -0.5 * (n - 2.0)
-    den = R ** a * sf.bessel_K(nu, mu * R)
-
-    def val(r):
-        r = np.asarray(r, float)
-        return r ** a * sf.bessel_K(nu, mu * r) / den
-
-    def der(r):
-        r = np.asarray(r, float)
-        return (a * r ** (a - 1) * sf.bessel_K(nu, mu * r)
-                + r ** a * mu * sf.bessel_K_prime(nu, mu * r)) / den
-
-    return val, der
-
-
-def channel_profile(end: EndSpec, end_tag: str, m: int, l: int, R: float):
-    if end_tag == "minus":
-        return _profile_minus(end, m, l, R)
-    return _profile_plus(end, m, l, R)
-
-
 @dataclass(frozen=True)
 class HarmonicExtension:
     """Harmonic continuation of boundary data into one end."""
@@ -104,7 +61,9 @@ class HarmonicExtension:
         return self.data.R
 
     def profile(self, m: int, l: int):
-        return channel_profile(self.end_spec, self.data.end, m, l, self.R)
+        """(value, d/dr) of the channel profile, normalized to 1 at R."""
+        return channel_profile(self.end_spec, m,
+                               self.end_spec.cross_section.mu(l), self.R)
 
     def channel_values(self, m: int, l: int, r):
         val, _ = self.profile(m, l)
@@ -177,21 +136,11 @@ def _check_truncation(end: EndSpec, f: BoundaryData):
                 f"truncation ({n_modes} modes)")
 
 
-def dtn_multiplier(end: EndSpec, end_tag: str, m: int, l: int, R: float) -> float:
+def dtn_multiplier(end: EndSpec, m: int, l: int, R: float) -> float:
     """Exterior DtN eigenvalue on channel (m, l): minus the radial
-    derivative at R of the unit-normalized harmonic profile."""
-    if end_tag == "minus":
-        if l == 0:
-            return m / R
-        mu = end.cross_section.mu(l)
-        return -mu * sf.bessel_K_prime(float(m), mu * R) / sf.bessel_K(float(m), mu * R)
-    n = end.euclidean_dim
-    if l == 0:
-        return (n - 2.0 + m) / R
-    mu = end.cross_section.mu(l)
-    nu = 0.5 * (n - 2.0) + m
-    return 0.5 * (n - 2.0) / R - mu * sf.bessel_K_prime(nu, mu * R) / \
-        sf.bessel_K(nu, mu * R)
+    log-derivative at R of the decaying harmonic profile (0.0 - keeps the
+    constant minus-end channel at +0)."""
+    return 0.0 - decaying_radial_logderiv(end, m, end.cross_section.mu(l), R)
 
 
 @dataclass(frozen=True)
@@ -206,7 +155,7 @@ class DtNOperator:
     R: float
 
     def multiplier(self, m: int, l: int) -> float:
-        return dtn_multiplier(self.end_spec, self.end, m, l, self.R)
+        return dtn_multiplier(self.end_spec, m, l, self.R)
 
     def __call__(self, f: BoundaryData) -> BoundaryData:
         if f.end != self.end:
@@ -221,24 +170,23 @@ def dtn(end: EndSpec, f: BoundaryData) -> BoundaryData:
     return DtNOperator(end, f.end, f.R)(f)
 
 
-def dtn_symbol_check(end: EndSpec, end_tag: str, R: float,
-                     m_max: int = 20) -> dict:
+def dtn_symbol_check(end: EndSpec, R: float, m_max: int = 20) -> dict:
     """First-order-symbol ratios of the DtN multipliers.
 
-    Angular: lambda_{m0} / (expected slope m/R) as m grows; cross-section:
-    lambda_{0l} / mu_l as mu_l R grows.  Both tend to 1.
+    Angular: lambda_{m0} / (expected slope (n - 2 + m)/R, which is m/R on
+    the two-dimensional end) as m grows; cross-section: lambda_{0l} / mu_l
+    as mu_l R grows.  Both tend to 1.
     """
     if m_max < 10:
         raise DomainError("dtn_symbol_check: need m_max >= 10")
+    n = end.euclidean_dim
     ang = {}
     for m in range(1, m_max + 1):
-        lam = dtn_multiplier(end, end_tag, m, 0, R)
-        expected = m / R if end_tag == "minus" else (end.euclidean_dim - 2 + m) / R
-        ang[m] = lam / expected
+        ang[m] = dtn_multiplier(end, m, 0, R) / ((n - 2 + m) / R)
     cross = {}
     for l in range(1, len(end.cross_section.eigenvalues)):
         mu = end.cross_section.mu(l)
-        cross[l] = dtn_multiplier(end, end_tag, 0, l, R) / mu
+        cross[l] = dtn_multiplier(end, 0, l, R) / mu
     return {"angular_ratio": ang, "cross_ratio": cross,
             "worst_angular": max(abs(v - 1) for v in ang.values()),
             "cross_at_largest": cross[max(cross)] if cross else None}

@@ -38,7 +38,7 @@ from .bvp import GlobalHarmonicSolution, GluedSystem, solve_laplace
 from .cutoffs import Step, on_grid
 from .errors import DomainError
 from .fits import fit_envelope, loglog_slope
-from .model import ModeChannel, ModelManifold
+from .model import EndSpec, ModeChannel, ModelManifold, channel_profile
 from .specfun import C_GAMMA, ilg
 
 
@@ -311,35 +311,25 @@ def verify_lower_bound(approx: KeyApproximation, ks, eps: float = 0.1,
 class OffZeroExtension:
     """k-deformation of one decaying zero-energy channel profile, matched
     at the gluing radius."""
-    end: str
+    end_spec: EndSpec
     channel: ModeChannel
     R: float
-    euclidean_dim: int
-    mu: float   # cross-section frequency, 0 for l = 0
+
+    def _profile(self, k: float):
+        """(value, d/dr) at energy k^2: channels with l >= 1 already decay
+        exponentially (kappa = mu_l, trivial in k), the l = 0 channels
+        deform with kappa = k."""
+        l = self.channel.cross_index
+        kappa = self.end_spec.cross_section.mu(l) if l >= 1 else k
+        return channel_profile(self.end_spec, self.channel.angular, kappa,
+                               self.R)
 
     def profile(self, k: float, r):
         """Profile normalized to the zero-energy one at r = R."""
-        r = np.asarray(r, dtype=float)
-        n = self.euclidean_dim
-        mcount = self.channel.angular
-        if self.mu > 0:   # already exponentially decaying: trivial in k
-            nu = 0.5 * (n - 2.0) + mcount
-            a = -0.5 * (n - 2.0)
-            base = (r ** a * sf.bessel_K(nu, self.mu * r)) \
-                / (self.R ** a * sf.bessel_K(nu, self.mu * self.R))
-            return base
-        p = -(n - 2.0) - mcount if n >= 3 else -mcount
-        if k == 0.0:
-            return (r / self.R) ** p
-        nu = 0.5 * (n - 2.0) + mcount
-        a = -0.5 * (n - 2.0)
-        num = r ** a * sf.bessel_K(nu, k * r)
-        den = self.R ** a * sf.bessel_K(nu, k * self.R)
-        return num / den
+        return self._profile(k)[0](r)
 
-    def profile_dr(self, k: float, r, h: float = 1e-6):
-        r = np.asarray(r, dtype=float)
-        return (self.profile(k, r + h) - self.profile(k, r - h)) / (2 * h)
+    def profile_dr(self, k: float, r):
+        return self._profile(k)[1](r)
 
 
 def extend_off_zero(model: ModelManifold,
@@ -349,15 +339,11 @@ def extend_off_zero(model: ModelManifold,
     The constant channel on the minus end has no decaying branch: that is
     exactly the case handled by the beta K_0 mechanism instead.
     """
-    end = model.end_spec(channel.end)
     if channel.end == "minus" and channel.is_zero:
         raise DomainError(
             "constant channel on the minus end: use the inverse-log "
             "K_0 mechanism, not an off-zero extension")
-    mu = 0.0 if channel.cross_index == 0 else \
-        math.sqrt(end.cross_section.eigenvalues[channel.cross_index])
-    return OffZeroExtension(channel.end, channel, model.R,
-                            end.euclidean_dim, mu)
+    return OffZeroExtension(model.end_spec(channel.end), channel, model.R)
 
 
 def residual_slope(approx: KeyApproximation, j_list=(3, 4, 5, 6, 7),

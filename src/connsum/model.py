@@ -485,12 +485,6 @@ class ModelManifold:
         d1 = y' and d2 = y'' of a zero-channel grid function y."""
         return -d2 - self.dlog_weight(self.s) * d1
 
-    def apply_operator_spectral(self, y, k: float = 0.0) -> np.ndarray:
-        """(Delta + k^2) y on the glued zero channel via per-segment
-        Chebyshev differentiation."""
-        d1, d2 = self.derivatives(y)
-        return self.laplacian(d1, d2) + k * k * np.asarray(y, float)
-
     # -- coordinate fields ----------------------------------------------------
 
     def weight(self, s):
@@ -605,7 +599,8 @@ def decaying_radial_logderiv(end: EndSpec, angular: int, kappa: float,
     """d/dr log of the channel solution decaying as r -> oo on a product
     end of Euclidean dimension n: r^{1-n/2} K_{n/2-1+m}(kappa r) for
     kappa > 0, the decaying power for kappa = 0 (constant branch when the
-    end is two-dimensional with m = 0)."""
+    end is two-dimensional with m = 0).  `channel_profile` gives the
+    solution itself."""
     from . import specfun as sf
 
     n = end.euclidean_dim
@@ -619,24 +614,45 @@ def decaying_radial_logderiv(end: EndSpec, angular: int, kappa: float,
         kappa * sf.bessel_K_prime(nu, kappa * r) / sf.bessel_K(nu, kappa * r)
 
 
+def channel_profile(end: EndSpec, angular: int, kappa: float, R: float):
+    """(value, d/dr) of the decaying channel solution of
+    `decaying_radial_logderiv`, normalized to 1 at r = R:
+    (r/R)^{2-n-m} for kappa = 0, r^{1-n/2} K_{n/2-1+m}(kappa r) over its
+    value at R for kappa > 0.  Both functions take arrays of radii."""
+    from . import specfun as sf
+
+    n = end.euclidean_dim
+    if kappa == 0.0:
+        p = -(n - 2.0) - angular
+        return (lambda r: (np.asarray(r, float) / R) ** p,
+                lambda r: p / R * (np.asarray(r, float) / R) ** (p - 1))
+    nu = 0.5 * (n - 2.0) + angular
+    a = -0.5 * (n - 2.0)
+    den = R ** a * sf.bessel_K(nu, kappa * R)
+
+    def val(r):
+        r = np.asarray(r, float)
+        return r ** a * sf.bessel_K(nu, kappa * r) / den
+
+    def der(r):
+        r = np.asarray(r, float)
+        return (a * r ** (a - 1) * sf.bessel_K(nu, kappa * r)
+                + r ** a * kappa * sf.bessel_K_prime(nu, kappa * r)) / den
+
+    return val, der
+
+
 def radiation_logderiv(model: ModelManifold, channel: ModeChannel | None,
                        k: float, s: float) -> float:
     """d/ds log of the glued-axis solution decaying toward the nearer
     infinity, at the axis point s.  Exact per-channel radiation condition:
     domain truncation then commits no error for the model."""
-    r = abs(s)
-    if s < 0:
-        end = model.minus
-        mu2 = 0.0 if channel is None else \
-            end.cross_section.eigenvalues[channel.cross_index]
-        m = 0 if channel is None else channel.angular
-        ddr = decaying_radial_logderiv(end, m, math.sqrt(k * k + mu2), r)
-        return -ddr  # d/ds = -d/dr on the minus side
-    end = model.plus
+    end = model.minus if s < 0 else model.plus
     mu2 = 0.0 if channel is None else \
         end.cross_section.eigenvalues[channel.cross_index]
     m = 0 if channel is None else channel.angular
-    return decaying_radial_logderiv(end, m, math.sqrt(k * k + mu2), r)
+    ddr = decaying_radial_logderiv(end, m, math.sqrt(k * k + mu2), abs(s))
+    return -ddr if s < 0 else ddr  # d/ds = -d/dr on the minus side
 
 
 def radial_laplacian(model: ModelManifold, channel: ModeChannel | None = None,
@@ -707,6 +723,7 @@ def apply_operator(model: ModelManifold, values, k: float = 0.0):
     per-segment Chebyshev differentiation (accurate for functions analytic
     per segment), with the two boundary values set to zero.
     `radial_laplacian` is the independent finite-difference route."""
-    out = model.apply_operator_spectral(values, k=k)
+    d1, d2 = model.derivatives(values)
+    out = model.laplacian(d1, d2) + k * k * np.asarray(values, float)
     out[0] = out[-1] = 0.0
     return out

@@ -63,24 +63,6 @@ class DiscretizedKernel:
         return out
 
 
-@dataclass
-class RieszSplit:
-    """The low/high energy split of 1/xi at k0."""
-    k0: float
-
-    def low(self, xi):
-        return f_low(xi, self.k0)
-
-    def high(self, xi):
-        return f_high(xi, self.k0)
-
-    def consistency(self, xi) -> float:
-        """sup of xi |F_< + F_> - 1/xi| (relative pointwise defect)."""
-        xi = np.asarray(xi, dtype=float)
-        return float(np.max(xi * np.abs(self.low(xi) + self.high(xi)
-                                        - 1.0 / xi)))
-
-
 def low_energy_kernel(model: ModelManifold, k0: float, n_sigma: int = 33,
                       sigma_max: float = 40.0) -> DiscretizedKernel:
     """(2/pi) int_0^{k0} d_s R(k)(z, z') dk on grid x grid.
@@ -270,40 +252,42 @@ def lp_boundedness_report(kern: DiscretizedKernel, p_list, r_maxes) -> dict:
     model = kern.model
     q = model.weights
     mat = kern.matrix()
-    rows: list[TrendRow] = []
-    verdicts = {}
-    for p in p_list:
-        series = []
-        for rmax in r_maxes:
-            mask = model.r <= rmax
-            sub = mat[np.ix_(mask, mask)]
-            qs = q[mask]
-            lower = 0.0
-            # structured family
-            fam = [np.ones(mask.sum())]
-            for a in (4.0, rmax / 4, rmax):
-                fam.append(np.where(model.r[mask] <= a, 1.0, 0.0))
-            prof = np.where(model.mask_minus[mask] & (model.r[mask] > 2.0),
-                            _aligned_profile(model.r[mask], p), 0.0)
-            if prof.any():
-                fam.append(prof)
-            for f in fam:
-                nf = lp_norm(qs, f, p)
-                if nf > 0:
-                    lower = max(lower, lp_norm(qs, sub @ f, p) / nf)
+    # R_max outermost: one truncated copy of the matrix serves every p
+    cells: dict[tuple[float, float], TrendRow] = {}
+    for rmax in r_maxes:
+        mask = model.r <= rmax
+        sub = mat[np.ix_(mask, mask)]
+        qs = q[mask]
+        r = model.r[mask]
+        # structured lower-bound family (plus the p-dependent aligned
+        # profile below)
+        fam = [np.ones(mask.sum())]
+        for a in (4.0, rmax / 4, rmax):
+            fam.append(np.where(r <= a, 1.0, 0.0))
+        on_minus = model.mask_minus[mask] & (r > 2.0)
+        for p in p_list:
             if p == 2.0:
                 # the signed spectral norm: at p = 2 the absolute kernel
                 # sits on the boundary of the power-weight lemmas, and
                 # boundedness rides on the multiplier route (signs matter)
                 sq = np.sqrt(qs)
                 upper = spectral_norm(sq[:, None] * sub / sq[None, :])
-                lower = upper
-            else:
-                lower = max(lower, boyd_lower_bound(sub, qs, qs, p, 50))
-                upper = schur_upper_bound(sub, qs, p)
-            rows.append(TrendRow(p, rmax, lower, upper))
-            series.append(lower)
-        trend = classify_trend(r_maxes, series)
+                cells[p, rmax] = TrendRow(p, rmax, upper, upper)
+                continue
+            lower = 0.0
+            prof = np.where(on_minus, _aligned_profile(r, p), 0.0)
+            for f in fam + ([prof] if prof.any() else []):
+                nf = lp_norm(qs, f, p)
+                if nf > 0:
+                    lower = max(lower, lp_norm(qs, sub @ f, p) / nf)
+            lower = max(lower, boyd_lower_bound(sub, qs, qs, p, 50))
+            upper = schur_upper_bound(sub, qs, p)
+            cells[p, rmax] = TrendRow(p, rmax, lower, upper)
+    rows = [cells[p, rmax] for p in p_list for rmax in r_maxes]
+    verdicts = {}
+    for p in p_list:
+        trend = classify_trend(r_maxes, [cells[p, rmax].lower
+                                         for rmax in r_maxes])
         if trend.bounded:
             verdicts[p] = {"verdict": "bounded-trend",
                            "variation": trend.variation}

@@ -93,9 +93,9 @@ def test_criterion_3_harmonic_extensions(model):
         scaled = tail * rs ** (M + 1)
         bounded = bounded and scaled[-1] <= scaled[0] * 1.01
     sec = md.CrossSection("explicit", 1, 2 * math.pi, (0.0, (50.0 / R) ** 2))
-    dev_minus = abs(hx.dtn_symbol_check(md.EndSpec(2, sec, R), "minus", R)
+    dev_minus = abs(hx.dtn_symbol_check(md.EndSpec(2, sec, R), R)
                     ["cross_at_largest"] - 1.0)
-    dev_plus = abs(hx.dtn_symbol_check(md.EndSpec(3, sec, R), "plus", R)
+    dev_plus = abs(hx.dtn_symbol_check(md.EndSpec(3, sec, R), R)
                    ["cross_at_largest"] - 1.0)
     ok = res < 1e-8 and bounded and dev_minus < 0.05 and dev_plus < 0.05
     _line(3, ok, f"ODE residual {res:.1e} (<1e-8), expansion remainders "

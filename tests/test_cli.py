@@ -1,6 +1,5 @@
 import json
 
-import numpy as np
 import pytest
 
 from connsum import cli
@@ -8,24 +7,6 @@ from connsum import reports
 
 
 class TestReports:
-    def test_kernel_snapshot_roundtrip(self, tmp_path):
-        rng = np.random.default_rng(3)
-        vals = rng.standard_normal((17, 17))
-        grid = np.linspace(-4, 4, 17)
-        weights = np.abs(grid) + 0.5
-        path = tmp_path / "snap.kern"
-        reports.save_kernel(path, vals, grid, weights, k=0.01)
-        back, header = reports.load_kernel(path)
-        np.testing.assert_array_equal(back, vals)
-        assert header["k"] == 0.01
-        np.testing.assert_allclose(header["grid"], grid)
-
-    def test_bad_magic_rejected(self, tmp_path):
-        path = tmp_path / "junk.kern"
-        path.write_bytes(b"nope" + b"\x00" * 32)
-        with pytest.raises(ValueError):
-            reports.load_kernel(path)
-
     def test_config_hash_stable(self):
         a = reports.config_hash({"x": 1, "y": [2, 3]})
         b = reports.config_hash({"y": [2, 3], "x": 1})

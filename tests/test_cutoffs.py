@@ -16,7 +16,7 @@ def test_minus_cutoff_source_matches_spectral_operator(model):
     # independent route: Chebyshev differentiation of the sampled phi_minus
     # instead of the closed-form step derivatives
     v = minus_cutoff_source(model)
-    ref = -model.apply_operator_spectral(minus_cutoff(model)(model.s))
+    ref = -md.apply_operator(model, minus_cutoff(model)(model.s))
     sel = model.segment_interior
     assert np.max(np.abs(v - ref)[sel]) < 1e-7 * np.max(np.abs(v[sel]))
 

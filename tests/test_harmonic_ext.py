@@ -117,30 +117,47 @@ class TestDtN:
         out = hx.dtn(plus_end, f)
         assert out.coeffs[(0, 0)] == pytest.approx(0.5, rel=1e-14)
 
-    def test_multiplier_is_minus_normal_derivative(self, minus_end):
-        for (m, l) in [(0, 1), (3, 2), (2, 0)]:
-            lam = hx.dtn_multiplier(minus_end, "minus", m, l, R)
-            _, der = hx.channel_profile(minus_end, "minus", m, l, R)
-            assert lam == pytest.approx(-float(der(R)), rel=1e-12)
+    def test_multiplier_is_minus_normal_derivative(self, minus_end, plus_end):
+        sec = md.CrossSection("explicit", 2, 1.0, (0.0, 0.5, 3.0, 8.0))
+        end4 = md.EndSpec(4, sec, R)
+        for end, tag, channels in (
+                (minus_end, "minus", [(0, 1), (3, 2), (2, 0)]),
+                (plus_end, "plus", [(0, 0), (1, 0), (4, 0)]),
+                (end4, "plus", [(0, 0), (2, 0), (0, 1), (1, 2), (3, 3)])):
+            u = hx.HarmonicExtension(end, hx.BoundaryData(tag, R))
+            for (m, l) in channels:
+                lam = hx.dtn_multiplier(end, m, l, R)
+                val, der = u.profile(m, l)
+                assert float(val(R)) == pytest.approx(1.0, rel=1e-15)
+                assert lam == pytest.approx(-float(der(R)), rel=1e-12)
+
+    def test_multiplier_is_minus_decaying_logderiv(self, minus_end, plus_end):
+        # the DtN multiplier is the radiation log-derivative, bit for bit
+        for end in (minus_end, plus_end):
+            for m in range(0, 21, 4):
+                for l in range(len(end.cross_section.eigenvalues)):
+                    mu = end.cross_section.mu(l)
+                    assert hx.dtn_multiplier(end, m, l, R) == \
+                        -md.decaying_radial_logderiv(end, m, mu, R)
 
     def test_nonnegative_on_minus(self, minus_end):
         for (m, l) in [(0, 0), (1, 0), (0, 1), (4, 3)]:
-            assert hx.dtn_multiplier(minus_end, "minus", m, l, R) >= 0.0
+            assert hx.dtn_multiplier(minus_end, m, l, R) >= 0.0
 
     def test_symbol_ratios(self, minus_end, plus_end):
         # cross-section ratio at mu R = 50 within 5% of 1
         sec = md.CrossSection("explicit", 1, 2 * math.pi, (0.0, (50.0 / R) ** 2))
         end2 = md.EndSpec(2, sec, R)
-        chk = hx.dtn_symbol_check(end2, "minus", R, m_max=12)
+        chk = hx.dtn_symbol_check(end2, R, m_max=12)
         assert abs(chk["cross_at_largest"] - 1.0) < 0.03
         assert chk["angular_ratio"][12] == pytest.approx(1.0, abs=1e-14)
         end3 = md.EndSpec(3, sec, R)
-        chk3 = hx.dtn_symbol_check(end3, "plus", R, m_max=12)
+        chk3 = hx.dtn_symbol_check(end3, R, m_max=12)
         assert abs(chk3["cross_at_largest"] - 1.0) < 0.05
 
     def test_symbol_check_requires_depth(self, minus_end):
         with pytest.raises(DomainError):
-            hx.dtn_symbol_check(minus_end, "minus", R, m_max=5)
+            hx.dtn_symbol_check(minus_end, R, m_max=5)
 
 
 class TestAsymptotics:

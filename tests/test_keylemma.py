@@ -194,6 +194,21 @@ class TestOffZero:
                    for k in ks]
         assert loglog_slope(ks, np.array(diffs_m)) >= 0.9
 
+    def test_profile_dr_is_derivative_of_profile(self, model):
+        r = np.array([2.5, 4.0, 9.0, 30.0])
+        h = 1e-3 * r
+        for ch, k in ((md.ModeChannel("minus", 1, 0), 0.0),
+                      (md.ModeChannel("minus", 1, 0), 0.3),
+                      (md.ModeChannel("minus", 2, 1), 0.3),
+                      (md.ModeChannel("plus", 0, 0), 0.0),
+                      (md.ModeChannel("plus", 1, 0), 0.05)):
+            ext = kl.extend_off_zero(model, ch)
+            fd = (-ext.profile(k, r + 2 * h) + 8 * ext.profile(k, r + h)
+                  - 8 * ext.profile(k, r - h) + ext.profile(k, r - 2 * h)) \
+                / (12 * h)
+            np.testing.assert_allclose(ext.profile_dr(k, r), fd, rtol=0,
+                                       atol=1e-8)
+
     def test_cross_channel_trivial_in_k(self, model):
         ext = kl.extend_off_zero(model, md.ModeChannel("minus", 0, 1))
         r = np.array([3.0, 6.0])

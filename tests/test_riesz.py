@@ -25,8 +25,8 @@ class TestSplit:
     def test_partition_of_inverse(self):
         xi = np.geomspace(1e-4, 1e4, 200)
         for k0 in (0.05, 1.0):
-            split = rz.RieszSplit(k0)
-            assert split.consistency(xi) < 1e-12
+            total = rz.f_low(xi, k0) + rz.f_high(xi, k0)
+            assert np.max(xi * np.abs(total - 1.0 / xi)) < 1e-12
 
     def test_high_bounded_by_inverse(self):
         xi = np.geomspace(1e-3, 1e3, 50)
@@ -172,8 +172,11 @@ class TestHighEnergy:
 
 class TestBoundednessReport:
     def test_bounded_trend_small_p(self, model, low_kernel):
-        report = rz.lp_boundedness_report(
-            low_kernel, (1.5, 2.0), tuple(2.0 ** j for j in range(3, 10)))
+        r_maxes = tuple(2.0 ** j for j in range(3, 10))
+        report = rz.lp_boundedness_report(low_kernel, (1.5, 2.0), r_maxes)
+        # rows run over R_max within each p, as riesz_boundedness.csv does
+        assert [(r.p, r.r_max) for r in report["rows"]] == \
+            [(p, rm) for p in (1.5, 2.0) for rm in r_maxes]
         for p in (1.5, 2.0):
             series = [r.lower for r in report["rows"] if r.p == p]
             # increments rise while the collar resolves, then decelerate
