@@ -248,19 +248,6 @@ class GluedSystem:
         out[d, d] = 0.5 * (below[d, d] + above[d, d])
         return out * np.exp(np.clip(expo, -745.0, 700.0)) / self.wronskian
 
-    def column(self, s0: float):
-        """Green kernel column z' -> (s0, z') sampled on the grid (s0 is
-        linearly interpolated; exact when s0 is a grid node)."""
-        s = self.model.s
-        left = s <= s0
-        uL0 = np.interp(s0, s, self.uL)
-        uR0 = np.interp(s0, s, self.uR)
-        e0l = np.interp(s0, s, self.exp_l)
-        e0r = np.interp(s0, s, self.exp_r)
-        expo = np.where(left, self.exp_l + e0r, e0l + self.exp_r)
-        return np.where(left, self.uL * uR0, uL0 * self.uR) \
-            * np.exp(np.clip(expo, -745.0, 700.0)) / self.wronskian
-
 
 # grid rows per block of kernel_dleft_sums; each block has its own
 # exponent shift

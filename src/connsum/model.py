@@ -469,6 +469,22 @@ class ModelManifold:
             k0[sl] += self.v[sl] * jac * half * C0
         return k1, k0
 
+    def kink_diagonal(self, jump_ramp, jump_step) -> np.ndarray:
+        """J1 kappa_ramp + J0 kappa_step: the diagonal that a kernel's
+        diagonal slope jumps J1 and value jumps J0 add to its corrected
+        Nystrom matrix.  Its left-variable kinks, met when the kernel is
+        the right factor, take the step sign flipped: (J1, -J0)."""
+        k1, k0 = self.kink_kappa
+        return jump_ramp * k1 + jump_step * k0
+
+    def composition_matrix(self, kernel, jump_ramp, jump_step) -> np.ndarray:
+        """K_ij q_j plus the kink diagonal: a kernel acting on densities."""
+        out = kernel * self.weights[None, :]
+        # a fresh sum, not an in-place diagonal add: with the in-place add
+        # the heap layout left `connsum riesz` at a 5 % higher peak RSS
+        out = out + np.diag(self.kink_diagonal(jump_ramp, jump_step))
+        return out
+
     @cached_property
     def segment_interior(self) -> np.ndarray:
         """Mask of nodes strictly inside their segment.  Endpoint rows of
@@ -702,11 +718,11 @@ def _fd_operator(x, dlv, shift, order: int, ends) -> np.ndarray:
     half = width // 2
     shift = np.broadcast_to(shift, (n,))
     A = np.zeros((n, n))
-    for i in range(1, n - 1):
-        j0 = min(max(i - half, 0), n - width)
-        w = fornberg_weights(x[i], x[j0:j0 + width], 2)
-        A[i, j0:j0 + width] = -w[2] - dlv[i] * w[1]
-        A[i, i] += shift[i]
+    rows = np.arange(1, n - 1)
+    cols = np.arange(width)[:, None] + np.clip(rows - half, 0, n - width)
+    w = fornberg_weights(x[rows], x[cols], 2)
+    A[rows, cols] = -w[2] - dlv[rows] * w[1]
+    A[rows, rows] += shift[rows]
     for i, logderiv in zip((0, n - 1), ends):
         if logderiv is None:
             A[i, i] = 1.0

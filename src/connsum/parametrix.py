@@ -36,7 +36,7 @@ from scipy.sparse.linalg import LinearOperator
 
 from . import product_kernels as pk
 from .bvp import GluedSystem
-from .cutoffs import Bump, Step, minus_cutoff, on_grid
+from .cutoffs import Bump, CutoffField, Step, minus_cutoff, on_grid
 from .errors import SingularSystemError
 from .keylemma import KeyApproximation
 from .model import ModelManifold
@@ -66,6 +66,11 @@ def hs_norm(model: ModelManifold, kernel: np.ndarray,
     return math.sqrt(float(np.einsum("i,ij,j->", row, kernel ** 2, col)))
 
 
+def _transition_rows(cutoff: CutoffField) -> np.ndarray:
+    """Grid rows where a cutoff is not locally constant."""
+    return np.where((np.abs(cutoff.d1) > 0) | (np.abs(cutoff.lap) > 0))[0]
+
+
 class ParametrixPieces:
     """All k-independent ingredients of the parametrix."""
 
@@ -84,16 +89,45 @@ class ParametrixPieces:
         self.u_minus = KeyApproximation(model, self.v_minus, q=q, system=sys0)
         self.u_plus = KeyApproximation(model, self.v_plus, q=q, system=sys0)
         self.gamma_ref = GluedSystem(model, kbar)
-        self._gamma_kernel = self.gamma_ref.kernel_matrix()
-        self._gamma_dleft = self.gamma_ref.kernel_dleft()
-        self.g_int = self.zeta.values[:, None] * self._gamma_kernel \
-            * self.zeta.values[None, :]
-        self.g_int_dleft = self.zeta.d1[:, None] * self._gamma_kernel \
-            * self.zeta.values[None, :] + self.zeta.values[:, None] \
-            * self._gamma_dleft * self.zeta.values[None, :]
         self.r0_minus = model.basepoint_minus
         self.r0_plus = model.basepoint_plus
         self.weight = weight_w(model)
+        self._build_interior()
+
+    def _build_interior(self):
+        """G2 = zeta Gamma_kbar zeta times the localizer 1 - phi_- (x) phi_-
+        - phi_+ (x) phi_+, and every other k-independent product of the
+        frozen kernel: d_s G2, the zeta-commutator rows of E(k) and the
+        frozen kernel on its phi-commutator blocks."""
+        z = self.zeta
+        gamma = self.gamma_ref.kernel_matrix()
+        dgamma = self.gamma_ref.kernel_dleft()
+        zrows = _transition_rows(z)
+        zeta_add = z.lap[zrows, None] * gamma[zrows, :] \
+            - 2.0 * z.d1[zrows, None] * dgamma[zrows, :]
+        g_int = z.values[:, None] * gamma * z.values[None, :]
+        g_int_dleft = z.d1[:, None] * gamma * z.values[None, :] \
+            + z.values[:, None] * dgamma * z.values[None, :]
+        del gamma, dgamma
+        self.commutator_blocks = {}
+        for side, phi in (("minus", self.phi_minus), ("plus", self.phi_plus)):
+            rows, cols = _transition_rows(phi), np.where(phi.values > 0)[0]
+            self.commutator_blocks[side] = (
+                rows, cols, g_int[np.ix_(rows, cols)],
+                g_int_dleft[np.ix_(rows, cols)])
+        phm, php = self.phi_minus, self.phi_plus
+        localizer = 1.0 - phm.values[:, None] * phm.values[None, :] \
+            - php.values[:, None] * php.values[None, :]
+        self.localizer_diag = np.diagonal(localizer).copy()
+        self.zeta_rows = (zrows, localizer[zrows, :] * zeta_add
+                          * z.values[None, :])
+        dlocalizer = -phm.d1[:, None] * phm.values[None, :] \
+            - php.d1[:, None] * php.values[None, :]
+        g_int_dleft *= localizer
+        g_int_dleft += g_int * dlocalizer
+        g_int *= localizer
+        self.g2 = g_int
+        self.g2_dleft = g_int_dleft
 
     # -- reduced product kernels on the grid ---------------------------------
 
@@ -131,19 +165,20 @@ class ParametrixPieces:
     def g1(self, k: float) -> np.ndarray:
         return self.product_kernel("minus", k) + self.product_kernel("plus", k)
 
-    def g2(self) -> np.ndarray:
-        phm, php = self.phi_minus.values, self.phi_plus.values
-        m_fac = 1.0 - phm[:, None] * phm[None, :] - php[:, None] * php[None, :]
-        return self.g_int * m_fac
+    def basepoint_outer(self, k: float, left_minus, left_plus) -> np.ndarray:
+        """left_minus (x) basepoint_column("minus", k) + left_plus (x)
+        basepoint_column("plus", k): G3, d_s G3 and E''(k) from the
+        key-lemma values, derivatives and residuals."""
+        cols = [self.basepoint_column(side, k) for side in ("minus", "plus")]
+        return np.stack((left_minus, left_plus), axis=1) @ np.stack(cols)
 
     def g3(self, k: float) -> np.ndarray:
         um, _ = self.u_minus.u(k)
         up, _ = self.u_plus.u(k)
-        return um[:, None] * self.basepoint_column("minus", k)[None, :] \
-            + up[:, None] * self.basepoint_column("plus", k)[None, :]
+        return self.basepoint_outer(k, um, up)
 
     def g_tilde(self, k: float) -> np.ndarray:
-        return self.g1(k) + self.g2() + self.g3(k)
+        return self.g1(k) + self.g2 + self.g3(k)
 
     def g_tilde_dleft(self, k: float) -> np.ndarray:
         """d/ds in the left variable of the pre-parametrix kernel."""
@@ -158,15 +193,10 @@ class ParametrixPieces:
             out[np.ix_(idx, idx)] += (orient * dblock * phi.values[idx, None]
                                       + block * phi.d1[idx, None]) \
                 * phi.values[None, idx]
-        phm, php = self.phi_minus.values, self.phi_plus.values
-        m_fac = 1.0 - phm[:, None] * phm[None, :] - php[:, None] * php[None, :]
-        dm_fac = -self.phi_minus.d1[:, None] * phm[None, :] \
-            - self.phi_plus.d1[:, None] * php[None, :]
-        out += self.g_int_dleft * m_fac + self.g_int * dm_fac
+        out += self.g2_dleft
         _, dum = self.u_minus.u(k)
         _, dup = self.u_plus.u(k)
-        out += dum[:, None] * self.basepoint_column("minus", k)[None, :]
-        out += dup[:, None] * self.basepoint_column("plus", k)[None, :]
+        out += self.basepoint_outer(k, dum, dup)
         return out
 
 
@@ -201,10 +231,9 @@ def error_kernel(pieces: ParametrixPieces, k: float) -> ErrorOperator:
     e1 = np.zeros((n, n))
     for side in ("minus", "plus"):
         end, phi, r0, orient = pieces._end_data(side)
-        rows = np.where((np.abs(phi.d1) > 0) | (np.abs(phi.lap) > 0))[0]
+        rows, cols, g_int, g_int_dleft = pieces.commutator_blocks[side]
         if len(rows) == 0:
             continue
-        cols = np.where(phi.values > 0)[0]
         rr = m.r[rows]
         rc = m.r[cols]
         if k > 0:
@@ -217,31 +246,22 @@ def error_kernel(pieces: ParametrixPieces, k: float) -> ErrorOperator:
                                              r0, rc[None, :])
             dkern_r = _dleft_zero_energy(end, rr[:, None], rc[None, :])
         ds_kern = orient * dkern_r
-        block = phi.lap[rows, None] * (diff - pieces.g_int[np.ix_(rows, cols)]) \
-            - 2.0 * phi.d1[rows, None] * (ds_kern
-                                          - pieces.g_int_dleft[np.ix_(rows, cols)])
+        block = phi.lap[rows, None] * (diff - g_int) \
+            - 2.0 * phi.d1[rows, None] * (ds_kern - g_int_dleft)
         e1[np.ix_(rows, cols)] += block * phi.values[None, cols]
     # zeta-commutator terms and the frozen-energy defect
-    phm, php = pieces.phi_minus.values, pieces.phi_plus.values
-    m_fac = 1.0 - phm[:, None] * phm[None, :] - php[:, None] * php[None, :]
-    zrows = np.where((np.abs(pieces.zeta.d1) > 0)
-                     | (np.abs(pieces.zeta.lap) > 0))[0]
-    add = pieces.zeta.lap[zrows, None] * pieces._gamma_kernel[zrows, :] \
-        - 2.0 * pieces.zeta.d1[zrows, None] * pieces._gamma_dleft[zrows, :]
-    e1[zrows, :] += m_fac[zrows, :] * add * pieces.zeta.values[None, :]
-    e1 += (k * k - pieces.kbar ** 2) * pieces.g_int * m_fac
+    zrows, zeta_rows = pieces.zeta_rows
+    e1[zrows, :] += zeta_rows
+    e1 += (k * k - pieces.kbar ** 2) * pieces.g2
     # key-lemma residual terms
-    e2 = np.zeros((n, n))
-    if k > 0:
-        e2 += pieces.u_minus.residual(k)[:, None] \
-            * pieces.basepoint_column("minus", k)[None, :]
-        e2 += pieces.u_plus.residual(k)[:, None] \
-            * pieces.basepoint_column("plus", k)[None, :]
+    e2 = np.zeros((n, n)) if k <= 0 else pieces.basepoint_outer(
+        k, pieces.u_minus.residual(k), pieces.u_plus.residual(k))
     # diagonal jumps: every Green-type factor has slope jump -1/v and its
     # left derivative a value jump 1/v at the diagonal
     v = m.v
     z = pieces.zeta.values
-    m_diag = 1.0 - phm ** 2 - php ** 2
+    phm, php = pieces.phi_minus.values, pieces.phi_plus.values
+    m_diag = pieces.localizer_diag
     lap_sum = pieces.phi_minus.lap * phm + pieces.phi_plus.lap * php
     d1_sum = pieces.phi_minus.d1 * phm + pieces.phi_plus.d1 * php
     jump_ramp = (-lap_sum * (1.0 - z ** 2) - m_diag * z * pieces.zeta.lap
@@ -266,27 +286,31 @@ def _dleft_zero_energy(end, r, rp):
 
 @dataclass
 class FiniteRankFix:
-    """Null-space repair of Id + E(0)."""
+    """Null-space repair of Id + E(0): G4 = sum_i psi_i (x) phi_i with
+    neck bumps psi_i (sampled with their analytic derivatives) and null
+    vectors phi_i."""
     rank: int
     phis: list[np.ndarray] = field(default_factory=list)   # null vectors
-    psis: list[np.ndarray] = field(default_factory=list)   # neck bumps
-    psi_laps: list[np.ndarray] = field(default_factory=list)
+    bumps: list[CutoffField] = field(default_factory=list)
     threshold: float = 0.0
     sigma_before: float = 0.0
     sigma_after: float = 0.0
 
-    def g4(self, n: int) -> np.ndarray:
-        out = np.zeros((n, n))
-        for psi, phi in zip(self.psis, self.phis):
-            out += psi[:, None] * phi[None, :]
-        return out
+    @property
+    def psis(self) -> list[np.ndarray]:
+        return [b.values for b in self.bumps]
 
-    def g4_error(self, k: float, n: int) -> np.ndarray:
+    def g4(self, dleft: bool = False) -> np.ndarray:
+        """G4, or with dleft its left derivative."""
+        return self._outer([b.d1 if dleft else b.values for b in self.bumps])
+
+    def g4_error(self, k: float) -> np.ndarray:
         """(Delta + k^2) G4 as a kernel."""
-        out = np.zeros((n, n))
-        for psi, lap, phi in zip(self.psis, self.psi_laps, self.phis):
-            out += (lap + k * k * psi)[:, None] * phi[None, :]
-        return out
+        return self._outer([b.lap + k * k * b.values for b in self.bumps])
+
+    def _outer(self, lefts) -> np.ndarray:
+        """sum_i lefts[i] (x) phi_i."""
+        return np.stack(lefts, axis=1) @ np.stack(self.phis)
 
 
 def _weighted_operator(model: ModelManifold, kernel: np.ndarray,
@@ -338,11 +362,9 @@ def finite_rank_fix(pieces: ParametrixPieces,
     # null vectors back in value coordinates
     null_vecs = [Vt[-(i + 1)] / scale for i in range(null_dim)]
     cokernel = [U[:, -(i + 1)] for i in range(null_dim)]
-    chosen, laps = _select_bumps(model, cokernel, null_dim, scale, q)
     fix.phis = null_vecs
-    fix.psis = chosen
-    fix.psi_laps = laps
-    corr = err0.total + fix.g4_error(0.0, model.n)
+    fix.bumps = _select_bumps(model, cokernel, null_dim, scale, q)
+    corr = err0.total + fix.g4_error(0.0)
     fix.sigma_after = smallest_singular_value(
         _weighted_operator(model, corr, w))
     if fix.sigma_after < 10 * thresh:
@@ -357,7 +379,7 @@ def _select_bumps(model, cokernel, null_dim, scale, q):
     if len(cands) < null_dim:
         raise SingularSystemError("bump dictionary smaller than null space")
     # greedy pick maximizing alignment of Delta psi with the cokernel
-    picked, laps = [], []
+    picked = []
     used = set()
     for u in cokernel[:null_dim]:
         best, best_score = None, -1.0
@@ -368,9 +390,8 @@ def _select_bumps(model, cokernel, null_dim, scale, q):
             if score > best_score:
                 best, best_score = j, score
         used.add(best)
-        picked.append(cands[best].values)
-        laps.append(cands[best].lap)
-    return picked, laps
+        picked.append(cands[best])
+    return picked
 
 
 # ---------------------------------------------------------------------------
@@ -393,16 +414,16 @@ class InvertedError:
     @property
     def matrix(self) -> np.ndarray:
         """Corrected composition matrix of S as an operator on densities."""
-        return self.s_kernel * self.model.weights[None, :] \
-            + np.diag(_jump_diagonal(self.model, self.jump_ramp,
-                                     self.jump_step))
+        return self.model.composition_matrix(self.s_kernel, self.jump_ramp,
+                                             self.jump_step)
 
-
-def _jump_diagonal(model: ModelManifold, jump_ramp, jump_step) -> np.ndarray:
-    """The diagonal that a kernel's diagonal slope and value jumps add to
-    its corrected composition matrix."""
-    k1, k0 = model.kink_kappa
-    return jump_ramp * k1 + jump_step * k0
+    def right_compose(self, kernel: np.ndarray,
+                      matrix: np.ndarray) -> np.ndarray:
+        """X (Id + S) for a kernel X with corrected composition matrix
+        `matrix` (X's kinks at y = z); the defect of the left-variable
+        kinks of S(., z') at y = z' is added column by column."""
+        c_left = self.model.kink_diagonal(self.jump_ramp, -self.jump_step)
+        return kernel + matrix @ self.s_kernel + kernel * c_left[None, :]
 
 
 def _nystrom_system(model: ModelManifold, err: ErrorOperator):
@@ -414,17 +435,13 @@ def _nystrom_system(model: ModelManifold, err: ErrorOperator):
     (jumps -J_E).
     """
     e_total = err.total
-    q = model.weights
-    k1, k0 = model.kink_kappa
-    # corrected matrix of E acting on smooth densities
-    Ec = e_total * q[None, :] \
-        + np.diag(_jump_diagonal(model, err.jump_ramp, err.jump_step))
-    # left-variable jumps of S columns: ramp -J1_E, value jump +J0_E
-    # (the value jump of a d/ds-type kernel flips sign across the left
-    # variable); their composition defect against E enters the system as
-    # a fixed matrix E diag(c)
-    c_left = -err.jump_ramp * k1 + err.jump_step * k0
-    A = np.eye(model.n) + Ec
+    # corrected matrix of Id + E acting on smooth densities
+    A = model.composition_matrix(e_total, err.jump_ramp, err.jump_step)
+    A[np.diag_indices(model.n)] += 1.0
+    # left-variable jumps of S columns: ramp -J1_E, value jump -J0_E,
+    # whose sign flips across the left variable; their composition defect
+    # against E enters the system as a fixed matrix E diag(c)
+    c_left = model.kink_diagonal(-err.jump_ramp, err.jump_step)
     rhs = -e_total - e_total * c_left[None, :]
     return A, rhs
 
@@ -471,14 +488,22 @@ class Parametrix:
     def error(self, k: float) -> ErrorOperator:
         err = error_kernel(self.pieces, k)
         if self.fix.rank > 0:
-            err.e1 = err.e1 + self.fix.g4_error(k, self.model.n)
+            err.e1 = err.e1 + self.fix.g4_error(k)
         return err
 
-    def g_full(self, k: float) -> np.ndarray:
-        out = self.pieces.g_tilde(k)
+    def g_kernel(self, k: float, dleft: bool = False):
+        """(kernel, corrected composition matrix) of G(k) = G~(k) + G4,
+        which has the exact Green diagonal slope jump -1/v, or with dleft
+        of its left derivative d_s G~(k) + G4', which has the value jump
+        +1/v instead."""
+        inv_v = 1.0 / self.model.v
+        if dleft:
+            out, jumps = self.pieces.g_tilde_dleft(k), (0.0, inv_v)
+        else:
+            out, jumps = self.pieces.g_tilde(k), (-inv_v, 0.0)
         if self.fix.rank > 0:
-            out = out + self.fix.g4(self.model.n)
-        return out
+            out += self.fix.g4(dleft)
+        return out, self.model.composition_matrix(out, *jumps)
 
     def s_operator(self, k: float) -> InvertedError:
         return invert_error(self.model, self.error(k))
@@ -491,47 +516,19 @@ class Parametrix:
         err = self.error(k)
         A, rhs = _nystrom_system(self.model, err)
         sv = _solve(A, rhs @ (self.model.weights * v), k)
-        return sv + _jump_diagonal(self.model, -err.jump_ramp,
-                                   -err.jump_step) * v
-
-    def _g_matrix(self, k: float) -> np.ndarray:
-        """Kink-corrected composition matrix of G(k) on densities: the
-        pre-parametrix has the exact Green diagonal slope jump -1/v."""
-        q = self.model.weights
-        k1, _ = self.model.kink_kappa
-        return self.g_full(k) * q[None, :] + np.diag(-k1 / self.model.v)
+        return sv + self.model.kink_diagonal(-err.jump_ramp,
+                                             -err.jump_step) * v
 
     def resolvent_kernel(self, k: float) -> np.ndarray:
-        G = self.g_full(k)
-        inv = self.s_operator(k)
-        S = inv.s_kernel
-        k1, k0 = self.model.kink_kappa
-        # G o S: corrections for G's right kink at y = z and the left
-        # kinks of S(., z') at y = z'
-        c_left = inv.jump_ramp * k1 - inv.jump_step * k0
-        return G + self._g_matrix(k) @ S + G * c_left[None, :]
+        return self.s_operator(k).right_compose(*self.g_kernel(k))
 
     def resolvent_apply(self, k: float, v) -> np.ndarray:
         v = np.asarray(v, dtype=float)
-        return self._g_matrix(k) @ (v + self.s_apply(k, v))
+        return self.g_kernel(k)[1] @ (v + self.s_apply(k, v))
 
     def resolvent_dleft(self, k: float) -> np.ndarray:
         """d/ds in the left variable of the resolvent kernel."""
-        q = self.model.weights
-        dG = self.pieces.g_tilde_dleft(k)
-        if self.fix.rank > 0:
-            dpsi = np.zeros((self.model.n, self.model.n))
-            for psi, phi in zip(self.fix.psis, self.fix.phis):
-                d1, _ = self.model.derivatives(psi)
-                dpsi += d1[:, None] * phi[None, :]
-            dG = dG + dpsi
-        inv = self.s_operator(k)
-        S = inv.s_kernel
-        k1, k0 = self.model.kink_kappa
-        # dG has a value jump +1/v at the diagonal (no slope jump)
-        dG_mat = dG * q[None, :] + np.diag(k0 / self.model.v)
-        c_left = inv.jump_ramp * k1 - inv.jump_step * k0
-        return dG + dG_mat @ S + dG * c_left[None, :]
+        return self.s_operator(k).right_compose(*self.g_kernel(k, dleft=True))
 
     def choose_k0(self, k_list, floor: float = 1e-6) -> float:
         """Largest lattice k with smallest singular value of Id + E(k)
@@ -562,11 +559,8 @@ def resolvent(par: Parametrix, k: float, v):
 
     v = np.asarray(v, dtype=float)
     vsv = v + par.s_apply(k, v)
-    q = par.model.weights
-    _, k0 = par.model.kink_kappa
-    dG = par.pieces.g_tilde_dleft(k)
-    dmat = dG * q[None, :] + np.diag(k0 / par.model.v)
-    return GridFunction(par._g_matrix(k) @ vsv, dmat @ vsv)
+    return GridFunction(par.g_kernel(k)[1] @ vsv,
+                        par.g_kernel(k, dleft=True)[1] @ vsv)
 
 
 def ilg_expansion(parametrix: Parametrix, v, j_list=(4, 5, 6, 7, 8),

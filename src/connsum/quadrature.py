@@ -5,14 +5,17 @@ from __future__ import annotations
 import numpy as np
 
 
-def fornberg_weights(z: float, x: np.ndarray, m: int) -> np.ndarray:
+def fornberg_weights(z, x, m: int) -> np.ndarray:
     """Finite-difference weights for derivatives 0..m at point z on the
     arbitrary node set x (Fornberg's algorithm).
 
-    Returns an (m+1, len(x)) array; row j gives the j-th derivative.
+    Returns an (m+1, len(x)) array; row j gives the j-th derivative.  With
+    N points z of shape (N,) and one stencil per point in the columns of
+    x, shape (n, N), all N stencils take the same arithmetic at once and
+    the result has shape (m+1, n, N).
     """
     n = len(x)
-    c = np.zeros((m + 1, n))
+    c = np.zeros((m + 1,) + np.shape(x))
     c1 = 1.0
     c4 = x[0] - z
     c[0, 0] = 1.0

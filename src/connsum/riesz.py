@@ -56,11 +56,8 @@ class DiscretizedKernel:
         return 1e-3 * float(np.max(np.abs(self.values)))
 
     def matrix(self) -> np.ndarray:
-        out = self.values * self.model.weights[None, :]
-        if self.jump_step is not None:
-            _, k0v = self.model.kink_kappa
-            out = out + np.diag(self.jump_step * k0v)
-        return out
+        step = 0.0 if self.jump_step is None else self.jump_step
+        return self.model.composition_matrix(self.values, 0.0, step)
 
 
 def low_energy_kernel(model: ModelManifold, k0: float, n_sigma: int = 33,
@@ -528,9 +525,9 @@ def split_consistency_euclidean(k0: float = 1.0, n_r: int = 160,
     eigs = np.maximum(eigs, 1e-14)
     kern_h = (modes * f_high(np.sqrt(eigs), k0)[None, :]) @ modes.T
     D1 = np.zeros((n_r, n_r))
-    for i in range(n_r):
-        j0 = min(max(i - 2, 0), n_r - 5)
-        D1[i, j0:j0 + 5] = fornberg_weights(r[i], r[j0:j0 + 5], 1)[1]
+    rows = np.arange(n_r)
+    cols = np.arange(5)[:, None] + np.clip(rows - 2, 0, n_r - 5)
+    D1[rows, cols] = fornberg_weights(r, r[cols], 1)[1]
     high = D1 @ kern_h
     # reference: d/dr of the exact half-inverse kernel
     a = r[:, None]

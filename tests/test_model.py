@@ -6,7 +6,8 @@ import pytest
 from connsum.errors import ConfigError
 from connsum import model as md
 from connsum import specfun as sf
-from connsum.quadrature import cheb_cumint_matrix, clenshaw_curtis
+from connsum.quadrature import (cheb_cumint_matrix, clenshaw_curtis,
+                                fornberg_weights)
 
 
 @pytest.fixture(scope="module")
@@ -130,6 +131,32 @@ class TestGrid:
         got = m.cumulative_integral(np.exp(-m.s ** 2 / 100.0))
         np.testing.assert_allclose(got, exact, rtol=0, atol=1e-12)
 
+    def test_kink_rule_composes_ramp_and_step(self, default_model):
+        # K(s, y) = |s - y| + H(y - s) (H(0) = 1/2) has, in y at y = s, the
+        # slope jump 2 and the value jump 1.  The exact composition with
+        # f v comes from the cumulative integrals F0 of f v and F1 of
+        # s f v:  2 s F0 - 2 F1 + F1(end) - s F0(end) + F0(end) - F0.
+        # The corrected sum reaches 7.0e-8 relative; the plain Nystrom sum
+        # 1.0e-6, and the rule with the step sign flipped 1.0e-6.
+        m = default_model
+        s = m.s
+        f = np.exp(-s ** 2 / 32.0)
+        F0 = m.cumulative_integral(f * m.v)
+        F1 = m.cumulative_integral(s * f * m.v)
+        exact = 2.0 * s * F0 - 2.0 * F1 + F1[-1] - s * F0[-1] + F0[-1] - F0
+        K = np.abs(s[:, None] - s[None, :]) \
+            + np.where(s[None, :] > s[:, None], 1.0, 0.0)
+        np.fill_diagonal(K, 0.5)
+        plain = K @ (m.weights * f)
+        corrected = plain + m.kink_diagonal(2.0, 1.0) * f
+
+        def rel(x):
+            return np.max(np.abs(x - exact)) / np.max(np.abs(exact))
+
+        tol = 1e-7
+        assert rel(corrected) < tol
+        assert rel(plain) > 10 * tol
+
     @pytest.mark.parametrize("neck_pts,n_nodes", [(32, 719), (34, 721)])
     def test_neck_pts_sets_node_count(self, neck_pts, n_nodes):
         # neck_pts // 2 + 1 nodes per neck half, sharing the node at s = 0
@@ -215,6 +242,17 @@ class TestRadialLaplacian:
         right = m.integrate(u * (A @ w))
         scale = m.integrate(np.abs((A @ u) * w)) + 1e-30
         assert abs(left - right) / scale < 5e-6
+
+    def test_stencil_batch_matches_single_stencils(self, default_model):
+        # the operators take all Fornberg stencils in one call: bitwise the
+        # weights of one call per stencil
+        x = default_model.s
+        rows = np.arange(1, 120)
+        cols = np.arange(7)[:, None] + np.clip(rows - 3, 0, len(x) - 7)
+        batch = fornberg_weights(x[rows], x[cols], 2)
+        for i, row in enumerate(rows):
+            np.testing.assert_array_equal(
+                batch[:, :, i], fornberg_weights(x[row], x[cols[:, i]], 2))
 
     def test_zero_channel_radiation_rows(self, default_model):
         # constants satisfy the k=0 glued radiation system up to the plus row

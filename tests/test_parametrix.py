@@ -1,3 +1,4 @@
+import copy
 import math
 
 import numpy as np
@@ -22,6 +23,25 @@ def sys0(model):
 @pytest.fixture(scope="module")
 def par(model, sys0):
     return px.Parametrix(model, q=2, kbar=1.0, system=sys0)
+
+
+@pytest.fixture(scope="module")
+def forced(par, model):
+    """A copy of `par` whose finite-rank fix repairs a degenerate E(0) with
+    a known null vector, so that G4 (rank >= 1) enters G, d_s G and E(k)."""
+    err0 = px.error_kernel(par.pieces, 0.0)
+    w = par.pieces.weight
+    q = model.weights
+    g = np.exp(-model.s ** 2)
+    # rank-one E with (Id + E) g = 0:  E = -g <g, .>_w / ||g||_w^2
+    norm2 = float(np.dot(q / w ** 2, g * g))
+    Edeg = err0.total - np.outer(g, g / w ** 2) / norm2 \
+        - (err0.total * q[None, :]) @ np.outer(g, g / w ** 2) / norm2
+    deg = px.ErrorOperator(model, 0.0, Edeg, np.zeros_like(Edeg), w,
+                           np.zeros(model.n), np.zeros(model.n))
+    out = copy.copy(par)
+    out.fix = px.finite_rank_fix(par.pieces, err0=deg)
+    return out
 
 
 def _count_calls(monkeypatch, owner, name) -> list:
@@ -118,19 +138,8 @@ class TestFiniteRank:
         assert px.finite_rank_fix(par.pieces).rank == 0
         assert svd == []
 
-    def test_synthetic_null_space_repaired(self, par, model):
-        # feed a degenerate error operator with a known null vector
-        err0 = px.error_kernel(par.pieces, 0.0)
-        w = par.pieces.weight
-        q = model.weights
-        g = np.exp(-model.s ** 2)
-        # rank-one E with (Id + E) g = 0:  E = -g <g, .>_w / ||g||_w^2
-        norm2 = float(np.dot(q / w ** 2, g * g))
-        Edeg = err0.total - np.outer(g, g / w ** 2) / norm2 \
-            - (err0.total * q[None, :]) @ np.outer(g, g / w ** 2) / norm2
-        deg = px.ErrorOperator(model, 0.0, Edeg, np.zeros_like(Edeg), w,
-                               np.zeros(model.n), np.zeros(model.n))
-        fix = px.finite_rank_fix(par.pieces, err0=deg)
+    def test_synthetic_null_space_repaired(self, forced, model):
+        fix = forced.fix
         assert fix.rank >= 1
         assert fix.sigma_after >= 10 * fix.threshold
         # psi_i supported in the neck: exact support check
@@ -257,6 +266,19 @@ class TestResolvent:
         incr = np.diff(sups)
         assert incr[-1] < 0.7 * incr[0]
         assert sups[-1] < sups[0] * math.log(1 / ks[-1]) / math.log(1 / ks[0])
+
+    def test_gradient_with_finite_rank_fix(self, forced, model):
+        # d_s R(k) v = d_s G (v + S v) must carry G4' = sum psi_i' (x) phi_i
+        # once the fix has rank > 0; the exact glued Green solve is the
+        # reference
+        k = 1e-3
+        v = np.exp(-2.0 * model.s ** 2)
+        assert forced.fix.rank >= 1
+        got = px.resolvent(forced, k, v).dvalues
+        _, ref = bvp.GluedSystem(model, k).apply(v)
+        mask = np.abs(model.s) < 20
+        rel = np.max(np.abs(got - ref)[mask]) / np.max(np.abs(ref[mask]))
+        assert rel < 5e-2
 
     def test_k0_selection(self, par):
         k0 = par.choose_k0([1e-4, 1e-3, 1e-2, 0.05, 0.1])
