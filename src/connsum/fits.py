@@ -3,6 +3,7 @@ inverse-log series."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,7 +37,11 @@ def classify_trend(r_maxes, norms) -> Trend:
     """Bounded/divergent verdict on norms measured at growing truncation
     radii r_maxes: bounded when the last three norms vary by less than
     TREND_STABILITY, else divergent with the log-log slope of the last
-    four as its growth exponent."""
+    four as its growth exponent.  A series with any non-finite norm (an
+    estimator that overflowed) is divergent with infinite variation and
+    growth exponent; no slope is fitted to it."""
+    if not np.all(np.isfinite(norms)):
+        return Trend(False, math.inf, math.inf)
     tail = np.array(norms[-3:])
     var = float((tail.max() - tail.min()) / tail.max())
     if var < TREND_STABILITY:

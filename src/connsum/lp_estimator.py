@@ -151,7 +151,7 @@ def lp_norm(q: np.ndarray, f: np.ndarray, p: float) -> float:
 
 
 def boyd_lower_bound(mat: np.ndarray, w1: np.ndarray, w2: np.ndarray,
-                     p: float, iters: int) -> float:
+                     p, iters: int, support: np.ndarray | None = None):
     """Lower bound for the L^p(w2) -> L^p(w1) norm of the matrix operator
     by Boyd's nonlinear power iteration
 
@@ -160,22 +160,68 @@ def boyd_lower_bound(mat: np.ndarray, w1: np.ndarray, w2: np.ndarray,
     from f = 1 (D. W. Boyd, Linear Algebra Appl. 9, 1974).  The
     iteration runs on the signed operator, as Calderon-Zygmund-type
     kernels require (their absolute value is unbounded); on nonnegative
-    kernels every iterate stays nonnegative."""
-    f = np.ones(mat.shape[1])
-    best = 0.0
-    for _ in range(iters):
-        nf = lp_norm(w2, f, p)
-        if not (np.isfinite(nf) and nf > 0):
-            break
-        f = f / nf
-        g = mat @ f
-        best = max(best, lp_norm(w1, g, p))
-        u = np.abs(g) ** (p - 1.0) * np.sign(g)
-        h = (mat.T @ (w1 * u)) / w2
-        f = np.abs(h) ** (1.0 / (p - 1.0)) * np.sign(h)
-        if not np.all(np.isfinite(f)):
-            break
-    return best
+    kernels every iterate stays nonnegative.
+
+    A scalar p returns one float.  A vector p runs one iteration per
+    entry in lockstep, as the columns of one block, so each step costs
+    two matrix-matrix products; the bounds come back as an array.  For a
+    square mat, the boolean (n, len(p)) array support restricts column j
+    to the operator truncated to the rows and columns support[:, j]: the
+    column starts from that mask and is masked again after every
+    product, which makes it the iteration on mat[np.ix_(s, s)] up to
+    rounding.
+
+    A column whose iterate overflows (any non-finite value) stops there
+    and reports +inf: the iteration cannot bound that norm, and a norm
+    read off an overflowed iterate is meaningless.  A column whose
+    iterate vanishes stops with its best bound so far."""
+    scalar = np.ndim(p) == 0
+    p = np.atleast_1d(np.asarray(p, dtype=float))
+    if support is None:
+        f = np.ones((mat.shape[1], len(p)))
+        off = None
+    else:
+        if mat.shape[0] != mat.shape[1] or support.shape != (len(w1), len(p)):
+            raise DomainError("boyd_lower_bound: support needs a square "
+                              "matrix and one column per p")
+        f = support.astype(float)
+        off = ~support
+
+    def norms(w, x):
+        return (w @ np.abs(x) ** p) ** (1.0 / p)
+
+    best = np.zeros(len(p))
+    live = np.ones(len(p), dtype=bool)
+
+    def stop(finite):
+        bad = live & ~finite
+        best[bad] = np.inf
+        live[bad] = False
+
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(iters):
+            f[:, ~live] = 0.0      # stopped columns idle as zeros
+            nf = norms(w2, f)
+            stop(np.isfinite(nf))
+            live &= nf > 0
+            if not live.any():
+                break
+            f /= np.where(live, nf, 1.0)
+            g = mat @ f
+            if off is not None:
+                g[off] = 0.0
+            ng = norms(w1, g)
+            stop(np.isfinite(ng))
+            np.maximum(best, ng, out=best, where=live)
+            u = np.abs(g) ** (p - 1.0) * np.sign(g)
+            # (X^T M)^T rather than M^T X: the transposed product is
+            # several times slower at a few dozen columns
+            h = ((w1[:, None] * u).T @ mat).T / w2[:, None]
+            if off is not None:
+                h[off] = 0.0
+            f = np.abs(h) ** (1.0 / (p - 1.0)) * np.sign(h)
+            stop(np.all(np.isfinite(f), axis=0))
+    return float(best[0]) if scalar else best
 
 
 def empirical_norm_trend(kernel: PowerKernel, p: float,

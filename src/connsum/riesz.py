@@ -220,12 +220,17 @@ def spectral_norm(mat: np.ndarray) -> float:
                       return_singular_vectors=False)[0])
 
 
-def schur_upper_bound(mat: np.ndarray, q: np.ndarray, p: float) -> float:
+def schur_upper_bound(mat: np.ndarray, q: np.ndarray, p):
     """|| K ||_{p->p} <= C_1^{1/p'} C_inf^{1/p} with C_1 / C_inf the max
-    column / row L^1 masses (Schur interpolation)."""
-    row = float(np.max(np.abs(mat) @ np.ones(len(q))))
-    col = float(np.max(np.ones(len(q)) @ np.abs(mat)))
-    return col ** (1.0 - 1.0 / p) * row ** (1.0 / p)
+    column / row L^1 masses (Schur interpolation).  The masses do not
+    depend on p: a vector p gets them once and returns one bound per
+    entry, each equal bit for bit to the scalar call."""
+    a = np.abs(mat)
+    row = float(np.max(a @ np.ones(len(q))))
+    col = float(np.max(np.ones(len(q)) @ a))
+    bounds = [col ** (1.0 - 1.0 / pj) * row ** (1.0 / pj)
+              for pj in np.atleast_1d(p)]
+    return bounds[0] if np.ndim(p) == 0 else np.array(bounds)
 
 
 @dataclass
@@ -236,6 +241,17 @@ class TrendRow:
     upper: float
 
 
+def _truncation(model: ModelManifold, rmax: float) -> slice:
+    """The grid indices of {r <= rmax}.  r grows with |s| on both sides of
+    the neck, so they form one index range, and a truncated kernel is a
+    view of the full one."""
+    idx = np.flatnonzero(model.r <= rmax)
+    if idx.size == 0 or idx[-1] + 1 - idx[0] != idx.size:
+        raise DomainError(f"{{r <= {rmax:g}}} is not one nonempty index "
+                          "range of the grid")
+    return slice(int(idx[0]), int(idx[-1]) + 1)
+
+
 def lp_boundedness_report(kern: DiscretizedKernel, p_list, r_maxes) -> dict:
     """Norm estimates of the kernel restricted to {r, r' <= R_max} for each
     p, with a bounded/divergent verdict from the R_max trend
@@ -244,42 +260,46 @@ def lp_boundedness_report(kern: DiscretizedKernel, p_list, r_maxes) -> dict:
     Lower bounds: structured test family (radial plateaus, the aligned
     profile ilg(1/r')/r' on the two-dimensional end) plus Boyd's power
     iteration; upper bound: Schur interpolation (p = 2 uses the weighted
-    spectral norm, by Lanczos).
+    spectral norm, by Lanczos, for both).
+
+    Every (R_max, p != 2) cell is one column of a single lockstep Boyd
+    iteration (lp_estimator.boyd_lower_bound with a support mask) on the
+    whole kernel matrix, so each of its steps is two products with one
+    column per cell.  Everything independent of p, the structured-family
+    images and the Schur masses, is computed once per R_max on a view of
+    the truncated kernel.  A cell whose iteration overflows has lower
+    bound +inf, and its trend is divergent.
     """
     model = kern.model
     q = model.weights
     mat = kern.matrix()
-    # R_max outermost: one truncated copy of the matrix serves every p
+    cuts = {rmax: _truncation(model, rmax) for rmax in r_maxes}
+    p_boyd = [p for p in p_list if p != 2.0]
+    boyd_cells = [(p, rmax) for rmax in r_maxes for p in p_boyd]
+    support = np.zeros((model.n, len(boyd_cells)), dtype=bool)
+    for j, (_, rmax) in enumerate(boyd_cells):
+        support[cuts[rmax], j] = True
+    boyd = dict(zip(boyd_cells, boyd_lower_bound(
+        mat, q, q, [p for p, _ in boyd_cells], 50, support)))
     cells: dict[tuple[float, float], TrendRow] = {}
     for rmax in r_maxes:
-        mask = model.r <= rmax
-        sub = mat[np.ix_(mask, mask)]
-        qs = q[mask]
-        r = model.r[mask]
-        # structured lower-bound family (plus the p-dependent aligned
-        # profile below)
-        fam = [np.ones(mask.sum())]
-        for a in (4.0, rmax / 4, rmax):
-            fam.append(np.where(r <= a, 1.0, 0.0))
-        on_minus = model.mask_minus[mask] & (r > 2.0)
-        for p in p_list:
-            if p == 2.0:
-                # the signed spectral norm: at p = 2 the absolute kernel
-                # sits on the boundary of the power-weight lemmas, and
-                # boundedness rides on the multiplier route (signs matter)
-                sq = np.sqrt(qs)
-                upper = spectral_norm(sq[:, None] * sub / sq[None, :])
-                cells[p, rmax] = TrendRow(p, rmax, upper, upper)
-                continue
-            lower = 0.0
-            prof = np.where(on_minus, _aligned_profile(r, p), 0.0)
-            for f in fam + ([prof] if prof.any() else []):
-                nf = lp_norm(qs, f, p)
-                if nf > 0:
-                    lower = max(lower, lp_norm(qs, sub @ f, p) / nf)
-            lower = max(lower, boyd_lower_bound(sub, qs, qs, p, 50))
-            upper = schur_upper_bound(sub, qs, p)
-            cells[p, rmax] = TrendRow(p, rmax, lower, upper)
+        cut = cuts[rmax]
+        sub = mat[cut, cut]
+        qs = q[cut]
+        if p_boyd:
+            family = _family_lower_bounds(model, cut, sub, rmax, p_boyd)
+            uppers = schur_upper_bound(sub, qs, p_boyd)
+            for p, lower, upper in zip(p_boyd, family, uppers):
+                cells[p, rmax] = TrendRow(p, rmax,
+                                          max(lower, float(boyd[p, rmax])),
+                                          float(upper))
+        if 2.0 in p_list:
+            # the signed spectral norm: at p = 2 the absolute kernel
+            # sits on the boundary of the power-weight lemmas, and
+            # boundedness rides on the multiplier route (signs matter)
+            sq = np.sqrt(qs)
+            upper = spectral_norm(sq[:, None] * sub / sq[None, :])
+            cells[2.0, rmax] = TrendRow(2.0, rmax, upper, upper)
     rows = [cells[p, rmax] for p in p_list for rmax in r_maxes]
     verdicts = {}
     for p in p_list:
@@ -293,6 +313,35 @@ def lp_boundedness_report(kern: DiscretizedKernel, p_list, r_maxes) -> dict:
                            "variation": trend.variation,
                            "growth_exponent": trend.growth_exponent}
     return {"rows": rows, "verdicts": verdicts}
+
+
+def _family_lower_bounds(model: ModelManifold, cut: slice, sub: np.ndarray,
+                         rmax: float, p_list) -> list[float]:
+    """Largest ratio ||sub f||_p / ||f||_p, for each p, over the structured
+    test family on the truncation cut: radial plateaus for every p, and
+    the aligned profile of each p where it is nonzero.  One product
+    serves every p."""
+    q = model.weights[cut]
+    r = model.r[cut]
+    fam = [np.ones(len(r))] + [np.where(r <= a, 1.0, 0.0)
+                               for a in (4.0, rmax / 4, rmax)]
+    on_minus = model.mask_minus[cut] & (r > 2.0)
+    tests = {p: list(range(len(fam))) for p in p_list}
+    for p in p_list:
+        prof = np.where(on_minus, _aligned_profile(r, p), 0.0)
+        if prof.any():
+            tests[p].append(len(fam))
+            fam.append(prof)
+    images = sub @ np.column_stack(fam)
+    lowers = []
+    for p in p_list:
+        lower = 0.0
+        for i in tests[p]:
+            nf = lp_norm(q, fam[i], p)
+            if nf > 0:
+                lower = max(lower, lp_norm(q, images[:, i], p) / nf)
+        lowers.append(lower)
+    return lowers
 
 
 def _aligned_profile(r, p: float):

@@ -1,6 +1,9 @@
+import math
+
 import numpy as np
 import pytest
 
+from connsum import fits
 from connsum.fits import classify_trend
 
 R = np.array([1e2, 1e3, 1e4, 1e5, 1e6])
@@ -29,3 +32,23 @@ def test_classify_trend_planted(name, norms, bounded, slope):
         assert trend.growth_exponent == pytest.approx(slope, abs=1e-2)
     else:
         assert trend.growth_exponent > 0
+
+
+@pytest.mark.parametrize("name,norms", [
+    # an estimator that overflowed at the largest truncation only
+    ("overflow-last", [1e10, 5e16, 3e22, 1.7e28, math.inf]),
+    # ... or early, leaving no finite tail at all
+    ("overflow-early", [1e3, math.inf, math.inf, math.inf, math.inf]),
+    # a finite-looking tail behind an overflow: the series still diverges
+    ("overflow-first", [math.inf, 1.0, 1.0, 1.0, 1.0]),
+    ("nan", [1.0, 1.0, 1.0, 1.0, math.nan]),
+])
+def test_classify_trend_non_finite(name, norms, monkeypatch):
+    def no_fit(*args):
+        raise AssertionError("no slope is fitted to a non-finite series")
+
+    monkeypatch.setattr(fits, "loglog_slope", no_fit)
+    trend = classify_trend(R, norms)
+    assert trend.bounded is False, name
+    assert trend.variation == math.inf
+    assert trend.growth_exponent == math.inf

@@ -94,6 +94,44 @@ class TestBoydLowerBound:
         got = lpe.boyd_lower_bound(mat, w1, w2, 2.0, 400)
         assert got == pytest.approx(exact, rel=1e-10)
 
+    def test_vector_p_matches_scalar_calls(self):
+        rng = np.random.default_rng(5)
+        mat = rng.standard_normal((30, 20))
+        w1 = rng.uniform(0.5, 2.0, 30)
+        w2 = rng.uniform(0.1, 3.0, 20)
+        ps = [1.2, 1.5, 2.0, 3.5]
+        got = lpe.boyd_lower_bound(mat, w1, w2, ps, 30)
+        for p, g in zip(ps, got):
+            assert g == pytest.approx(
+                lpe.boyd_lower_bound(mat, w1, w2, p, 30), rel=1e-12)
+
+    def test_zero_operator_stops_at_zero(self):
+        w = np.ones(5)
+        assert lpe.boyd_lower_bound(np.zeros((5, 5)), w, w, 1.5, 10) == 0.0
+
+    def test_overflow_reports_inf(self):
+        # a homogeneous kernel outside its window (a' < a): the truncated
+        # norms grow like 1e6 per decade of R_max, and at R_max = 1e6 the
+        # iterate at p = 1.134 overflows in |f|^p on the first steps; a
+        # norm read off that iterate would be about 6
+        d = 3.45
+        kern = lpe.PowerKernel(0.8, d - 0.8, 0.17, d - 0.17, d, d,
+                               domain_start=0.0)
+        p = 1.134
+        assert not lpe.lemma_predicate(kern, p)
+        mat, w1, w2 = lpe._log_grid_operator(kern, 1e6, 20)
+        assert lpe.boyd_lower_bound(mat, w1, w2, p, 40) == math.inf
+        # the overflow stops its own column only
+        both = lpe.boyd_lower_bound(mat, w1, w2, [p, 3.0], 40)
+        assert both[0] == math.inf
+        assert both[1] == pytest.approx(
+            lpe.boyd_lower_bound(mat, w1, w2, 3.0, 40), rel=1e-12)
+        verdict = lpe.empirical_norm_trend(kern, p, pts_per_decade=20)
+        assert verdict.norms[-1] == math.inf
+        assert all(math.isfinite(x) for x in verdict.norms[:-1])
+        assert verdict.trend == "divergent"
+        assert verdict.growth_exponent == math.inf
+
 
 class TestTrend:
     def test_divergent_when_aprime_equals_a(self):

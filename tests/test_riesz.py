@@ -203,6 +203,59 @@ class TestBoundednessReport:
         last = [r for r in report["rows"] if r.p == 2.0][-1]
         assert 0.7 < last.lower <= 1.05
 
+    def test_lockstep_boyd_matches_per_cell(self, model, low_kernel):
+        # every column of the lockstep iteration is the scalar iteration
+        # on its own truncated copy of the kernel, up to rounding
+        mat = low_kernel.matrix()
+        q = model.weights
+        cells = [(p, rmax) for rmax in (16.0, 64.0, 512.0)
+                 for p in (1.25, 1.5, 1.8, 3.0)]
+        support = np.column_stack([model.r <= rmax for _, rmax in cells])
+        block = rz.boyd_lower_bound(mat, q, q, [p for p, _ in cells], 50,
+                                    support)
+        assert block.shape == (len(cells),)
+        for (p, rmax), got in zip(cells, block):
+            mask = model.r <= rmax
+            sub = mat[np.ix_(mask, mask)]
+            one = rz.boyd_lower_bound(sub, q[mask], q[mask], p, 50)
+            assert isinstance(one, float)
+            assert got == pytest.approx(one, rel=1e-12), (p, rmax)
+
+    def test_schur_vector_p_is_scalar_bitwise(self, model, low_kernel):
+        mask = model.r <= 64.0
+        sub = low_kernel.matrix()[np.ix_(mask, mask)]
+        ps = (1.1, 1.25, 1.5, 1.75)
+        got = rz.schur_upper_bound(sub, model.weights[mask], ps)
+        want = [rz.schur_upper_bound(sub, model.weights[mask], p)
+                for p in ps]
+        assert isinstance(want[0], float)
+        assert got.tolist() == want
+
+    def test_one_boyd_call_per_report(self, low_kernel, monkeypatch):
+        calls = []
+        boyd = rz.boyd_lower_bound
+
+        def counted(*args, **kwargs):
+            calls.append(args[3])
+            return boyd(*args, **kwargs)
+
+        monkeypatch.setattr(rz, "boyd_lower_bound", counted)
+        r_maxes = (64.0, 256.0, 512.0)
+        report = rz.lp_boundedness_report(low_kernel, (1.25, 1.5, 2.0),
+                                          r_maxes)
+        assert len(calls) == 1
+        # one column per (R_max, p != 2) cell; p = 2 is Lanczos
+        assert len(calls[0]) == 2 * len(r_maxes)
+        assert len(report["rows"]) == 3 * len(r_maxes)
+
+    def test_truncations_are_index_ranges(self, model):
+        for rmax in (8.0, 64.0, 512.0):
+            cut = rz._truncation(model, rmax)
+            np.testing.assert_array_equal(np.arange(model.n)[cut],
+                                          np.flatnonzero(model.r <= rmax))
+        with pytest.raises(DomainError):
+            rz._truncation(model, 0.5)
+
 
 class TestWitness:
     @pytest.fixture(scope="class")

@@ -1,0 +1,149 @@
+"""Record a before/after benchmark comparison in a file.
+
+Runs ``perfbench/run.py --workload W`` in alternating pairs: once in a
+checkout of the parent revision and once in this checkout, the parent
+first in even pairs and second in odd ones.  The parent checkout is a
+``git worktree`` of ``--parent`` (default ``HEAD~1``) made in a temporary
+directory and removed afterwards; each run lasts the ``run_seconds`` of
+BENCHMARK.json.  The output file holds the machine, both commit SHAs,
+every pair, and for each end-to-end metric both medians, the parent's
+interquartile range and the number of pairs the change wins:
+
+    python3 tools/bench_pairs.py --workload riesz-sweep --pairs 10 \\
+        --seed 3 --out BENCH_riesz.json
+
+Both trees' benchmarks must report ``correct: true`` in every run, or the
+driver stops without writing the file.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import platform
+import statistics
+import subprocess
+import sys
+import tempfile
+from contextlib import contextmanager
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+BENCHMARK = json.loads((ROOT / "BENCHMARK.json").read_text())
+BETTER = {m["name"]: m["better"] for m in BENCHMARK["end_to_end"]}
+SECONDS = BENCHMARK["run_seconds"]
+
+
+def git(*args, cwd=ROOT) -> str:
+    return subprocess.run(["git", *args], cwd=cwd, check=True,
+                          capture_output=True, text=True).stdout.strip()
+
+
+@contextmanager
+def parent_checkout(rev: str):
+    with tempfile.TemporaryDirectory(prefix="bench-parent-") as tmp:
+        tree = Path(tmp) / "tree"
+        git("worktree", "add", "--detach", str(tree), rev)
+        try:
+            yield tree
+        finally:
+            git("worktree", "remove", "--force", str(tree))
+
+
+def run_once(tree: Path, args) -> dict:
+    """One benchmark process in tree: its result line and environment."""
+    proc = subprocess.run(
+        [sys.executable, str(tree / "perfbench" / "run.py"),
+         "--workload", args.workload, "--seed", str(args.seed),
+         "--seconds", str(SECONDS), "--trace", "0"],
+        cwd=tree, capture_output=True, text=True)
+    lines = proc.stdout.strip().splitlines()
+    if proc.returncode != 0 or not lines:
+        raise SystemExit(f"benchmark in {tree} exited {proc.returncode}:\n"
+                         f"{proc.stderr}")
+    result = json.loads(lines[-1])
+    if result["correct"] is not True:
+        raise SystemExit(f"benchmark in {tree} reports correct: "
+                         f"{result['correct']}")
+    env = next(json.loads(line.split(" ", 1)[1]) for line in lines
+               if line.startswith("environment "))
+    return {"metrics": {k: v["value"] for k, v in result["metrics"].items()},
+            "environment": env}
+
+
+def quartiles(values) -> tuple[float, float]:
+    if len(values) < 2:
+        return values[0], values[0]
+    q = statistics.quantiles(values, n=4, method="inclusive")
+    return q[0], q[2]
+
+
+def summarize(pairs) -> dict:
+    """Per metric: both medians, the parent's IQR, the pairs the change
+    wins (ties count for neither side) and whether the medians differ by
+    more than the parent's IQR."""
+    out = {}
+    for name, better in BETTER.items():
+        par = [p["parent"][name] for p in pairs]
+        chg = [p["change"][name] for p in pairs]
+        lo, hi = quartiles(par)
+        sign = 1.0 if better == "lower" else -1.0
+        med_par, med_chg = statistics.median(par), statistics.median(chg)
+        out[name] = {
+            "parent_median": med_par, "change_median": med_chg,
+            "parent_iqr": hi - lo,
+            "change_wins": sum(sign * (a - b) > 0 for a, b in zip(par, chg)),
+            "median_gap_exceeds_parent_iqr": abs(med_chg - med_par) > hi - lo}
+    return out
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    ap.add_argument("--workload", required=True)
+    ap.add_argument("--pairs", type=int, default=10)
+    ap.add_argument("--parent", default="HEAD~1",
+                    help="parent revision for the git worktree")
+    ap.add_argument("--seed", type=int, default=0)
+    ap.add_argument("--out", required=True)
+    args = ap.parse_args(argv)
+
+    pairs, envs = [], {}
+    with parent_checkout(args.parent) as parent:
+        trees = {"parent": parent, "change": ROOT}
+        for i in range(args.pairs):
+            order = ("parent", "change") if i % 2 == 0 else \
+                ("change", "parent")
+            pair = {"order": list(order)}
+            for side in order:
+                res = run_once(trees[side], args)
+                pair[side] = res["metrics"]
+                envs[side] = res["environment"]
+            pairs.append(pair)
+            print(f"pair {i + 1}/{args.pairs}: pass_s parent "
+                  f"{pair['parent']['pass_s']:.4f} change "
+                  f"{pair['change']['pass_s']:.4f}", flush=True)
+    shas = {side: env.pop("git_sha") for side, env in envs.items()}
+    dirty = bool(git("status", "--porcelain", "--untracked-files=no"))
+    report = {
+        "workload": args.workload,
+        "command": f"perfbench/run.py --workload {args.workload} "
+                   f"--seed {args.seed} --seconds {SECONDS:g} "
+                   "--trace 0",
+        "machine": {**envs["change"], "platform": platform.platform()},
+        "parent_sha": shas["parent"],
+        "change_sha": shas["change"],
+        "change_tree_dirty": dirty,
+        "pairs": pairs,
+        "summary": summarize(pairs),
+    }
+    Path(args.out).write_text(json.dumps(report, indent=2) + "\n")
+    for name, s in report["summary"].items():
+        print(f"{name}: parent median {s['parent_median']:.6g} (IQR "
+              f"{s['parent_iqr']:.3g}), change median "
+              f"{s['change_median']:.6g}, change wins {s['change_wins']}/"
+              f"{args.pairs}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
