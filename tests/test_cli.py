@@ -1,8 +1,9 @@
+import argparse
 import json
 
 import pytest
 
-from connsum import cli
+from connsum import checks, cli
 from connsum import reports
 
 
@@ -79,13 +80,15 @@ class TestCli:
                        "--out", str(tmp_path)])
         assert rc == 0
 
-    def test_specfun_check_fault_injection(self, tmp_path):
-        rc = cli.main(["specfun-check", "--out", str(tmp_path),
-                       "--bessel-rtol", "1e-30"])
+    def test_specfun_check_fault_injection(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(checks, "bessel_vs_quadrature",
+                            lambda orders, xs: 1e-3)
+        rc = cli.main(["specfun-check", "--out", str(tmp_path)])
         assert rc == cli.EXIT_INVARIANT
         data = json.loads((tmp_path / "specfun_check.json").read_text())
         names = [f["invariant"] for f in data["failures"]]
         assert "bessel_vs_quadrature" in names
+        assert data["checks"]["bessel_vs_quadrature"]["ok"] is False
 
     def test_lp_lemmas_deterministic(self, tmp_path):
         out1 = tmp_path / "a"
@@ -109,6 +112,8 @@ class TestCli:
         data = json.loads((tmp_path / "riesz.json").read_text())
         assert data["witness"] == {"applicable": False}
         assert rc in (0, cli.EXIT_INVARIANT)  # small sweep may not stabilize
+        assert list(data["checks"]) == ["bounded_p1.5"]
+        assert (rc == 0) == data["checks"]["bounded_p1.5"]["ok"]
 
     def test_witness_inapplicable_for_beta_zero_source(self, tmp_path):
         rc = cli.main(["riesz", "--out", str(tmp_path), "--sweep-max", "256",
@@ -117,3 +122,92 @@ class TestCli:
         data = json.loads((tmp_path / "riesz.json").read_text())
         assert data["witness"]["applicable"] is False
         assert "beta" in data["witness"]["reason"]
+        assert list(data["checks"]) == ["bounded_p1.5"]
+        assert (rc == 0) == data["checks"]["bounded_p1.5"]["ok"]
+
+
+class TestPassRule:
+    """One rule for every subcommand: the report's `checks` block, the
+    status line and the exit code all come from the same entries."""
+
+    def _finish(self, tmp_path, block):
+        args = argparse.Namespace(command="demo", out=str(tmp_path))
+        rc = cli.finish(args, "demo.json", {"x": 1}, block)
+        return rc, json.loads((tmp_path / "demo.json").read_text())
+
+    def test_empty_block_passes(self, tmp_path, capsys):
+        rc, rep = self._finish(tmp_path, {})
+        assert rc == cli.EXIT_OK
+        assert rep["x"] == 1 and rep["checks"] == {}
+        assert capsys.readouterr().out == "demo: ok\n"
+
+    def test_all_ok(self, tmp_path, capsys):
+        block = {"a": cli.check(0.5, 1.0), "b": cli.check(0, 0, strict=False)}
+        rc, rep = self._finish(tmp_path, block)
+        assert rc == cli.EXIT_OK
+        assert rep["checks"] == {"a": {"value": 0.5, "bound": 1.0, "ok": True},
+                                 "b": {"value": 0, "bound": 0, "ok": True}}
+        assert capsys.readouterr().out == "demo: ok\n"
+
+    def test_one_failing_entry(self, tmp_path, capsys):
+        block = {"a": cli.check(0.5, 1.0), "b": cli.check(2.0, 1.0),
+                 "c": cli.check(True, True, ok=True)}
+        rc, rep = self._finish(tmp_path, block)
+        assert rc == cli.EXIT_INVARIANT
+        assert [n for n, c in rep["checks"].items() if not c["ok"]] == ["b"]
+        assert capsys.readouterr().out == "demo: FAILED b\n"
+
+    def test_strict_against_non_strict_at_equality(self):
+        assert cli.check(1e-8, 1e-8)["ok"] is False
+        assert cli.check(1e-8, 1e-8, strict=False)["ok"] is True
+        assert cli.check(float("nan"), 1.0)["ok"] is False
+        assert cli.check(float("nan"), 1.0, strict=False)["ok"] is False
+        # a library verdict is taken as it is, not recomputed from value
+        assert cli.check(2.0, 1.0, ok=True)["ok"] is True
+        assert cli.check(0.5, 1.0, ok=False)["ok"] is False
+
+
+LIGHT = ("specfun-check", "extend", "bvp", "keylemma")
+
+
+@pytest.fixture(scope="module")
+def light_runs(tmp_path_factory):
+    """(exit code, report) of each light subcommand at its defaults."""
+    out = tmp_path_factory.mktemp("light")
+    runs = {}
+    for cmd in LIGHT:
+        rc = cli.main([cmd, "--out", str(out)])
+        name = cmd.replace("-", "_") + ".json"
+        runs[cmd] = rc, json.loads((out / name).read_text())
+    return runs
+
+
+@pytest.mark.parametrize("cmd", LIGHT)
+def test_exit_code_follows_checks(light_runs, cmd):
+    rc, rep = light_runs[cmd]
+    assert rep["checks"]
+    assert rc in (cli.EXIT_OK, cli.EXIT_INVARIANT)
+    assert (rc == cli.EXIT_OK) == all(c["ok"] for c in rep["checks"].values())
+    assert rc == cli.EXIT_OK
+
+
+# the acceptance suite's pinned bound for each quantity the CLI gates too
+ACCEPTANCE_PINS = {"BESSEL_RTOL": 1e-10, "ODE_RESIDUAL": 1e-8,
+                   "IDENTITY": 1e-8, "HOMOGENEOUS": 1e-10,
+                   "BETA_SHIFT": 1e-4, "C0_REL": 1e-4, "ILG_COEF_REL": 1e-3,
+                   "ORACLE_REL": 1e-5, "GROWTH_TOL": 0.1}
+
+
+def test_bounds_equal_acceptance_pins():
+    assert {n: getattr(cli, n) for n in ACCEPTANCE_PINS} == ACCEPTANCE_PINS
+
+
+@pytest.mark.parametrize("cmd,name,pin", [
+    ("specfun-check", "bessel_vs_quadrature", 1e-10),
+    ("extend", "minus_ode_residual", 1e-8),
+    ("bvp", "homogeneous_norm", 1e-10),
+    ("bvp", "beta_refinement_shift", 1e-4),
+    ("keylemma", "ilg_coefficient_vs_log_harmonic_rel", 1e-3),
+])
+def test_report_bounds_equal_acceptance_pins(light_runs, cmd, name, pin):
+    assert light_runs[cmd][1]["checks"][name]["bound"] == pin
