@@ -205,9 +205,15 @@ class GeometryConfig:
             kwargs = {}
             if "n_plus" in raw:
                 kwargs["n_plus"] = int(raw["n_plus"])
-            if "spectra" in raw:
-                kwargs["minus_section"] = section("spectra.minus", raw["spectra"]["minus"])
-                kwargs["plus_section"] = section("spectra.plus", raw["spectra"]["plus"])
+            for block in ("spectra", "volumes"):
+                if not isinstance(raw.get(block, {}), dict):
+                    raise ConfigError(f"geometry key {block!r} must be a "
+                                      "mapping")
+            # a side the spectra block omits keeps its default section
+            for side in ("minus", "plus"):
+                if side in raw.get("spectra", {}):
+                    kwargs[f"{side}_section"] = section(
+                        f"spectra.{side}", raw["spectra"][side])
             if "volumes" in raw:
                 for side in ("minus", "plus"):
                     if side in raw["volumes"]:

@@ -50,6 +50,25 @@ class TestBuildModel:
         m = md.build_model(cfg)
         assert m.config.S_minus == 64.0
 
+    def test_spectra_minus_alone_keeps_plus_default(self):
+        cfg = md.GeometryConfig.from_dict(
+            {"spectra": {"minus": {"type": "circle", "length": 3.0}}})
+        assert cfg.minus_section == md.CrossSection.circle(3.0)
+        assert cfg.plus_section == md.CrossSection.point()
+        md.build_model(cfg)
+
+    def test_spectra_plus_alone_keeps_minus_default(self):
+        cfg = md.GeometryConfig.from_dict({"spectra": {"plus": {
+            "dim": 0, "volume": 2.0, "spectrum": [0.0]}}})
+        assert cfg.minus_section == md.CrossSection.circle()
+        assert cfg.plus_section == md.CrossSection("explicit", 0, 2.0, (0.0,))
+        md.build_model(cfg)
+
+    @pytest.mark.parametrize("block", ["spectra", "volumes"])
+    def test_section_blocks_must_be_mappings(self, block):
+        with pytest.raises(ConfigError, match="must be a mapping"):
+            md.GeometryConfig.from_dict({block: ["minus"]})
+
 
 class TestGrid:
     def test_grid_monotone_and_weights_positive(self, default_model):

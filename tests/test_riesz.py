@@ -6,7 +6,7 @@ import pytest
 
 from connsum import bvp, keylemma as kl, model as md, parametrix as px, riesz as rz
 from connsum.cutoffs import minus_cutoff_source
-from connsum.errors import DomainError
+from connsum.errors import DomainError, NonConvergenceError
 from connsum.quadrature import cc_segment, clenshaw_curtis
 
 
@@ -198,6 +198,66 @@ class TestBoundednessReport:
             assert lanczos == pytest.approx(np.linalg.norm(a, 2), rel=1e-12)
             assert rz.spectral_norm(a) == lanczos
 
+    def test_spectral_norms_match_dense(self, model, low_kernel):
+        mat = low_kernel.matrix()
+        sq = np.sqrt(model.weights)
+        cuts = [rz._truncation(model, rmax) for rmax in (16.0, 64.0, 512.0)]
+        got = rz.spectral_norms(mat, sq, cuts)
+        for cut, norm in zip(cuts, got):
+            s = sq[cut]
+            dense = np.linalg.norm(s[:, None] * mat[cut, cut] / s[None, :], 2)
+            assert norm == pytest.approx(dense, rel=1e-12)
+
+    def test_spectral_norms_rerun_bitwise(self, model, low_kernel):
+        mat = low_kernel.matrix()
+        sq = np.sqrt(model.weights)
+        cuts = [rz._truncation(model, rmax) for rmax in (32.0, 128.0, 512.0)]
+        first = rz.spectral_norms(mat, sq, cuts)
+        assert rz.spectral_norms(mat, sq, cuts).tolist() == first.tolist()
+
+    def test_spectral_norms_block_equals_alone(self, model, low_kernel):
+        # a truncation's row of the block is its own bidiagonalization
+        mat = low_kernel.matrix()
+        sq = np.sqrt(model.weights)
+        cuts = [rz._truncation(model, rmax) for rmax in (8.0, 64.0, 512.0)]
+        block = rz.spectral_norms(mat, sq, cuts)
+        for cut, norm in zip(cuts, block):
+            alone = rz.spectral_norms(mat, sq, [cut])
+            assert alone.shape == (1,)
+            assert abs(norm - alone[0]) <= 1e-14 * alone[0]
+
+    def test_spectral_norms_small_and_zero_blocks(self):
+        # a Krylov space that exhausts its truncation, and a zero block
+        rng = np.random.default_rng(5)
+        mat = rng.standard_normal((9, 9))
+        mat[6:, 6:] = 0.0
+        sq = rng.uniform(0.5, 2.0, 9)
+        cuts = [slice(0, 2), slice(0, 9), slice(6, 9)]
+        got = rz.spectral_norms(mat, sq, cuts)
+        for cut, norm in zip(cuts, got):
+            s = sq[cut]
+            dense = np.linalg.norm(s[:, None] * mat[cut, cut] / s[None, :], 2)
+            assert norm == pytest.approx(dense, rel=1e-12, abs=1e-15)
+
+    def test_spectral_norms_step_cap(self, model, low_kernel, monkeypatch):
+        monkeypatch.setattr(rz, "GKL_MAX_STEPS", 3)
+        cuts = [rz._truncation(model, 512.0)]
+        with pytest.raises(NonConvergenceError, match="after 3 "):
+            rz.spectral_norms(low_kernel.matrix(), np.sqrt(model.weights),
+                              cuts)
+
+    def test_p2_rows_match_spectral_norm(self, model, low_kernel):
+        r_maxes = (16.0, 64.0, 256.0, 512.0)
+        report = rz.lp_boundedness_report(low_kernel, (2.0,), r_maxes)
+        mat = low_kernel.matrix()
+        sq = np.sqrt(model.weights)
+        for row in report["rows"]:
+            cut = rz._truncation(model, row.r_max)
+            s = sq[cut]
+            want = rz.spectral_norm(s[:, None] * mat[cut, cut] / s[None, :])
+            assert row.lower == row.upper
+            assert row.upper == pytest.approx(want, rel=1e-12)
+
     def test_p2_estimate_near_multiplier_bound(self, model, low_kernel):
         report = rz.lp_boundedness_report(low_kernel, (2.0,), (256.0, 512.0))
         last = [r for r in report["rows"] if r.p == 2.0][-1]
@@ -244,7 +304,7 @@ class TestBoundednessReport:
         report = rz.lp_boundedness_report(low_kernel, (1.25, 1.5, 2.0),
                                           r_maxes)
         assert len(calls) == 1
-        # one column per (R_max, p != 2) cell; p = 2 is Lanczos
+        # one column per (R_max, p != 2) cell; p = 2 is spectral_norms
         assert len(calls[0]) == 2 * len(r_maxes)
         assert len(report["rows"]) == 3 * len(r_maxes)
 
