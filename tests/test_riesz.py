@@ -21,6 +21,12 @@ def low_kernel(model):
     return rz.low_energy_kernel(model, k0=0.05, n_sigma=25)
 
 
+def weighted_block(mat, sq, cut):
+    """D mat[cut, cut] D^-1 with D = diag(sq[cut]), as a dense copy."""
+    s = sq[cut]
+    return s[:, None] * mat[cut, cut] / s[None, :]
+
+
 class TestSplit:
     def test_partition_of_inverse(self):
         xi = np.geomspace(1e-4, 1e4, 200)
@@ -204,8 +210,7 @@ class TestBoundednessReport:
         cuts = [rz._truncation(model, rmax) for rmax in (16.0, 64.0, 512.0)]
         got = rz.spectral_norms(mat, sq, cuts)
         for cut, norm in zip(cuts, got):
-            s = sq[cut]
-            dense = np.linalg.norm(s[:, None] * mat[cut, cut] / s[None, :], 2)
+            dense = np.linalg.norm(weighted_block(mat, sq, cut), 2)
             assert norm == pytest.approx(dense, rel=1e-12)
 
     def test_spectral_norms_rerun_bitwise(self, model, low_kernel):
@@ -235,8 +240,7 @@ class TestBoundednessReport:
         cuts = [slice(0, 2), slice(0, 9), slice(6, 9)]
         got = rz.spectral_norms(mat, sq, cuts)
         for cut, norm in zip(cuts, got):
-            s = sq[cut]
-            dense = np.linalg.norm(s[:, None] * mat[cut, cut] / s[None, :], 2)
+            dense = np.linalg.norm(weighted_block(mat, sq, cut), 2)
             assert norm == pytest.approx(dense, rel=1e-12, abs=1e-15)
 
     def test_spectral_norms_step_cap(self, model, low_kernel, monkeypatch):
@@ -253,8 +257,7 @@ class TestBoundednessReport:
         sq = np.sqrt(model.weights)
         for row in report["rows"]:
             cut = rz._truncation(model, row.r_max)
-            s = sq[cut]
-            want = rz.spectral_norm(s[:, None] * mat[cut, cut] / s[None, :])
+            want = rz.spectral_norm(weighted_block(mat, sq, cut))
             assert row.lower == row.upper
             assert row.upper == pytest.approx(want, rel=1e-12)
 
