@@ -380,6 +380,10 @@ def build_log_harmonic(model: ModelManifold,
 # discrete DtN boundary problem
 
 
+# accuracy order of the NeckProblem finite-difference stencils
+NECK_ORDER = 4
+
+
 class NeckProblem:
     """Discrete zero-channel Laplace problem on the compact part, closed by
     the exterior DtN rows B u = d_nu u - Lambda_ext u = 0.
@@ -388,18 +392,17 @@ class NeckProblem:
     radiation rows, so with homogeneous data the only solution is zero.
     """
 
-    def __init__(self, model: ModelManifold, domain_radius: float = 12.0,
-                 order: int = 4):
+    def __init__(self, model: ModelManifold, domain_radius: float = 12.0):
         self.model = model
         idx = np.where(np.abs(model.s) <= domain_radius + 1e-9)[0]
-        if len(idx) < order + 3:
+        if len(idx) < NECK_ORDER + 3:
             raise DomainError("NeckProblem: domain too small")
         self.idx = idx
         self.s = model.s[idx]
         ends = [radiation_logderiv(model, None, 0.0, xi)
                 for xi in (self.s[0], self.s[-1])]
         self.matrix = _fd_operator(self.s, model.dlog_weight(self.s), 0.0,
-                                   order, ends)
+                                   NECK_ORDER, ends)
 
     def solve(self, F) -> np.ndarray:
         """Solve Delta u = F (F given on the sub-grid, boundary rows
@@ -415,58 +418,3 @@ class NeckProblem:
         if np.linalg.norm(resid) > 1e-8 * max(1.0, np.linalg.norm(rhs)):
             raise SingularSystemError("discrete neck solve did not converge")
         return u
-
-    def smallest_singular_value(self, dual_weight: np.ndarray | None = None) -> float:
-        """min over u of ||A u||_{L^2(dV)} / ||u||, with ||u|| either the
-        plain L^2(dV) norm or the dual-weighted norm ||w u||_{L^2(dV)}."""
-        q = np.sqrt(self.model.weights[self.idx])
-        M = q[:, None] * self.matrix
-        if dual_weight is None:
-            M = M / q[None, :]
-        else:
-            M = M / (dual_weight * q)[None, :]
-        return float(np.linalg.svd(M, compute_uv=False)[-1])
-
-
-def dual_weight_uniqueness_probe(model: ModelManifold, weight: np.ndarray,
-                                 refinements: tuple[float, ...] = (8.0, 12.0, 16.0),
-                                 r_maxes: tuple[float, ...] = (16.0, 32.0, 64.0, 128.0)):
-    """Two numerical statements behind the density of the range of Delta:
-
-    * the constrained discrete DtN system has no null vector: its smallest
-      singular value (in the dual-weighted metric) stays bounded away from
-      zero as the compact domain grows;
-    * the log-growing harmonic function is not in L^2 of the dual weight:
-      its truncated norm grows like log R_max (reported, not asserted).
-    """
-    svals = []
-    for rad in refinements:
-        prob = NeckProblem(model, domain_radius=rad)
-        wsub = weight[prob.idx]
-        svals.append(prob.smallest_singular_value(dual_weight=wsub))
-    U = build_log_harmonic(model)
-    norms = []
-    for rmax in r_maxes:
-        mask = (model.r <= rmax)
-        integrand = (U.values * weight) ** 2
-        norms.append(float(np.dot(model.weights[mask], integrand[mask])))
-    growth = np.polyfit(np.log(np.asarray(r_maxes)), np.asarray(norms), 1)[0]
-    return {"singular_values": svals,
-            "log_norms": norms,
-            "log_norm_growth_per_log_R": float(growth),
-            "diverges": bool(np.all(np.diff(norms) > 0) and growth > 0)}
-
-
-def boundary_symbol_check(xi_prime: float, xi_n: float) -> complex:
-    """Action of the boundary symbol b = i xi_n + i D_t - |xi'| on the
-    unique bounded solution e^{-(|xi'| + i xi_n) t} of the interior model
-    ODE, evaluated at t = 0.  Equals -2 |xi'|: nonzero whenever xi' != 0,
-    the Lopatinski-Shapiro condition for this boundary problem."""
-    lam = abs(xi_prime) + 1j * xi_n
-
-    def u(t):
-        return np.exp(-lam * t)
-
-    h = 1e-6
-    du0 = (u(h) - u(-h)) / (2 * h)
-    return 1j * xi_n * u(0.0) + du0 - abs(xi_prime) * u(0.0)

@@ -4,7 +4,9 @@ emit machine-readable reports.
 Exit status contract: 0 success, 2 configuration error, 3 invariant
 violation, 4 numerical non-convergence.  Reports are JSON (plus CSV
 tables for the Riesz experiments); identical configuration and seed give
-byte-identical reports.  Each report's `checks` block lists the
+byte-identical reports at a fixed BLAS thread count (the dense products
+behind the Riesz kernel round differently with, say,
+OPENBLAS_NUM_THREADS=1 and 2).  Each report's `checks` block lists the
 subcommand's pass conditions as {name: {value, bound, ok}}; the status
 line and the choice between exit 0 and 3 are derived from it.
 """
@@ -205,7 +207,7 @@ def cmd_resolvent(args) -> int:
     model = build_model(_geometry(args))
     sys0 = bvp.GluedSystem(model, 0.0)
     par = px.Parametrix(model, q=args.q, kbar=1.0, system=sys0)
-    k0 = par.choose_k0([1e-4, 1e-3, 1e-2, 0.05])
+    k0, sigma_min = par.choose_k0([1e-4, 1e-3, 1e-2, 0.05])
     v = par.pieces.v_minus
     out = px.ilg_expansion(par, v)
     coef, mask = out.coefficients, out.mask
@@ -218,7 +220,9 @@ def cmd_resolvent(args) -> int:
     oracle = {k: checks.radiation_oracle_error(par, k, vv)
               for k in (1e-2, 1e-3, 1e-4)}
     identity, sk_identity = checks.identity_residuals(par, 1e-3)
-    payload = {"k0": k0, "c0_vs_bvp_rel": c0_rel,
+    payload = {"k0": k0,
+               "k0_selection": {"sigma_min": sigma_min, "floor": px.K0_FLOOR},
+               "c0_vs_bvp_rel": c0_rel,
                "c1_vs_beta_logharmonic_rel": c1_rel,
                "oracle_rel_err": oracle,
                "coefficient_norms": np.max(np.abs(coef), axis=1).tolist(),
@@ -244,12 +248,24 @@ def cmd_riesz(args) -> int:
     if args.n_sigma < 3 or args.n_sigma % 2 == 0:
         raise ConfigError("--n-sigma must be an odd integer >= 3, got "
                           f"{args.n_sigma}")
+    try:
+        p_bounded = [float(p) for p in args.p_bounded]
+        p_unbounded = [float(p) for p in args.p_unbounded]
+    except ValueError as exc:
+        raise ConfigError(f"--p-bounded and --p-unbounded take numbers: "
+                          f"{exc}") from exc
+    for opt, ps in (("--p-bounded", p_bounded),
+                    ("--p-unbounded", p_unbounded)):
+        if not all(p > 1.0 for p in ps):
+            raise ConfigError(f"{opt} values must be > 1, got {ps}")
+    if not math.exp(-rz.SIGMA_MAX) < args.k0 < 1.0:
+        raise ConfigError(f"--k0 must lie in (e^-{rz.SIGMA_MAX:g}, 1), "
+                          f"got {args.k0}")
     cfg = _geometry(args)
     cfg = replace(cfg, S_minus=float(args.sweep_max),
                   S_plus=float(args.sweep_max))
     model = build_model(cfg)
     kern = rz.low_energy_kernel(model, k0=args.k0, n_sigma=args.n_sigma)
-    p_bounded = [float(p) for p in args.p_bounded]
     r_maxes = [2.0 ** j for j in range(5, int(math.log2(args.sweep_max)) + 1)]
     report = rz.lp_boundedness_report(kern, p_bounded, r_maxes)
     rows = [(r.p, r.r_max, r.lower, r.upper,
@@ -278,7 +294,7 @@ def cmd_riesz(args) -> int:
                                "reason": "beta <= 0 for the chosen source"}
         else:
             wit = rz.unboundedness_witness(
-                wmodel, ka, p_list=[float(p) for p in args.p_unbounded],
+                wmodel, ka, p_list=p_unbounded,
                 k0=math.exp(-9.5))
             witness_section = {
                 "applicable": True, "beta": wit.beta,

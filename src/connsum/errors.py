@@ -14,7 +14,8 @@ class NonConvergenceError(RuntimeError):
 
 
 class TruncationError(RuntimeError):
-    """A mode-sum truncation tail exceeds the requested tolerance."""
+    """A channel lies beyond the configured spectrum truncation, or a
+    mode-sum tail exceeds its tolerance."""
 
 
 class SingularSystemError(RuntimeError):

@@ -1,5 +1,5 @@
-"""Least-squares fitting helpers for slopes, norm trends, envelopes and
-inverse-log series."""
+"""Least-squares fitting helpers for slopes, norm trends and inverse-log
+series."""
 
 from __future__ import annotations
 
@@ -49,22 +49,6 @@ def classify_trend(r_maxes, norms) -> Trend:
     return Trend(False, var, loglog_slope(r_maxes[-4:], norms[-4:]))
 
 
-def fit_envelope(values, shape) -> float:
-    """Smallest constant C with |values| <= C * shape over the samples."""
-    values = np.abs(np.asarray(values, dtype=float)).ravel()
-    shape = np.asarray(shape, dtype=float).ravel()
-    if np.any(shape <= 0):
-        raise ValueError("fit_envelope: shape must be positive")
-    return float(np.max(values / shape))
-
-
-def fit_lower_constant(values, shape) -> float:
-    """Largest constant c with values >= c * shape (values, shape > 0)."""
-    values = np.asarray(values, dtype=float).ravel()
-    shape = np.asarray(shape, dtype=float).ravel()
-    return float(np.min(values / shape))
-
-
 def ilg_powers(ks, deg: int) -> np.ndarray:
     """Vandermonde matrix in powers of ilg(k), shape (len(ks), deg+1)."""
     il = ilg(np.asarray(ks, dtype=float))
@@ -81,4 +65,3 @@ def fit_ilg_series(ks, values, deg: int):
     vals = np.asarray(values, dtype=float)
     coef, *_ = np.linalg.lstsq(V, vals, rcond=None)
     return coef
-

@@ -69,26 +69,6 @@ class HarmonicExtension:
         val, _ = self.profile(m, l)
         return self.data.coeffs.get((m, l), 0.0) * val(r)
 
-    def channel_derivative(self, m: int, l: int, r):
-        _, der = self.profile(m, l)
-        return self.data.coeffs.get((m, l), 0.0) * der(r)
-
-    def sup_bound(self, r):
-        """sum over channels of |coefficient| * |profile(r)|; with angular
-        factors bounded by one this dominates sup |u| on the sphere of
-        radius r."""
-        out = np.zeros_like(np.asarray(r, dtype=float))
-        for (m, l) in self.data.coeffs:
-            out = out + np.abs(self.channel_values(m, l, r))
-        return out
-
-    def limit_at_infinity(self) -> float:
-        """Value at infinity: the (0,0) coefficient on the minus end, zero
-        on the plus end."""
-        if self.data.end == "minus":
-            return self.data.coeffs.get((0, 0), 0.0)
-        return 0.0
-
     def ode_residual(self, m: int, l: int, r, h: float = 1e-3):
         """Residual of the radial channel ODE on the profile, with the
         second derivative from five-point differences of the analytic
@@ -141,33 +121,6 @@ def dtn_multiplier(end: EndSpec, m: int, l: int, R: float) -> float:
     log-derivative at R of the decaying harmonic profile (0.0 - keeps the
     constant minus-end channel at +0)."""
     return 0.0 - decaying_radial_logderiv(end, m, end.cross_section.mu(l), R)
-
-
-@dataclass(frozen=True)
-class DtNOperator:
-    """The exterior DtN map of one end as a channel multiplier family.
-
-    All multipliers are nonnegative; the minus-end constant channel maps
-    to zero and angular channels to m/R exactly.
-    """
-    end_spec: EndSpec
-    end: str
-    R: float
-
-    def multiplier(self, m: int, l: int) -> float:
-        return dtn_multiplier(self.end_spec, m, l, self.R)
-
-    def __call__(self, f: BoundaryData) -> BoundaryData:
-        if f.end != self.end:
-            raise DomainError("DtNOperator: boundary data from the wrong end")
-        out = {ch: c * self.multiplier(*ch) for ch, c in f.coeffs.items()}
-        return BoundaryData(f.end, f.R, out)
-
-
-def dtn(end: EndSpec, f: BoundaryData) -> BoundaryData:
-    """Apply the exterior DtN operator: multiply channel (m, l) by
-    lambda_{ml}.  Returns the boundary data of -d_r(extension) at R."""
-    return DtNOperator(end, f.end, f.R)(f)
 
 
 def dtn_symbol_check(end: EndSpec, R: float, m_max: int = 20) -> dict:

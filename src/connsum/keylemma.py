@@ -37,8 +37,8 @@ from . import specfun as sf
 from .bvp import GlobalHarmonicSolution, GluedSystem, solve_laplace
 from .cutoffs import Step, on_grid
 from .errors import DomainError
-from .fits import fit_envelope, loglog_slope
-from .model import EndSpec, ModeChannel, ModelManifold, channel_profile
+from .fits import loglog_slope
+from .model import ModelManifold
 from .specfun import C_GAMMA, ilg
 
 
@@ -231,50 +231,6 @@ def build_key_approximation(model: ModelManifold, v, q: int = 3,
 # estimate verification
 
 
-def verify_key_estimates(approx: KeyApproximation, ks,
-                         c_rate: float = 0.5) -> dict:
-    """Fit the smallest constants validating the pointwise bounds on u and
-    its radial derivative over a (z, k) sweep, one constant per regime.
-
-    Shapes: |u| <= C e^{-c k r} (minus end), C r^{2-n} e^{-c k r} (plus
-    end), C (neck); |u'| <= C (r^{-2} + ilg k r^{-1}) e^{-c k r} (minus),
-    C r^{1-n} e^{-c k r} (plus), with an extra factor ilg k on the plus
-    end when the zero-energy solution vanishes identically there.
-    """
-    m = approx.model
-    n = m.plus.euclidean_dim
-    refined_plus = abs(approx.stages[0].c_raw) < 1e-13
-    regimes = {key: [] for key in
-               ("u_minus", "u_plus", "u_neck", "grad_minus", "grad_plus")}
-    shapes = {key: [] for key in regimes}
-    for k in ks:
-        vals, dvals = approx.u(k)
-        il = ilg(k)
-        damp = np.exp(-c_rate * k * m.r)
-        mi, pl, nk = m.mask_minus, m.mask_plus, m.mask_neck
-        regimes["u_minus"].append(vals[mi])
-        shapes["u_minus"].append(damp[mi])
-        regimes["u_plus"].append(vals[pl])
-        shapes["u_plus"].append(m.r[pl] ** (2.0 - n) * damp[pl])
-        regimes["u_neck"].append(vals[nk])
-        shapes["u_neck"].append(np.ones(nk.sum()))
-        regimes["grad_minus"].append(dvals[mi])
-        shapes["grad_minus"].append(
-            (m.r[mi] ** -2.0 + il * m.r[mi] ** -1.0) * damp[mi])
-        gshape = m.r[pl] ** (1.0 - n) * damp[pl]
-        if refined_plus:
-            gshape = gshape * il
-        regimes["grad_plus"].append(dvals[pl])
-        shapes["grad_plus"].append(gshape)
-    out = {}
-    for key in regimes:
-        out[key] = fit_envelope(np.concatenate(regimes[key]),
-                                np.concatenate(shapes[key]))
-    out["c_rate"] = c_rate
-    out["plus_gradient_gains_ilg"] = refined_plus
-    return out
-
-
 def verify_lower_bound(approx: KeyApproximation, ks, eps: float = 0.1,
                        r0: float | None = None) -> dict:
     """Check d_r(u + phi) >= C beta ilg(k)/r on {k r <= eps, r >= r0} of
@@ -301,49 +257,6 @@ def verify_lower_bound(approx: KeyApproximation, ks, eps: float = 0.1,
     return {"applicable": True, "beta": beta, "constant": c_fit,
             "remainder_scale": max(rems) if rems else math.nan,
             "positive": bool(cs and c_fit > 0)}
-
-
-# ---------------------------------------------------------------------------
-# per-channel off-zero extensions
-
-
-@dataclass(frozen=True)
-class OffZeroExtension:
-    """k-deformation of one decaying zero-energy channel profile, matched
-    at the gluing radius."""
-    end_spec: EndSpec
-    channel: ModeChannel
-    R: float
-
-    def _profile(self, k: float):
-        """(value, d/dr) at energy k^2: channels with l >= 1 already decay
-        exponentially (kappa = mu_l, trivial in k), the l = 0 channels
-        deform with kappa = k."""
-        l = self.channel.cross_index
-        kappa = self.end_spec.cross_section.mu(l) if l >= 1 else k
-        return channel_profile(self.end_spec, self.channel.angular, kappa,
-                               self.R)
-
-    def profile(self, k: float, r):
-        """Profile normalized to the zero-energy one at r = R."""
-        return self._profile(k)[0](r)
-
-    def profile_dr(self, k: float, r):
-        return self._profile(k)[1](r)
-
-
-def extend_off_zero(model: ModelManifold,
-                    channel: ModeChannel) -> OffZeroExtension:
-    """Per-channel k-deformation of the decaying zero-energy profile.
-
-    The constant channel on the minus end has no decaying branch: that is
-    exactly the case handled by the beta K_0 mechanism instead.
-    """
-    if channel.end == "minus" and channel.is_zero:
-        raise DomainError(
-            "constant channel on the minus end: use the inverse-log "
-            "K_0 mechanism, not an off-zero extension")
-    return OffZeroExtension(model.end_spec(channel.end), channel, model.R)
 
 
 def residual_slope(approx: KeyApproximation, j_list=(3, 4, 5, 6, 7),

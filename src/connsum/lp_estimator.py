@@ -98,30 +98,6 @@ def lemma_predicate(kernel: PowerKernel, p: float) -> bool:
     return all(c > 0 for c in checks)
 
 
-def mellin_profile_l1(kernel: PowerKernel, p: float,
-                      quadrature: bool = False) -> float:
-    """|| u ||_{L^1(R)} for the log-substituted convolution profile of a
-    homogeneous kernel: closed form 1/(d/p - a) + 1/(a' - d/p) inside the
-    boundedness window, infinity outside.
-
-    quadrature=True evaluates the same integral numerically instead (the
-    substitution oracle)."""
-    if not kernel.homogeneous:
-        raise DomainError("Mellin profile needs the homogeneous calibration")
-    d = kernel.d1
-    alpha = d / p - kernel.a        # exponent for s <= 0
-    beta = d / p - kernel.a_prime   # exponent for s > 0
-    if alpha <= 0 or beta >= 0:
-        return math.inf
-    if not quadrature:
-        return 1.0 / alpha - 1.0 / beta
-    from scipy.integrate import quad
-
-    left, _ = quad(lambda s: math.exp(alpha * s), -80.0 / alpha, 0.0, limit=200)
-    right, _ = quad(lambda s: math.exp(beta * s), 0.0, -80.0 / beta, limit=200)
-    return left + right
-
-
 @dataclass
 class BoundednessVerdict:
     p: float
@@ -304,15 +280,6 @@ def _margin(kernel: PowerKernel, p: float) -> float:
     vals = [m1, m2, m3]
     vals.append(abs(k.b - k.d2 * (1.0 - 1.0 / p)))
     return min(vals)
-
-
-def dual_kernel(kernel: PowerKernel) -> PowerKernel:
-    """Transpose kernel K(y, x): the x <= y branch picks up the primed
-    exponents with the roles of the variables swapped, and the two
-    measures trade places."""
-    return PowerKernel(kernel.b_prime, kernel.a_prime, kernel.b, kernel.a,
-                       kernel.d2, kernel.d1,
-                       domain_start=kernel.domain_start)
 
 
 def paper_instances(n_plus: int = 3):

@@ -26,7 +26,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import ConfigError, DomainError
+from .errors import ConfigError
 from .quadrature import (cc_segment, cheb_cumint_matrix, clenshaw_curtis,
                          fornberg_weights)
 
@@ -53,11 +53,17 @@ def hermite_two_point(x0: float, vals0, x1: float, vals1) -> np.ndarray:
 
 @dataclass(frozen=True)
 class CrossSection:
-    """Compact cross-section factor of one end."""
+    """Compact cross-section factor of one end.
+
+    `eigenvalues` lists the distinct eigenvalues mu_l^2 of the
+    cross-section, ascending from 0, each once whatever its multiplicity:
+    a channel index l names the whole mu_l^2 eigenspace (the circle of
+    length L lists (2 pi l / L)^2 once, though l >= 1 has multiplicity 2).
+    A repeated value would name one channel twice."""
     kind: str            # "point" | "circle" | "explicit"
     dim: int
     volume: float
-    eigenvalues: tuple[float, ...]  # ascending, eigenvalues[0] == 0
+    eigenvalues: tuple[float, ...]  # distinct, ascending, eigenvalues[0] == 0
 
     def __post_init__(self):
         if self.volume <= 0:
@@ -66,7 +72,10 @@ class CrossSection:
         if len(ev) == 0 or ev[0] != 0.0:
             raise ConfigError("cross-section spectrum must start at 0")
         if any(b <= a for a, b in zip(ev, ev[1:])):
-            raise ConfigError("cross-section spectrum must be strictly ascending")
+            raise ConfigError(
+                "cross-section spectrum must be strictly ascending: list "
+                "each distinct eigenvalue once, since channel l names its "
+                "whole eigenspace")
         if len(ev) > 1 and ev[1] <= 0:
             raise ConfigError("nonzero cross-section eigenvalues must be positive")
 
@@ -120,9 +129,6 @@ class ModeChannel:
     @property
     def is_zero(self) -> bool:
         return self.angular == 0 and self.cross_index == 0
-
-
-ZERO_CHANNEL = ModeChannel("minus", 0, 0)
 
 
 @dataclass(frozen=True)
@@ -277,7 +283,6 @@ class NeckProfile:
         # radial function: even C^4 dip from r(+-R) = R to r(0) ~ 1
         self._rpoly = hermite_two_point(0.0, [1.0, 0.0, 0.0, 0.0, 0.0],
                                         R, [R, 1.0, 0.0, 0.0, 0.0])
-        self._drpoly = np.polynomial.polynomial.polyder(self._rpoly)
         xs = np.linspace(0, R, 200)
         rv = np.polynomial.polynomial.polyval(xs, self._rpoly)
         if rv.min() < 0.98 or np.any(np.diff(rv) < -1e-12):
@@ -296,10 +301,6 @@ class NeckProfile:
     def radial(self, s):
         return np.polynomial.polynomial.polyval(np.abs(np.asarray(s, float)),
                                                 self._rpoly)
-
-    def dradial(self, s):
-        s = np.asarray(s, float)
-        return np.sign(s) * np.polynomial.polynomial.polyval(np.abs(s), self._drpoly)
 
 
 class ModelManifold:
@@ -491,17 +492,6 @@ class ModelManifold:
         out = out + np.diag(self.kink_diagonal(jump_ramp, jump_step))
         return out
 
-    @cached_property
-    def segment_interior(self) -> np.ndarray:
-        """Mask of nodes strictly inside their segment.  Endpoint rows of
-        spectral differentiation amplify value noise by ~n^2, so residual
-        checks are sharpest on this mask."""
-        mask = np.ones(self.n, dtype=bool)
-        for start, n, _th, _jac, _kind in self.segments:
-            mask[start:start + 2] = False
-            mask[start + n - 2:start + n] = False
-        return mask
-
     def laplacian(self, d1, d2) -> np.ndarray:
         """Delta y = -y'' - (log v)' y' on the grid, from the s-derivatives
         d1 = y' and d2 = y'' of a zero-channel grid function y."""
@@ -542,15 +532,6 @@ class ModelManifold:
             out[nk] = self.neck.radial(arr[nk])
         return float(out[0]) if np.ndim(s) == 0 else out
 
-    def dradial(self, s):
-        """d r / d s; equals sign(s) on the ends."""
-        arr = np.atleast_1d(np.asarray(s, dtype=float))
-        out = np.sign(arr)
-        nk = np.abs(arr) < self.R
-        if nk.any():
-            out[nk] = self.neck.dradial(arr[nk])
-        return float(out[0]) if np.ndim(s) == 0 else out
-
     def end_spec(self, end: str) -> EndSpec:
         return self.minus if end == "minus" else self.plus
 
@@ -563,10 +544,6 @@ class ModelManifold:
     @cached_property
     def mask_plus(self):
         return self.s >= self.R
-
-    @cached_property
-    def mask_neck(self):
-        return ~(self.mask_minus | self.mask_plus)
 
     def integrate(self, f) -> float:
         """Integral of a grid function against the volume measure v ds."""
@@ -596,20 +573,6 @@ def build_model(config: GeometryConfig | dict | None = None) -> ModelManifold:
     elif isinstance(config, dict):
         config = GeometryConfig.from_dict(config)
     return ModelManifold(config)
-
-
-@dataclass
-class GridFunction:
-    """A sampled radial function on the model grid."""
-    values: np.ndarray
-    dvalues: np.ndarray | None = None
-
-    def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=float)
-        if self.dvalues is not None:
-            self.dvalues = np.asarray(self.dvalues, dtype=float)
-            if self.dvalues.shape != self.values.shape:
-                raise DomainError("GridFunction: value/derivative shape mismatch")
 
 
 # ---------------------------------------------------------------------------

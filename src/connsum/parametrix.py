@@ -296,10 +296,6 @@ class FiniteRankFix:
     sigma_before: float = 0.0
     sigma_after: float = 0.0
 
-    @property
-    def psis(self) -> list[np.ndarray]:
-        return [b.values for b in self.bumps]
-
     def g4(self, dleft: bool = False) -> np.ndarray:
         """G4, or with dleft its left derivative."""
         return self._outer([b.d1 if dleft else b.values for b in self.bumps])
@@ -475,6 +471,10 @@ def smallest_singular_value(M: np.ndarray) -> float:
     return 1.0 / spectral_norm(inv)
 
 
+# smallest singular value of Id + E(k) at which choose_k0 accepts k
+K0_FLOOR = 1e-6
+
+
 class Parametrix:
     """Assembled parametrix with its finite-rank correction; produces the
     exact resolvent R(k) = G(k)(Id + S(k)) on the grid."""
@@ -519,9 +519,6 @@ class Parametrix:
         return sv + self.model.kink_diagonal(-err.jump_ramp,
                                              -err.jump_step) * v
 
-    def resolvent_kernel(self, k: float) -> np.ndarray:
-        return self.s_operator(k).right_compose(*self.g_kernel(k))
-
     def resolvent_apply(self, k: float, v) -> np.ndarray:
         v = np.asarray(v, dtype=float)
         return self.g_kernel(k)[1] @ (v + self.s_apply(k, v))
@@ -530,18 +527,19 @@ class Parametrix:
         """d/ds in the left variable of the resolvent kernel."""
         return self.s_operator(k).right_compose(*self.g_kernel(k, dleft=True))
 
-    def choose_k0(self, k_list, floor: float = 1e-6) -> float:
-        """Largest lattice k with smallest singular value of Id + E(k)
-        on the weighted space above the floor."""
-        best = None
+    def choose_k0(self, k_list) -> tuple[float, dict]:
+        """(k0, {k: sigma_min}): the largest lattice k whose smallest
+        singular value of Id + E(k) on the weighted space is above
+        K0_FLOOR, and that singular value at every lattice k."""
         w = self.pieces.weight
+        sigma_min = {}
         for k in sorted(k_list):
             M = _weighted_operator(self.model, self.error(k).total, w)
-            if smallest_singular_value(M) > floor:
-                best = k
-        if best is None:
+            sigma_min[k] = smallest_singular_value(M)
+        above = [k for k, sig in sigma_min.items() if sig > K0_FLOOR]
+        if not above:
             raise SingularSystemError("no lattice k keeps Id + E(k) invertible")
-        return best
+        return max(above), sigma_min
 
 
 @dataclass
@@ -551,16 +549,6 @@ class IlgSeries:
     mask: np.ndarray
     coefficients: np.ndarray   # (deg+1, n_mask)
     values: np.ndarray
-
-
-def resolvent(par: Parametrix, k: float, v):
-    """R(k) v on the grid as a GridFunction (values and d/ds values)."""
-    from .model import GridFunction
-
-    v = np.asarray(v, dtype=float)
-    vsv = v + par.s_apply(k, v)
-    return GridFunction(par.g_kernel(k)[1] @ vsv,
-                        par.g_kernel(k, dleft=True)[1] @ vsv)
 
 
 def ilg_expansion(parametrix: Parametrix, v, j_list=(4, 5, 6, 7, 8),

@@ -1,10 +1,13 @@
 """Riesz transform experiments on the glued model.
 
 The transform nabla Delta^{-1/2} = (2/pi) int_0^oo nabla (Delta+k^2)^{-1} dk
-splits at k_0 into a low-energy part, assembled here as an explicit
-two-variable kernel by quadrature of the resolvent gradient in k, and a
-high-energy part, applied per separated-variables channel as the spectral
+splits at k_0 into a low-energy part and a high-energy part, the spectral
 multiplier  xi -> (2/(pi xi)) arctan(xi/k_0)  of the radial operator.
+This module assembles the low-energy part as an explicit two-variable
+kernel, by quadrature of the resolvent gradient in k.  The high-energy
+part has the uniform L^2 bound sup_xi |xi F_>(xi)| = 1 on every channel;
+no subcommand reports it yet, and its finite-volume eigen-multiplier and
+the Euclidean split check live with their tests (tests/test_riesz.py).
 
 The low-energy kernel drives the boundedness experiments (norm estimates
 stabilizing in the truncation radius for 1 < p <= 2) and the
@@ -28,20 +31,8 @@ from .cutoffs import Bump, minus_cutoff
 from .errors import DomainError, NonConvergenceError
 from .fits import classify_trend, loglog_slope
 from .lp_estimator import boyd_lower_bound, lp_norm
-from .model import EndSpec, ModelManifold
-from .quadrature import cc_segment, fornberg_weights
-
-
-def f_low(xi, k0: float = 1.0):
-    """F_<(xi) = (2/(pi xi)) (pi/2 - arctan(xi/k0))."""
-    xi = np.asarray(xi, dtype=float)
-    return 2.0 / (math.pi * xi) * (0.5 * math.pi - np.arctan(xi / k0))
-
-
-def f_high(xi, k0: float = 1.0):
-    """F_>(xi) = (2/(pi xi)) arctan(xi/k0); F_< + F_> = 1/xi."""
-    xi = np.asarray(xi, dtype=float)
-    return 2.0 / (math.pi * xi) * np.arctan(xi / k0)
+from .model import ModelManifold
+from .quadrature import cc_segment
 
 
 @dataclass
@@ -61,17 +52,21 @@ class DiscretizedKernel:
         return self.model.composition_matrix(self.values, 0.0, step)
 
 
-def low_energy_kernel(model: ModelManifold, k0: float, n_sigma: int = 33,
-                      sigma_max: float = 40.0) -> DiscretizedKernel:
+# upper end of the sigma = log(1/k) interval of the low-energy k-integral
+SIGMA_MAX = 40.0
+
+
+def low_energy_kernel(model: ModelManifold, k0: float,
+                      n_sigma: int = 33) -> DiscretizedKernel:
     """(2/pi) int_0^{k0} d_s R(k)(z, z') dk on grid x grid.
 
     The substitution k = e^{-sigma} resolves the inverse-log behaviour
     near k = 0 uniformly; the integrand decays like e^{-sigma} so the
-    upper truncation contributes ~ e^{-sigma_max}.  The per-entry error
-    estimate compares against the embedded coarse rule: the nodes of the
-    (n_sigma + 1) // 2 point Clenshaw-Curtis rule are every other node of
-    the n_sigma point rule, so both sums share one resolvent gradient per
-    node.  n_sigma must therefore be odd.
+    upper truncation at SIGMA_MAX contributes ~ e^{-SIGMA_MAX}.  The
+    per-entry error estimate compares against the embedded coarse rule:
+    the nodes of the (n_sigma + 1) // 2 point Clenshaw-Curtis rule are
+    every other node of the n_sigma point rule, so both sums share one
+    resolvent gradient per node.  n_sigma must therefore be odd.
 
     The resolvent gradients come from the exact glued Green system, which
     is stable at every k on the lattice.  Both rules are summed together
@@ -84,8 +79,8 @@ def low_energy_kernel(model: ModelManifold, k0: float, n_sigma: int = 33,
         raise DomainError("n_sigma must be an odd integer >= 3 (the coarse "
                           f"rule is embedded in the fine one), got {n_sigma}")
 
-    sig, w = cc_segment(math.log(1.0 / k0), sigma_max, n_sigma)
-    _, w_coarse = cc_segment(math.log(1.0 / k0), sigma_max, (n_sigma + 1) // 2)
+    sig, w = cc_segment(math.log(1.0 / k0), SIGMA_MAX, n_sigma)
+    _, w_coarse = cc_segment(math.log(1.0 / k0), SIGMA_MAX, (n_sigma + 1) // 2)
     systems = []
     fine = np.zeros(n_sigma)
     coarse = np.zeros(n_sigma)
@@ -106,108 +101,6 @@ def low_energy_kernel(model: ModelManifold, k0: float, n_sigma: int = 33,
             f"{kern.quad_error:g} against bound "
             f"{kern.quad_error_bound():g}")
     return kern
-
-
-def rank_one_k_integral(c_rate: float, k0: float, r, rp):
-    """Closed form int_0^{k0} r^{-1} e^{-c k r} e^{-c k r'} dk
-    = r^{-1} (c (r + r'))^{-1} (1 - e^{-c k0 (r + r')})."""
-    r = np.asarray(r, dtype=float)
-    rp = np.asarray(rp, dtype=float)
-    tot = c_rate * (r + rp)
-    return (1.0 - np.exp(-k0 * tot)) / (r * tot)
-
-
-# ---------------------------------------------------------------------------
-# high-energy multiplier
-
-
-def _finite_volume(r, n_dim: int, pot, scale: float = 1.0):
-    """Finite-volume form of -v^{-1}(v u')' + pot on the ascending nodes r,
-    v = scale r^{n_dim - 1}, with natural (Neumann) ends: returns the cell
-    weights w, the stiffness matrix (the sum over cells of v_mid u_i' u_j'
-    plus the potential mass) and the weights v_mid h of the cell
-    gradients."""
-    n_pts = len(r)
-    h = np.diff(r)
-    w = np.zeros(n_pts)
-    w[1:-1] = 0.5 * (r[2:] - r[:-2]) * r[1:-1] ** (n_dim - 1)
-    w[0] = 0.5 * h[0] * r[0] ** (n_dim - 1)
-    w[-1] = 0.5 * h[-1] * r[-1] ** (n_dim - 1)
-    w *= scale
-    vmid = scale * (0.5 * (r[1:] + r[:-1])) ** (n_dim - 1)
-    main = np.zeros(n_pts)
-    off = -vmid / h
-    main[:-1] -= off
-    main[1:] -= off
-    S = np.diag(main) + np.diag(off, 1) + np.diag(off, -1)
-    S = S + np.diag(pot * w)
-    return w, S, vmid * h
-
-
-def _weighted_modes(S, w):
-    """Eigenvalues (floored at 0) of the symmetric pencil (S, diag w) and
-    its modes, orthonormal in the weights w."""
-    sq = np.sqrt(w)
-    eigs, Q = np.linalg.eigh(S / sq[:, None] / sq[None, :])
-    return np.maximum(eigs, 0.0), Q / sq[:, None]
-
-
-def _symmetric_channel_operator(model: ModelManifold, end: str, m: int,
-                                l: int, r_max: float, n_pts: int):
-    """Symmetric finite-volume radial operator of one channel on
-    [R, r_max] with Dirichlet walls; returns (eigs, modes, weights, grad,
-    grad_weights) with modes orthonormal in the channel volume measure."""
-    spec = model.end_spec(end)
-    n_dim = spec.euclidean_dim
-    r = np.geomspace(model.R, r_max, n_pts)
-    mu2 = spec.cross_section.eigenvalues[l]
-    ang = m * (m + n_dim - 2)
-    w, S, gw = _finite_volume(r, n_dim, ang / r ** 2 + mu2)
-    # Dirichlet walls: restrict to the interior
-    sl = slice(1, n_pts - 1)
-    wd = w[sl]
-    eigs, modes = _weighted_modes(S[sl, sl], wd)
-    # staggered gradient of the quadratic form (zero boundary values):
-    # rows = interior cell interfaces, weights v_mid h
-    ni = n_pts - 2
-    grad = np.zeros((ni + 1, ni))
-    hd = np.empty(ni + 1)
-    hd[0] = r[1] - r[0]
-    hd[1:] = r[2:] - r[1:-1]
-    for i in range(ni + 1):
-        if 0 < i <= ni - 1:
-            grad[i, i - 1] = -1.0 / hd[i]
-        if i <= ni - 1:
-            grad[i, i] = grad[i, i] + 1.0 / hd[i]
-        elif i == ni:
-            grad[i, i - 1] = -1.0 / hd[i]
-    return eigs, modes, wd, grad, gw
-
-
-def high_energy_multiplier(model: ModelManifold, channels, k0: float = 1.0,
-                           r_max: float = 64.0, n_pts: int = 220) -> dict:
-    """Apply nabla F_>(sqrt(Delta)) per channel by eigen-decomposition on
-    a truncated radial domain and report the L^2 -> L^2 norms.
-
-    The multiplier bound sup_xi |xi F_>(xi)| = (2/pi) arctan(oo) = 1 makes
-    sup_channels || nabla F_>(sqrt(Delta)) ||_{2->2} <= 1.
-    """
-    norms = {}
-    for ch in channels:
-        eigs, modes, wd, grad, gw = _symmetric_channel_operator(
-            model, ch.end, ch.angular, ch.cross_index, r_max, n_pts)
-        lam = np.sqrt(eigs)
-        mult = np.where(lam > 0, f_high(np.maximum(lam, 1e-300), k0), 0.0)
-        # the discretization-consistent gradient is the staggered
-        # difference entering the finite-volume quadratic form:
-        # ||grad g||^2 <= <Delta g, g>, so the norm is <= sup xi F_>(xi)
-        core = modes * mult[None, :]
-        T = grad @ core @ (modes.T * wd[None, :])
-        Tw = np.sqrt(gw)[:, None] * T / np.sqrt(wd)[None, :]
-        norms[(ch.end, ch.angular, ch.cross_index)] = float(
-            np.linalg.norm(Tw, 2))
-    return {"norms": norms, "uniform_bound": max(norms.values()),
-            "multiplier_sup": 1.0}
 
 
 # ---------------------------------------------------------------------------
@@ -466,15 +359,6 @@ def ilg_clipped(x):
     return out
 
 
-def kappa_integral(eps: float = 1.0, c_rate: float = 1.0) -> float:
-    """int_0^eps f(kappa)(1 + |log kappa|) e^{-c kappa} d kappa > 0."""
-    from scipy.integrate import quad
-
-    val, _ = quad(lambda t: float(witness_f(t)) * (1 + abs(math.log(t)))
-                  * math.exp(-c_rate * t), 0.0, eps, limit=200)
-    return val
-
-
 @dataclass
 class UnboundednessWitness:
     model: ModelManifold
@@ -580,91 +464,3 @@ def unboundedness_witness(model: ModelManifold, key_approx, p_list=(3.0, 4.0),
                          "fitted_exponent": slope,
                          "expected": (2.0 - pp) / pp}
     return wit
-
-
-def truncated_bnorm_exponent(p: float, r_maxes, R: float = 2.0,
-                             c_minus: float = 1.0) -> dict:
-    """Fitted growth exponent of || ilg(1/r)/r ||_{L^{p'}(r dr), r <= Rmax},
-    with the 1/log R factor removed: expected (2 - p')/p'."""
-    from scipy.integrate import quad
-
-    pp = p / (p - 1.0)
-    norms = []
-    for rmax in r_maxes:
-        val, _ = quad(lambda r: (1.0 / (math.log(r) * r)) ** pp * c_minus * r,
-                      R, rmax, limit=400)
-        norms.append(val ** (1.0 / pp))
-    corrected = np.array(norms) * np.log(np.array(r_maxes))
-    slope = loglog_slope(np.array(r_maxes, dtype=float), corrected)
-    return {"norms": norms, "fitted_exponent": slope,
-            "expected": (2.0 - pp) / pp}
-
-
-def schur_exponent_check(model: ModelManifold, s_exp: float,
-                         k_list=(3e-3, 1e-3, 3e-4, 1e-4)) -> dict:
-    """The off-diagonal minus-end resolvent at frozen k has
-    L^{s'} -> L^inf norm ~ k^{-2/s}: fitted exponent of
-    sup_z (int_{d >= 1} |K(z, z')|^s dV')^{1/s} against k."""
-    end = model.minus
-    r_eval = np.array([model.radii.zeta[0]])
-    vals = []
-    for k in k_list:
-        r = np.geomspace(model.R, 50.0 / k, 4000)
-        w = np.gradient(r) * end.weight_constant * r
-        kern = pk.reduced_kernel(end, k, r_eval[0], r)
-        mask = np.abs(r - r_eval[0]) >= 1.0
-        vals.append(float(np.sum(w[mask] * np.abs(kern[mask]) ** s_exp))
-                    ** (1.0 / s_exp))
-    slope = loglog_slope(np.array(k_list), np.array(vals))
-    return {"fitted": slope, "expected": -2.0 / s_exp,
-            "values": vals}
-
-
-# ---------------------------------------------------------------------------
-# split consistency on a pure Euclidean model
-
-
-def split_consistency_euclidean(k0: float = 1.0, n_r: int = 160,
-                                r_span=(2.0, 40.0)) -> dict:
-    """On R^3 (point cross-section), the low-energy k-quadrature kernel
-    plus the high-energy eigen-multiplier kernel reproduce the radial
-    derivative of the known kernel of Delta^{-1/2},
-
-        K(r, r') = log((r + r')/|r - r'|) / (4 pi^2 r r'),
-
-    compared pointwise away from the diagonal."""
-    from .model import CrossSection
-
-    end = EndSpec(3, CrossSection.point(), 2.0)
-    r = np.geomspace(r_span[0], r_span[1], n_r)
-    # low part: (2/pi) int_0^{k0} d_r kernel dk by quadrature
-    sig, ws = cc_segment(math.log(1.0 / k0), 38.0, 35)
-    low = np.zeros((n_r, n_r))
-    for s_i, w_i in zip(sig, ws):
-        k = math.exp(-s_i)
-        low += (2.0 / math.pi) * w_i * k * \
-            pk.reduced_kernel_dleft(end, k, r[:, None], r[None, :])
-    # high part kernel: d_r F_>(sqrt(Delta)) by dense eigen-decomposition
-    w, S, _ = _finite_volume(r, end.euclidean_dim, 0.0, end.weight_constant)
-    eigs, modes = _weighted_modes(S, w)
-    # the constant mode has eigenvalue 0, where f_high is 0/0
-    eigs = np.maximum(eigs, 1e-14)
-    kern_h = (modes * f_high(np.sqrt(eigs), k0)[None, :]) @ modes.T
-    D1 = np.zeros((n_r, n_r))
-    rows = np.arange(n_r)
-    cols = np.arange(5)[:, None] + np.clip(rows - 2, 0, n_r - 5)
-    D1[rows, cols] = fornberg_weights(r, r[cols], 1)[1]
-    high = D1 @ kern_h
-    # reference: d/dr of the exact half-inverse kernel
-    a = r[:, None]
-    b = r[None, :]
-    core = np.log((a + b) / np.maximum(np.abs(a - b), 1e-300))
-    dcore = 1.0 / (a + b) - np.sign(a - b) / np.maximum(np.abs(a - b), 1e-300)
-    ref = (dcore / (a * b) - core / (a * a * b)) / (4 * math.pi ** 2)
-    total = low + high
-    mask_r = (r > 4.0) & (r < 25.0)
-    offdiag = np.abs(a - b) > 3.0
-    sel = np.outer(mask_r, mask_r) & offdiag
-    rel = float(np.max(np.abs((total - ref)[sel]))
-                / np.max(np.abs(ref[sel])))
-    return {"rel_error": rel}

@@ -1,0 +1,79 @@
+"""Reference computations that more than one test file uses.
+
+None of them runs in a subcommand, a demo or the benchmark; each checks
+a library result or a statement of the paper from outside.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+
+import numpy as np
+
+from connsum import product_kernels as pk
+from connsum.errors import DomainError
+from connsum.fits import loglog_slope
+from connsum.model import ModelManifold
+
+
+def segment_interior(model: ModelManifold) -> np.ndarray:
+    """Mask of nodes strictly inside their segment.  Endpoint rows of
+    spectral differentiation amplify value noise by ~n^2, so residual
+    checks are sharpest on this mask."""
+    mask = np.ones(model.n, dtype=bool)
+    for start, n, _th, _jac, _kind in model.segments:
+        mask[start:start + 2] = False
+        mask[start + n - 2:start + n] = False
+    return mask
+
+
+@dataclass
+class GridFunction:
+    """A sampled radial function on the model grid."""
+    values: np.ndarray
+    dvalues: np.ndarray | None = None
+
+    def __post_init__(self):
+        self.values = np.asarray(self.values, dtype=float)
+        if self.dvalues is not None:
+            self.dvalues = np.asarray(self.dvalues, dtype=float)
+            if self.dvalues.shape != self.values.shape:
+                raise DomainError("GridFunction: value/derivative shape mismatch")
+
+
+def resolvent(par, k: float, v):
+    """R(k) v on the grid of a parametrix.Parametrix as a GridFunction
+    (values and d/ds values)."""
+    v = np.asarray(v, dtype=float)
+    vsv = v + par.s_apply(k, v)
+    return GridFunction(par.g_kernel(k)[1] @ vsv,
+                        par.g_kernel(k, dleft=True)[1] @ vsv)
+
+
+def fit_envelope(values, shape) -> float:
+    """Smallest constant C with |values| <= C * shape over the samples."""
+    values = np.abs(np.asarray(values, dtype=float)).ravel()
+    shape = np.asarray(shape, dtype=float).ravel()
+    if np.any(shape <= 0):
+        raise ValueError("fit_envelope: shape must be positive")
+    return float(np.max(values / shape))
+
+
+def schur_exponent_check(model: ModelManifold, s_exp: float,
+                         k_list=(3e-3, 1e-3, 3e-4, 1e-4)) -> dict:
+    """The off-diagonal minus-end resolvent at frozen k has
+    L^{s'} -> L^inf norm ~ k^{-2/s}: fitted exponent of
+    sup_z (int_{d >= 1} |K(z, z')|^s dV')^{1/s} against k."""
+    end = model.minus
+    r_eval = np.array([model.radii.zeta[0]])
+    vals = []
+    for k in k_list:
+        r = np.geomspace(model.R, 50.0 / k, 4000)
+        w = np.gradient(r) * end.weight_constant * r
+        kern = pk.reduced_kernel(end, k, r_eval[0], r)
+        mask = np.abs(r - r_eval[0]) >= 1.0
+        vals.append(float(np.sum(w[mask] * np.abs(kern[mask]) ** s_exp))
+                    ** (1.0 / s_exp))
+    slope = loglog_slope(np.array(k_list), np.array(vals))
+    return {"fitted": slope, "expected": -2.0 / s_exp,
+            "values": vals}

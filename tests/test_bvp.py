@@ -6,6 +6,69 @@ from connsum import model as md
 from connsum import specfun as sf
 from connsum.errors import DomainError
 
+from oracles import segment_interior
+
+
+# ---------------------------------------------------------------------------
+# probes of the uniqueness statements behind the discrete DtN problem
+
+
+def smallest_singular_value(prob: bvp.NeckProblem,
+                            dual_weight: np.ndarray | None = None) -> float:
+    """min over u of ||A u||_{L^2(dV)} / ||u||, with ||u|| either the
+    plain L^2(dV) norm or the dual-weighted norm ||w u||_{L^2(dV)}."""
+    q = np.sqrt(prob.model.weights[prob.idx])
+    M = q[:, None] * prob.matrix
+    if dual_weight is None:
+        M = M / q[None, :]
+    else:
+        M = M / (dual_weight * q)[None, :]
+    return float(np.linalg.svd(M, compute_uv=False)[-1])
+
+
+def dual_weight_uniqueness_probe(model: md.ModelManifold, weight: np.ndarray,
+                                 refinements: tuple[float, ...] = (8.0, 12.0, 16.0),
+                                 r_maxes: tuple[float, ...] = (16.0, 32.0, 64.0, 128.0)):
+    """Two numerical statements behind the density of the range of Delta:
+
+    * the constrained discrete DtN system has no null vector: its smallest
+      singular value (in the dual-weighted metric) stays bounded away from
+      zero as the compact domain grows;
+    * the log-growing harmonic function is not in L^2 of the dual weight:
+      its truncated norm grows like log R_max (reported, not asserted).
+    """
+    svals = []
+    for rad in refinements:
+        prob = bvp.NeckProblem(model, domain_radius=rad)
+        wsub = weight[prob.idx]
+        svals.append(smallest_singular_value(prob, dual_weight=wsub))
+    U = bvp.build_log_harmonic(model)
+    norms = []
+    for rmax in r_maxes:
+        mask = (model.r <= rmax)
+        integrand = (U.values * weight) ** 2
+        norms.append(float(np.dot(model.weights[mask], integrand[mask])))
+    growth = np.polyfit(np.log(np.asarray(r_maxes)), np.asarray(norms), 1)[0]
+    return {"singular_values": svals,
+            "log_norms": norms,
+            "log_norm_growth_per_log_R": float(growth),
+            "diverges": bool(np.all(np.diff(norms) > 0) and growth > 0)}
+
+
+def boundary_symbol_check(xi_prime: float, xi_n: float) -> complex:
+    """Action of the boundary symbol b = i xi_n + i D_t - |xi'| on the
+    unique bounded solution e^{-(|xi'| + i xi_n) t} of the interior model
+    ODE, evaluated at t = 0.  Equals -2 |xi'|: nonzero whenever xi' != 0,
+    the Lopatinski-Shapiro condition for this boundary problem."""
+    lam = abs(xi_prime) + 1j * xi_n
+
+    def u(t):
+        return np.exp(-lam * t)
+
+    h = 1e-6
+    du0 = (u(h) - u(-h)) / (2 * h)
+    return 1j * xi_n * u(0.0) + du0 - abs(xi_prime) * u(0.0)
+
 
 @pytest.fixture(scope="module")
 def model():
@@ -82,7 +145,7 @@ class TestSolveLaplace:
         F = np.exp(-model.s ** 2)
         sol = bvp.solve_laplace(model, F, system=sys0)
         res = md.apply_operator(model, sol.values) - F
-        interior = (np.abs(model.s) < 100.0) & model.segment_interior
+        interior = (np.abs(model.s) < 100.0) & segment_interior(model)
         assert np.max(np.abs(res[interior])) < 1e-8 * np.max(np.abs(F))
 
     def test_beta_linearity(self, model, sys0):
@@ -149,7 +212,7 @@ class TestLogHarmonic:
     def test_globally_harmonic(self, model):
         U = bvp.build_log_harmonic(model)
         res = md.apply_operator(model, U.values)
-        interior = (np.abs(model.s) < 100.0) & model.segment_interior
+        interior = (np.abs(model.s) < 100.0) & segment_interior(model)
         assert np.max(np.abs(res[interior])) < 1e-8
         # segment-corner nodes see endpoint differentiation noise only
         assert np.max(np.abs(res[np.abs(model.s) < 100.0])) < 1e-7
@@ -197,12 +260,14 @@ class TestNeckProblem:
         assert abs(left - right) / scale < 5e-6
 
     @pytest.mark.parametrize("order", [4, 6])
-    def test_interior_rows_match_radial_laplacian(self, model, order):
+    def test_interior_rows_match_radial_laplacian(self, model, order,
+                                                  monkeypatch):
         # the neck problem is the glued zero-energy operator on a sub-grid:
         # rows whose stencil stays inside it are rows of the full operator
+        monkeypatch.setattr(bvp, "NECK_ORDER", order)
         full = md.radial_laplacian(model, None, k=0.0, order=order)
         for rad in (8.0, 12.0):
-            prob = bvp.NeckProblem(model, domain_radius=rad, order=order)
+            prob = bvp.NeckProblem(model, domain_radius=rad)
             half = (order + 1) // 2
             inner = slice(half, len(prob.idx) - order + half)
             rows = prob.idx[inner]
@@ -212,7 +277,8 @@ class TestNeckProblem:
             assert not np.any(full[np.ix_(rows, outside)])
 
     def test_singular_value_positive_under_refinement(self, model):
-        svals = [bvp.NeckProblem(model, domain_radius=rad).smallest_singular_value()
+        svals = [smallest_singular_value(bvp.NeckProblem(model,
+                                                         domain_radius=rad))
                  for rad in (8.0, 12.0, 16.0)]
         assert all(s > 1e-8 for s in svals)
 
@@ -221,7 +287,7 @@ class TestDualWeightProbe:
     def test_probe(self, model):
         from connsum.parametrix import weight_w
         w = weight_w(model)
-        out = bvp.dual_weight_uniqueness_probe(model, w)
+        out = dual_weight_uniqueness_probe(model, w)
         assert all(s > 0 for s in out["singular_values"])
         assert out["diverges"]
         assert out["log_norm_growth_per_log_R"] > 0
@@ -229,6 +295,6 @@ class TestDualWeightProbe:
 
 def test_boundary_symbol_check():
     for xi_p, xi_n in [(1.0, 0.0), (2.0, 3.0), (0.5, -1.0)]:
-        val = bvp.boundary_symbol_check(xi_p, xi_n)
+        val = boundary_symbol_check(xi_p, xi_n)
         assert val == pytest.approx(-2.0 * abs(xi_p), rel=1e-5)
-    assert abs(bvp.boundary_symbol_check(3.0, 1.0)) > 1.0
+    assert abs(boundary_symbol_check(3.0, 1.0)) > 1.0

@@ -67,6 +67,32 @@ class TestCli:
         assert "--n-sigma must be an odd integer" in capsys.readouterr().err
         assert not (tmp_path / "riesz.json").exists()
 
+    @pytest.mark.parametrize("option,value,message", [
+        ("--p-bounded", "1.0", "--p-bounded values must be > 1"),
+        ("--p-bounded", "0.5", "--p-bounded values must be > 1"),
+        ("--p-unbounded", "1.0", "--p-unbounded values must be > 1"),
+        ("--p-unbounded", "abc", "take numbers"),
+        ("--k0", "0", "--k0 must lie in"),
+        ("--k0", "-1", "--k0 must lie in"),
+        ("--k0", "1e-20", "--k0 must lie in"),
+    ])
+    def test_riesz_rejects_invalid_option(self, tmp_path, capsys, option,
+                                          value, message):
+        rc = cli.main(["riesz", option, value, "--out", str(tmp_path)])
+        assert rc == cli.EXIT_CONFIG
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "riesz.json").exists()
+
+    def test_resolvent_reports_k0_selection(self, tmp_path):
+        assert cli.main(["resolvent", "--out", str(tmp_path)]) == 0
+        data = json.loads((tmp_path / "resolvent.json").read_text())
+        sel = data["k0_selection"]
+        assert list(sel["sigma_min"]) == ["0.0001", "0.001", "0.01", "0.05"]
+        assert sel["floor"] == 1e-6
+        assert data["k0"] == max(float(k) for k, s in sel["sigma_min"].items()
+                                 if s > sel["floor"])
+        assert "k0_selection" not in data["checks"]
+
     def test_geometry_file_roundtrip(self, tmp_path):
         geo = tmp_path / "geo.json"
         geo.write_text(json.dumps({

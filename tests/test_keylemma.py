@@ -1,4 +1,5 @@
 import math
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -6,6 +7,102 @@ import pytest
 from connsum import bvp, keylemma as kl, model as md, specfun as sf
 from connsum.cutoffs import Step, minus_cutoff_source, on_grid
 from connsum.errors import DomainError
+from connsum.model import EndSpec, ModeChannel, channel_profile
+from connsum.specfun import ilg
+
+from oracles import fit_envelope, segment_interior
+
+
+# ---------------------------------------------------------------------------
+# estimate verification
+
+
+def verify_key_estimates(approx: kl.KeyApproximation, ks,
+                         c_rate: float = 0.5) -> dict:
+    """Fit the smallest constants validating the pointwise bounds on u and
+    its radial derivative over a (z, k) sweep, one constant per regime.
+
+    Shapes: |u| <= C e^{-c k r} (minus end), C r^{2-n} e^{-c k r} (plus
+    end), C (neck); |u'| <= C (r^{-2} + ilg k r^{-1}) e^{-c k r} (minus),
+    C r^{1-n} e^{-c k r} (plus), with an extra factor ilg k on the plus
+    end when the zero-energy solution vanishes identically there.
+    """
+    m = approx.model
+    n = m.plus.euclidean_dim
+    refined_plus = abs(approx.stages[0].c_raw) < 1e-13
+    regimes = {key: [] for key in
+               ("u_minus", "u_plus", "u_neck", "grad_minus", "grad_plus")}
+    shapes = {key: [] for key in regimes}
+    for k in ks:
+        vals, dvals = approx.u(k)
+        il = ilg(k)
+        damp = np.exp(-c_rate * k * m.r)
+        mi, pl = m.mask_minus, m.mask_plus
+        nk = ~(mi | pl)
+        regimes["u_minus"].append(vals[mi])
+        shapes["u_minus"].append(damp[mi])
+        regimes["u_plus"].append(vals[pl])
+        shapes["u_plus"].append(m.r[pl] ** (2.0 - n) * damp[pl])
+        regimes["u_neck"].append(vals[nk])
+        shapes["u_neck"].append(np.ones(nk.sum()))
+        regimes["grad_minus"].append(dvals[mi])
+        shapes["grad_minus"].append(
+            (m.r[mi] ** -2.0 + il * m.r[mi] ** -1.0) * damp[mi])
+        gshape = m.r[pl] ** (1.0 - n) * damp[pl]
+        if refined_plus:
+            gshape = gshape * il
+        regimes["grad_plus"].append(dvals[pl])
+        shapes["grad_plus"].append(gshape)
+    out = {}
+    for key in regimes:
+        out[key] = fit_envelope(np.concatenate(regimes[key]),
+                                np.concatenate(shapes[key]))
+    out["c_rate"] = c_rate
+    out["plus_gradient_gains_ilg"] = refined_plus
+    return out
+
+
+# ---------------------------------------------------------------------------
+# per-channel off-zero extensions
+
+
+@dataclass(frozen=True)
+class OffZeroExtension:
+    """k-deformation of one decaying zero-energy channel profile, matched
+    at the gluing radius."""
+    end_spec: EndSpec
+    channel: ModeChannel
+    R: float
+
+    def _profile(self, k: float):
+        """(value, d/dr) at energy k^2: channels with l >= 1 already decay
+        exponentially (kappa = mu_l, trivial in k), the l = 0 channels
+        deform with kappa = k."""
+        l = self.channel.cross_index
+        kappa = self.end_spec.cross_section.mu(l) if l >= 1 else k
+        return channel_profile(self.end_spec, self.channel.angular, kappa,
+                               self.R)
+
+    def profile(self, k: float, r):
+        """Profile normalized to the zero-energy one at r = R."""
+        return self._profile(k)[0](r)
+
+    def profile_dr(self, k: float, r):
+        return self._profile(k)[1](r)
+
+
+def extend_off_zero(model: md.ModelManifold,
+                    channel: ModeChannel) -> OffZeroExtension:
+    """Per-channel k-deformation of the decaying zero-energy profile.
+
+    The constant channel on the minus end has no decaying branch: that is
+    exactly the case handled by the beta K_0 mechanism instead.
+    """
+    if channel.end == "minus" and channel.is_zero:
+        raise DomainError(
+            "constant channel on the minus end: use the inverse-log "
+            "K_0 mechanism, not an off-zero extension")
+    return OffZeroExtension(model.end_spec(channel.end), channel, model.R)
 
 
 @pytest.fixture(scope="module")
@@ -59,7 +156,7 @@ class TestResidual:
             res_cf = key_minus.residual(k)
             uv, _ = key_minus.u(k)
             res_fd = md.apply_operator(model, uv, k=k) - key_minus.v
-            mask = (np.abs(model.s) < 20) & model.segment_interior
+            mask = (np.abs(model.s) < 20) & segment_interior(model)
             assert np.max(np.abs((res_cf - res_fd)[mask])) < 1e-9
 
     @pytest.mark.parametrize("q,lo,hi", [(2, 1.8, 2.2), (3, 2.8, 3.2)])
@@ -89,7 +186,7 @@ class TestResidual:
                                         q=1, system=sys0)
         beta = ka.stages[0].beta
         k = math.exp(-64.0)
-        mask = (np.abs(model.s) < 20) & model.segment_interior
+        mask = (np.abs(model.s) < 20) & segment_interior(model)
         uv, _ = ka.u(k)
         base = np.max(np.abs((md.apply_operator(model, uv, k=k)
                               - ka.v)[mask]))
@@ -132,7 +229,7 @@ class TestIlgCoefficients:
 class TestEstimates:
     def test_envelopes_finite(self, key_minus):
         ks = [1e-1, 1e-2, 1e-4, 1e-8]
-        out = kl.verify_key_estimates(key_minus, ks)
+        out = verify_key_estimates(key_minus, ks)
         for key in ("u_minus", "u_plus", "u_neck", "grad_minus", "grad_plus"):
             assert math.isfinite(out[key]) and out[key] >= 0
         assert out["plus_gradient_gains_ilg"]  # phi vanishes on E_+ here
@@ -161,7 +258,7 @@ class TestEstimates:
 
 class TestOffZero:
     def test_minus_angular_profile(self, model):
-        ext = kl.extend_off_zero(model, md.ModeChannel("minus", 1, 0))
+        ext = extend_off_zero(model, md.ModeChannel("minus", 1, 0))
         r = np.array([2.0, 4.0, 16.0])
         np.testing.assert_allclose(ext.profile(0.0, r), (r / 2.0) ** -1,
                                    rtol=1e-13)
@@ -170,7 +267,7 @@ class TestOffZero:
                                    rtol=1e-5)
 
     def test_deformed_profile_is_bessel(self, model, sys0):
-        ext = kl.extend_off_zero(model, md.ModeChannel("minus", 1, 0))
+        ext = extend_off_zero(model, md.ModeChannel("minus", 1, 0))
         k = 0.3
         r = np.array([3.0, 5.0])
         expected = sf.bessel_K(1.0, k * r) / sf.bessel_K(1.0, k * model.R)
@@ -184,11 +281,11 @@ class TestOffZero:
         from connsum.fits import loglog_slope
         ks = np.array([1e-3, 1e-4, 1e-5])
         r = np.array([2 * model.R])
-        ext_p = kl.extend_off_zero(model, md.ModeChannel("plus", 0, 0))
+        ext_p = extend_off_zero(model, md.ModeChannel("plus", 0, 0))
         diffs = [abs(float((ext_p.profile_dr(k, r) - ext_p.profile_dr(0.0, r))[0]))
                  for k in ks]
         assert loglog_slope(ks, np.array(diffs)) == pytest.approx(1.0, abs=0.05)
-        ext_m = kl.extend_off_zero(model, md.ModeChannel("minus", 1, 0))
+        ext_m = extend_off_zero(model, md.ModeChannel("minus", 1, 0))
         diffs_m = [abs(float((ext_m.profile_dr(k, r)
                               - ext_m.profile_dr(0.0, r))[0]))
                    for k in ks]
@@ -202,7 +299,7 @@ class TestOffZero:
                       (md.ModeChannel("minus", 2, 1), 0.3),
                       (md.ModeChannel("plus", 0, 0), 0.0),
                       (md.ModeChannel("plus", 1, 0), 0.05)):
-            ext = kl.extend_off_zero(model, ch)
+            ext = extend_off_zero(model, ch)
             fd = (-ext.profile(k, r + 2 * h) + 8 * ext.profile(k, r + h)
                   - 8 * ext.profile(k, r - h) + ext.profile(k, r - 2 * h)) \
                 / (12 * h)
@@ -210,10 +307,10 @@ class TestOffZero:
                                        atol=1e-8)
 
     def test_cross_channel_trivial_in_k(self, model):
-        ext = kl.extend_off_zero(model, md.ModeChannel("minus", 0, 1))
+        ext = extend_off_zero(model, md.ModeChannel("minus", 0, 1))
         r = np.array([3.0, 6.0])
         np.testing.assert_allclose(ext.profile(0.0, r), ext.profile(0.5, r))
 
     def test_constant_channel_rejected(self, model):
         with pytest.raises(DomainError):
-            kl.extend_off_zero(model, md.ModeChannel("minus", 0, 0))
+            extend_off_zero(model, md.ModeChannel("minus", 0, 0))

@@ -9,6 +9,13 @@ from connsum import bvp, checks, model as md, parametrix as px
 from connsum.fits import loglog_slope
 from connsum.specfun import ilg
 
+from oracles import resolvent, segment_interior
+
+
+def resolvent_kernel(par, k):
+    """The whole kernel of R(k) = G(k)(Id + S(k))."""
+    return par.s_operator(k).right_compose(*par.g_kernel(k))
+
 
 @pytest.fixture(scope="module")
 def model():
@@ -82,7 +89,7 @@ class TestAssembly:
             lhs = md.apply_operator(model, Gt[:, j], k=k)
             rhs = E[:, j].copy()
             rhs[j] += 1.0 / model.weights[j]
-            sel = model.segment_interior.copy()
+            sel = segment_interior(model)
             for start, nn, _th, _jac, _kind in model.segments:
                 if start <= j < start + nn:
                     sel[start:start + nn] = False
@@ -143,7 +150,7 @@ class TestFiniteRank:
         assert fix.rank >= 1
         assert fix.sigma_after >= 10 * fix.threshold
         # psi_i supported in the neck: exact support check
-        for psi in fix.psis:
+        for psi in [b.values for b in fix.bumps]:
             assert np.all(psi[np.abs(model.s) > model.R] == 0.0)
 
 
@@ -206,18 +213,18 @@ class TestResolvent:
         # composition-error pattern is amplified by the second derivative
         Rv = par.resolvent_apply(k, v)
         res = md.apply_operator(model, Rv, k=k) - v
-        sel = (np.abs(model.s) < 30) & model.segment_interior
+        sel = (np.abs(model.s) < 30) & segment_interior(model)
         assert np.max(np.abs(res[sel])) < 1e-4
 
     def test_positivity(self, par, model):
-        Rk = par.resolvent_kernel(1e-2)
+        Rk = resolvent_kernel(par, 1e-2)
         j = np.searchsorted(model.s, 0.7)
         assert np.all(Rk[:, j] > -1e-12)
 
     def test_symmetry(self, par, model):
         # G~ is visibly asymmetric; R comes out symmetric to composition
         # accuracy (weighted L2; pointwise it is quadrature-limited)
-        Rk = par.resolvent_kernel(1e-3)
+        Rk = resolvent_kernel(par, 1e-3)
         q = model.weights
         num = math.sqrt(float(np.einsum("i,ij,j->", q, (Rk - Rk.T) ** 2, q)))
         den = math.sqrt(float(np.einsum("i,ij,j->", q, Rk ** 2, q)))
@@ -230,8 +237,8 @@ class TestResolvent:
         # R(k1) - R(k2) = (k2^2 - k1^2) R(k1) R(k2) on compacts; k large
         # enough that the e^{-kr} tails die inside the finite domain
         k1, k2 = 0.1, 0.05
-        R1 = par.resolvent_kernel(k1)
-        R2 = par.resolvent_kernel(k2)
+        R1 = resolvent_kernel(par, k1)
+        R2 = resolvent_kernel(par, k2)
         q = model.weights
         k1v, k0v = model.kink_kappa
         # kink-corrected composition: both factors carry the Green ramp
@@ -260,7 +267,7 @@ class TestResolvent:
         assert np.max(np.abs(fitres)) < 0.02 * (g1_vals.max() - g1_vals.min())
         j = np.searchsorted(model.s, 0.5)
         mask = np.abs(model.s) < 10
-        sups = [np.max(np.abs(par.resolvent_kernel(k)[:, j][mask])) for k in ks]
+        sups = [np.max(np.abs(resolvent_kernel(par, k)[:, j][mask])) for k in ks]
         # bounded: Cauchy increments shrink; and trivially O(|log k|)
         assert np.all(np.diff(sups) > 0)
         incr = np.diff(sups)
@@ -274,15 +281,20 @@ class TestResolvent:
         k = 1e-3
         v = np.exp(-2.0 * model.s ** 2)
         assert forced.fix.rank >= 1
-        got = px.resolvent(forced, k, v).dvalues
+        got = resolvent(forced, k, v).dvalues
         _, ref = bvp.GluedSystem(model, k).apply(v)
         mask = np.abs(model.s) < 20
         rel = np.max(np.abs(got - ref)[mask]) / np.max(np.abs(ref[mask]))
         assert rel < 5e-2
 
     def test_k0_selection(self, par):
-        k0 = par.choose_k0([1e-4, 1e-3, 1e-2, 0.05, 0.1])
+        ks = [1e-4, 1e-3, 1e-2, 0.05, 0.1]
+        k0, sigma_min = par.choose_k0(ks)
         assert k0 >= 0.01
+        # the smallest singular value at every lattice k, k0 the largest
+        # k above the floor
+        assert list(sigma_min) == ks
+        assert k0 == max(k for k in ks if sigma_min[k] > px.K0_FLOOR)
 
     def test_k0_selection_without_full_svd(self, par, monkeypatch):
         svd = _count_calls(monkeypatch, np.linalg, "svd")
@@ -295,8 +307,8 @@ class TestResolvent:
         v = np.exp(-2.0 * model.s ** 2)
         par.resolvent_apply(1e-3, v)
         assert inverts == [] and len(errors) == 1
-        px.resolvent(par, 1e-3, v)
-        px.resolvent(par, 1e-4, v)
+        resolvent(par, 1e-3, v)
+        resolvent(par, 1e-4, v)
         assert inverts == [] and len(errors) == 3
 
 

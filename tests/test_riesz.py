@@ -5,9 +5,210 @@ import numpy as np
 import pytest
 
 from connsum import bvp, keylemma as kl, model as md, parametrix as px, riesz as rz
+from connsum import product_kernels as pk
 from connsum.cutoffs import minus_cutoff_source
 from connsum.errors import DomainError, NonConvergenceError
-from connsum.quadrature import cc_segment, clenshaw_curtis
+from connsum.fits import loglog_slope
+from connsum.quadrature import cc_segment, clenshaw_curtis, fornberg_weights
+
+from oracles import schur_exponent_check
+
+
+# ---------------------------------------------------------------------------
+# the low/high-energy split of 1/xi and closed forms of the low-energy part
+
+
+def f_low(xi, k0: float = 1.0):
+    """F_<(xi) = (2/(pi xi)) (pi/2 - arctan(xi/k0))."""
+    xi = np.asarray(xi, dtype=float)
+    return 2.0 / (math.pi * xi) * (0.5 * math.pi - np.arctan(xi / k0))
+
+
+def f_high(xi, k0: float = 1.0):
+    """F_>(xi) = (2/(pi xi)) arctan(xi/k0); F_< + F_> = 1/xi."""
+    xi = np.asarray(xi, dtype=float)
+    return 2.0 / (math.pi * xi) * np.arctan(xi / k0)
+
+
+def rank_one_k_integral(c_rate: float, k0: float, r, rp):
+    """Closed form int_0^{k0} r^{-1} e^{-c k r} e^{-c k r'} dk
+    = r^{-1} (c (r + r'))^{-1} (1 - e^{-c k0 (r + r')})."""
+    r = np.asarray(r, dtype=float)
+    rp = np.asarray(rp, dtype=float)
+    tot = c_rate * (r + rp)
+    return (1.0 - np.exp(-k0 * tot)) / (r * tot)
+
+
+# ---------------------------------------------------------------------------
+# the high-energy multiplier, by a finite-volume eigen-decomposition
+
+
+def _finite_volume(r, n_dim: int, pot, scale: float = 1.0):
+    """Finite-volume form of -v^{-1}(v u')' + pot on the ascending nodes r,
+    v = scale r^{n_dim - 1}, with natural (Neumann) ends: returns the cell
+    weights w, the stiffness matrix (the sum over cells of v_mid u_i' u_j'
+    plus the potential mass) and the weights v_mid h of the cell
+    gradients."""
+    n_pts = len(r)
+    h = np.diff(r)
+    w = np.zeros(n_pts)
+    w[1:-1] = 0.5 * (r[2:] - r[:-2]) * r[1:-1] ** (n_dim - 1)
+    w[0] = 0.5 * h[0] * r[0] ** (n_dim - 1)
+    w[-1] = 0.5 * h[-1] * r[-1] ** (n_dim - 1)
+    w *= scale
+    vmid = scale * (0.5 * (r[1:] + r[:-1])) ** (n_dim - 1)
+    main = np.zeros(n_pts)
+    off = -vmid / h
+    main[:-1] -= off
+    main[1:] -= off
+    S = np.diag(main) + np.diag(off, 1) + np.diag(off, -1)
+    S = S + np.diag(pot * w)
+    return w, S, vmid * h
+
+
+def _weighted_modes(S, w):
+    """Eigenvalues (floored at 0) of the symmetric pencil (S, diag w) and
+    its modes, orthonormal in the weights w."""
+    sq = np.sqrt(w)
+    eigs, Q = np.linalg.eigh(S / sq[:, None] / sq[None, :])
+    return np.maximum(eigs, 0.0), Q / sq[:, None]
+
+
+def _symmetric_channel_operator(model: md.ModelManifold, end: str, m: int,
+                                l: int, r_max: float, n_pts: int):
+    """Symmetric finite-volume radial operator of one channel on
+    [R, r_max] with Dirichlet walls; returns (eigs, modes, weights, grad,
+    grad_weights) with modes orthonormal in the channel volume measure."""
+    spec = model.end_spec(end)
+    n_dim = spec.euclidean_dim
+    r = np.geomspace(model.R, r_max, n_pts)
+    mu2 = spec.cross_section.eigenvalues[l]
+    ang = m * (m + n_dim - 2)
+    w, S, gw = _finite_volume(r, n_dim, ang / r ** 2 + mu2)
+    # Dirichlet walls: restrict to the interior
+    sl = slice(1, n_pts - 1)
+    wd = w[sl]
+    eigs, modes = _weighted_modes(S[sl, sl], wd)
+    # staggered gradient of the quadratic form (zero boundary values):
+    # rows = interior cell interfaces, weights v_mid h
+    ni = n_pts - 2
+    grad = np.zeros((ni + 1, ni))
+    hd = np.empty(ni + 1)
+    hd[0] = r[1] - r[0]
+    hd[1:] = r[2:] - r[1:-1]
+    for i in range(ni + 1):
+        if 0 < i <= ni - 1:
+            grad[i, i - 1] = -1.0 / hd[i]
+        if i <= ni - 1:
+            grad[i, i] = grad[i, i] + 1.0 / hd[i]
+        elif i == ni:
+            grad[i, i - 1] = -1.0 / hd[i]
+    return eigs, modes, wd, grad, gw
+
+
+def high_energy_multiplier(model: md.ModelManifold, channels, k0: float = 1.0,
+                           r_max: float = 64.0, n_pts: int = 220) -> dict:
+    """Apply nabla F_>(sqrt(Delta)) per channel by eigen-decomposition on
+    a truncated radial domain and report the L^2 -> L^2 norms.
+
+    The multiplier bound sup_xi |xi F_>(xi)| = (2/pi) arctan(oo) = 1 makes
+    sup_channels || nabla F_>(sqrt(Delta)) ||_{2->2} <= 1.
+    """
+    norms = {}
+    for ch in channels:
+        eigs, modes, wd, grad, gw = _symmetric_channel_operator(
+            model, ch.end, ch.angular, ch.cross_index, r_max, n_pts)
+        lam = np.sqrt(eigs)
+        mult = np.where(lam > 0, f_high(np.maximum(lam, 1e-300), k0), 0.0)
+        # the discretization-consistent gradient is the staggered
+        # difference entering the finite-volume quadratic form:
+        # ||grad g||^2 <= <Delta g, g>, so the norm is <= sup xi F_>(xi)
+        core = modes * mult[None, :]
+        T = grad @ core @ (modes.T * wd[None, :])
+        Tw = np.sqrt(gw)[:, None] * T / np.sqrt(wd)[None, :]
+        norms[(ch.end, ch.angular, ch.cross_index)] = float(
+            np.linalg.norm(Tw, 2))
+    return {"norms": norms, "uniform_bound": max(norms.values()),
+            "multiplier_sup": 1.0}
+
+
+# ---------------------------------------------------------------------------
+# split consistency on a pure Euclidean model
+
+
+def split_consistency_euclidean(k0: float = 1.0, n_r: int = 160,
+                                r_span=(2.0, 40.0)) -> dict:
+    """On R^3 (point cross-section), the low-energy k-quadrature kernel
+    plus the high-energy eigen-multiplier kernel reproduce the radial
+    derivative of the known kernel of Delta^{-1/2},
+
+        K(r, r') = log((r + r')/|r - r'|) / (4 pi^2 r r'),
+
+    compared pointwise away from the diagonal."""
+    end = md.EndSpec(3, md.CrossSection.point(), 2.0)
+    r = np.geomspace(r_span[0], r_span[1], n_r)
+    # low part: (2/pi) int_0^{k0} d_r kernel dk by quadrature
+    sig, ws = cc_segment(math.log(1.0 / k0), 38.0, 35)
+    low = np.zeros((n_r, n_r))
+    for s_i, w_i in zip(sig, ws):
+        k = math.exp(-s_i)
+        low += (2.0 / math.pi) * w_i * k * \
+            pk.reduced_kernel_dleft(end, k, r[:, None], r[None, :])
+    # high part kernel: d_r F_>(sqrt(Delta)) by dense eigen-decomposition
+    w, S, _ = _finite_volume(r, end.euclidean_dim, 0.0, end.weight_constant)
+    eigs, modes = _weighted_modes(S, w)
+    # the constant mode has eigenvalue 0, where f_high is 0/0
+    eigs = np.maximum(eigs, 1e-14)
+    kern_h = (modes * f_high(np.sqrt(eigs), k0)[None, :]) @ modes.T
+    D1 = np.zeros((n_r, n_r))
+    rows = np.arange(n_r)
+    cols = np.arange(5)[:, None] + np.clip(rows - 2, 0, n_r - 5)
+    D1[rows, cols] = fornberg_weights(r, r[cols], 1)[1]
+    high = D1 @ kern_h
+    # reference: d/dr of the exact half-inverse kernel
+    a = r[:, None]
+    b = r[None, :]
+    core = np.log((a + b) / np.maximum(np.abs(a - b), 1e-300))
+    dcore = 1.0 / (a + b) - np.sign(a - b) / np.maximum(np.abs(a - b), 1e-300)
+    ref = (dcore / (a * b) - core / (a * a * b)) / (4 * math.pi ** 2)
+    total = low + high
+    mask_r = (r > 4.0) & (r < 25.0)
+    offdiag = np.abs(a - b) > 3.0
+    sel = np.outer(mask_r, mask_r) & offdiag
+    rel = float(np.max(np.abs((total - ref)[sel]))
+                / np.max(np.abs(ref[sel])))
+    return {"rel_error": rel}
+
+
+# ---------------------------------------------------------------------------
+# witness ingredients
+
+
+def kappa_integral(eps: float = 1.0, c_rate: float = 1.0) -> float:
+    """int_0^eps f(kappa)(1 + |log kappa|) e^{-c kappa} d kappa > 0."""
+    from scipy.integrate import quad
+
+    val, _ = quad(lambda t: float(rz.witness_f(t)) * (1 + abs(math.log(t)))
+                  * math.exp(-c_rate * t), 0.0, eps, limit=200)
+    return val
+
+
+def truncated_bnorm_exponent(p: float, r_maxes, R: float = 2.0,
+                             c_minus: float = 1.0) -> dict:
+    """Fitted growth exponent of || ilg(1/r)/r ||_{L^{p'}(r dr), r <= Rmax},
+    with the 1/log R factor removed: expected (2 - p')/p'."""
+    from scipy.integrate import quad
+
+    pp = p / (p - 1.0)
+    norms = []
+    for rmax in r_maxes:
+        val, _ = quad(lambda r: (1.0 / (math.log(r) * r)) ** pp * c_minus * r,
+                      R, rmax, limit=400)
+        norms.append(val ** (1.0 / pp))
+    corrected = np.array(norms) * np.log(np.array(r_maxes))
+    slope = loglog_slope(np.array(r_maxes, dtype=float), corrected)
+    return {"norms": norms, "fitted_exponent": slope,
+            "expected": (2.0 - pp) / pp}
 
 
 @pytest.fixture(scope="module")
@@ -31,12 +232,12 @@ class TestSplit:
     def test_partition_of_inverse(self):
         xi = np.geomspace(1e-4, 1e4, 200)
         for k0 in (0.05, 1.0):
-            total = rz.f_low(xi, k0) + rz.f_high(xi, k0)
+            total = f_low(xi, k0) + f_high(xi, k0)
             assert np.max(xi * np.abs(total - 1.0 / xi)) < 1e-12
 
     def test_high_bounded_by_inverse(self):
         xi = np.geomspace(1e-3, 1e3, 50)
-        vals = rz.f_high(xi, 0.7) * xi
+        vals = f_high(xi, 0.7) * xi
         assert np.all(vals <= 1.0 + 1e-14)
         assert np.max(vals) > 0.9
 
@@ -47,7 +248,7 @@ class TestLowEnergyKernel:
         from scipy.integrate import quad
         c, k0 = 0.7, 0.3
         for r, rp in ((2.0, 5.0), (10.0, 3.0)):
-            val = rz.rank_one_k_integral(c, k0, r, rp)
+            val = rank_one_k_integral(c, k0, r, rp)
             ref, _ = quad(lambda k: math.exp(-c * k * (r + rp)) / r, 0, k0)
             assert val == pytest.approx(ref, rel=1e-10)
 
@@ -148,7 +349,6 @@ class TestLowEnergyKernel:
         i = np.searchsorted(model.s, 0.5)
         cols = np.where(model.mask_plus & (model.r > 30) & (model.r < 500))[0]
         vals = np.abs(low_kernel.values[i, cols])
-        from connsum.fits import loglog_slope
         slope = loglog_slope(model.r[cols], np.maximum(vals, 1e-300))
         assert slope == pytest.approx(1.0 - model.plus.euclidean_dim, abs=0.4)
 
@@ -158,21 +358,21 @@ class TestHighEnergy:
         chans = [md.ModeChannel("minus", 0, 0), md.ModeChannel("minus", 1, 0),
                  md.ModeChannel("minus", 0, 1), md.ModeChannel("plus", 0, 0),
                  md.ModeChannel("plus", 2, 0)]
-        out = rz.high_energy_multiplier(model, chans, k0=1.0)
+        out = high_energy_multiplier(model, chans, k0=1.0)
         assert out["uniform_bound"] <= 1.0 + 1e-6
         assert out["uniform_bound"] > 0.3
 
     def test_cross_potential_shifts_spectrum(self, model):
         # the constant cross-section potential mu_l^2 adds mu_l^2 to every
         # eigenvalue of the channel operator
-        base = rz._symmetric_channel_operator(model, "minus", 1, 0, 32.0, 80)
-        shifted = rz._symmetric_channel_operator(model, "minus", 1, 2,
+        base = _symmetric_channel_operator(model, "minus", 1, 0, 32.0, 80)
+        shifted = _symmetric_channel_operator(model, "minus", 1, 2,
                                                  32.0, 80)
         mu2 = model.minus.cross_section.eigenvalues[2]
         np.testing.assert_allclose(shifted[0], base[0] + mu2, rtol=1e-10)
 
     def test_split_consistency_euclidean(self):
-        out = rz.split_consistency_euclidean()
+        out = split_consistency_euclidean()
         assert out["rel_error"] < 1e-3
 
 
@@ -335,7 +535,7 @@ class TestWitness:
         assert out["violations"] == 0
 
     def test_kappa_integral_positive(self):
-        assert rz.kappa_integral() > 0
+        assert kappa_integral() > 0
 
     def test_witness(self, wide):
         model, ka = wide
@@ -358,14 +558,14 @@ class TestWitness:
 
     def test_bnorm_exponents(self):
         for p in (3.0, 4.0):
-            out = rz.truncated_bnorm_exponent(
+            out = truncated_bnorm_exponent(
                 p, tuple(2.0 ** j for j in (10, 12, 14, 16, 18)))
             assert out["fitted_exponent"] == pytest.approx(out["expected"],
                                                            abs=0.05)
 
 
 def test_schur_exponent(model):
-    out = rz.schur_exponent_check(model, 4.0)
+    out = schur_exponent_check(model, 4.0)
     assert out["fitted"] == pytest.approx(out["expected"], abs=0.1)
-    out2 = rz.schur_exponent_check(model, 2.0)
+    out2 = schur_exponent_check(model, 2.0)
     assert out2["fitted"] == pytest.approx(-1.0, abs=0.1)
