@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import replace
 
 import numpy as np
+from scipy.linalg import solve_banded
 
 from . import bvp
 from . import specfun as sf
@@ -96,21 +97,39 @@ def identity_residuals(par, k: float):
     A0 = eye + e_total * q[None, :]
     S0 = np.linalg.solve(A0, -e_total)
     res_id = float(np.max(np.abs(A0 @ (eye + S0 * q[None, :]) - eye)))
-    rhs_sk = -e_total + (e_total * q[None, :]) @ e_total \
-        + (e_total * q[None, :]) @ ((S0 * q[None, :]) @ e_total)
+    rhs_sk = -e_total + (e_total * q[None, :]) @ (
+        e_total + (S0 * q[None, :]) @ e_total)
     res_sk = hs_norm(model, S0 - rhs_sk) / max(hs_norm(model, S0), 1e-300)
     return res_id, res_sk
 
 
+# order of the finite-difference radiation oracle; its (ORACLE_ORDER + 1)-
+# point stencils, kept inside the grid, reach ORACLE_ORDER nodes to a side
+ORACLE_ORDER = 6
+
+
+def _band_storage(A: np.ndarray, width: int) -> np.ndarray:
+    """The diagonal-ordered band storage ab[width + i - j, j] = A[i, j] of
+    a matrix with `width` diagonals on each side, as solve_banded takes
+    it."""
+    n = A.shape[0]
+    ab = np.zeros((2 * width + 1, n))
+    for d in range(-width, width + 1):
+        ab[width - d, max(d, 0):n + min(d, 0)] = np.diagonal(A, d)
+    return ab
+
+
 def radiation_oracle_error(par, k: float, v) -> float:
     """Relative sup error on |s| < 30 of the parametrix resolvent R(k) v
-    against the sixth-order finite-difference radiation oracle."""
+    against the finite-difference radiation oracle of order
+    ORACLE_ORDER, solved on its bands."""
     model = par.model
     Rv = par.resolvent_apply(k, v)
-    A = radial_laplacian(model, None, k=k, order=6)
+    A = radial_laplacian(model, None, k=k, order=ORACLE_ORDER)
     rhs = v.copy()
     rhs[0] = rhs[-1] = 0.0
-    u_fd = np.linalg.solve(A, rhs)
+    u_fd = solve_banded((ORACLE_ORDER, ORACLE_ORDER),
+                        _band_storage(A, ORACLE_ORDER), rhs)
     mask = np.abs(model.s) < 30
     return float(np.max(np.abs((Rv - u_fd)[mask]))
                  / np.max(np.abs(u_fd[mask])))

@@ -258,6 +258,11 @@ def cmd_riesz(args) -> int:
                     ("--p-unbounded", p_unbounded)):
         if not all(p > 1.0 for p in ps):
             raise ConfigError(f"{opt} values must be > 1, got {ps}")
+    # the sweep runs R_max = 32, 64, ... up to --sweep-max, and a trend
+    # verdict needs three of them
+    if not args.sweep_max >= 128.0:
+        raise ConfigError("--sweep-max must be >= 128, three R_max from "
+                          f"32 up, got {args.sweep_max:g}")
     if not math.exp(-rz.SIGMA_MAX) < args.k0 < 1.0:
         raise ConfigError(f"--k0 must lie in (e^-{rz.SIGMA_MAX:g}, 1), "
                           f"got {args.k0}")

@@ -8,6 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import DomainError
 from .specfun import ilg
 
 
@@ -39,7 +40,11 @@ def classify_trend(r_maxes, norms) -> Trend:
     TREND_STABILITY, else divergent with the log-log slope of the last
     four as its growth exponent.  A series with any non-finite norm (an
     estimator that overflowed) is divergent with infinite variation and
-    growth exponent; no slope is fitted to it."""
+    growth exponent; no slope is fitted to it.  Fewer than three norms
+    show no trend and raise DomainError."""
+    if len(norms) < 3:
+        raise DomainError(f"classify_trend: a trend needs at least three "
+                          f"norms, got {len(norms)}")
     if not np.all(np.isfinite(norms)):
         return Trend(False, math.inf, math.inf)
     tail = np.array(norms[-3:])

@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg import lu_factor, lu_solve
-from scipy.sparse.linalg import LinearOperator
+from scipy.sparse.linalg import LinearOperator, svds
 
 from . import product_kernels as pk
 from .bvp import GluedSystem
@@ -69,6 +69,20 @@ def hs_norm(model: ModelManifold, kernel: np.ndarray,
 def _transition_rows(cutoff: CutoffField) -> np.ndarray:
     """Grid rows where a cutoff is not locally constant."""
     return np.where((np.abs(cutoff.d1) > 0) | (np.abs(cutoff.lap) > 0))[0]
+
+
+@dataclass
+class LowRank:
+    """The kernel sum_i left[:, i] (x) right[i], kept as its factors."""
+    left: np.ndarray      # (n, rank)
+    right: np.ndarray     # (rank, n)
+
+    def kernel(self) -> np.ndarray:
+        return self.left @ self.right
+
+    def apply(self, w: np.ndarray) -> np.ndarray:
+        """kernel() @ w without forming the kernel."""
+        return self.left @ (self.right @ w)
 
 
 class ParametrixPieces:
@@ -136,19 +150,23 @@ class ParametrixPieces:
             return self.model.minus, self.phi_minus, self.r0_minus, -1.0
         return self.model.plus, self.phi_plus, self.r0_plus, 1.0
 
-    def product_kernel(self, side: str, k: float) -> np.ndarray:
-        """phi-localized reduced product resolvent R_side^k(z, z')
-        phi(z) phi(z') on grid x grid (zero outside supp phi x supp phi)."""
-        m = self.model
+    def product_block(self, side: str, k: float):
+        """(idx, block): the phi-localized reduced product resolvent
+        R_side^k(z, z') phi(z) phi(z') on its support idx x idx, idx the
+        nodes of supp phi."""
         end, phi, _, _ = self._end_data(side)
-        out = np.zeros((m.n, m.n))
         idx = np.where(phi.values > 0)[0]
-        if len(idx) == 0:
-            return out
-        r = m.r[idx]
+        r = self.model.r[idx]
         block = pk.reduced_kernel(end, k, r[:, None], r[None, :])
-        out[np.ix_(idx, idx)] = block * phi.values[idx, None] \
-            * phi.values[None, idx]
+        return idx, block * phi.values[idx, None] * phi.values[None, idx]
+
+    def product_kernel(self, side: str, k: float) -> np.ndarray:
+        """product_block on grid x grid (zero outside supp phi x supp
+        phi)."""
+        n = self.model.n
+        out = np.zeros((n, n))
+        idx, block = self.product_block(side, k)
+        out[np.ix_(idx, idx)] = block
         return out
 
     def basepoint_column(self, side: str, k: float) -> np.ndarray:
@@ -165,20 +183,21 @@ class ParametrixPieces:
     def g1(self, k: float) -> np.ndarray:
         return self.product_kernel("minus", k) + self.product_kernel("plus", k)
 
-    def basepoint_outer(self, k: float, left_minus, left_plus) -> np.ndarray:
+    def basepoint_outer(self, k: float, left_minus, left_plus) -> LowRank:
         """left_minus (x) basepoint_column("minus", k) + left_plus (x)
         basepoint_column("plus", k): G3, d_s G3 and E''(k) from the
         key-lemma values, derivatives and residuals."""
         cols = [self.basepoint_column(side, k) for side in ("minus", "plus")]
-        return np.stack((left_minus, left_plus), axis=1) @ np.stack(cols)
+        return LowRank(np.stack((left_minus, left_plus), axis=1),
+                       np.stack(cols))
 
-    def g3(self, k: float) -> np.ndarray:
+    def g3(self, k: float) -> LowRank:
         um, _ = self.u_minus.u(k)
         up, _ = self.u_plus.u(k)
         return self.basepoint_outer(k, um, up)
 
     def g_tilde(self, k: float) -> np.ndarray:
-        return self.g1(k) + self.g2 + self.g3(k)
+        return self.g1(k) + self.g2 + self.g3(k).kernel()
 
     def g_tilde_dleft(self, k: float) -> np.ndarray:
         """d/ds in the left variable of the pre-parametrix kernel."""
@@ -196,7 +215,7 @@ class ParametrixPieces:
         out += self.g2_dleft
         _, dum = self.u_minus.u(k)
         _, dup = self.u_plus.u(k)
-        out += self.basepoint_outer(k, dum, dup)
+        out += self.basepoint_outer(k, dum, dup).kernel()
         return out
 
 
@@ -219,6 +238,15 @@ class ErrorOperator:
     @property
     def total(self) -> np.ndarray:
         return self.e1 + self.e2
+
+    def take_total(self) -> np.ndarray:
+        """total summed into the array of e1, the same bits without a new
+        n x n array, for a caller that owns this operator and overwrites
+        the result; e1 and e2 are released."""
+        out = self.e1
+        out += self.e2
+        self.e1 = self.e2 = None
+        return out
 
     def hs_e2(self) -> float:
         return hs_norm(self.model, self.e2, self.weight)
@@ -255,7 +283,7 @@ def error_kernel(pieces: ParametrixPieces, k: float) -> ErrorOperator:
     e1 += (k * k - pieces.kbar ** 2) * pieces.g2
     # key-lemma residual terms
     e2 = np.zeros((n, n)) if k <= 0 else pieces.basepoint_outer(
-        k, pieces.u_minus.residual(k), pieces.u_plus.residual(k))
+        k, pieces.u_minus.residual(k), pieces.u_plus.residual(k)).kernel()
     # diagonal jumps: every Green-type factor has slope jump -1/v and its
     # left derivative a value jump 1/v at the diagonal
     v = m.v
@@ -296,26 +324,39 @@ class FiniteRankFix:
     sigma_before: float = 0.0
     sigma_after: float = 0.0
 
-    def g4(self, dleft: bool = False) -> np.ndarray:
+    def g4(self, dleft: bool = False) -> LowRank:
         """G4, or with dleft its left derivative."""
         return self._outer([b.d1 if dleft else b.values for b in self.bumps])
 
     def g4_error(self, k: float) -> np.ndarray:
         """(Delta + k^2) G4 as a kernel."""
-        return self._outer([b.lap + k * k * b.values for b in self.bumps])
+        return self._outer([b.lap + k * k * b.values
+                            for b in self.bumps]).kernel()
 
-    def _outer(self, lefts) -> np.ndarray:
+    def _outer(self, lefts) -> LowRank:
         """sum_i lefts[i] (x) phi_i."""
-        return np.stack(lefts, axis=1) @ np.stack(self.phis)
+        return LowRank(np.stack(lefts, axis=1), np.stack(self.phis))
+
+
+def _weigh(model: ModelManifold, kernel: np.ndarray,
+           w: np.ndarray) -> np.ndarray:
+    """D kernel q D^-1, D = diag(sqrt(q) / w), written into kernel's own
+    array."""
+    q = model.weights
+    scale = np.sqrt(q) / w
+    kernel *= q[None, :]
+    kernel *= scale[:, None]
+    kernel /= scale[None, :]
+    return kernel
 
 
 def _weighted_operator(model: ModelManifold, kernel: np.ndarray,
                        w: np.ndarray) -> np.ndarray:
-    """Matrix of Id + kernel on L^2_w in an orthonormal discrete basis."""
-    q = model.weights
-    scale = np.sqrt(q) / w
-    op = kernel * q[None, :]
-    return np.eye(model.n) + scale[:, None] * op / scale[None, :]
+    """Matrix of Id + kernel on L^2_w in an orthonormal discrete basis,
+    D (Id + kernel q) D^-1, written into kernel's own array."""
+    out = _weigh(model, kernel, w)
+    out[np.diag_indices(model.n)] += 1.0
+    return out
 
 
 def _bump_dictionary(model: ModelManifold):
@@ -326,25 +367,29 @@ def _bump_dictionary(model: ModelManifold):
     return [on_grid(model, Bump(*span)) for span in spans]
 
 
+# singular values of Id + E(0) below this fraction of its norm are null
+NULL_REL_THRESHOLD = 1e-9
+
+
 def finite_rank_fix(pieces: ParametrixPieces,
-                    err0: ErrorOperator | None = None,
-                    rel_threshold: float = 1e-9) -> FiniteRankFix:
+                    err0: ErrorOperator | None = None) -> FiniteRankFix:
     """Compute the null space of Id + E(0) on the weighted space and the
     rank-M correction G4 making Id + E(0) invertible.
 
     With no null vectors (singular values all above the relative
     threshold) the fix is trivial: M = 0 and G4 = 0.  The extreme singular
     values come from Lanczos; the singular vectors, by a full SVD, only
-    when there is a null space to repair.
+    when there is a null space to repair.  The weighted Id + E(0) is
+    written into the array of the E(0) that error_kernel returns.
     """
-    from .riesz import spectral_norm
-
     model = pieces.model
     if err0 is None:
-        err0 = error_kernel(pieces, 0.0)
+        e0 = error_kernel(pieces, 0.0).take_total()
+    else:
+        e0 = err0.total
     w = pieces.weight
-    M = _weighted_operator(model, err0.total, w)
-    thresh = rel_threshold * spectral_norm(M)
+    M = _weighted_operator(model, e0, w)
+    thresh = NULL_REL_THRESHOLD * spectral_norm(M)
     sigma_min = smallest_singular_value(M)
     if sigma_min >= thresh:
         return FiniteRankFix(rank=0, threshold=thresh,
@@ -360,9 +405,10 @@ def finite_rank_fix(pieces: ParametrixPieces,
     cokernel = [U[:, -(i + 1)] for i in range(null_dim)]
     fix.phis = null_vecs
     fix.bumps = _select_bumps(model, cokernel, null_dim, scale, q)
-    corr = err0.total + fix.g4_error(0.0)
-    fix.sigma_after = smallest_singular_value(
-        _weighted_operator(model, corr, w))
+    # Id + E(0) + (Delta) G4 on L^2_w, with Id + E(0) from M
+    corr = _weigh(model, fix.g4_error(0.0), w)
+    corr += M
+    fix.sigma_after = smallest_singular_value(corr)
     if fix.sigma_after < 10 * thresh:
         raise SingularSystemError(
             "finite-rank complement construction failed "
@@ -422,24 +468,29 @@ class InvertedError:
         return kernel + matrix @ self.s_kernel + kernel * c_left[None, :]
 
 
-def _nystrom_system(model: ModelManifold, err: ErrorOperator):
-    """(A, rhs) of the kink-corrected Nystrom system A S = rhs for the
-    kernel S of (Id + E)(Id + S) = Id.
+# The kink-corrected Nystrom system A S = rhs for the kernel S of
+# (Id + E)(Id + S) = Id has A = Id + E q + diag(kink), the corrected
+# matrix of Id + E (diagonal-jump defects restored), and
+# rhs = -E - E diag(c_left), which accounts for the diagonal kinks of the
+# unknown S(., z') columns (jumps -J_E).
 
-    A is the corrected matrix of Id + E (diagonal-jump defects restored);
-    rhs accounts for the diagonal kinks of the unknown S(., z') columns
-    (jumps -J_E).
-    """
-    e_total = err.total
-    # corrected matrix of Id + E acting on smooth densities
-    A = model.composition_matrix(e_total, err.jump_ramp, err.jump_step)
-    A[np.diag_indices(model.n)] += 1.0
-    # left-variable jumps of S columns: ramp -J1_E, value jump -J0_E,
-    # whose sign flips across the left variable; their composition defect
-    # against E enters the system as a fixed matrix E diag(c)
-    c_left = model.kink_diagonal(-err.jump_ramp, err.jump_step)
-    rhs = -e_total - e_total * c_left[None, :]
-    return A, rhs
+
+def _left_kinks(model: ModelManifold, err: ErrorOperator) -> np.ndarray:
+    """c_left: the left-variable jumps of S columns, ramp -J1_E and value
+    jump -J0_E, whose sign flips across the left variable; their
+    composition defect against E enters the system as E diag(c_left)."""
+    return model.kink_diagonal(-err.jump_ramp, err.jump_step)
+
+
+def _nystrom_matrix(model: ModelManifold, e_total: np.ndarray,
+                    err: ErrorOperator) -> np.ndarray:
+    """A = Id + E q + diag(kink), written into the array e_total of E;
+    bitwise the composition matrix of E plus the identity."""
+    e_total *= model.weights[None, :]
+    diag = np.diag_indices(model.n)
+    e_total[diag] += model.kink_diagonal(err.jump_ramp, err.jump_step)
+    e_total[diag] += 1.0
+    return e_total
 
 
 def _solve(A: np.ndarray, b: np.ndarray, k: float) -> np.ndarray:
@@ -452,16 +503,24 @@ def _solve(A: np.ndarray, b: np.ndarray, k: float) -> np.ndarray:
 def invert_error(model: ModelManifold, err: ErrorOperator) -> InvertedError:
     """Solve (Id + E)(Id + S) = Id with kink-corrected compositions for the
     whole kernel S(k)."""
-    A, rhs = _nystrom_system(model, err)
+    e_total = err.total
+    rhs = -e_total - e_total * _left_kinks(model, err)[None, :]
+    A = _nystrom_matrix(model, e_total, err)
     return InvertedError(model, err.k, _solve(A, rhs, err.k),
                          -err.jump_ramp, -err.jump_step)
+
+
+def spectral_norm(mat) -> float:
+    """Largest singular value of a square matrix or linear operator by
+    Lanczos bidiagonalization; the fixed start vector makes reruns
+    bitwise equal."""
+    return float(svds(mat, k=1, v0=np.ones(mat.shape[0]), tol=0,
+                      return_singular_vectors=False)[0])
 
 
 def smallest_singular_value(M: np.ndarray) -> float:
     """sigma_min(M) = 1 / ||M^{-1}||_2, with the norm of the inverse by
     Lanczos on one LU factorization of M."""
-    from .riesz import spectral_norm
-
     lu = lu_factor(M)
     if not np.all(np.diag(lu[0])):
         return 0.0      # an exactly zero pivot: M is singular
@@ -473,6 +532,11 @@ def smallest_singular_value(M: np.ndarray) -> float:
 
 # smallest singular value of Id + E(k) at which choose_k0 accepts k
 K0_FLOOR = 1e-6
+# ilg_expansion fits R(k) v at k = e^{-2^j}, j in ILG_FIT_J, on
+# |s| <= ILG_REGION; ilg_residual_order checks it at the fresh ILG_CHECK_J
+ILG_FIT_J = (4, 5, 6, 7, 8)
+ILG_REGION = 12.0
+ILG_CHECK_J = (5.0, 5.75, 6.5, 7.25, 8.0)
 
 
 class Parametrix:
@@ -488,22 +552,42 @@ class Parametrix:
     def error(self, k: float) -> ErrorOperator:
         err = error_kernel(self.pieces, k)
         if self.fix.rank > 0:
-            err.e1 = err.e1 + self.fix.g4_error(k)
+            err.e1 += self.fix.g4_error(k)
         return err
 
-    def g_kernel(self, k: float, dleft: bool = False):
-        """(kernel, corrected composition matrix) of G(k) = G~(k) + G4,
-        which has the exact Green diagonal slope jump -1/v, or with dleft
-        of its left derivative d_s G~(k) + G4', which has the value jump
-        +1/v instead."""
+    def _g_jumps(self, dleft: bool):
+        """(slope, value) diagonal jumps of G: the exact Green slope jump
+        -1/v, or for d_s G the value jump +1/v instead."""
         inv_v = 1.0 / self.model.v
+        return (0.0, inv_v) if dleft else (-inv_v, 0.0)
+
+    def g_kernel(self, k: float, dleft: bool = False):
+        """(kernel, corrected composition matrix) of G(k) = G~(k) + G4, or
+        with dleft of its left derivative d_s G~(k) + G4'."""
         if dleft:
-            out, jumps = self.pieces.g_tilde_dleft(k), (0.0, inv_v)
+            out = self.pieces.g_tilde_dleft(k)
         else:
-            out, jumps = self.pieces.g_tilde(k), (-inv_v, 0.0)
+            out = self.pieces.g_tilde(k)
         if self.fix.rank > 0:
-            out += self.fix.g4(dleft)
-        return out, self.model.composition_matrix(out, *jumps)
+            out += self.fix.g4(dleft).kernel()
+        return out, self.model.composition_matrix(out,
+                                                  *self._g_jumps(dleft))
+
+    def g_apply(self, k: float, u) -> np.ndarray:
+        """g_kernel(k)[1] @ u from the factors of G(k), with neither n x n
+        matrix: the phi-localized product block of each end on
+        supp phi x supp phi, the k-independent G2, the rank-2 G3 and the
+        rank-M G4."""
+        m, pieces = self.model, self.pieces
+        w = m.weights * u
+        out = pieces.g2 @ w
+        for side in ("minus", "plus"):
+            idx, block = pieces.product_block(side, k)
+            out[idx] += block @ w[idx]
+        out += pieces.g3(k).apply(w)
+        if self.fix.rank > 0:
+            out += self.fix.g4().apply(w)
+        return out + m.kink_diagonal(*self._g_jumps(False)) * u
 
     def s_operator(self, k: float) -> InvertedError:
         return invert_error(self.model, self.error(k))
@@ -511,17 +595,23 @@ class Parametrix:
     def s_apply(self, k: float, v) -> np.ndarray:
         """S(k) v, the corrected composition matrix of S applied to one
         density: the Nystrom system of invert_error solved for a single
-        right-hand side."""
+        right-hand side.  The one n x n matrix is E(k) from error_kernel;
+        the right-hand side is rhs @ (q v) as one matrix-vector product,
+        and then E's own array is overwritten with A for the solve."""
         v = np.asarray(v, dtype=float)
+        m = self.model
         err = self.error(k)
-        A, rhs = _nystrom_system(self.model, err)
-        sv = _solve(A, rhs @ (self.model.weights * v), k)
-        return sv + self.model.kink_diagonal(-err.jump_ramp,
-                                             -err.jump_step) * v
+        e_total = err.take_total()
+        qv = m.weights * v
+        b = -(e_total @ (qv + _left_kinks(m, err) * qv))
+        sv = _solve(_nystrom_matrix(m, e_total, err), b, k)
+        return sv + m.kink_diagonal(-err.jump_ramp, -err.jump_step) * v
 
     def resolvent_apply(self, k: float, v) -> np.ndarray:
+        """R(k) v = G(k)(v + S(k) v): s_apply, then g_apply, so one
+        apply assembles one dense matrix, A(k) in the array of E(k)."""
         v = np.asarray(v, dtype=float)
-        return self.g_kernel(k)[1] @ (v + self.s_apply(k, v))
+        return self.g_apply(k, v + self.s_apply(k, v))
 
     def resolvent_dleft(self, k: float) -> np.ndarray:
         """d/ds in the left variable of the resolvent kernel."""
@@ -534,7 +624,8 @@ class Parametrix:
         w = self.pieces.weight
         sigma_min = {}
         for k in sorted(k_list):
-            M = _weighted_operator(self.model, self.error(k).total, w)
+            # D (Id + E q) D^-1, written into the array of E(k)
+            M = _weighted_operator(self.model, self.error(k).take_total(), w)
             sigma_min[k] = smallest_singular_value(M)
         above = [k for k, sig in sigma_min.items() if sig > K0_FLOOR]
         if not above:
@@ -551,25 +642,25 @@ class IlgSeries:
     values: np.ndarray
 
 
-def ilg_expansion(parametrix: Parametrix, v, j_list=(4, 5, 6, 7, 8),
-                  region: float = 12.0) -> IlgSeries:
-    """Fit the inverse-log series of R(k) v on a compact set at
-    k = e^{-2^j} (a Richardson-style fit: the nodes halve ilg k each
-    step).  j <= 8 keeps the scaled Bessel factors inside double range."""
+def ilg_expansion(parametrix: Parametrix, v) -> IlgSeries:
+    """Fit the inverse-log series of R(k) v on |s| <= ILG_REGION at
+    k = e^{-2^j}, j in ILG_FIT_J (a Richardson-style fit: the nodes halve
+    ilg k each step).  j <= 8 keeps the scaled Bessel factors inside
+    double range."""
     from .fits import fit_ilg_series
 
     m = parametrix.model
-    mask = np.abs(m.s) <= region
-    ks = [math.exp(-2.0 ** j) for j in j_list]
+    mask = np.abs(m.s) <= ILG_REGION
+    ks = [math.exp(-2.0 ** j) for j in ILG_FIT_J]
     vals = np.array([parametrix.resolvent_apply(k, v)[mask] for k in ks])
     coef = fit_ilg_series(ks, vals, deg=len(ks) - 1)
     return IlgSeries(ks, mask, coef, vals)
 
 
-def ilg_residual_order(parametrix: Parametrix, v, coef, mask, terms: int,
-                       j_list=(5.0, 5.75, 6.5, 7.25, 8.0)) -> dict:
+def ilg_residual_order(parametrix: Parametrix, v, coef, mask,
+                       terms: int) -> dict:
     """Decay order (in ilg k) of R(k) v minus its first `terms` fitted
-    series terms, on fresh nodes.
+    series terms, on the fresh nodes k = e^{-2^j}, j in ILG_CHECK_J.
 
     Successive (log-log) pair slopes approach the order from below, with
     a correction linear in ilg k from the next series coefficient; the
@@ -577,7 +668,7 @@ def ilg_residual_order(parametrix: Parametrix, v, coef, mask, terms: int,
     """
     from .fits import ilg_powers
 
-    ks = [math.exp(-2.0 ** j) for j in j_list]
+    ks = [math.exp(-2.0 ** j) for j in ILG_CHECK_J]
     vals = np.array([parametrix.resolvent_apply(k, v)[mask] for k in ks])
     V = ilg_powers(ks, coef.shape[0] - 1)
     partial = V[:, :terms] @ coef[:terms]

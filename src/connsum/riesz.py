@@ -24,7 +24,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg import eigh_tridiagonal, svdvals
-from scipy.sparse.linalg import svds
 
 from . import product_kernels as pk
 from .cutoffs import Bump, minus_cutoff
@@ -107,13 +106,6 @@ def low_energy_kernel(model: ModelManifold, k0: float,
 # L^p machinery on the model grid
 
 
-def spectral_norm(mat: np.ndarray) -> float:
-    """Largest singular value of a square matrix by Lanczos
-    bidiagonalization; the fixed start vector makes reruns bitwise equal."""
-    return float(svds(mat, k=1, v0=np.ones(mat.shape[0]), tol=0,
-                      return_singular_vectors=False)[0])
-
-
 # bidiagonalization steps after which spectral_norms gives up; the
 # default riesz sweep converges in at most 79
 GKL_MAX_STEPS = 300
@@ -128,10 +120,10 @@ def spectral_norms(mat: np.ndarray, sq: np.ndarray, cuts) -> np.ndarray:
     truncation one row of a block: a half step is one masked product of
     the live rows with the whole matrix, the weights applied to the
     vectors rather than to the matrix.  Each truncation starts from its
-    normalized mask (the v0 = ones of spectral_norm).  The right vectors
-    are reorthogonalized fully, twice, against their own basis; only the
-    previous left vector is kept (one-sided reorthogonalization, Simon
-    and Zha, SIAM J. Sci. Comput. 21, 2000).
+    normalized mask (the v0 = ones of parametrix.spectral_norm).  The
+    right vectors are reorthogonalized fully, twice, against their own
+    basis; only the previous left vector is kept (one-sided
+    reorthogonalization, Simon and Zha, SIAM J. Sci. Comput. 21, 2000).
 
     After k steps the bidiagonal B (diagonal alpha, superdiagonal beta)
     and the next beta_k give the residual ||A^T u - sigma v|| =

@@ -75,6 +75,9 @@ class TestCli:
         ("--k0", "0", "--k0 must lie in"),
         ("--k0", "-1", "--k0 must lie in"),
         ("--k0", "1e-20", "--k0 must lie in"),
+        # fewer than three R_max: no trend to read a verdict from
+        ("--sweep-max", "40", "--sweep-max must be >= 128"),
+        ("--sweep-max", "127", "--sweep-max must be >= 128"),
     ])
     def test_riesz_rejects_invalid_option(self, tmp_path, capsys, option,
                                           value, message):

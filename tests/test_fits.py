@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from connsum import fits
+from connsum.errors import DomainError
 from connsum.fits import classify_trend
 
 R = np.array([1e2, 1e3, 1e4, 1e5, 1e6])
@@ -52,3 +53,10 @@ def test_classify_trend_non_finite(name, norms, monkeypatch):
     assert trend.bounded is False, name
     assert trend.variation == math.inf
     assert trend.growth_exponent == math.inf
+
+
+@pytest.mark.parametrize("n", [0, 1, 2])
+def test_classify_trend_short_series(n):
+    # one or two norms show no trend, however flat they are
+    with pytest.raises(DomainError, match="at least three norms"):
+        classify_trend(R[:n], [1.0] * n)

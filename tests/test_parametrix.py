@@ -1,9 +1,14 @@
 import copy
 import math
+import os
+import subprocess
+import sys
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
-from scipy.linalg import LinAlgWarning
+from scipy.linalg import LinAlgWarning, solve_banded
 
 from connsum import bvp, checks, model as md, parametrix as px
 from connsum.fits import loglog_slope
@@ -199,6 +204,21 @@ class TestResolvent:
         for k in (1e-2, 1e-3, 1e-4):
             assert checks.radiation_oracle_error(par, k, v) < 1e-5
 
+    def test_oracle_band_storage(self, model):
+        # the oracle matrix lies inside its bands, and the band solve is
+        # the dense solve
+        width = checks.ORACLE_ORDER
+        rhs = np.exp(-2.0 * model.s ** 2)
+        rhs[0] = rhs[-1] = 0.0
+        for k in (1e-2, 1e-4):
+            A = md.radial_laplacian(model, None, k=k, order=width)
+            ab = checks._band_storage(A, width)
+            assert np.count_nonzero(ab) == np.count_nonzero(A)
+            dense = np.linalg.solve(A, rhs)
+            banded = solve_banded((width, width), ab, rhs)
+            assert np.max(np.abs(banded - dense)) \
+                < 1e-9 * np.max(np.abs(dense))
+
     def test_defining_equation(self, par, model):
         # (Delta + k^2) R(k) v = v: exact in the discrete kernel algebra
         k = 1e-3
@@ -300,6 +320,53 @@ class TestResolvent:
         svd = _count_calls(monkeypatch, np.linalg, "svd")
         par.choose_k0([1e-4, 1e-3, 1e-2, 0.05])
         assert svd == []
+
+    @pytest.mark.parametrize("fixture", ["par", "forced"])
+    @pytest.mark.parametrize("k", [1e-2, 1e-4, math.exp(-256.0)])
+    def test_resolvent_apply_matches_kernel(self, request, model, fixture,
+                                            k):
+        # the factored apply path against G's composition matrix and the
+        # whole kernel S; the forced fix puts G4 into both G and E.  The
+        # bound is cond(Id + E) ~ 4e3 times rounding, with room to spare
+        p = request.getfixturevalue(fixture)
+        v = np.exp(-2.0 * model.s ** 2)
+        ref = p.g_kernel(k)[1] @ (v + p.s_operator(k).matrix @ v)
+        got = p.resolvent_apply(k, v)
+        assert np.max(np.abs(got - ref)) < 1e-10 * np.max(np.abs(ref))
+
+    def test_apply_path_memory(self, par, model):
+        # one apply, and one choose_k0 energy, assemble one n x n matrix
+        # (plus the solver's copy and error_kernel's temporaries)
+        v = np.exp(-2.0 * model.s ** 2)
+        unit = model.n ** 2 * np.dtype(float).itemsize
+        for run in (lambda: par.resolvent_apply(1e-3, v),
+                    lambda: par.choose_k0([1e-3])):
+            tracemalloc.start()
+            try:
+                run()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= 3 * unit
+
+    def test_resolvent_path_imports_no_riesz(self):
+        # the library path of `connsum resolvent` in a fresh interpreter
+        code = ("import sys\n"
+                "from connsum import bvp, model as md, parametrix as px\n"
+                "m = md.build_model()\n"
+                "par = px.Parametrix(m, q=3, kbar=1.0,\n"
+                "                    system=bvp.GluedSystem(m, 0.0))\n"
+                "par.choose_k0([1e-4, 1e-3, 1e-2, 0.05])\n"
+                "px.ilg_expansion(par, par.pieces.v_minus)\n"
+                "print('connsum.riesz' in sys.modules)")
+        src = str(Path(px.__file__).resolve().parents[1])
+        env = {**os.environ,
+               "PYTHONPATH": os.pathsep.join(
+                   filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        out = subprocess.run([sys.executable, "-c", code], env=env,
+                             check=True, capture_output=True, text=True,
+                             timeout=300)
+        assert out.stdout.strip() == "False"
 
     def test_apply_path_solves_no_kernel(self, par, model, monkeypatch):
         inverts = _count_calls(monkeypatch, px, "invert_error")

@@ -400,9 +400,9 @@ class TestBoundednessReport:
             mask = model.r <= rmax
             sub = low_kernel.matrix()[np.ix_(mask, mask)]
             a = sq[mask][:, None] * sub / sq[mask][None, :]
-            lanczos = rz.spectral_norm(a)
+            lanczos = px.spectral_norm(a)
             assert lanczos == pytest.approx(np.linalg.norm(a, 2), rel=1e-12)
-            assert rz.spectral_norm(a) == lanczos
+            assert px.spectral_norm(a) == lanczos
 
     def test_spectral_norms_match_dense(self, model, low_kernel):
         mat = low_kernel.matrix()
@@ -457,12 +457,14 @@ class TestBoundednessReport:
         sq = np.sqrt(model.weights)
         for row in report["rows"]:
             cut = rz._truncation(model, row.r_max)
-            want = rz.spectral_norm(weighted_block(mat, sq, cut))
+            want = px.spectral_norm(weighted_block(mat, sq, cut))
             assert row.lower == row.upper
             assert row.upper == pytest.approx(want, rel=1e-12)
 
     def test_p2_estimate_near_multiplier_bound(self, model, low_kernel):
-        report = rz.lp_boundedness_report(low_kernel, (2.0,), (256.0, 512.0))
+        # three R_max: classify_trend reads no verdict from fewer
+        report = rz.lp_boundedness_report(low_kernel, (2.0,),
+                                          (128.0, 256.0, 512.0))
         last = [r for r in report["rows"] if r.p == 2.0][-1]
         assert 0.7 < last.lower <= 1.05
 
