@@ -35,5 +35,5 @@ print("\n== heat-to-resolvent identity ==")
 for a in (2.0, 3.0, 6.0):
     dev = sf.heat_resolvent_identity_check(a, 0.3, 1.7)
     print(f"a = {a:g}: relative deviation {dev:.2e} "
-          f"(calibrated constant C_a = {sf._HEAT_CA_CACHE[a]:.6f}, "
+          f"(calibrated constant C_a = {sf._heat_constant(a):.6f}, "
           f"2^(a/2) = {2 ** (a / 2):.6f})")

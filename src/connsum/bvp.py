@@ -224,82 +224,71 @@ class GluedSystem:
         return u, du
 
     def kernel_matrix(self) -> np.ndarray:
-        """Green kernel on grid x grid: uL(s_<) uR(s_>) / W.  The selected
-        exponent sums are always <= 0, so no entry overflows."""
-        s = self.model.s
-        lower = s[:, None] <= s[None, :]
-        expo = np.where(lower, self.exp_l[:, None] + self.exp_r[None, :],
-                        self.exp_r[:, None] + self.exp_l[None, :])
-        out = np.where(lower, self.uL[:, None] * self.uR[None, :],
-                       self.uR[:, None] * self.uL[None, :])
-        return out * np.exp(np.clip(expo, -745.0, 700.0)) / self.wronskian
+        """Green kernel on grid x grid: uL(s_<) uR(s_>) / W."""
+        return green_kernel_sums([self], [[1.0]])[0]
 
     def kernel_dleft(self) -> np.ndarray:
         """d/ds in the left variable of kernel_matrix; the diagonal takes
         the midpoint of the two one-sided limits."""
-        s = self.model.s
-        below = self.uLp[:, None] * self.uR[None, :]
-        above = self.uRp[:, None] * self.uL[None, :]
-        lower = s[:, None] < s[None, :]
-        expo = np.where(lower, self.exp_l[:, None] + self.exp_r[None, :],
-                        self.exp_r[:, None] + self.exp_l[None, :])
-        out = np.where(lower, below, above)
-        d = np.arange(self.model.n)
-        out[d, d] = 0.5 * (below[d, d] + above[d, d])
-        return out * np.exp(np.clip(expo, -745.0, 700.0)) / self.wronskian
+        return green_kernel_sums([self], [[1.0]], dleft=True)[0]
 
 
-# grid rows per block of kernel_dleft_sums; each block has its own
+# grid rows per block of green_kernel_sums; each block has its own
 # exponent shift
-DLEFT_BLOCK = 64
+KERNEL_BLOCK = 64
 
 
-def kernel_dleft_sums(systems: list[GluedSystem], coefs) -> list[np.ndarray]:
-    """sum_k coefs[c, k] systems[k].kernel_dleft() for each row c of the
-    (C, K) array coefs, without building any system's n x n kernel.
+def green_kernel_sums(systems: list[GluedSystem], coefs,
+                      dleft: bool = False) -> list[np.ndarray]:
+    """sum_k coefs[c, k] systems[k].kernel_matrix() (with dleft,
+    .kernel_dleft()) for each row c of the (C, K) array coefs, without
+    building any system's n x n kernel.
 
-    Off the diagonal each kernel_dleft is rank one per triangle,
-    uLp(s) uR(s') / W above it and uRp(s) uL(s') / W below, so the sum
-    over the K systems is semiseparable.  In each block of DLEFT_BLOCK
-    rows the strict upper part is one (rows x K) @ (K x columns) product;
-    the strict lower part is the mirror image, blocked by columns.  Each
-    system gets the shift m_k = exp_l at the last node of the block: as
-    exp_l is non-decreasing in s and exp_r = -exp_l, both factors then
-    carry exponents <= 0 and stay in double range at every k.  The
-    diagonal blocks are dense, as in kernel_dleft: the branch is selected
-    first and only the selected exponent is exponentiated.
+    Off the diagonal each kernel is rank one per triangle, fL(s) uR(s') / W
+    above it and fR(s) uL(s') / W below, with (fL, fR) = (uL, uR) for the
+    values and (uLp, uRp) for d/ds, so the sum over the K systems is
+    semiseparable.  In each block of KERNEL_BLOCK rows the strict upper
+    part is one (rows x K) @ (K x columns) product; the strict lower part
+    is the mirror image, blocked by columns.  Each system gets the shift
+    m_k = exp_l at the last node of the block: as exp_l is non-decreasing
+    in s and exp_r = -exp_l, both factors then carry exponents <= 0 and
+    stay in double range at every k.  The diagonal blocks are dense: the
+    branch is selected first and only the selected exponent is
+    exponentiated.  The diagonal itself takes the midpoint of the two
+    one-sided limits, which for the values is exact (both products are
+    the same bits).
     """
     n = systems[0].model.n
     el = np.array([g.exp_l for g in systems])
     er = np.array([g.exp_r for g in systems])
     uL = np.array([g.uL for g in systems])
-    uLp = np.array([g.uLp for g in systems])
     uR = np.array([g.uR for g in systems])
-    uRp = np.array([g.uRp for g in systems])
+    fL = np.array([g.uLp for g in systems]) if dleft else uL
+    fR = np.array([g.uRp for g in systems]) if dleft else uR
     cw = np.asarray(coefs, dtype=float) \
         / np.array([g.wronskian for g in systems])
     out = [np.empty((n, n)) for _ in cw]
-    for a in range(0, n, DLEFT_BLOCK):
-        b = min(a + DLEFT_BLOCK, n)
+    for a in range(0, n, KERNEL_BLOCK):
+        b = min(a + KERNEL_BLOCK, n)
         blk, nb = slice(a, b), b - a
         shift = el[:, b - 1:b]
         near = np.exp(el[:, blk] - shift)
         far = np.exp(er[:, b:] + shift)
         # strict upper: rows of the block, columns after it
-        left = np.vstack([(c[:, None] * uLp[:, blk] * near).T for c in cw])
+        left = np.vstack([(c[:, None] * fL[:, blk] * near).T for c in cw])
         upper = left @ (uR[:, b:] * far)
         # strict lower: columns of the block, rows after it
         right = np.hstack([c[:, None] * uL[:, blk] * near for c in cw])
-        lower = (uRp[:, b:] * far).T @ right
+        lower = (fR[:, b:] * far).T @ right
         # diagonal block, s < s' above its diagonal
         tri = np.triu(np.ones((nb, nb), dtype=bool), 1)
         expo = np.where(tri, el[:, blk, None] + er[:, None, blk],
                         er[:, blk, None] + el[:, None, blk])
-        dense = np.where(tri, uLp[:, blk, None] * uR[:, None, blk],
-                         uRp[:, blk, None] * uL[:, None, blk])
+        dense = np.where(tri, fL[:, blk, None] * uR[:, None, blk],
+                         fR[:, blk, None] * uL[:, None, blk])
         d = np.arange(nb)
-        dense[:, d, d] = 0.5 * (uLp[:, blk] * uR[:, blk]
-                                + uRp[:, blk] * uL[:, blk])
+        dense[:, d, d] = 0.5 * (fL[:, blk] * uR[:, blk]
+                                + fR[:, blk] * uL[:, blk])
         diag = np.tensordot(cw, dense * np.exp(expo), axes=1)
         for o, up, lo, dg in zip(out, np.split(upper, len(cw)),
                                  np.split(lower, len(cw), axis=1), diag):

@@ -46,8 +46,9 @@ class BoundaryData:
                 raise DomainError(f"invalid channel {(m, l)}")
 
     @staticmethod
-    def constant(end: str, R: float, value: float = 1.0) -> "BoundaryData":
-        return BoundaryData(end, R, {(0, 0): value})
+    def constant(end: str, R: float) -> "BoundaryData":
+        """The constant 1 on the gluing sphere."""
+        return BoundaryData(end, R, {(0, 0): 1.0})
 
 
 @dataclass(frozen=True)
@@ -69,13 +70,13 @@ class HarmonicExtension:
         val, _ = self.profile(m, l)
         return self.data.coeffs.get((m, l), 0.0) * val(r)
 
-    def ode_residual(self, m: int, l: int, r, h: float = 1e-3):
+    def ode_residual(self, m: int, l: int, r):
         """Residual of the radial channel ODE on the profile, with the
-        second derivative from five-point differences of the analytic
-        first derivative."""
+        second derivative from five-point differences (relative step
+        1e-3) of the analytic first derivative."""
         val, der = self.profile(m, l)
         r = np.asarray(r, dtype=float)
-        hh = h * r
+        hh = 1e-3 * r
         d2 = (-der(r + 2 * hh) + 8 * der(r + hh) - 8 * der(r - hh)
               + der(r - 2 * hh)) / (12 * hh)
         n = self.end_spec.euclidean_dim

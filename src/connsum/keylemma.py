@@ -231,17 +231,17 @@ def build_key_approximation(model: ModelManifold, v, q: int = 3,
 # estimate verification
 
 
-def verify_lower_bound(approx: KeyApproximation, ks, eps: float = 0.1,
-                       r0: float | None = None) -> dict:
+def verify_lower_bound(approx: KeyApproximation, ks,
+                       eps: float = 0.1) -> dict:
     """Check d_r(u + phi) >= C beta ilg(k)/r on {k r <= eps, r >= r0} of
-    the minus end and fit the largest such C (vacuous when beta <= 0)."""
+    the minus end, r0 = 1.2 times the outer radius of phi, and fit the
+    largest such C (vacuous when beta <= 0)."""
     m = approx.model
     st = approx.stages[0]
     beta = st.beta
     if beta <= 0:
         return {"applicable": False, "beta": beta}
-    if r0 is None:
-        r0 = m.radii.phi[1] * 1.2
+    r0 = m.radii.phi[1] * 1.2
     cs, rems = [], []
     for k in ks:
         _, dvals = approx.u(k)
@@ -259,12 +259,11 @@ def verify_lower_bound(approx: KeyApproximation, ks, eps: float = 0.1,
             "positive": bool(cs and c_fit > 0)}
 
 
-def residual_slope(approx: KeyApproximation, j_list=(3, 4, 5, 6, 7),
-                   region: float = 20.0) -> float:
-    """Fitted order of sup_{compact} |(Delta+k^2) u - v| against ilg k at
-    k = e^{-2^j}."""
+def residual_slope(approx: KeyApproximation, j_list=(3, 4, 5, 6, 7)) -> float:
+    """Fitted order of sup_{|s| <= 20} |(Delta+k^2) u - v| against ilg k
+    at k = e^{-2^j}."""
     m = approx.model
-    mask = np.abs(m.s) <= region
+    mask = np.abs(m.s) <= 20.0
     ks = [math.exp(-2.0 ** j) for j in j_list]
     sups = [float(np.max(np.abs(approx.residual(k)[mask]))) for k in ks]
     return loglog_slope(ilg(np.array(ks)), np.array(sups))

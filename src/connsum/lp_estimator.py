@@ -200,8 +200,13 @@ def boyd_lower_bound(mat: np.ndarray, w1: np.ndarray, w2: np.ndarray,
     return float(best[0]) if scalar else best
 
 
+# truncation radii of empirical_norm_trend, and the log-grid density of
+# random_instance_suite
+TREND_R_MAXES = (1e2, 1e3, 1e4, 1e5, 1e6)
+SUITE_PTS_PER_DECADE = 20
+
+
 def empirical_norm_trend(kernel: PowerKernel, p: float,
-                         r_maxes=(1e2, 1e3, 1e4, 1e5, 1e6),
                          pts_per_decade: int = 16) -> BoundednessVerdict:
     """Discretize on log grids up to each R_max, estimate the operator
     norm by the power iteration, and classify the trend
@@ -212,21 +217,20 @@ def empirical_norm_trend(kernel: PowerKernel, p: float,
     if p <= 1:
         raise DomainError("empirical_norm_trend: need p > 1")
     norms = []
-    for rmax in r_maxes:
+    for rmax in TREND_R_MAXES:
         mat, w1, w2 = _log_grid_operator(kernel, rmax, pts_per_decade)
         norms.append(boyd_lower_bound(mat, w1, w2, p, 40))
     try:
         pred = lemma_predicate(kernel, p)
     except BoundaryCase:
         pred = None
-    trend = classify_trend(r_maxes, norms)
+    trend = classify_trend(TREND_R_MAXES, norms)
     return BoundednessVerdict(p, pred,
                               "stable" if trend.bounded else "divergent",
                               norms, trend.growth_exponent)
 
 
-def random_instance_suite(n_instances: int = 200, seed: int = 5,
-                          pts_per_decade: int = 20) -> dict:
+def random_instance_suite(n_instances: int = 200, seed: int = 5) -> dict:
     """Predicate/trend agreement over random non-boundary instances of
     both lemmas."""
     rng = np.random.default_rng(seed)
@@ -256,7 +260,8 @@ def random_instance_suite(n_instances: int = 200, seed: int = 5,
         # the classification
         if _margin(kern, p) < 0.35:
             continue
-        verdict = empirical_norm_trend(kern, p, pts_per_decade=pts_per_decade)
+        verdict = empirical_norm_trend(kern, p,
+                                       pts_per_decade=SUITE_PTS_PER_DECADE)
         total += 1
         if verdict.agree:
             agree += 1

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from functools import cache
+
 import numpy as np
 
 
@@ -38,9 +40,7 @@ def fornberg_weights(z, x, m: int) -> np.ndarray:
     return c
 
 
-_CC_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-
-
+@cache
 def clenshaw_curtis(n: int) -> tuple[np.ndarray, np.ndarray]:
     """Clenshaw-Curtis nodes (ascending, in [-1, 1]) and weights.
 
@@ -50,9 +50,6 @@ def clenshaw_curtis(n: int) -> tuple[np.ndarray, np.ndarray]:
     """
     if n < 2:
         raise ValueError("clenshaw_curtis: need n >= 2")
-    hit = _CC_CACHE.get(n)
-    if hit is not None:
-        return hit
     j = np.arange(n)
     t = -np.cos(np.pi * j / (n - 1))
     t[0], t[-1] = -1.0, 1.0
@@ -62,7 +59,6 @@ def clenshaw_curtis(n: int) -> tuple[np.ndarray, np.ndarray]:
     even = (k % 2 == 0)
     mom[even] = 2.0 / (1.0 - k[even] ** 2)
     w = np.linalg.solve(V.T, mom)
-    _CC_CACHE[n] = (t, w)
     return t, w
 
 
@@ -73,32 +69,23 @@ def cc_segment(a: float, b: float, n: int) -> tuple[np.ndarray, np.ndarray]:
     return a + half * (t + 1.0), w * half
 
 
-_CUMINT_CACHE: dict[int, np.ndarray] = {}
-
-
+@cache
 def cheb_cumint_matrix(n: int) -> np.ndarray:
     """Matrix J with (J y)_i = int_{-1}^{t_i} p(t) dt for the Chebyshev
     interpolant p of the values y on the n Clenshaw-Curtis nodes.
     Bounded operator, cached per n: the building block of per-segment
     cumulative integrals and of spectral two-point ODE solves in integral
     form."""
-    hit = _CUMINT_CACHE.get(n)
-    if hit is not None:
-        return hit
     t, _ = clenshaw_curtis(n)
     C = np.polynomial.chebyshev
     # Chebyshev coefficients of every cardinal interpolant, integrated
     # from 0 and evaluated on the nodes, all columns at once
     anti = C.chebint(np.linalg.inv(C.chebvander(t, n - 1)))
     vals = C.chebvander(t, n) @ anti
-    cols = vals - vals[0]
-    _CUMINT_CACHE[n] = cols
-    return cols
+    return vals - vals[0]
 
 
-_KINK_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-
-
+@cache
 def cc_kink_coefficients(n: int) -> tuple[np.ndarray, np.ndarray]:
     """Quadrature-defect coefficients of the Clenshaw-Curtis rule for
     integrands with a corner at a node.
@@ -110,9 +97,6 @@ def cc_kink_coefficients(n: int) -> tuple[np.ndarray, np.ndarray]:
     Kernel compositions with known diagonal jumps subtract these defects
     to restore high-order accuracy.
     """
-    hit = _KINK_CACHE.get(n)
-    if hit is not None:
-        return hit
     t, w = clenshaw_curtis(n)
     C1 = np.empty(n)
     C0 = np.empty(n)
@@ -122,5 +106,4 @@ def cc_kink_coefficients(n: int) -> tuple[np.ndarray, np.ndarray]:
         step = np.where(t > t[p], 1.0, 0.0)
         step[p] = 0.5
         C0[p] = (1.0 - t[p]) - float(np.dot(w, step))
-    _KINK_CACHE[n] = (C1, C0)
     return C1, C0

@@ -69,10 +69,10 @@ def low_energy_kernel(model: ModelManifold, k0: float,
 
     The resolvent gradients come from the exact glued Green system, which
     is stable at every k on the lattice.  Both rules are summed together
-    in generator form (bvp.kernel_dleft_sums), the coarse one as its
+    in generator form (bvp.green_kernel_sums), the coarse one as its
     difference from the fine one.
     """
-    from .bvp import GluedSystem, kernel_dleft_sums
+    from .bvp import GluedSystem, green_kernel_sums
 
     if n_sigma < 3 or n_sigma % 2 == 0:
         raise DomainError("n_sigma must be an odd integer >= 3 (the coarse "
@@ -91,7 +91,8 @@ def low_energy_kernel(model: ModelManifold, k0: float,
         jump += (2.0 / math.pi) * w_i * k * (1.0 / model.v)
         if i % 2 == 0:
             coarse[i] = (2.0 / math.pi) * w_coarse[i // 2] * k
-    vals, diff = kernel_dleft_sums(systems, [fine, fine - coarse])
+    vals, diff = green_kernel_sums(systems, [fine, fine - coarse],
+                                   dleft=True)
     kern = DiscretizedKernel(model, vals, jump_step=jump,
                              quad_error=float(np.max(np.abs(diff))))
     if kern.quad_error > kern.quad_error_bound():
@@ -329,12 +330,12 @@ def witness_f(t):
     return out
 
 
-def ilg_chain_inequality(samples: int = 10000, seed: int = 11) -> dict:
+def ilg_chain_inequality(samples: int = 10000) -> dict:
     """ilg k >= f(k r') ilg(1/r') whenever k r' < 1 and r' >= e.
 
     From 1/ilg k = 1/ilg(k r') + 1/ilg(1/r') the bound needs
     ilg(1/r') <= 1, which is exactly r' >= e (large radius regime)."""
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(11)
     rp = np.exp(rng.uniform(1.0, np.log(1e6), samples))
     k = np.exp(rng.uniform(np.log(1e-12), 0.0, samples)) / rp  # k r' < 1
     lhs = ilg_clipped(k)
@@ -366,10 +367,14 @@ class UnboundednessWitness:
     growth: dict = field(default_factory=dict)
 
 
+# Clenshaw-Curtis nodes and upper sigma = log(1/k) end of the witness
+# k-integral
+WITNESS_N_SIGMA = 33
+WITNESS_SIGMA_MAX = 44.0
+
+
 def unboundedness_witness(model: ModelManifold, key_approx, p_list=(3.0, 4.0),
-                          k0: float = math.exp(-10.0), n_sigma: int = 33,
-                          sigma_max: float = 44.0,
-                          r_maxes=None) -> UnboundednessWitness:
+                          k0: float = math.exp(-10.0)) -> UnboundednessWitness:
     """Assemble the two-dimensional-end witness
 
         T(z, z') = tau(z) int_0^{k0} d_r(phi + u)(z, k)
@@ -398,7 +403,8 @@ def unboundedness_witness(model: ModelManifold, key_approx, p_list=(3.0, 4.0),
     rc = model.r[cols]
     phi_vals = minus_cutoff(model)(model.s[cols])
     st = ka.stages[0]
-    sig, w = cc_segment(math.log(1.0 / k0), sigma_max, n_sigma)
+    sig, w = cc_segment(math.log(1.0 / k0), WITNESS_SIGMA_MAX,
+                        WITNESS_N_SIGMA)
     # the k-sum of rank-one kernels as one (rows x K) @ (K x cols) product
     left = np.empty((len(rows), len(sig)))
     right = np.empty((len(sig), len(cols)))
@@ -423,7 +429,7 @@ def unboundedness_witness(model: ModelManifold, key_approx, p_list=(3.0, 4.0),
     else:
         cmin = math.nan
     # basepoint-freezing error: int |R(z,.) - R(z^o,.)| dk = O(r'^{-2})
-    sig2, w2 = cc_segment(math.log(1.0 / k0), sigma_max, 13)
+    sig2, w2 = cc_segment(math.log(1.0 / k0), WITNESS_SIGMA_MAX, 13)
     mid = float(np.median(rr))
     dint = np.zeros(len(rc))
     for s_i, w_i in zip(sig2, w2):
@@ -436,9 +442,8 @@ def unboundedness_witness(model: ModelManifold, key_approx, p_list=(3.0, 4.0),
     wit = UnboundednessWitness(model, beta, k0, tau, kern, rows, cols,
                                positive and bool(np.all(kern >= 0)),
                                cmin, diff_exp)
-    if r_maxes is None:
-        top = model.config.S_minus
-        r_maxes = tuple(top / 2.0 ** j for j in (7.0, 5.25, 3.5, 1.75, 0.0))
+    top = model.config.S_minus
+    r_maxes = tuple(top / 2.0 ** j for j in (7.0, 5.25, 3.5, 1.75, 0.0))
     q = model.weights
     for p in p_list:
         pp = p / (p - 1.0)

@@ -17,6 +17,7 @@ scalars out, arrays in give arrays out.
 from __future__ import annotations
 
 import math
+from functools import cache
 
 import numpy as np
 from scipy import special
@@ -161,7 +162,13 @@ def _log_cosh(u):
     return au + np.log1p(np.exp(-2.0 * au)) - math.log(2.0)
 
 
-def bessel_K_quadrature(order: float, x: float, rtol: float = 1e-12) -> float:
+# relative tolerances of the adaptive quadratures behind
+# bessel_K_quadrature and heat_resolvent_identity_check
+K_QUADRATURE_RTOL = 1e-12
+HEAT_RTOL = 1e-10
+
+
+def bessel_K_quadrature(order: float, x: float) -> float:
     """Reference value of K_order(x) by adaptive quadrature of
     int_0^oo exp(-x cosh t) cosh(order t) dt.
 
@@ -182,8 +189,9 @@ def bessel_K_quadrature(order: float, x: float, rtol: float = 1e-12) -> float:
     tmax = math.acosh(max(big, 2.0) / x) + 2.0 if big / x > 1.0 else 25.0
     pts = [tstar] if 0 < tstar < tmax else None
     val, err = quad(integrand, 0.0, tmax, points=pts, limit=400,
-                    epsabs=0.0, epsrel=rtol)
-    if not math.isfinite(val) or (val != 0 and err / abs(val) > 100 * rtol):
+                    epsabs=0.0, epsrel=K_QUADRATURE_RTOL)
+    if not math.isfinite(val) or (
+            val != 0 and err / abs(val) > 100 * K_QUADRATURE_RTOL):
         raise NonConvergenceError(
             f"bessel_K_quadrature failed: order={order}, x={x}, err={err:g}")
     return val
@@ -192,10 +200,8 @@ def bessel_K_quadrature(order: float, x: float, rtol: float = 1e-12) -> float:
 # ---------------------------------------------------------------------------
 # heat-to-resolvent identity
 
-_HEAT_CA_CACHE: dict[float, float] = {}
 
-
-def _heat_time_integral(a: float, k: float, r: float, rtol: float) -> float:
+def _heat_time_integral(a: float, k: float, r: float) -> float:
     """int_0^oo e^{-t k^2} t^{-a/2} e^{-r^2/(4t)} dt.
 
     Computed after t = (r/(2k)) e^u, which turns it into
@@ -213,15 +219,22 @@ def _heat_time_integral(a: float, k: float, r: float, rtol: float) -> float:
         return math.exp(-kr * math.cosh(u) + p * u)
 
     umax = math.acosh(max(760.0 / kr, 2.0)) + 2.0
-    val, err = quad(integrand, -umax, umax, limit=400, epsabs=0.0, epsrel=rtol)
-    if not math.isfinite(val) or (val != 0 and err / abs(val) > 100 * rtol):
+    val, err = quad(integrand, -umax, umax, limit=400, epsabs=0.0,
+                    epsrel=HEAT_RTOL)
+    if not math.isfinite(val) or (
+            val != 0 and err / abs(val) > 100 * HEAT_RTOL):
         raise NonConvergenceError(
             f"heat identity quadrature failed: a={a}, k={k}, r={r}")
     return (r / (2.0 * k)) ** p * val
 
 
-def heat_resolvent_identity_check(a: float, k: float, r: float,
-                                  rtol: float = 1e-10) -> float:
+@cache
+def _heat_constant(a: float) -> float:
+    """C_a of the heat identity, calibrated at (k, r) = (1, 1)."""
+    return _heat_time_integral(a, 1.0, 1.0) / l_a(a, 1.0)
+
+
+def heat_resolvent_identity_check(a: float, k: float, r: float) -> float:
     """Relative deviation between int_0^oo e^{-tk^2} t^{-a/2} e^{-r^2/4t} dt
     and C_a k^{a-2} L_a(kr), with C_a calibrated once per a at (k, r) = (1, 1).
     """
@@ -229,10 +242,6 @@ def heat_resolvent_identity_check(a: float, k: float, r: float,
         raise DomainError("heat_resolvent_identity_check: need a >= 1")
     if k <= 0 or r <= 0:
         raise DomainError("heat_resolvent_identity_check: need k, r > 0")
-    ca = _HEAT_CA_CACHE.get(a)
-    if ca is None:
-        ca = _heat_time_integral(a, 1.0, 1.0, rtol) / l_a(a, 1.0)
-        _HEAT_CA_CACHE[a] = ca
-    lhs = _heat_time_integral(a, k, r, rtol)
-    rhs = ca * k ** (a - 2.0) * l_a(a, k * r)
+    lhs = _heat_time_integral(a, k, r)
+    rhs = _heat_constant(a) * k ** (a - 2.0) * l_a(a, k * r)
     return abs(lhs - rhs) / abs(rhs)

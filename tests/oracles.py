@@ -77,3 +77,22 @@ def schur_exponent_check(model: ModelManifold, s_exp: float,
     slope = loglog_slope(np.array(k_list), np.array(vals))
     return {"fitted": slope, "expected": -2.0 / s_exp,
             "values": vals}
+
+
+def dense_green_kernel(system, dleft: bool = False) -> np.ndarray:
+    """The Green kernel uL(s_<) uR(s_>) / W of a bvp.GluedSystem on
+    grid x grid (with dleft, its derivative in the left variable, the
+    diagonal at the midpoint of the two one-sided limits), as one dense
+    selection: the reference for bvp.green_kernel_sums."""
+    g = system
+    s = g.model.s
+    fL, fR = (g.uLp, g.uRp) if dleft else (g.uL, g.uR)
+    upper = fL[:, None] * g.uR[None, :]
+    lower = fR[:, None] * g.uL[None, :]
+    above = s[:, None] < s[None, :]
+    expo = np.where(above, g.exp_l[:, None] + g.exp_r[None, :],
+                    g.exp_r[:, None] + g.exp_l[None, :])
+    out = np.where(above, upper, lower)
+    d = np.arange(len(s))
+    out[d, d] = 0.5 * (upper[d, d] + lower[d, d])
+    return out * np.exp(np.clip(expo, -745.0, 700.0)) / g.wronskian

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -122,6 +124,18 @@ class TestGluedSystem:
         K = sysk.kernel_matrix()
         assert np.all(K > 0)
         np.testing.assert_allclose(K, K.T, rtol=1e-12)
+
+    @pytest.mark.parametrize("build", ["kernel_matrix", "kernel_dleft"])
+    def test_kernel_build_peak_memory(self, model, build):
+        # one build holds its n x n result and per-block temporaries only
+        sysk = bvp.GluedSystem(model, 0.05)
+        tracemalloc.start()
+        try:
+            getattr(sysk, build)()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * model.n ** 2 * 8
 
 
 class TestSolveLaplace:

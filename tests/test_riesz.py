@@ -11,7 +11,7 @@ from connsum.errors import DomainError, NonConvergenceError
 from connsum.fits import loglog_slope
 from connsum.quadrature import cc_segment, clenshaw_curtis, fornberg_weights
 
-from oracles import schur_exponent_check
+from oracles import dense_green_kernel, schur_exponent_check
 
 
 # ---------------------------------------------------------------------------
@@ -279,7 +279,7 @@ class TestLowEnergyKernel:
         assert len(calls) == 25
 
     def test_matches_two_pass_reference(self, model, low_kernel):
-        # independent reference: one dense kernel_dleft sum per rule; the
+        # independent reference: one dense d_s kernel sum per rule; the
         # generator form sums in another order, so agreement is to
         # rounding, not bitwise
         def assemble(n_nodes):
@@ -288,8 +288,8 @@ class TestLowEnergyKernel:
             jump = np.zeros(model.n)
             for s_i, w_i in zip(sig, w):
                 k = math.exp(-s_i)
-                out += (2.0 / math.pi) * w_i * k * \
-                    bvp.GluedSystem(model, k).kernel_dleft()
+                out += (2.0 / math.pi) * w_i * k * dense_green_kernel(
+                    bvp.GluedSystem(model, k), dleft=True)
                 jump += (2.0 / math.pi) * w_i * k * (1.0 / model.v)
             return out, jump
 
@@ -304,18 +304,21 @@ class TestLowEnergyKernel:
     def test_generator_sums_match_dense(self, model):
         # k S reaches 4096 at k = 8: every factor needs its block shift,
         # and no branch may be scaled before it is selected
-        assert model.n % bvp.DLEFT_BLOCK != 0
+        assert model.n % bvp.KERNEL_BLOCK != 0
         systems = [bvp.GluedSystem(model, float(k))
                    for k in np.geomspace(1e-3, 8.0, 9)]
         coefs = np.array([np.linspace(1.0, 2.0, 9), np.cos(np.arange(9))])
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", RuntimeWarning)
-            sums = bvp.kernel_dleft_sums(systems, coefs)
-        assert len(sums) == 2
-        for c, got in zip(coefs, sums):
-            ref = sum(c_k * g.kernel_dleft() for c_k, g in zip(c, systems))
-            assert np.all(np.isfinite(got))
-            assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
+        for dleft in (False, True):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", RuntimeWarning)
+                sums = bvp.green_kernel_sums(systems, coefs, dleft=dleft)
+            assert len(sums) == 2
+            dense = [dense_green_kernel(g, dleft) for g in systems]
+            for c, got in zip(coefs, sums):
+                ref = sum(c_k * d for c_k, d in zip(c, dense))
+                assert np.all(np.isfinite(got))
+                assert np.max(np.abs(got - ref)) \
+                    <= 1e-14 * np.max(np.abs(ref))
 
     @pytest.mark.parametrize("n_sigma", [24, 2, 1])
     def test_even_or_tiny_n_sigma_rejected(self, model, n_sigma):

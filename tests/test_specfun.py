@@ -230,8 +230,7 @@ class TestHeatIdentity:
 
     def test_calibration_constant(self):
         # the fitted constant is 2^{a/2}
-        sf.heat_resolvent_identity_check(4.0, 1.0, 1.0)
-        assert sf._HEAT_CA_CACHE[4.0] == pytest.approx(2.0 ** 2, rel=1e-9)
+        assert sf._heat_constant(4.0) == pytest.approx(2.0 ** 2, rel=1e-9)
 
 
 def test_pipeline_import_leaves_scipy_integrate_unloaded():
