@@ -240,9 +240,10 @@ KERNEL_BLOCK = 64
 
 def green_kernel_sums(systems: list[GluedSystem], coefs,
                       dleft: bool = False) -> list[np.ndarray]:
-    """sum_k coefs[c, k] systems[k].kernel_matrix() (with dleft,
-    .kernel_dleft()) for each row c of the (C, K) array coefs, without
-    building any system's n x n kernel.
+    """sum_k coefs[c, k] G_k on grid x grid for each row c of the (C, K)
+    array coefs, G_k = uL(s_<) uR(s_>) / W the Green kernel of systems[k]
+    or, with dleft, its d/ds in the left variable, without building any
+    system's n x n kernel.
 
     Off the diagonal each kernel is rank one per triangle, fL(s) uR(s') / W
     above it and fR(s) uL(s') / W below, with (fL, fR) = (uL, uR) for the

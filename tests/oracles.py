@@ -79,12 +79,11 @@ def schur_exponent_check(model: ModelManifold, s_exp: float,
             "values": vals}
 
 
-def dense_green_kernel(system, dleft: bool = False) -> np.ndarray:
-    """The Green kernel uL(s_<) uR(s_>) / W of a bvp.GluedSystem on
+def dense_green_kernel(g, dleft: bool = False) -> np.ndarray:
+    """The Green kernel uL(s_<) uR(s_>) / W of the bvp.GluedSystem g on
     grid x grid (with dleft, its derivative in the left variable, the
     diagonal at the midpoint of the two one-sided limits), as one dense
     selection: the reference for bvp.green_kernel_sums."""
-    g = system
     s = g.model.s
     fL, fR = (g.uLp, g.uRp) if dleft else (g.uL, g.uR)
     upper = fL[:, None] * g.uR[None, :]
