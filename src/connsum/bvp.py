@@ -6,6 +6,10 @@ energy k > 0), so a two-sided Green function for the whole axis needs
 numerical work only across the neck |s| <= R, where the two branches are
 continued by high-accuracy ODE integration.  Domain truncation commits no
 error: the boundary behaviour is encoded exactly in the decaying branch.
+One formula serves both ends (`GluedSystem._pair`): r^{-nu} K_nu and
+r^{-nu} I_nu with nu = n/2 - 1, the two-dimensional end being nu = 0
+with log(r/R) as its growing zero-energy branch, and one routine
+(`GluedSystem._branch`) builds u_L and u_R from it.
 
 `solve_laplace` returns the unique solution of Delta u = F (F compactly
 supported) that stays bounded on the two-dimensional end and decays on the
@@ -32,7 +36,8 @@ from . import specfun as sf
 from .cutoffs import Step, on_grid
 from .errors import DomainError, SingularSystemError
 from .quadrature import cheb_cumint_matrix
-from .model import ModelManifold, _fd_operator, radiation_logderiv
+from .model import (ModelManifold, _fd_operator, band_matrix,
+                    radiation_logderiv)
 
 
 def _neck_collocation(model: ModelManifold, k: float, from_plus: bool,
@@ -113,95 +118,73 @@ class GluedSystem:
 
     # branch construction ----------------------------------------------------
 
-    def _minus_pair(self, r, decaying: bool):
-        """(value, d/ds) e^{+-k(r-R)}-scaled on the minus region of the
-        decaying (exponent -k(r-R)) / growing (exponent +k(r-R)) branch,
-        normalized to 1 at r = R."""
-        k, R = self.k, self.model.R
-        if k == 0.0:
-            if decaying:
-                return np.ones_like(r), np.zeros_like(r)
-            # growing branch: log(r/R); d/ds log r = -1/r
-            return np.log(r / R), -1.0 / r
-        if decaying:
-            den = sf.bessel_K(0.0, k * R, scaled=True)
-            val = sf.bessel_K(0.0, k * r, scaled=True) / den
-            dval = k * sf.bessel_K(1.0, k * r, scaled=True) / den
-            return val, dval
-        den = sf.bessel_I(0.0, k * R, scaled=True)
-        val = sf.bessel_I(0.0, k * r, scaled=True) / den
-        dval = -k * sf.bessel_I(1.0, k * r, scaled=True) / den
-        return val, dval
+    def _pair(self, end: str, r, decaying: bool):
+        """(value, d/ds) of the decaying or growing branch on the given
+        end at radii r, normalized to 1 at r = R and stored in hat form:
+        the k > 0 branches carry their exponent -k(r - R) (decaying) or
+        +k(r - R) (growing) outside.
 
-    def _plus_pair(self, r, decaying: bool):
+        On the n-dimensional end the branches are r^{-nu} K_nu(kr) and
+        r^{-nu} I_nu(kr), nu = n/2 - 1, and at k = 0 the powers r^{2-n}
+        and 1; the two-dimensional end is nu = 0, except that its growing
+        zero-energy branch is log(r/R).  d/ds = orient d/dr, orient = -1
+        on the minus end."""
         k, R = self.k, self.model.R
-        n = self.model.plus.euclidean_dim
+        n = self.model.end_spec(end).euclidean_dim
         nu = 0.5 * n - 1.0
+        orient = -1.0 if end == "minus" else 1.0
         if k == 0.0:
             if decaying:
-                return (r / R) ** (2.0 - n), (2.0 - n) / R * (r / R) ** (1.0 - n)
+                return (r / R) ** (2.0 - n), \
+                    -orient * (n - 2.0) / R * (r / R) ** (1.0 - n)
+            if n == 2:
+                return np.log(r / R), orient / r
             return np.ones_like(r), np.zeros_like(r)
-        if decaying:
-            den = R ** (-nu) * sf.bessel_K(nu, k * R, scaled=True)
-            val = r ** (-nu) * sf.bessel_K(nu, k * r, scaled=True) / den
-            dval = -k * r ** (-nu) * sf.bessel_K(nu + 1.0, k * r, scaled=True) / den
-            return val, dval
-        den = R ** (-nu) * sf.bessel_I(nu, k * R, scaled=True)
-        val = r ** (-nu) * sf.bessel_I(nu, k * r, scaled=True) / den
-        dval = k * r ** (-nu) * sf.bessel_I(nu + 1.0, k * r, scaled=True) / den
+        bessel, dsign = (sf.bessel_K, -orient) if decaying \
+            else (sf.bessel_I, orient)
+        den = R ** (-nu) * bessel(nu, k * R, scaled=True)
+        val = r ** (-nu) * bessel(nu, k * r, scaled=True) / den
+        dval = dsign * k * r ** (-nu) * bessel(nu + 1.0, k * r,
+                                               scaled=True) / den
         return val, dval
-
-    def _fill_neck(self, val, dval, vals_by_segment):
-        for start, (u_seg, du_seg) in vals_by_segment.items():
-            n = len(u_seg)
-            sl = slice(start, start + n)
-            val[sl] = u_seg
-            dval[sl] = du_seg
 
     def _branch(self, toward: str):
         """Hat-scaled branch: the true branch equals the returned values
         times e^{exp_l} (toward 'minus') or e^{exp_r} (toward 'plus').
 
-        On the matched far side the decaying component is re-expressed in
-        the growing branch's exponent: its extra factor e^{-2k(r-R)} only
-        shrinks, so everything stays inside double range.
+        The branch decays on its near end, is continued across the neck,
+        and on the far end is matched to a combination of the far end's
+        decaying and growing branches.  There the decaying component is
+        re-expressed in the growing branch's exponent: its extra factor
+        e^{-2k(r-R)} only shrinks, so everything stays inside double
+        range.
         """
-        m = self.model
-        s = m.s
-        k = self.k
-        val = np.empty_like(s)
-        dval = np.empty_like(s)
-        mi, pl = m.mask_minus, m.mask_plus
-        if toward == "minus":
-            val[mi], dval[mi] = self._minus_pair(-s[mi], decaying=True)
-            v0, d0 = self._minus_pair(np.array([m.R]), True)
-            neck_vals, uR_, duR_ = _neck_collocation(m, self.k, False,
-                                                     float(v0[0]), float(d0[0]))
-            self._fill_neck(val, dval, neck_vals)
-            d_val, d_dval = self._plus_pair(np.array([m.R]), True)
-            g_val, g_dval = self._plus_pair(np.array([m.R]), False)
-            A = np.array([[d_val[0], g_val[0]], [d_dval[0], g_dval[0]]])
-            cd, cg = np.linalg.solve(A, [uR_, duR_])
-            vd, dd = self._plus_pair(s[pl], True)
-            vg, dg = self._plus_pair(s[pl], False)
-            damp = np.exp(-2.0 * k * (s[pl] - m.R)) if k > 0 else 1.0
-            val[pl] = cd * vd * damp + cg * vg
-            dval[pl] = cd * dd * damp + cg * dg
-            return val, dval
-        val[pl], dval[pl] = self._plus_pair(s[pl], decaying=True)
-        v0, d0 = self._plus_pair(np.array([m.R]), True)
-        neck_vals, uL_, duL_ = _neck_collocation(m, self.k, True,
-                                                 float(v0[0]), float(d0[0]))
-        self._fill_neck(val, dval, neck_vals)
-        d_val, d_dval = self._minus_pair(np.array([m.R]), True)
-        g_val, g_dval = self._minus_pair(np.array([m.R]), False)
+        m, k = self.model, self.k
+        near, far = ("minus", "plus") if toward == "minus" \
+            else ("plus", "minus")
+        mask = {"minus": m.mask_minus, "plus": m.mask_plus}
+        val = np.empty_like(m.s)
+        dval = np.empty_like(m.s)
+        at_R = np.array([m.R])
+        val[mask[near]], dval[mask[near]] = self._pair(
+            near, m.r[mask[near]], decaying=True)
+        v0, d0 = self._pair(near, at_R, True)
+        neck_vals, u_far, du_far = _neck_collocation(
+            m, k, near == "plus", float(v0[0]), float(d0[0]))
+        for start, (u_seg, du_seg) in neck_vals.items():
+            sl = slice(start, start + len(u_seg))
+            val[sl] = u_seg
+            dval[sl] = du_seg
+        d_val, d_dval = self._pair(far, at_R, True)
+        g_val, g_dval = self._pair(far, at_R, False)
         A = np.array([[d_val[0], g_val[0]], [d_dval[0], g_dval[0]]])
-        cd, cg = np.linalg.solve(A, [uL_, duL_])
-        vd, dd = self._minus_pair(-s[mi], True)
-        vg, dg = self._minus_pair(-s[mi], False)
-        damp = np.exp(-2.0 * k * (-s[mi] - m.R)) if k > 0 else 1.0
-        val[mi] = cd * vd * damp + cg * vg
-        dval[mi] = cd * dd * damp + cg * dg
+        cd, cg = np.linalg.solve(A, [u_far, du_far])
+        r = m.r[mask[far]]
+        vd, dd = self._pair(far, r, True)
+        vg, dg = self._pair(far, r, False)
+        damp = np.exp(-2.0 * k * (r - m.R)) if k > 0 else 1.0
+        val[mask[far]] = cd * vd * damp + cg * vg
+        dval[mask[far]] = cd * dd * damp + cg * dg
         return val, dval
 
     # Green machinery ----------------------------------------------------------
@@ -391,8 +374,8 @@ class NeckProblem:
         self.s = model.s[idx]
         ends = [radiation_logderiv(model, None, 0.0, xi)
                 for xi in (self.s[0], self.s[-1])]
-        self.matrix = _fd_operator(self.s, model.dlog_weight(self.s), 0.0,
-                                   NECK_ORDER, ends)
+        self.matrix = band_matrix(_fd_operator(
+            self.s, model.dlog_weight(self.s), 0.0, NECK_ORDER, ends))
 
     def solve(self, F) -> np.ndarray:
         """Solve Delta u = F (F given on the sub-grid, boundary rows

@@ -108,28 +108,16 @@ def identity_residuals(par, k: float):
 ORACLE_ORDER = 6
 
 
-def _band_storage(A: np.ndarray, width: int) -> np.ndarray:
-    """The diagonal-ordered band storage ab[width + i - j, j] = A[i, j] of
-    a matrix with `width` diagonals on each side, as solve_banded takes
-    it."""
-    n = A.shape[0]
-    ab = np.zeros((2 * width + 1, n))
-    for d in range(-width, width + 1):
-        ab[width - d, max(d, 0):n + min(d, 0)] = np.diagonal(A, d)
-    return ab
-
-
 def radiation_oracle_error(par, k: float, v) -> float:
     """Relative sup error on |s| < 30 of the parametrix resolvent R(k) v
     against the finite-difference radiation oracle of order
     ORACLE_ORDER, solved on its bands."""
     model = par.model
     Rv = par.resolvent_apply(k, v)
-    A = radial_laplacian(model, None, k=k, order=ORACLE_ORDER)
+    ab = radial_laplacian(model, None, k=k, order=ORACLE_ORDER)
     rhs = v.copy()
     rhs[0] = rhs[-1] = 0.0
-    u_fd = solve_banded((ORACLE_ORDER, ORACLE_ORDER),
-                        _band_storage(A, ORACLE_ORDER), rhs)
+    u_fd = solve_banded((ORACLE_ORDER, ORACLE_ORDER), ab, rhs)
     mask = np.abs(model.s) < 30
     return float(np.max(np.abs((Rv - u_fd)[mask]))
                  / np.max(np.abs(u_fd[mask])))

@@ -642,13 +642,15 @@ def radiation_logderiv(model: ModelManifold, channel: ModeChannel | None,
 
 def radial_laplacian(model: ModelManifold, channel: ModeChannel | None = None,
                      k: float = 0.0, order: int = 4, bc: str = "radiation"):
-    """Discrete (Delta + k^2) for one channel.
+    """Discrete (Delta + k^2) for one channel, in the band storage of
+    `_fd_operator` (`order` diagonals on each side) that
+    scipy.linalg.solve_banded takes; `band_matrix` expands it.
 
     Delta is the positive Laplacian -v^{-1}(v u')' + potential.  For the
     glued zero channel (channel None or the zero channel) the operator
-    acts on the whole axis grid and a matrix is returned.  A nonzero
+    acts on the whole axis grid and its bands are returned.  A nonzero
     channel lives on its end only: the return value is then
-    (matrix, radii), acting on functions of r in [R, S_end], with a
+    (bands, radii), acting on functions of r in [R, S_end], with a
     Dirichlet row at r = R and the radiation row at the outer boundary.
 
     bc = "radiation" closes the outer boundaries with the exact decaying
@@ -678,28 +680,45 @@ def radial_laplacian(model: ModelManifold, channel: ModeChannel | None = None,
 
 
 def _fd_operator(x, dlv, shift, order: int, ends) -> np.ndarray:
-    """Finite-difference matrix of u -> -u'' - dlv u' + shift u on the
+    """Finite-difference operator u -> -u'' - dlv u' + shift u on the
     ascending nodes x, by (order + 1)-point Fornberg stencils kept inside
     the grid.  ends gives the first and last rows: None is the Dirichlet
-    row u = 0, a number L the radiation row u' - L u = 0."""
+    row u = 0, a number L the radiation row u' - L u = 0.
+
+    Every stencil lies within `order` diagonals of its row, so the
+    operator is returned in the diagonal-ordered band storage
+    ab[order + i - j, j] = A[i, j]; `band_matrix` expands it."""
     n = len(x)
     width = order + 1
     half = width // 2
     shift = np.broadcast_to(shift, (n,))
-    A = np.zeros((n, n))
+    ab = np.zeros((2 * order + 1, n))
     rows = np.arange(1, n - 1)
     cols = np.arange(width)[:, None] + np.clip(rows - half, 0, n - width)
     w = fornberg_weights(x[rows], x[cols], 2)
-    A[rows, cols] = -w[2] - dlv[rows] * w[1]
-    A[rows, rows] += shift[rows]
+    ab[order + rows - cols, cols] = -w[2] - dlv[rows] * w[1]
+    ab[order, rows] += shift[rows]
     for i, logderiv in zip((0, n - 1), ends):
         if logderiv is None:
-            A[i, i] = 1.0
+            ab[order, i] = 1.0
             continue
         j0 = 0 if i == 0 else n - width
-        w = fornberg_weights(x[i], x[j0:j0 + width], 1)
-        A[i, j0:j0 + width] = w[1]
-        A[i, i] -= logderiv
+        cols = np.arange(j0, j0 + width)
+        w = fornberg_weights(x[i], x[cols], 1)
+        ab[order + i - cols, cols] = w[1]
+        ab[order, i] -= logderiv
+    return ab
+
+
+def band_matrix(ab: np.ndarray) -> np.ndarray:
+    """The dense n x n matrix A[i, j] = ab[u + i - j, j] of a band storage
+    with u = (len(ab) - 1) / 2 diagonals on each side."""
+    u = (ab.shape[0] - 1) // 2
+    n = ab.shape[1]
+    A = np.zeros((n, n))
+    for d in range(-u, u + 1):
+        j = np.arange(max(d, 0), n + min(d, 0))
+        A[j - d, j] = ab[u - d, j]
     return A
 
 

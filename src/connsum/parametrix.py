@@ -9,6 +9,13 @@ The pre-parametrix is G1 + G2 + G3:
 * G3: the key-lemma approximate solutions u_{+-}(z, k) tensored with the
   product resolvent columns at frozen basepoints.
 
+`Parametrix._g_terms` lists these terms of G(k), with the finite-rank G4
+below, once: the product block of each end on supp phi x supp phi
+(`ParametrixPieces.product_block`), the k-independent dense G2, and G3
+and G4 as low-rank factors; with dleft, the same list for d_s G.
+`g_kernel` adds them into one copy of G2, `g_apply` applies them to a
+density without an n x n matrix.
+
 Applying (Delta + k^2) row-wise and collecting the product-rule terms
 gives the error kernel E(k) in closed form: every term is an explicit
 combination of cutoff derivatives, Bessel kernels, the frozen Green
@@ -71,6 +78,12 @@ def _transition_rows(cutoff: CutoffField) -> np.ndarray:
     return np.where((np.abs(cutoff.d1) > 0) | (np.abs(cutoff.lap) > 0))[0]
 
 
+def _span(mask: np.ndarray) -> slice:
+    """The grid nodes from the first to the last where mask holds."""
+    idx = np.flatnonzero(mask)
+    return slice(idx[0], idx[-1] + 1)
+
+
 @dataclass
 class LowRank:
     """The kernel sum_i left[:, i] (x) right[i], kept as its factors."""
@@ -112,36 +125,51 @@ class ParametrixPieces:
         """G2 = zeta Gamma_kbar zeta times the localizer 1 - phi_- (x) phi_-
         - phi_+ (x) phi_+, and every other k-independent product of the
         frozen kernel: d_s G2, the zeta-commutator rows of E(k) and the
-        frozen kernel on its phi-commutator blocks."""
+        frozen kernel on its phi-commutator blocks.
+
+        G2 and d_s G2 are formed in the arrays of Gamma_kbar and its left
+        derivative.  The two localizer terms have disjoint supports, so
+        off the rows where phi or phi' is nonzero times the columns of
+        supp phi the localizer is exactly 1 and its derivative 0: it is
+        applied on those two blocks only."""
         z = self.zeta
-        gamma = self.gamma_ref.kernel_matrix()
-        dgamma = self.gamma_ref.kernel_dleft()
+        g2 = self.gamma_ref.kernel_matrix()
+        g2_dleft = self.gamma_ref.kernel_dleft()
         zrows = _transition_rows(z)
-        zeta_add = z.lap[zrows, None] * gamma[zrows, :] \
-            - 2.0 * z.d1[zrows, None] * dgamma[zrows, :]
-        g_int = z.values[:, None] * gamma * z.values[None, :]
-        g_int_dleft = z.d1[:, None] * gamma * z.values[None, :] \
-            + z.values[:, None] * dgamma * z.values[None, :]
-        del gamma, dgamma
+        zeta_add = z.lap[zrows, None] * g2[zrows, :] \
+            - 2.0 * z.d1[zrows, None] * g2_dleft[zrows, :]
+        # d_s (zeta Gamma zeta) = zeta d_s Gamma zeta + zeta' Gamma zeta,
+        # and zeta' vanishes off zrows
+        g2_dleft *= z.values[:, None]
+        g2_dleft *= z.values[None, :]
+        g2_dleft[zrows, :] += z.d1[zrows, None] * g2[zrows, :] \
+            * z.values[None, :]
+        g2 *= z.values[:, None]
+        g2 *= z.values[None, :]
         self.commutator_blocks = {}
         for side, phi in (("minus", self.phi_minus), ("plus", self.phi_plus)):
             rows, cols = _transition_rows(phi), np.where(phi.values > 0)[0]
             self.commutator_blocks[side] = (
-                rows, cols, g_int[np.ix_(rows, cols)],
-                g_int_dleft[np.ix_(rows, cols)])
-        phm, php = self.phi_minus, self.phi_plus
-        localizer = 1.0 - phm.values[:, None] * phm.values[None, :] \
-            - php.values[:, None] * php.values[None, :]
-        self.localizer_diag = np.diagonal(localizer).copy()
-        self.zeta_rows = (zrows, localizer[zrows, :] * zeta_add
-                          * z.values[None, :])
-        dlocalizer = -phm.d1[:, None] * phm.values[None, :] \
-            - php.d1[:, None] * php.values[None, :]
-        g_int_dleft *= localizer
-        g_int_dleft += g_int * dlocalizer
-        g_int *= localizer
-        self.g2 = g_int
-        self.g2_dleft = g_int_dleft
+                rows, cols, g2[np.ix_(rows, cols)],
+                g2_dleft[np.ix_(rows, cols)])
+        phm, php = self.phi_minus.values, self.phi_plus.values
+        self.localizer_diag = 1.0 - phm ** 2 - php ** 2
+        localizer = 1.0 - phm[zrows, None] * phm[None, :] \
+            - php[zrows, None] * php[None, :]
+        self.zeta_rows = (zrows, localizer * zeta_add * z.values[None, :])
+        for phi in (self.phi_minus, self.phi_plus):
+            rows = _span((phi.values > 0) | (phi.d1 != 0))
+            cols = _span(phi.values > 0)
+            # d_s of the localizer, then the localizer itself
+            dloc = -phi.d1[rows, None] * phi.values[None, cols]
+            dloc *= g2[rows, cols]
+            loc = np.multiply.outer(phi.values[rows], phi.values[cols])
+            np.subtract(1.0, loc, out=loc)
+            g2_dleft[rows, cols] *= loc
+            g2_dleft[rows, cols] += dloc
+            g2[rows, cols] *= loc
+        self.g2 = g2
+        self.g2_dleft = g2_dleft
 
     # -- reduced product kernels on the grid ---------------------------------
 
@@ -150,24 +178,19 @@ class ParametrixPieces:
             return self.model.minus, self.phi_minus, self.r0_minus, -1.0
         return self.model.plus, self.phi_plus, self.r0_plus, 1.0
 
-    def product_block(self, side: str, k: float):
+    def product_block(self, side: str, k: float, dleft: bool = False):
         """(idx, block): the phi-localized reduced product resolvent
         R_side^k(z, z') phi(z) phi(z') on its support idx x idx, idx the
-        nodes of supp phi."""
-        end, phi, _, _ = self._end_data(side)
+        nodes of supp phi; with dleft its d/ds in z, the block of d_s G1."""
+        end, phi, _, orient = self._end_data(side)
         idx = np.where(phi.values > 0)[0]
         r = self.model.r[idx]
         block = pk.reduced_kernel(end, k, r[:, None], r[None, :])
-        return idx, block * phi.values[idx, None] * phi.values[None, idx]
-
-    def product_kernel(self, side: str, k: float) -> np.ndarray:
-        """product_block on grid x grid (zero outside supp phi x supp
-        phi)."""
-        n = self.model.n
-        out = np.zeros((n, n))
-        idx, block = self.product_block(side, k)
-        out[np.ix_(idx, idx)] = block
-        return out
+        if not dleft:
+            return idx, block * phi.values[idx, None] * phi.values[None, idx]
+        dblock = pk.reduced_kernel_dleft(end, k, r[:, None], r[None, :])
+        return idx, (orient * dblock * phi.values[idx, None]
+                     + block * phi.d1[idx, None]) * phi.values[None, idx]
 
     def basepoint_column(self, side: str, k: float) -> np.ndarray:
         """phi(z') R_side^k(z_side^o, z') on the grid."""
@@ -178,11 +201,6 @@ class ParametrixPieces:
         out[idx] = pk.reduced_kernel(end, k, r0, m.r[idx]) * phi.values[idx]
         return out
 
-    # -- parametrix pieces -----------------------------------------------------
-
-    def g1(self, k: float) -> np.ndarray:
-        return self.product_kernel("minus", k) + self.product_kernel("plus", k)
-
     def basepoint_outer(self, k: float, left_minus, left_plus) -> LowRank:
         """left_minus (x) basepoint_column("minus", k) + left_plus (x)
         basepoint_column("plus", k): G3, d_s G3 and E''(k) from the
@@ -190,33 +208,6 @@ class ParametrixPieces:
         cols = [self.basepoint_column(side, k) for side in ("minus", "plus")]
         return LowRank(np.stack((left_minus, left_plus), axis=1),
                        np.stack(cols))
-
-    def g3(self, k: float) -> LowRank:
-        um, _ = self.u_minus.u(k)
-        up, _ = self.u_plus.u(k)
-        return self.basepoint_outer(k, um, up)
-
-    def g_tilde(self, k: float) -> np.ndarray:
-        return self.g1(k) + self.g2 + self.g3(k).kernel()
-
-    def g_tilde_dleft(self, k: float) -> np.ndarray:
-        """d/ds in the left variable of the pre-parametrix kernel."""
-        m = self.model
-        out = np.zeros((m.n, m.n))
-        for side in ("minus", "plus"):
-            end, phi, _, orient = self._end_data(side)
-            idx = np.where(phi.values > 0)[0]
-            r = m.r[idx]
-            block = pk.reduced_kernel(end, k, r[:, None], r[None, :])
-            dblock = pk.reduced_kernel_dleft(end, k, r[:, None], r[None, :])
-            out[np.ix_(idx, idx)] += (orient * dblock * phi.values[idx, None]
-                                      + block * phi.d1[idx, None]) \
-                * phi.values[None, idx]
-        out += self.g2_dleft
-        _, dum = self.u_minus.u(k)
-        _, dup = self.u_plus.u(k)
-        out += self.basepoint_outer(k, dum, dup).kernel()
-        return out
 
 
 @dataclass
@@ -453,12 +444,6 @@ class InvertedError:
     jump_ramp: np.ndarray
     jump_step: np.ndarray
 
-    @property
-    def matrix(self) -> np.ndarray:
-        """Corrected composition matrix of S as an operator on densities."""
-        return self.model.composition_matrix(self.s_kernel, self.jump_ramp,
-                                             self.jump_step)
-
     def right_compose(self, kernel: np.ndarray,
                       matrix: np.ndarray) -> np.ndarray:
         """X (Id + S) for a kernel X with corrected composition matrix
@@ -555,6 +540,22 @@ class Parametrix:
             err.e1 += self.fix.g4_error(k)
         return err
 
+    def _g_terms(self, k: float, dleft: bool = False):
+        """(G2, product blocks, low-rank terms): the terms of
+        G(k) = G1 + G2 + G3 + G4, or with dleft of its left derivative.
+        G1 is the product block (idx, block) of each end on
+        supp phi x supp phi, G2 the k-independent dense kernel, and G3
+        (rank 2) and G4 (rank M, when the fix has one) are LowRank."""
+        p = self.pieces
+        blocks = [p.product_block(side, k, dleft)
+                  for side in ("minus", "plus")]
+        um = p.u_minus.u(k)[int(dleft)]
+        up = p.u_plus.u(k)[int(dleft)]
+        low_rank = [p.basepoint_outer(k, um, up)]
+        if self.fix.rank > 0:
+            low_rank.append(self.fix.g4(dleft))
+        return (p.g2_dleft if dleft else p.g2), blocks, low_rank
+
     def _g_jumps(self, dleft: bool):
         """(slope, value) diagonal jumps of G: the exact Green slope jump
         -1/v, or for d_s G the value jump +1/v instead."""
@@ -562,31 +563,29 @@ class Parametrix:
         return (0.0, inv_v) if dleft else (-inv_v, 0.0)
 
     def g_kernel(self, k: float, dleft: bool = False):
-        """(kernel, corrected composition matrix) of G(k) = G~(k) + G4, or
-        with dleft of its left derivative d_s G~(k) + G4'."""
-        if dleft:
-            out = self.pieces.g_tilde_dleft(k)
-        else:
-            out = self.pieces.g_tilde(k)
-        if self.fix.rank > 0:
-            out += self.fix.g4(dleft).kernel()
+        """(kernel, corrected composition matrix) of G(k), or with dleft
+        of its left derivative: the terms of _g_terms added into one copy
+        of G2."""
+        g2, blocks, low_rank = self._g_terms(k, dleft)
+        out = g2.copy()
+        for idx, block in blocks:
+            out[np.ix_(idx, idx)] += block
+        for term in low_rank:
+            out += term.kernel()
         return out, self.model.composition_matrix(out,
                                                   *self._g_jumps(dleft))
 
     def g_apply(self, k: float, u) -> np.ndarray:
-        """g_kernel(k)[1] @ u from the factors of G(k), with neither n x n
-        matrix: the phi-localized product block of each end on
-        supp phi x supp phi, the k-independent G2, the rank-2 G3 and the
-        rank-M G4."""
-        m, pieces = self.model, self.pieces
+        """g_kernel(k)[1] @ u from the terms of _g_terms, with neither
+        n x n matrix."""
+        m = self.model
+        g2, blocks, low_rank = self._g_terms(k)
         w = m.weights * u
-        out = pieces.g2 @ w
-        for side in ("minus", "plus"):
-            idx, block = pieces.product_block(side, k)
+        out = g2 @ w
+        for idx, block in blocks:
             out[idx] += block @ w[idx]
-        out += pieces.g3(k).apply(w)
-        if self.fix.rank > 0:
-            out += self.fix.g4().apply(w)
+        for term in low_rank:
+            out += term.apply(w)
         return out + m.kink_diagonal(*self._g_jumps(False)) * u
 
     def s_operator(self, k: float) -> InvertedError:

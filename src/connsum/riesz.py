@@ -322,12 +322,8 @@ def _aligned_profile(r, p: float):
 def witness_f(t):
     """f(t) = ilg(t)/(1 + ilg(t)) for t < 1, 1 for t >= 1."""
     t = np.asarray(t, dtype=float)
-    out = np.ones_like(t)
-    small = t < 1.0
-    il = np.where(small & (t > 0), 1.0 / np.log(1.0 / np.where(small, t, 0.5)),
-                  0.0)
-    out[small] = il[small] / (1.0 + il[small])
-    return out
+    il = ilg_clipped(t)
+    return np.where(t < 1.0, il / (1.0 + il), 1.0)
 
 
 def ilg_chain_inequality(samples: int = 10000) -> dict:

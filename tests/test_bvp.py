@@ -119,6 +119,28 @@ class TestGluedSystem:
         got = sysk.uL[mi] * np.exp(sysk.exp_l[mi])
         np.testing.assert_allclose(got, expected, rtol=1e-12)
 
+    @pytest.mark.parametrize("n_plus", [3, 4])
+    @pytest.mark.parametrize("k", [0.0, 0.05, 0.7])
+    def test_decaying_branches_match_channel_profile(self, n_plus, k):
+        # the decaying branch of each end, uL e^{exp_l} on the minus end
+        # and uR e^{exp_r} on the plus end, with d/ds = -+ d/dr, against
+        # the zero-channel profile r^{-nu} K_nu(k r) (powers at k = 0)
+        minus_dim = n_plus - 2
+        section = md.CrossSection.circle() if minus_dim == 1 else \
+            md.CrossSection("explicit", minus_dim, 4 * np.pi, (0.0, 2.0, 6.0))
+        m = md.build_model(md.GeometryConfig(n_plus=n_plus,
+                                             minus_section=section))
+        sysk = bvp.GluedSystem(m, k)
+        for end, mask, val, dval, expo, orient in (
+                (m.minus, m.mask_minus, sysk.uL, sysk.uLp, sysk.exp_l, -1.0),
+                (m.plus, m.mask_plus, sysk.uR, sysk.uRp, sysk.exp_r, 1.0)):
+            ref, dref = md.channel_profile(end, 0, k, m.R)
+            r, scale = m.r[mask], np.exp(expo[mask])
+            np.testing.assert_allclose(val[mask] * scale, ref(r), rtol=1e-13,
+                                       atol=0.0)
+            np.testing.assert_allclose(dval[mask] * scale, orient * dref(r),
+                                       rtol=1e-13, atol=0.0)
+
     def test_green_kernel_positive(self, model):
         sysk = bvp.GluedSystem(model, 0.01)
         K = sysk.kernel_matrix()
@@ -200,7 +222,7 @@ class TestSolveLaplace:
         # independent route: high-order FD solve with radiation rows
         F = np.exp(-1.5 * model.s ** 2)
         sol = bvp.solve_laplace(model, F, system=sys0)
-        A = md.radial_laplacian(model, None, k=0.0, order=6)
+        A = md.band_matrix(md.radial_laplacian(model, None, k=0.0, order=6))
         rhs = F.copy()
         rhs[0] = rhs[-1] = 0.0
         u_fd = np.linalg.solve(A, rhs)
@@ -279,7 +301,8 @@ class TestNeckProblem:
         # the neck problem is the glued zero-energy operator on a sub-grid:
         # rows whose stencil stays inside it are rows of the full operator
         monkeypatch.setattr(bvp, "NECK_ORDER", order)
-        full = md.radial_laplacian(model, None, k=0.0, order=order)
+        full = md.band_matrix(md.radial_laplacian(model, None, k=0.0,
+                                                  order=order))
         for rad in (8.0, 12.0):
             prob = bvp.NeckProblem(model, domain_radius=rad)
             half = (order + 1) // 2

@@ -71,11 +71,27 @@ def _count_calls(monkeypatch, owner, name) -> list:
 
 class TestAssembly:
     def test_g1_support(self, par, model):
-        # G1 vanishes whenever either argument is where phi_+- = 0
-        G1 = par.pieces.g1(0.01)
+        # G1 vanishes whenever either argument is where phi_+- = 0: each
+        # product block, and that of d_s G1, lives on supp phi x supp phi
         hole = np.abs(model.s) < model.radii.phi[0]
-        assert np.all(G1[hole, :] == 0.0)
-        assert np.all(G1[:, hole] == 0.0)
+        for side in ("minus", "plus"):
+            for dleft in (False, True):
+                idx, block = par.pieces.product_block(side, 0.01, dleft)
+                assert block.shape == (len(idx), len(idx))
+                assert not np.any(hole[idx])
+
+    def test_interior_build_memory(self, par, model):
+        # G2 and d_s G2 are formed in the arrays of the frozen kernel and
+        # its left derivative, and the localizer only on its phi blocks
+        pieces = copy.copy(par.pieces)
+        unit = model.n ** 2 * np.dtype(float).itemsize
+        tracemalloc.start()
+        try:
+            pieces._build_interior()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3.5 * unit
 
     def test_g3_left_factor_at_zero_energy(self, par):
         # u_+-(., 0) = -phi continuation
@@ -88,7 +104,8 @@ class TestAssembly:
         # error kernel (mask: the kink-carrying segment of the column and
         # segment-edge differentiation nodes)
         k = 0.01
-        Gt = par.pieces.g_tilde(k)
+        assert par.fix.rank == 0    # G(k) is the pre-parametrix G~(k)
+        Gt = par.g_kernel(k)[0]
         E = px.error_kernel(par.pieces, k).total
         for j in (60, 230, 430, 700):
             lhs = md.apply_operator(model, Gt[:, j], k=k)
@@ -172,7 +189,9 @@ class TestInversion:
     @pytest.mark.parametrize("k", [1e-2, 1e-3, 1e-4, math.exp(-256.0)])
     def test_s_apply_matches_kernel(self, par, model, k):
         v = np.exp(-2.0 * model.s ** 2)
-        ref = par.s_operator(k).matrix @ v
+        S = par.s_operator(k)
+        ref = model.composition_matrix(S.s_kernel, S.jump_ramp,
+                                       S.jump_step) @ v
         got = par.s_apply(k, v)
         assert np.max(np.abs(got - ref)) < 1e-12 * np.max(np.abs(ref))
 
@@ -205,15 +224,22 @@ class TestResolvent:
             assert checks.radiation_oracle_error(par, k, v) < 1e-5
 
     def test_oracle_band_storage(self, model):
-        # the oracle matrix lies inside its bands, and the band solve is
-        # the dense solve
+        # the oracle's bands hold the operator: on u = s^2, which its
+        # stencils differentiate exactly, it gives -2 - 2 s v'/v + k^2 s^2
+        # inside and the radiation rows at the ends; and the band solve
+        # is the dense solve
         width = checks.ORACLE_ORDER
-        rhs = np.exp(-2.0 * model.s ** 2)
+        s = model.s
+        rhs = np.exp(-2.0 * s ** 2)
         rhs[0] = rhs[-1] = 0.0
         for k in (1e-2, 1e-4):
-            A = md.radial_laplacian(model, None, k=k, order=width)
-            ab = checks._band_storage(A, width)
-            assert np.count_nonzero(ab) == np.count_nonzero(A)
+            ab = md.radial_laplacian(model, None, k=k, order=width)
+            A = md.band_matrix(ab)
+            ends = s[[0, -1]]
+            logderiv = [md.radiation_logderiv(model, None, k, x) for x in ends]
+            exact = -2.0 - 2.0 * s * model.dlog_weight(s) + k * k * s ** 2
+            exact[[0, -1]] = 2.0 * ends - np.array(logderiv) * ends ** 2
+            np.testing.assert_allclose(A @ s ** 2, exact, rtol=1e-8)
             dense = np.linalg.solve(A, rhs)
             banded = solve_banded((width, width), ab, rhs)
             assert np.max(np.abs(banded - dense)) \
@@ -249,7 +275,8 @@ class TestResolvent:
         num = math.sqrt(float(np.einsum("i,ij,j->", q, (Rk - Rk.T) ** 2, q)))
         den = math.sqrt(float(np.einsum("i,ij,j->", q, Rk ** 2, q)))
         assert num / den < 1e-7
-        Gt = par.pieces.g_tilde(1e-3)
+        assert par.fix.rank == 0    # G(k) is the pre-parametrix G~(k)
+        Gt = par.g_kernel(1e-3)[0]
         numg = math.sqrt(float(np.einsum("i,ij,j->", q, (Gt - Gt.T) ** 2, q)))
         assert numg / den > 1e-2  # the input asymmetry is large
 
@@ -279,7 +306,11 @@ class TestResolvent:
         # the cancellation while remaining O(|log k|) uniformly
         jm = np.searchsorted(model.s, -12.0)
         ks = [math.exp(-2.0 ** j) for j in (3, 4, 5, 6, 7)]
-        g1_vals = np.array([par.pieces.g1(k)[jm, jm + 2] for k in ks])
+        idx, _ = par.pieces.product_block("minus", ks[0])
+        i = np.searchsorted(idx, jm)
+        assert idx[i] == jm and idx[i + 2] == jm + 2
+        g1_vals = np.array([par.pieces.product_block("minus", k)[1][i, i + 2]
+                            for k in ks])
         logk = np.log(1 / np.array(ks))
         coef = np.polyfit(logk, g1_vals, 1)
         fitres = g1_vals - np.polyval(coef, logk)
@@ -330,7 +361,9 @@ class TestResolvent:
         # bound is cond(Id + E) ~ 4e3 times rounding, with room to spare
         p = request.getfixturevalue(fixture)
         v = np.exp(-2.0 * model.s ** 2)
-        ref = p.g_kernel(k)[1] @ (v + p.s_operator(k).matrix @ v)
+        S = p.s_operator(k)
+        ref = p.g_kernel(k)[1] @ (v + model.composition_matrix(
+            S.s_kernel, S.jump_ramp, S.jump_step) @ v)
         got = p.resolvent_apply(k, v)
         assert np.max(np.abs(got - ref)) < 1e-10 * np.max(np.abs(ref))
 
