@@ -216,9 +216,24 @@ class GluedSystem:
         return green_kernel_sums([self], [[1.0]], dleft=True)[0]
 
 
-# grid rows per block of green_kernel_sums; each block has its own
-# exponent shift
+# grid rows per block of green_kernel_sums and GreenSumOperator; each
+# block has its own exponent shift
 KERNEL_BLOCK = 64
+
+
+def _generators(systems: list[GluedSystem], coefs, dleft: bool):
+    """The stacked per-system arrays of a kernel sum: exp_l, exp_r, uL,
+    uR, the left factors (fL, fR) of the strict upper and lower parts,
+    and coefs / wronskian."""
+    el = np.array([g.exp_l for g in systems])
+    er = np.array([g.exp_r for g in systems])
+    uL = np.array([g.uL for g in systems])
+    uR = np.array([g.uR for g in systems])
+    fL = np.array([g.uLp for g in systems]) if dleft else uL
+    fR = np.array([g.uRp for g in systems]) if dleft else uR
+    cw = np.asarray(coefs, dtype=float) \
+        / np.array([g.wronskian for g in systems])
+    return el, er, uL, uR, fL, fR, cw
 
 
 def green_kernel_sums(systems: list[GluedSystem], coefs,
@@ -243,14 +258,7 @@ def green_kernel_sums(systems: list[GluedSystem], coefs,
     the same bits).
     """
     n = systems[0].model.n
-    el = np.array([g.exp_l for g in systems])
-    er = np.array([g.exp_r for g in systems])
-    uL = np.array([g.uL for g in systems])
-    uR = np.array([g.uR for g in systems])
-    fL = np.array([g.uLp for g in systems]) if dleft else uL
-    fR = np.array([g.uRp for g in systems]) if dleft else uR
-    cw = np.asarray(coefs, dtype=float) \
-        / np.array([g.wronskian for g in systems])
+    el, er, uL, uR, fL, fR, cw = _generators(systems, coefs, dleft)
     out = [np.empty((n, n)) for _ in cw]
     for a in range(0, n, KERNEL_BLOCK):
         b = min(a + KERNEL_BLOCK, n)
@@ -280,6 +288,110 @@ def green_kernel_sums(systems: list[GluedSystem], coefs,
             o[b:, blk] = lo
             o[blk, blk] = dg
     return out
+
+
+class GreenSumOperator:
+    """The operator f -> K (weights f) + diagonal f for the kernel sum
+    K = sum_k coefs[k] G_k of green_kernel_sums (G_k the Green kernel of
+    systems[k] or, with dleft, its d/ds in the left variable): K composed
+    with a quadrature and a corrected diagonal, applied without forming
+    the composition.
+
+    Both `op @ X` and `X @ op` (so the transpose) cost O(n K) per column
+    of X instead of O(n^2), plus O((n / KERNEL_BLOCK)^2 K) per column
+    for the unrolled block recursions.  The kernel is split into the blocks and shifts m_B of
+    green_kernel_sums.  The rows of block B see the columns after it
+    through the running sum T_B = sum_{j after B} uR(j) e^{exp_r(j) +
+    m_B} (weights f)(j), one (K, columns) array per block, and the
+    columns before it through the mirror sum U_B, taken with the previous
+    block's shift.  The backward recursion T_{B-1} = e^{m_{B-1} - m_B} T_B
+    + (block B's inflow), and the forward one for U, are applied unrolled:
+    T_B = sum_{C > B} e^{m_B - m_{C-1}} (block C's inflow), one
+    (blocks x blocks) transfer matrix per system and direction.  Every
+    factor carries an exponent <= 0, and a factor that nothing uses (the
+    first block's inflow to a previous one) is not exponentiated.  Only
+    the KERNEL_BLOCK-square diagonal blocks are dense; they are copied
+    from `kernel`, the dense sum green_kernel_sums returns for the same
+    systems and coefs, with the weights and the diagonal folded in, so
+    they carry the bits of the dense composition.
+
+    The transpose uses the same arrays: its upper part is the lower part
+    of the operator with the roles of its two factors exchanged.  The
+    class sets __array_ufunc__ = None, so an ndarray on the left defers
+    to __rmatmul__.
+    """
+
+    __array_ufunc__ = None
+
+    def __init__(self, systems: list[GluedSystem], coefs, kernel, weights,
+                 diagonal, dleft: bool = False):
+        n = systems[0].model.n
+        nb = KERNEL_BLOCK
+        nblk = -(-n // nb)
+        el, er, uL, uR, fL, fR, cw = _generators(systems, coefs, dleft)
+        q = np.asarray(weights, dtype=float)
+        self.shape = (n, n)
+        self.diagonal = np.asarray(diagonal, dtype=float)
+        pad = nblk * nb - n
+
+        def blocks(a, mode="constant"):
+            """(K, n) -> (blocks, K, KERNEL_BLOCK), padded past n with
+            zeros (factors) or the last value (exponents)."""
+            a = np.pad(a, ((0, 0), (0, pad)), mode=mode)
+            return a.reshape(len(a), nblk, nb).transpose(1, 0, 2)
+
+        el_b, er_b = blocks(el, "edge"), blocks(er, "edge")
+        near = np.exp(el_b - el_b[:, :, -1:])
+        after = np.zeros_like(near)
+        after[1:] = np.exp(er_b[1:] + el_b[:-1, :, -1:])
+        rows_up = blocks(cw[:, None] * fL) * near        # rows, upper part
+        cols_up = blocks(uR * q) * after                 # columns, upper
+        rows_lo = blocks(fR) * after                     # rows, lower part
+        cols_lo = blocks(cw[:, None] * uL * q) * near    # columns, lower
+        # transfer matrices: e^{m_B - m_{C-1}} for C > B (upper part),
+        # e^{m_C - m_{B-1}} for C < B (lower part)
+        m = el_b[:, :, -1].T
+        ib, ic = np.triu_indices(nblk, 1)
+        transfer = np.zeros((2, len(m), nblk, nblk))
+        transfer[0][:, ib, ic] = transfer[1][:, ic, ib] = \
+            np.exp(m[:, ib] - m[:, ic - 1])
+        self._transfer = transfer.reshape(2 * len(m), nblk, nblk)
+        diag = np.zeros((nblk, nb, nb))
+        for i in range(nblk):
+            blk = slice(i * nb, min((i + 1) * nb, n))
+            d = np.arange(blk.stop - blk.start)
+            diag[i, :len(d), :len(d)] = kernel[blk, blk] * q[None, blk]
+            diag[i, d, d] += self.diagonal[blk]
+        tr = (0, 2, 1)
+        self._flows = {
+            False: (np.concatenate([cols_up, cols_lo], axis=1),
+                    np.concatenate([rows_up.transpose(tr),
+                                    rows_lo.transpose(tr), diag], axis=2)),
+            True: (np.concatenate([rows_lo, rows_up], axis=1),
+                   np.concatenate([cols_lo.transpose(tr),
+                                   cols_up.transpose(tr),
+                                   diag.transpose(tr)], axis=2))}
+
+    def _apply(self, X, transpose: bool) -> np.ndarray:
+        """op @ X, or op^T @ X with transpose, for an (n, c) array X."""
+        inflow, outflow = self._flows[transpose]
+        nblk, k2, nb = inflow.shape
+        n = self.shape[0]
+        X = np.asarray(X, dtype=float)
+        z = np.zeros((nblk * nb, X.shape[1]))
+        z[:n] = X
+        z = z.reshape(nblk, nb, -1)
+        state = np.empty((nblk, k2 + nb, z.shape[2]))
+        state[:, k2:] = z
+        flow = (inflow @ z).transpose(1, 0, 2)
+        state[:, :k2] = (self._transfer @ flow).transpose(1, 0, 2)
+        return (outflow @ state).reshape(nblk * nb, -1)[:n]
+
+    def __matmul__(self, X) -> np.ndarray:
+        return self._apply(X, False)
+
+    def __rmatmul__(self, X) -> np.ndarray:
+        return self._apply(np.asarray(X).T, True).T
 
 
 @dataclass
@@ -372,7 +484,7 @@ class NeckProblem:
             raise DomainError("NeckProblem: domain too small")
         self.idx = idx
         self.s = model.s[idx]
-        ends = [radiation_logderiv(model, None, 0.0, xi)
+        ends = [radiation_logderiv(model, 0.0, xi)
                 for xi in (self.s[0], self.s[-1])]
         self.matrix = band_matrix(_fd_operator(
             self.s, model.dlog_weight(self.s), 0.0, NECK_ORDER, ends))

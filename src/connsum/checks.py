@@ -114,7 +114,7 @@ def radiation_oracle_error(par, k: float, v) -> float:
     ORACLE_ORDER, solved on its bands."""
     model = par.model
     Rv = par.resolvent_apply(k, v)
-    ab = radial_laplacian(model, None, k=k, order=ORACLE_ORDER)
+    ab = radial_laplacian(model, k=k, order=ORACLE_ORDER)
     rhs = v.copy()
     rhs[0] = rhs[-1] = 0.0
     u_fd = solve_banded((ORACLE_ORDER, ORACLE_ORDER), ab, rhs)

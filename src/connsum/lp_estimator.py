@@ -126,10 +126,11 @@ def lp_norm(q: np.ndarray, f: np.ndarray, p: float) -> float:
     return float(np.dot(q, np.abs(f) ** p) ** (1.0 / p))
 
 
-def boyd_lower_bound(mat: np.ndarray, w1: np.ndarray, w2: np.ndarray,
+def boyd_lower_bound(mat, w1: np.ndarray, w2: np.ndarray,
                      p, iters: int, support: np.ndarray | None = None):
     """Lower bound for the L^p(w2) -> L^p(w1) norm of the matrix operator
-    by Boyd's nonlinear power iteration
+    mat (an ndarray, or any operator with a shape and `@` on both sides,
+    such as bvp.GreenSumOperator) by Boyd's nonlinear power iteration
 
         f <- [M*(|M f|^{p-1} sgn)]^{1/(p-1)},  M* = diag(1/w2) M^T diag(w1),
 

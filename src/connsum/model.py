@@ -108,28 +108,6 @@ class EndSpec:
         """c with v(s) = c * r^{n-1} on this end."""
         return sphere_area(self.euclidean_dim) * self.cross_section.volume
 
-    def angular_eigenvalue(self, m: int) -> float:
-        """Eigenvalue m (n - 2 + m) of degree-m spherical harmonics."""
-        return m * (self.euclidean_dim - 2 + m)
-
-
-@dataclass(frozen=True)
-class ModeChannel:
-    """One separated-variables channel (angular degree, cross index)."""
-    end: str  # "minus" | "plus"
-    angular: int
-    cross_index: int
-
-    def __post_init__(self):
-        if self.end not in ("minus", "plus"):
-            raise ConfigError("channel end must be 'minus' or 'plus'")
-        if self.angular < 0 or self.cross_index < 0:
-            raise ConfigError("channel indices must be nonnegative")
-
-    @property
-    def is_zero(self) -> bool:
-        return self.angular == 0 and self.cross_index == 0
-
 
 @dataclass(frozen=True)
 class CutoffRadii:
@@ -487,8 +465,8 @@ class ModelManifold:
     def composition_matrix(self, kernel, jump_ramp, jump_step) -> np.ndarray:
         """K_ij q_j plus the kink diagonal: a kernel acting on densities."""
         out = kernel * self.weights[None, :]
-        # a fresh sum, not an in-place diagonal add: with the in-place add
-        # the heap layout left `connsum riesz` at a 5 % higher peak RSS
+        # a fresh sum, not an in-place diagonal add: the in-place add has
+        # been measured to raise peak RSS by 5 % through the heap layout
         out = out + np.diag(self.kink_diagonal(jump_ramp, jump_step))
         return out
 
@@ -548,22 +526,6 @@ class ModelManifold:
     def integrate(self, f) -> float:
         """Integral of a grid function against the volume measure v ds."""
         return float(np.dot(self.weights, np.asarray(f, dtype=float)))
-
-    # -- channel machinery ------------------------------------------------------
-
-    def channel_potential(self, channel: ModeChannel, r):
-        end = self.end_spec(channel.end)
-        r = np.asarray(r, dtype=float)
-        return (end.angular_eigenvalue(channel.angular) / r ** 2
-                + end.cross_section.eigenvalues[channel.cross_index])
-
-    def channel_grid(self, channel: ModeChannel):
-        """Sub-grid (radii) of the end a nonzero channel lives on."""
-        mask = self.mask_minus if channel.end == "minus" else self.mask_plus
-        idx = np.where(mask)[0]
-        r = self.r[idx]
-        order = np.argsort(r)
-        return idx[order], r[order]
 
 
 def build_model(config: GeometryConfig | dict | None = None) -> ModelManifold:
@@ -627,56 +589,33 @@ def channel_profile(end: EndSpec, angular: int, kappa: float, R: float):
     return val, der
 
 
-def radiation_logderiv(model: ModelManifold, channel: ModeChannel | None,
-                       k: float, s: float) -> float:
-    """d/ds log of the glued-axis solution decaying toward the nearer
-    infinity, at the axis point s.  Exact per-channel radiation condition:
+def radiation_logderiv(model: ModelManifold, k: float, s: float) -> float:
+    """d/ds log of the glued zero-channel solution decaying toward the
+    nearer infinity, at the axis point s.  Exact radiation condition:
     domain truncation then commits no error for the model."""
     end = model.minus if s < 0 else model.plus
-    mu2 = 0.0 if channel is None else \
-        end.cross_section.eigenvalues[channel.cross_index]
-    m = 0 if channel is None else channel.angular
-    ddr = decaying_radial_logderiv(end, m, math.sqrt(k * k + mu2), abs(s))
+    ddr = decaying_radial_logderiv(end, 0, k, abs(s))
     return -ddr if s < 0 else ddr  # d/ds = -d/dr on the minus side
 
 
-def radial_laplacian(model: ModelManifold, channel: ModeChannel | None = None,
-                     k: float = 0.0, order: int = 4, bc: str = "radiation"):
-    """Discrete (Delta + k^2) for one channel, in the band storage of
-    `_fd_operator` (`order` diagonals on each side) that
-    scipy.linalg.solve_banded takes; `band_matrix` expands it.
+def radial_laplacian(model: ModelManifold, k: float = 0.0, order: int = 4,
+                     bc: str = "radiation"):
+    """Discrete (Delta + k^2) of the glued zero channel on the whole axis
+    grid, in the band storage of `_fd_operator` (`order` diagonals on
+    each side) that scipy.linalg.solve_banded takes; `band_matrix`
+    expands it.
 
-    Delta is the positive Laplacian -v^{-1}(v u')' + potential.  For the
-    glued zero channel (channel None or the zero channel) the operator
-    acts on the whole axis grid and its bands are returned.  A nonzero
-    channel lives on its end only: the return value is then
-    (bands, radii), acting on functions of r in [R, S_end], with a
-    Dirichlet row at r = R and the radiation row at the outer boundary.
-
-    bc = "radiation" closes the outer boundaries with the exact decaying
-    log-derivative; "dirichlet" forces u = 0 there instead.
+    Delta is the positive Laplacian -v^{-1}(v u')'.  bc = "radiation"
+    closes the outer boundaries with the exact decaying log-derivative;
+    "dirichlet" forces u = 0 there instead.
     """
-    glued = channel is None or channel.is_zero
     if bc not in ("radiation", "dirichlet"):
         raise ConfigError(f"unknown bc {bc!r}")
-    radiation = bc == "radiation"
-    if glued:
-        x = model.s
-        ends = [None, None]
-        if radiation:
-            ends = [radiation_logderiv(model, channel, k, xi)
-                    for xi in (x[0], x[-1])]
-        return _fd_operator(x, model.dlog_weight(x), k * k, order, ends)
-    end = model.end_spec(channel.end)
-    _, x = model.channel_grid(channel)
-    ends = [None, None]  # Dirichlet row at the gluing sphere
-    if radiation:
-        mu2 = end.cross_section.eigenvalues[channel.cross_index]
-        ends[1] = decaying_radial_logderiv(end, channel.angular,
-                                           math.sqrt(k * k + mu2), x[-1])
-    pot = model.channel_potential(channel, x)
-    return _fd_operator(x, (end.euclidean_dim - 1.0) / x, pot + k * k,
-                        order, ends), x
+    x = model.s
+    ends = [None, None]
+    if bc == "radiation":
+        ends = [radiation_logderiv(model, k, xi) for xi in (x[0], x[-1])]
+    return _fd_operator(x, model.dlog_weight(x), k * k, order, ends)
 
 
 def _fd_operator(x, dlv, shift, order: int, ends) -> np.ndarray:

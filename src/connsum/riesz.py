@@ -9,6 +9,14 @@ part has the uniform L^2 bound sup_xi |xi F_>(xi)| = 1 on every channel;
 no subcommand reports it yet, and its finite-volume eigen-multiplier and
 the Euclidean split check live with their tests (tests/test_riesz.py).
 
+The k-quadrature of Green kernel gradients is semiseparable: each term is
+rank one on either side of the diagonal, so the kernel on densities is
+kept in generator form (bvp.GreenSumOperator) next to its dense values.
+Every norm estimate (the Boyd iteration, the p = 2 bidiagonalization and
+the structured test family) multiplies through that operator at O(n K)
+per column (K quadrature nodes) instead of O(n^2); the dense values serve
+the Schur masses and the bound on the k-quadrature error.
+
 The low-energy kernel drives the boundedness experiments (norm estimates
 stabilizing in the truncation radius for 1 < p <= 2) and the
 unboundedness witness: on the two-dimensional end the kernel dominates a
@@ -26,6 +34,7 @@ import numpy as np
 from scipy.linalg import eigh_tridiagonal, svdvals
 
 from . import product_kernels as pk
+from .bvp import GluedSystem, GreenSumOperator, green_kernel_sums
 from .cutoffs import Bump, minus_cutoff
 from .errors import DomainError, NonConvergenceError
 from .fits import classify_trend, loglog_slope
@@ -36,19 +45,18 @@ from .quadrature import cc_segment
 
 @dataclass
 class DiscretizedKernel:
-    """Two-variable kernel on grid x grid with its quadrature measure."""
+    """Two-variable kernel on grid x grid, and the operator that applies
+    it to densities: the kernel composed with the grid quadrature and the
+    kink diagonal of its value jump, in generator form."""
     model: ModelManifold
     values: np.ndarray
-    jump_step: np.ndarray | None = None   # diagonal value jump (d/ds kernels)
-    quad_error: float = 0.0               # max per-entry k-quadrature error
+    operator: GreenSumOperator
+    jump_step: np.ndarray                 # diagonal value jump (d/ds kernel)
+    quad_error: float                     # max per-entry k-quadrature error
 
     def quad_error_bound(self) -> float:
         """The largest accepted quad_error: 1e-3 of the largest entry."""
         return 1e-3 * float(np.max(np.abs(self.values)))
-
-    def matrix(self) -> np.ndarray:
-        step = 0.0 if self.jump_step is None else self.jump_step
-        return self.model.composition_matrix(self.values, 0.0, step)
 
 
 # upper end of the sigma = log(1/k) interval of the low-energy k-integral
@@ -70,10 +78,10 @@ def low_energy_kernel(model: ModelManifold, k0: float,
     The resolvent gradients come from the exact glued Green system, which
     is stable at every k on the lattice.  Both rules are summed together
     in generator form (bvp.green_kernel_sums), the coarse one as its
-    difference from the fine one.
+    difference from the fine one.  The kernel's operator on densities
+    (bvp.GreenSumOperator) keeps the fine rule's generator arrays, not
+    the systems.
     """
-    from .bvp import GluedSystem, green_kernel_sums
-
     if n_sigma < 3 or n_sigma % 2 == 0:
         raise DomainError("n_sigma must be an odd integer >= 3 (the coarse "
                           f"rule is embedded in the fine one), got {n_sigma}")
@@ -93,8 +101,11 @@ def low_energy_kernel(model: ModelManifold, k0: float,
             coarse[i] = (2.0 / math.pi) * w_coarse[i // 2] * k
     vals, diff = green_kernel_sums(systems, [fine, fine - coarse],
                                    dleft=True)
-    kern = DiscretizedKernel(model, vals, jump_step=jump,
-                             quad_error=float(np.max(np.abs(diff))))
+    op = GreenSumOperator(systems, fine, vals, model.weights,
+                          model.kink_diagonal(0.0, jump), dleft=True)
+    # max |diff| without an n x n temporary of |diff|
+    kern = DiscretizedKernel(model, vals, op, jump,
+                             float(max(diff.max(), -diff.min())))
     if kern.quad_error > kern.quad_error_bound():
         raise NonConvergenceError(
             f"k-quadrature unconverged: per-entry error "
@@ -112,9 +123,11 @@ def low_energy_kernel(model: ModelManifold, k0: float,
 GKL_MAX_STEPS = 300
 
 
-def spectral_norms(mat: np.ndarray, sq: np.ndarray, cuts) -> np.ndarray:
+def spectral_norms(mat, sq: np.ndarray, cuts) -> np.ndarray:
     """Largest singular value of A = D mat[c, c] D^-1, D = diag(sq[c]),
-    for each truncation c (a slice) of the square matrix mat.
+    for each truncation c (a slice) of the square operator mat: an
+    ndarray, or any operator with a shape and `@` on both sides
+    (bvp.GreenSumOperator).
 
     Golub-Kahan-Lanczos bidiagonalization (Golub and Kahan, SIAM J.
     Numer. Anal. B 2, 1965) runs for every truncation in lockstep, each
@@ -151,7 +164,7 @@ def spectral_norms(mat: np.ndarray, sq: np.ndarray, cuts) -> np.ndarray:
     tol = 4.0 * np.finfo(float).eps
     for k in range(GKL_MAX_STEPS):
         rows = np.flatnonzero(live)
-        p = ((V[k, rows] / sq) @ mat.T) * sq * keep[rows]
+        p = (mat @ (V[k, rows] / sq).T).T * sq * keep[rows]
         if k:
             p -= beta[rows, k - 1, None] * u[rows]
         a = np.linalg.norm(p, axis=1)
@@ -182,14 +195,19 @@ def spectral_norms(mat: np.ndarray, sq: np.ndarray, cuts) -> np.ndarray:
         f"after {GKL_MAX_STEPS} bidiagonalization steps")
 
 
-def schur_upper_bound(mat: np.ndarray, q: np.ndarray, p):
-    """|| K ||_{p->p} <= C_1^{1/p'} C_inf^{1/p} with C_1 / C_inf the max
-    column / row L^1 masses (Schur interpolation).  The masses do not
-    depend on p: a vector p gets them once and returns one bound per
-    entry, each equal bit for bit to the scalar call."""
-    a = np.abs(mat)
-    row = float(np.max(a @ np.ones(len(q))))
-    col = float(np.max(np.ones(len(q)) @ a))
+def schur_upper_bound(values: np.ndarray, q: np.ndarray, diagonal, p):
+    """|| K ||_{p->p} <= C_1^{1/p'} C_inf^{1/p} for K f = values (q f) +
+    diagonal f, with C_1 / C_inf its max column / row L^1 masses (Schur
+    interpolation).  The masses are taken from |values| q, with each
+    diagonal entry replaced by its corrected value, so K is never
+    composed.  They do not depend on p: a vector p gets them once and
+    returns one bound per entry, each equal bit for bit to the scalar
+    call."""
+    a = np.abs(values)
+    own = np.diagonal(a) * q
+    fix = np.abs(np.diagonal(values) * q + diagonal) - own
+    row = float(np.max(a @ q + fix))
+    col = float(np.max((np.ones(len(q)) @ a) * q + fix))
     bounds = [col ** (1.0 - 1.0 / pj) * row ** (1.0 / pj)
               for pj in np.atleast_1d(p)]
     return bounds[0] if np.ndim(p) == 0 else np.array(bounds)
@@ -227,15 +245,18 @@ def lp_boundedness_report(kern: DiscretizedKernel, p_list, r_maxes) -> dict:
 
     Every (R_max, p != 2) cell is one column of a single lockstep Boyd
     iteration (lp_estimator.boyd_lower_bound with a support mask) on the
-    whole kernel matrix, so each of its steps is two products with one
-    column per cell.  Everything independent of p, the structured-family
-    images and the Schur masses, is computed once per R_max on a view of
-    the truncated kernel.  A cell whose iteration overflows has lower
-    bound +inf, and its trend is divergent.
+    whole kernel, so each of its steps is two products with one column
+    per cell.  Those products, the bidiagonalization's and the
+    structured-family images all go through the kernel's operator
+    (bvp.GreenSumOperator), at O(n K) per column; no composed n x n
+    matrix is formed.  Everything independent of p, the family images
+    and the Schur masses (from a view of the truncated kernel values),
+    is computed once per R_max.  A cell whose iteration overflows has
+    lower bound +inf, and its trend is divergent.
     """
     model = kern.model
     q = model.weights
-    mat = kern.matrix()
+    op = kern.operator
     cuts = {rmax: _truncation(model, rmax) for rmax in r_maxes}
     p_boyd = [p for p in p_list if p != 2.0]
     boyd_cells = [(p, rmax) for rmax in r_maxes for p in p_boyd]
@@ -243,15 +264,14 @@ def lp_boundedness_report(kern: DiscretizedKernel, p_list, r_maxes) -> dict:
     for j, (_, rmax) in enumerate(boyd_cells):
         support[cuts[rmax], j] = True
     boyd = dict(zip(boyd_cells, boyd_lower_bound(
-        mat, q, q, [p for p, _ in boyd_cells], 50, support)))
+        op, q, q, [p for p, _ in boyd_cells], 50, support)))
     cells: dict[tuple[float, float], TrendRow] = {}
     for rmax in r_maxes:
         cut = cuts[rmax]
-        sub = mat[cut, cut]
-        qs = q[cut]
         if p_boyd:
-            family = _family_lower_bounds(model, cut, sub, rmax, p_boyd)
-            uppers = schur_upper_bound(sub, qs, p_boyd)
+            family = _family_lower_bounds(model, cut, op, rmax, p_boyd)
+            uppers = schur_upper_bound(kern.values[cut, cut], q[cut],
+                                       op.diagonal[cut], p_boyd)
             for p, lower, upper in zip(p_boyd, family, uppers):
                 cells[p, rmax] = TrendRow(p, rmax,
                                           max(lower, float(boyd[p, rmax])),
@@ -260,7 +280,7 @@ def lp_boundedness_report(kern: DiscretizedKernel, p_list, r_maxes) -> dict:
         # the signed spectral norm: at p = 2 the absolute kernel sits on
         # the boundary of the power-weight lemmas, and boundedness rides
         # on the multiplier route (signs matter)
-        uppers = spectral_norms(mat, np.sqrt(q), [cuts[r] for r in r_maxes])
+        uppers = spectral_norms(op, np.sqrt(q), [cuts[r] for r in r_maxes])
         for rmax, upper in zip(r_maxes, uppers):
             cells[2.0, rmax] = TrendRow(2.0, rmax, float(upper), float(upper))
     rows = [cells[p, rmax] for p in p_list for rmax in r_maxes]
@@ -278,12 +298,13 @@ def lp_boundedness_report(kern: DiscretizedKernel, p_list, r_maxes) -> dict:
     return {"rows": rows, "verdicts": verdicts}
 
 
-def _family_lower_bounds(model: ModelManifold, cut: slice, sub: np.ndarray,
-                         rmax: float, p_list) -> list[float]:
-    """Largest ratio ||sub f||_p / ||f||_p, for each p, over the structured
-    test family on the truncation cut: radial plateaus for every p, and
-    the aligned profile of each p where it is nonzero.  One product
-    serves every p."""
+def _family_lower_bounds(model: ModelManifold, cut: slice,
+                         op: GreenSumOperator, rmax: float,
+                         p_list) -> list[float]:
+    """Largest ratio ||op f||_p / ||f||_p, for each p, over the structured
+    test family supported on the truncation cut and measured there:
+    radial plateaus for every p, and the aligned profile of each p where
+    it is nonzero.  One product serves every p."""
     q = model.weights[cut]
     r = model.r[cut]
     fam = [np.ones(len(r))] + [np.where(r <= a, 1.0, 0.0)
@@ -295,7 +316,9 @@ def _family_lower_bounds(model: ModelManifold, cut: slice, sub: np.ndarray,
         if prof.any():
             tests[p].append(len(fam))
             fam.append(prof)
-    images = sub @ np.column_stack(fam)
+    padded = np.zeros((model.n, len(fam)))
+    padded[cut] = np.column_stack(fam)
+    images = (op @ padded)[cut]
     lowers = []
     for p in p_list:
         lower = 0.0

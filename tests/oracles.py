@@ -1,4 +1,5 @@
-"""Reference computations that more than one test file uses.
+"""Reference computations, and the channel type, that more than one test
+file uses.
 
 None of them runs in a subcommand, a demo or the benchmark; each checks
 a library result or a statement of the paper from outside.
@@ -11,9 +12,28 @@ from dataclasses import dataclass
 import numpy as np
 
 from connsum import product_kernels as pk
-from connsum.errors import DomainError
+from connsum.errors import ConfigError, DomainError
 from connsum.fits import loglog_slope
 from connsum.model import ModelManifold
+
+
+@dataclass(frozen=True)
+class ModeChannel:
+    """One separated-variables channel (angular degree, cross index) of a
+    product end; the library solves the glued zero channel only."""
+    end: str  # "minus" | "plus"
+    angular: int
+    cross_index: int
+
+    def __post_init__(self):
+        if self.end not in ("minus", "plus"):
+            raise ConfigError("channel end must be 'minus' or 'plus'")
+        if self.angular < 0 or self.cross_index < 0:
+            raise ConfigError("channel indices must be nonnegative")
+
+    @property
+    def is_zero(self) -> bool:
+        return self.angular == 0 and self.cross_index == 0
 
 
 def segment_interior(model: ModelManifold) -> np.ndarray:
@@ -95,3 +115,10 @@ def dense_green_kernel(g, dleft: bool = False) -> np.ndarray:
     d = np.arange(len(s))
     out[d, d] = 0.5 * (upper[d, d] + lower[d, d])
     return out * np.exp(np.clip(expo, -745.0, 700.0)) / g.wronskian
+
+
+def composed_kernel(kern) -> np.ndarray:
+    """The dense composition values * q + diag(kink) of a
+    riesz.DiscretizedKernel, as model.composition_matrix forms it: the
+    reference for the kernel's operator."""
+    return kern.model.composition_matrix(kern.values, 0.0, kern.jump_step)

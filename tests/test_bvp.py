@@ -222,7 +222,7 @@ class TestSolveLaplace:
         # independent route: high-order FD solve with radiation rows
         F = np.exp(-1.5 * model.s ** 2)
         sol = bvp.solve_laplace(model, F, system=sys0)
-        A = md.band_matrix(md.radial_laplacian(model, None, k=0.0, order=6))
+        A = md.band_matrix(md.radial_laplacian(model, k=0.0, order=6))
         rhs = F.copy()
         rhs[0] = rhs[-1] = 0.0
         u_fd = np.linalg.solve(A, rhs)
@@ -301,7 +301,7 @@ class TestNeckProblem:
         # the neck problem is the glued zero-energy operator on a sub-grid:
         # rows whose stencil stays inside it are rows of the full operator
         monkeypatch.setattr(bvp, "NECK_ORDER", order)
-        full = md.band_matrix(md.radial_laplacian(model, None, k=0.0,
+        full = md.band_matrix(md.radial_laplacian(model, k=0.0,
                                                   order=order))
         for rad in (8.0, 12.0):
             prob = bvp.NeckProblem(model, domain_radius=rad)

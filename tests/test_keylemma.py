@@ -7,10 +7,10 @@ import pytest
 from connsum import bvp, keylemma as kl, model as md, specfun as sf
 from connsum.cutoffs import Step, minus_cutoff_source, on_grid
 from connsum.errors import DomainError
-from connsum.model import EndSpec, ModeChannel, channel_profile
+from connsum.model import EndSpec, channel_profile
 from connsum.specfun import ilg
 
-from oracles import fit_envelope, segment_interior
+from oracles import ModeChannel, fit_envelope, segment_interior
 
 
 # ---------------------------------------------------------------------------
@@ -258,7 +258,7 @@ class TestEstimates:
 
 class TestOffZero:
     def test_minus_angular_profile(self, model):
-        ext = extend_off_zero(model, md.ModeChannel("minus", 1, 0))
+        ext = extend_off_zero(model, ModeChannel("minus", 1, 0))
         r = np.array([2.0, 4.0, 16.0])
         np.testing.assert_allclose(ext.profile(0.0, r), (r / 2.0) ** -1,
                                    rtol=1e-13)
@@ -267,7 +267,7 @@ class TestOffZero:
                                    rtol=1e-5)
 
     def test_deformed_profile_is_bessel(self, model, sys0):
-        ext = extend_off_zero(model, md.ModeChannel("minus", 1, 0))
+        ext = extend_off_zero(model, ModeChannel("minus", 1, 0))
         k = 0.3
         r = np.array([3.0, 5.0])
         expected = sf.bessel_K(1.0, k * r) / sf.bessel_K(1.0, k * model.R)
@@ -281,11 +281,11 @@ class TestOffZero:
         from connsum.fits import loglog_slope
         ks = np.array([1e-3, 1e-4, 1e-5])
         r = np.array([2 * model.R])
-        ext_p = extend_off_zero(model, md.ModeChannel("plus", 0, 0))
+        ext_p = extend_off_zero(model, ModeChannel("plus", 0, 0))
         diffs = [abs(float((ext_p.profile_dr(k, r) - ext_p.profile_dr(0.0, r))[0]))
                  for k in ks]
         assert loglog_slope(ks, np.array(diffs)) == pytest.approx(1.0, abs=0.05)
-        ext_m = extend_off_zero(model, md.ModeChannel("minus", 1, 0))
+        ext_m = extend_off_zero(model, ModeChannel("minus", 1, 0))
         diffs_m = [abs(float((ext_m.profile_dr(k, r)
                               - ext_m.profile_dr(0.0, r))[0]))
                    for k in ks]
@@ -294,11 +294,11 @@ class TestOffZero:
     def test_profile_dr_is_derivative_of_profile(self, model):
         r = np.array([2.5, 4.0, 9.0, 30.0])
         h = 1e-3 * r
-        for ch, k in ((md.ModeChannel("minus", 1, 0), 0.0),
-                      (md.ModeChannel("minus", 1, 0), 0.3),
-                      (md.ModeChannel("minus", 2, 1), 0.3),
-                      (md.ModeChannel("plus", 0, 0), 0.0),
-                      (md.ModeChannel("plus", 1, 0), 0.05)):
+        for ch, k in ((ModeChannel("minus", 1, 0), 0.0),
+                      (ModeChannel("minus", 1, 0), 0.3),
+                      (ModeChannel("minus", 2, 1), 0.3),
+                      (ModeChannel("plus", 0, 0), 0.0),
+                      (ModeChannel("plus", 1, 0), 0.05)):
             ext = extend_off_zero(model, ch)
             fd = (-ext.profile(k, r + 2 * h) + 8 * ext.profile(k, r + h)
                   - 8 * ext.profile(k, r - h) + ext.profile(k, r - 2 * h)) \
@@ -307,10 +307,10 @@ class TestOffZero:
                                        atol=1e-8)
 
     def test_cross_channel_trivial_in_k(self, model):
-        ext = extend_off_zero(model, md.ModeChannel("minus", 0, 1))
+        ext = extend_off_zero(model, ModeChannel("minus", 0, 1))
         r = np.array([3.0, 6.0])
         np.testing.assert_allclose(ext.profile(0.0, r), ext.profile(0.5, r))
 
     def test_constant_channel_rejected(self, model):
         with pytest.raises(DomainError):
-            extend_off_zero(model, md.ModeChannel("minus", 0, 0))
+            extend_off_zero(model, ModeChannel("minus", 0, 0))

@@ -9,6 +9,8 @@ from connsum import specfun as sf
 from connsum.quadrature import (cheb_cumint_matrix, clenshaw_curtis,
                                 fornberg_weights)
 
+from oracles import ModeChannel
+
 
 @pytest.fixture(scope="module")
 def default_model():
@@ -231,7 +233,7 @@ class TestRadialLaplacian:
         # radiation condition; compare with r -> c K_1(mu_1 r)
         from scipy.integrate import solve_ivp
         m = default_model
-        ch = md.ModeChannel("minus", 1, 1)
+        ch = ModeChannel("minus", 1, 1)
         mu = m.minus.cross_section.mu(1)
         r1, r0 = 12.0, 3.0
 
@@ -253,7 +255,7 @@ class TestRadialLaplacian:
         # <A u, w>_v = <u, A w>_v for interior-supported grid functions
         m = default_model
         rng = np.random.default_rng(7)
-        A = md.band_matrix(md.radial_laplacian(m, None, k=0.3, bc="dirichlet"))
+        A = md.band_matrix(md.radial_laplacian(m, k=0.3, bc="dirichlet"))
         inner = (np.abs(m.s) < 30)
         u = np.where(inner, np.exp(-0.1 * m.s ** 2) * (1 + 0.1 * np.sin(m.s)), 0.0)
         w = np.where(inner, np.exp(-0.05 * (m.s - 1) ** 2), 0.0)
@@ -276,7 +278,7 @@ class TestRadialLaplacian:
     def test_zero_channel_radiation_rows(self, default_model):
         # constants satisfy the k=0 glued radiation system up to the plus row
         m = default_model
-        A = md.band_matrix(md.radial_laplacian(m, None, k=0.0))
+        A = md.band_matrix(md.radial_laplacian(m, k=0.0))
         res = A @ np.ones(m.n)
         assert np.max(np.abs(res[:-1])) < 1e-9
         # plus-side row enforces u'/u = -(n-2)/r, nonzero on constants

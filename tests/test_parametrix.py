@@ -233,10 +233,10 @@ class TestResolvent:
         rhs = np.exp(-2.0 * s ** 2)
         rhs[0] = rhs[-1] = 0.0
         for k in (1e-2, 1e-4):
-            ab = md.radial_laplacian(model, None, k=k, order=width)
+            ab = md.radial_laplacian(model, k=k, order=width)
             A = md.band_matrix(ab)
             ends = s[[0, -1]]
-            logderiv = [md.radiation_logderiv(model, None, k, x) for x in ends]
+            logderiv = [md.radiation_logderiv(model, k, x) for x in ends]
             exact = -2.0 - 2.0 * s * model.dlog_weight(s) + k * k * s ** 2
             exact[[0, -1]] = 2.0 * ends - np.array(logderiv) * ends ** 2
             np.testing.assert_allclose(A @ s ** 2, exact, rtol=1e-8)

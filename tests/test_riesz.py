@@ -11,7 +11,8 @@ from connsum.errors import DomainError, NonConvergenceError
 from connsum.fits import loglog_slope
 from connsum.quadrature import cc_segment, clenshaw_curtis, fornberg_weights
 
-from oracles import dense_green_kernel, schur_exponent_check
+from oracles import (ModeChannel, composed_kernel, dense_green_kernel,
+                     schur_exponent_check)
 
 
 # ---------------------------------------------------------------------------
@@ -222,6 +223,18 @@ def low_kernel(model):
     return rz.low_energy_kernel(model, k0=0.05, n_sigma=25)
 
 
+@pytest.fixture(scope="module")
+def low_matrix(low_kernel):
+    return composed_kernel(low_kernel)
+
+
+@pytest.fixture(scope="module")
+def kernel_forms(low_kernel, low_matrix):
+    """The low-energy kernel on densities as the dense composition and as
+    its operator: the two inputs every norm estimator accepts."""
+    return {"matrix": low_matrix, "operator": low_kernel.operator}
+
+
 def weighted_block(mat, sq, cut):
     """D mat[cut, cut] D^-1 with D = diag(sq[cut]), as a dense copy."""
     s = sq[cut]
@@ -319,6 +332,43 @@ class TestLowEnergyKernel:
                 assert np.all(np.isfinite(got))
                 assert np.max(np.abs(got - ref)) \
                     <= 1e-14 * np.max(np.abs(ref))
+            # the same sum as an operator on densities, both sides
+            diagonal = np.cos(model.s)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", RuntimeWarning)
+                op = bvp.GreenSumOperator(systems, coefs[0], sums[0],
+                                          model.weights, diagonal, dleft)
+                X = np.random.default_rng(1).standard_normal((model.n, 5))
+                got = (op @ X, X.T @ op)
+            comp = sums[0] * model.weights[None, :] + np.diag(diagonal)
+            for g, want in zip(got, (comp @ X, X.T @ comp)):
+                assert np.max(np.abs(g - want)) \
+                    <= 1e-13 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("S", [2.0 ** 16, 2.0 ** 20])
+    def test_operator_matches_composition(self, S):
+        # the default riesz kernel, and a domain where k r reaches 5e4 so
+        # that every factor needs its shift; neither n is a multiple of
+        # the block size
+        model = md.build_model(md.GeometryConfig(S_minus=S, S_plus=S))
+        assert model.n % bvp.KERNEL_BLOCK != 0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            kern = rz.low_energy_kernel(model, k0=0.05, n_sigma=33)
+            ref = composed_kernel(kern)
+            X = np.random.default_rng(3).standard_normal((model.n, 7))
+            for rmax in (64.0, S):
+                cut = rz._truncation(model, rmax)
+                Xc = np.zeros_like(X)
+                Xc[cut] = X[cut]
+                sub = ref[cut, cut]
+                for got, want in (((kern.operator @ Xc)[cut],
+                                   sub @ X[cut]),
+                                  ((Xc.T @ kern.operator)[:, cut],
+                                   X[cut].T @ sub)):
+                    assert np.max(np.abs(got - want)) \
+                        <= 1e-13 * np.max(np.abs(want))
+        assert kern.operator.shape == ref.shape
 
     @pytest.mark.parametrize("n_sigma", [24, 2, 1])
     def test_even_or_tiny_n_sigma_rejected(self, model, n_sigma):
@@ -358,9 +408,9 @@ class TestLowEnergyKernel:
 
 class TestHighEnergy:
     def test_uniform_l2_bound(self, model):
-        chans = [md.ModeChannel("minus", 0, 0), md.ModeChannel("minus", 1, 0),
-                 md.ModeChannel("minus", 0, 1), md.ModeChannel("plus", 0, 0),
-                 md.ModeChannel("plus", 2, 0)]
+        chans = [ModeChannel("minus", 0, 0), ModeChannel("minus", 1, 0),
+                 ModeChannel("minus", 0, 1), ModeChannel("plus", 0, 0),
+                 ModeChannel("plus", 2, 0)]
         out = high_energy_multiplier(model, chans, k0=1.0)
         assert out["uniform_bound"] <= 1.0 + 1e-6
         assert out["uniform_bound"] > 0.3
@@ -396,36 +446,41 @@ class TestBoundednessReport:
             assert inc[-1] < inc[-2] < inc[-3]
             assert inc[-1] < 0.75 * np.max(inc)
 
-    def test_spectral_norm_matches_svd(self, model, low_kernel):
+    def test_spectral_norm_matches_svd(self, model, low_matrix):
         q = model.weights
         sq = np.sqrt(q)
         for rmax in (64.0, 512.0):
             mask = model.r <= rmax
-            sub = low_kernel.matrix()[np.ix_(mask, mask)]
+            sub = low_matrix[np.ix_(mask, mask)]
             a = sq[mask][:, None] * sub / sq[mask][None, :]
             lanczos = px.spectral_norm(a)
             assert lanczos == pytest.approx(np.linalg.norm(a, 2), rel=1e-12)
             assert px.spectral_norm(a) == lanczos
 
-    def test_spectral_norms_match_dense(self, model, low_kernel):
-        mat = low_kernel.matrix()
+    def test_spectral_norms_match_dense(self, model, low_matrix,
+                                        kernel_forms):
         sq = np.sqrt(model.weights)
         cuts = [rz._truncation(model, rmax) for rmax in (16.0, 64.0, 512.0)]
-        got = rz.spectral_norms(mat, sq, cuts)
-        for cut, norm in zip(cuts, got):
-            dense = np.linalg.norm(weighted_block(mat, sq, cut), 2)
-            assert norm == pytest.approx(dense, rel=1e-12)
+        for mat in kernel_forms.values():
+            got = rz.spectral_norms(mat, sq, cuts)
+            for cut, norm in zip(cuts, got):
+                dense = np.linalg.norm(weighted_block(low_matrix, sq, cut), 2)
+                assert norm == pytest.approx(dense, rel=1e-12)
 
-    def test_spectral_norms_rerun_bitwise(self, model, low_kernel):
-        mat = low_kernel.matrix()
+    def test_spectral_norms_rerun_bitwise(self, model, kernel_forms):
         sq = np.sqrt(model.weights)
         cuts = [rz._truncation(model, rmax) for rmax in (32.0, 128.0, 512.0)]
-        first = rz.spectral_norms(mat, sq, cuts)
-        assert rz.spectral_norms(mat, sq, cuts).tolist() == first.tolist()
+        first = {form: rz.spectral_norms(mat, sq, cuts)
+                 for form, mat in kernel_forms.items()}
+        for form, mat in kernel_forms.items():
+            assert rz.spectral_norms(mat, sq, cuts).tolist() \
+                == first[form].tolist()
+        np.testing.assert_allclose(first["operator"], first["matrix"],
+                                   rtol=1e-12, atol=0.0)
 
-    def test_spectral_norms_block_equals_alone(self, model, low_kernel):
+    def test_spectral_norms_block_equals_alone(self, model, low_matrix):
         # a truncation's row of the block is its own bidiagonalization
-        mat = low_kernel.matrix()
+        mat = low_matrix
         sq = np.sqrt(model.weights)
         cuts = [rz._truncation(model, rmax) for rmax in (8.0, 64.0, 512.0)]
         block = rz.spectral_norms(mat, sq, cuts)
@@ -450,13 +505,14 @@ class TestBoundednessReport:
         monkeypatch.setattr(rz, "GKL_MAX_STEPS", 3)
         cuts = [rz._truncation(model, 512.0)]
         with pytest.raises(NonConvergenceError, match="after 3 "):
-            rz.spectral_norms(low_kernel.matrix(), np.sqrt(model.weights),
+            rz.spectral_norms(low_kernel.operator, np.sqrt(model.weights),
                               cuts)
 
-    def test_p2_rows_match_spectral_norm(self, model, low_kernel):
+    def test_p2_rows_match_spectral_norm(self, model, low_kernel,
+                                         low_matrix):
         r_maxes = (16.0, 64.0, 256.0, 512.0)
         report = rz.lp_boundedness_report(low_kernel, (2.0,), r_maxes)
-        mat = low_kernel.matrix()
+        mat = low_matrix
         sq = np.sqrt(model.weights)
         for row in report["rows"]:
             cut = rz._truncation(model, row.r_max)
@@ -471,33 +527,48 @@ class TestBoundednessReport:
         last = [r for r in report["rows"] if r.p == 2.0][-1]
         assert 0.7 < last.lower <= 1.05
 
-    def test_lockstep_boyd_matches_per_cell(self, model, low_kernel):
+    def test_lockstep_boyd_matches_per_cell(self, model, low_matrix,
+                                            kernel_forms):
         # every column of the lockstep iteration is the scalar iteration
-        # on its own truncated copy of the kernel, up to rounding
-        mat = low_kernel.matrix()
+        # on its own truncated copy of the kernel, up to rounding, whether
+        # the kernel comes as the dense composition or as its operator;
+        # each form reruns bit for bit
         q = model.weights
         cells = [(p, rmax) for rmax in (16.0, 64.0, 512.0)
                  for p in (1.25, 1.5, 1.8, 3.0)]
+        ps = [p for p, _ in cells]
         support = np.column_stack([model.r <= rmax for _, rmax in cells])
-        block = rz.boyd_lower_bound(mat, q, q, [p for p, _ in cells], 50,
-                                    support)
-        assert block.shape == (len(cells),)
-        for (p, rmax), got in zip(cells, block):
+        blocks = {}
+        for form, mat in kernel_forms.items():
+            blocks[form] = rz.boyd_lower_bound(mat, q, q, ps, 50, support)
+            assert blocks[form].shape == (len(cells),)
+            assert rz.boyd_lower_bound(mat, q, q, ps, 50, support).tolist() \
+                == blocks[form].tolist()
+        np.testing.assert_allclose(blocks["operator"], blocks["matrix"],
+                                   rtol=1e-12, atol=0.0)
+        for (p, rmax), got in zip(cells, blocks["matrix"]):
             mask = model.r <= rmax
-            sub = mat[np.ix_(mask, mask)]
+            sub = low_matrix[np.ix_(mask, mask)]
             one = rz.boyd_lower_bound(sub, q[mask], q[mask], p, 50)
             assert isinstance(one, float)
             assert got == pytest.approx(one, rel=1e-12), (p, rmax)
 
-    def test_schur_vector_p_is_scalar_bitwise(self, model, low_kernel):
-        mask = model.r <= 64.0
-        sub = low_kernel.matrix()[np.ix_(mask, mask)]
+    def test_schur_vector_p_is_scalar_bitwise(self, model, low_kernel,
+                                              low_matrix):
+        cut = rz._truncation(model, 64.0)
+        args = (low_kernel.values[cut, cut], model.weights[cut],
+                low_kernel.operator.diagonal[cut])
         ps = (1.1, 1.25, 1.5, 1.75)
-        got = rz.schur_upper_bound(sub, model.weights[mask], ps)
-        want = [rz.schur_upper_bound(sub, model.weights[mask], p)
-                for p in ps]
+        got = rz.schur_upper_bound(*args, ps)
+        want = [rz.schur_upper_bound(*args, p) for p in ps]
         assert isinstance(want[0], float)
         assert got.tolist() == want
+        # the masses are those of the composed kernel
+        a = np.abs(low_matrix[cut, cut])
+        row, col = np.max(a.sum(axis=1)), np.max(a.sum(axis=0))
+        for p, bound in zip(ps, got):
+            assert bound == pytest.approx(
+                col ** (1.0 - 1.0 / p) * row ** (1.0 / p), rel=1e-13)
 
     def test_one_boyd_call_per_report(self, low_kernel, monkeypatch):
         calls = []

@@ -3,11 +3,12 @@
 Runs ``perfbench/run.py --workload W`` in alternating pairs: once in a
 checkout of the parent revision and once in this checkout, the parent
 first in even pairs and second in odd ones.  The parent checkout is a
-``git worktree`` of ``--parent`` (default ``HEAD~1``) made in a temporary
-directory and removed afterwards; each run lasts the ``run_seconds`` of
-BENCHMARK.json.  The output file holds the machine, both commit SHAs,
-every pair, and for each end-to-end metric both medians, the parent's
-interquartile range and the number of pairs the change wins:
+shared ``git clone`` of this repository at ``--parent`` (default
+``HEAD~1``), made in a temporary directory and removed afterwards; each
+run lasts the ``run_seconds`` of BENCHMARK.json.  The output file holds
+the machine, both commit SHAs, every pair, and for each end-to-end metric
+both medians, the parent's interquartile range, the number of pairs the
+change wins and a sign-test interval for the median paired difference:
 
     python3 tools/bench_pairs.py --workload riesz-sweep --pairs 10 \\
         --seed 3 --out BENCH_riesz.json
@@ -20,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import platform
 import statistics
 import subprocess
@@ -41,13 +43,15 @@ def git(*args, cwd=ROOT) -> str:
 
 @contextmanager
 def parent_checkout(rev: str):
+    """A clone of this repository at rev that borrows its objects; this
+    repository's own .git is left untouched."""
+    sha = git("rev-parse", rev)
     with tempfile.TemporaryDirectory(prefix="bench-parent-") as tmp:
         tree = Path(tmp) / "tree"
-        git("worktree", "add", "--detach", str(tree), rev)
-        try:
-            yield tree
-        finally:
-            git("worktree", "remove", "--force", str(tree))
+        git("clone", "--quiet", "--shared", "--no-checkout", str(ROOT),
+            str(tree))
+        git("checkout", "--quiet", "--detach", sha, cwd=tree)
+        yield tree
 
 
 def run_once(tree: Path, args) -> dict:
@@ -78,10 +82,36 @@ def quartiles(values) -> tuple[float, float]:
     return q[0], q[2]
 
 
+# least coverage sought from the sign-test interval
+SIGN_TEST_LEVEL = 0.95
+
+
+def sign_test_interval(diffs) -> dict:
+    """Distribution-free interval for the median of the paired
+    differences: the k-th smallest and k-th largest of the n differences,
+    which cover the median with probability 1 - 2 P(Bin(n, 1/2) < k)
+    whatever their distribution.  k is the largest rank whose coverage
+    is at least SIGN_TEST_LEVEL (for n = 10 the 2nd and 9th, at
+    1 - 22/1024 = 97.85 %); below n = 6 no rank reaches it and the
+    interval is the whole range, with its lower coverage reported."""
+    d = sorted(diffs)
+    n = len(d)
+
+    def coverage(k):
+        return 1.0 - 2.0 * sum(math.comb(n, i) for i in range(k)) / 2.0 ** n
+
+    k = 1
+    while k < n // 2 and coverage(k + 1) >= SIGN_TEST_LEVEL:
+        k += 1
+    return {"low": d[k - 1], "high": d[n - k], "ranks": [k, n + 1 - k],
+            "coverage": coverage(k)}
+
+
 def summarize(pairs) -> dict:
     """Per metric: both medians, the parent's IQR, the pairs the change
-    wins (ties count for neither side) and whether the medians differ by
-    more than the parent's IQR."""
+    wins (ties count for neither side), whether the medians differ by
+    more than the parent's IQR, and the sign-test interval for the median
+    of the paired differences change - parent (sign_test_interval)."""
     out = {}
     for name, better in BETTER.items():
         par = [p["parent"][name] for p in pairs]
@@ -93,7 +123,9 @@ def summarize(pairs) -> dict:
             "parent_median": med_par, "change_median": med_chg,
             "parent_iqr": hi - lo,
             "change_wins": sum(sign * (a - b) > 0 for a, b in zip(par, chg)),
-            "median_gap_exceeds_parent_iqr": abs(med_chg - med_par) > hi - lo}
+            "median_gap_exceeds_parent_iqr": abs(med_chg - med_par) > hi - lo,
+            "paired_difference": sign_test_interval(
+                [b - a for a, b in zip(par, chg)])}
     return out
 
 
@@ -138,10 +170,12 @@ def main(argv=None) -> int:
     }
     Path(args.out).write_text(json.dumps(report, indent=2) + "\n")
     for name, s in report["summary"].items():
+        ci = s["paired_difference"]
         print(f"{name}: parent median {s['parent_median']:.6g} (IQR "
               f"{s['parent_iqr']:.3g}), change median "
               f"{s['change_median']:.6g}, change wins {s['change_wins']}/"
-              f"{args.pairs}")
+              f"{args.pairs}, change - parent in [{ci['low']:.3g}, "
+              f"{ci['high']:.3g}] ({100 * ci['coverage']:.1f} %)")
     return 0
 
 
