@@ -1,5 +1,5 @@
 """One-dimensional power-weight kernel operators: exact boundedness
-predicates and empirical norm trends.
+predicates and empirical norm trends; and the package's norm estimators.
 
 Two model families on the half line:
 
@@ -17,6 +17,10 @@ Two model families on the half line:
 
 Equalities in any of the inequalities are boundary cases: the lemmas are
 silent there and the predicate raises instead of guessing.
+
+The package's norm estimators live here: lp_norm, boyd_lower_bound
+(riesz p != 2) and spectral_norms, the one Lanczos estimator of a largest
+singular value (riesz p = 2, and the parametrix singular values).
 """
 
 from __future__ import annotations
@@ -25,8 +29,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import eigh_tridiagonal, svdvals
 
-from .errors import DomainError
+from .errors import DomainError, NonConvergenceError
 from .fits import classify_trend
 
 _BTOL = 1e-12
@@ -199,6 +204,83 @@ def boyd_lower_bound(mat, w1: np.ndarray, w2: np.ndarray,
             f = np.abs(h) ** (1.0 / (p - 1.0)) * np.sign(h)
             stop(np.all(np.isfinite(f), axis=0))
     return float(best[0]) if scalar else best
+
+
+# bidiagonalization steps after which spectral_norms gives up; the
+# default riesz sweep converges in at most 79
+GKL_MAX_STEPS = 300
+
+
+def spectral_norms(mat, sq: np.ndarray, cuts) -> np.ndarray:
+    """Largest singular value of A = D mat[c, c] D^-1, D = diag(sq[c]),
+    for each truncation c (a slice) of the square operator mat: an
+    ndarray, or any operator with a shape and `@` on both sides
+    (bvp.GreenSumOperator).
+
+    Golub-Kahan-Lanczos bidiagonalization (Golub and Kahan, SIAM J.
+    Numer. Anal. B 2, 1965) runs for every truncation in lockstep, each
+    truncation one row of a block: a half step is one masked product of
+    the live rows with the whole matrix, the weights applied to the
+    vectors rather than to the matrix.  Each truncation starts from its
+    normalized mask, so reruns are bitwise equal.  The
+    right vectors are reorthogonalized fully, twice, against their own
+    basis; only the previous left vector is kept (one-sided
+    reorthogonalization, Simon and Zha, SIAM J. Sci. Comput. 21, 2000).
+
+    After k steps the bidiagonal B (diagonal alpha, superdiagonal beta)
+    and the next beta_k give the residual ||A^T u - sigma v|| =
+    beta_k alpha_k |y_k| / sigma of the leading Ritz triplet, with y the
+    top eigenvector of the tridiagonal B^T B.  A truncation stops once
+    beta_k |y_k|, which bounds that residual since alpha_k <= ||B|| =
+    sigma, is at most 4 eps sigma; its norm is the largest singular
+    value of B.  A truncation still running after GKL_MAX_STEPS steps
+    raises NonConvergenceError."""
+    n = mat.shape[0]
+    m = len(cuts)
+    keep = np.zeros((m, n))
+    for i, cut in enumerate(cuts):
+        keep[i, cut] = 1.0
+    # step-major basis: the first k steps fill one contiguous prefix, so
+    # untouched steps commit no memory
+    V = np.empty((GKL_MAX_STEPS + 1, m, n))
+    V[0] = keep / np.sqrt(keep.sum(axis=1))[:, None]
+    u = np.zeros((m, n))
+    alpha = np.zeros((m, GKL_MAX_STEPS))
+    beta = np.zeros((m, GKL_MAX_STEPS))
+    norms = np.empty(m)
+    live = np.ones(m, dtype=bool)
+    tol = 4.0 * np.finfo(float).eps
+    for k in range(GKL_MAX_STEPS):
+        rows = np.flatnonzero(live)
+        p = (mat @ (V[k, rows] / sq).T).T * sq * keep[rows]
+        if k:
+            p -= beta[rows, k - 1, None] * u[rows]
+        a = np.linalg.norm(p, axis=1)
+        alpha[rows, k] = a
+        u[rows] = p / np.where(a > 0, a, 1.0)[:, None]
+        r = ((u[rows] * sq) @ mat) / sq * keep[rows]
+        r -= a[:, None] * V[k, rows]
+        for j, i in enumerate(rows):
+            basis = V[:k + 1, i, cuts[i]]
+            x = r[j, cuts[i]]
+            for _ in range(2):
+                x -= (basis @ x) @ basis
+        b = np.linalg.norm(r, axis=1)
+        beta[rows, k] = b
+        V[k + 1, rows] = r / np.where(b > 0, b, 1.0)[:, None]
+        for i in rows:
+            diag, sup = alpha[i, :k + 1], beta[i, :k]
+            ev, y = eigh_tridiagonal(diag ** 2 + np.r_[0.0, sup ** 2],
+                                     diag[:-1] * sup, select="i",
+                                     select_range=(k, k))
+            if beta[i, k] * abs(y[-1, 0]) <= tol * math.sqrt(max(ev[0], 0.0)):
+                norms[i] = svdvals(np.diag(diag) + np.diag(sup, 1))[0]
+                live[i] = False
+        if not live.any():
+            return norms
+    raise NonConvergenceError(
+        f"spectral_norms: {int(live.sum())} of {m} truncations unconverged "
+        f"after {GKL_MAX_STEPS} bidiagonalization steps")
 
 
 # truncation radii of empirical_norm_trend, and the log-grid density of

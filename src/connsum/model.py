@@ -155,6 +155,11 @@ class GridSpec:
                                   f"{least}, got {val!r}")
 
 
+# the keys a cross-section entry of the spectra block may give, by type
+_SECTION_KEYS = {"point": ("type",), "circle": ("type", "length", "l_max"),
+                 "explicit": ("type", "dim", "volume", "spectrum")}
+
+
 @dataclass(frozen=True)
 class GeometryConfig:
     n_plus: int = 3
@@ -169,22 +174,34 @@ class GeometryConfig:
 
     @staticmethod
     def from_dict(raw: dict) -> "GeometryConfig":
+        def known(spec, keys, where=""):
+            for key in spec:
+                if key not in keys:
+                    raise ConfigError(
+                        f"unknown geometry key {where + str(key)!r}")
+
         def section(key, spec):
-            if isinstance(spec, dict):
-                kind = spec.get("type", "explicit")
-                if kind == "point":
-                    return CrossSection.point()
-                if kind == "circle":
-                    return CrossSection.circle(spec.get("length", 2 * math.pi),
-                                               spec.get("l_max", 32))
-                return CrossSection("explicit", int(spec["dim"]),
-                                    float(spec["volume"]),
-                                    tuple(float(x) for x in spec["spectrum"]))
-            raise ConfigError(f"geometry key {key!r} must be a mapping")
+            if not isinstance(spec, dict):
+                raise ConfigError(f"geometry key {key!r} must be a mapping")
+            kind = spec.get("type", "explicit")
+            if kind not in _SECTION_KEYS:
+                raise ConfigError(f"geometry key '{key}.type' must be one of "
+                                  f"{', '.join(_SECTION_KEYS)}, got {kind!r}")
+            known(spec, _SECTION_KEYS[kind], f"{key}.")
+            if kind == "point":
+                return CrossSection.point()
+            if kind == "circle":
+                return CrossSection.circle(spec.get("length", 2 * math.pi),
+                                           spec.get("l_max", 32))
+            return CrossSection("explicit", int(spec["dim"]),
+                                float(spec["volume"]),
+                                tuple(float(x) for x in spec["spectrum"]))
 
         if not isinstance(raw, dict):
             raise ConfigError("geometry config must be a JSON object, got "
                               f"{type(raw).__name__}")
+        known(raw, ("n_plus", "spectra", "volumes", "R", "S_minus", "S_plus",
+                    "grid", "radii", "neck_smoothness"))
         try:
             kwargs = {}
             if "n_plus" in raw:
@@ -193,6 +210,7 @@ class GeometryConfig:
                 if not isinstance(raw.get(block, {}), dict):
                     raise ConfigError(f"geometry key {block!r} must be a "
                                       "mapping")
+                known(raw.get(block, {}), ("minus", "plus"), f"{block}.")
             # a side the spectra block omits keeps its default section
             for side in ("minus", "plus"):
                 if side in raw.get("spectra", {}):
@@ -210,9 +228,6 @@ class GeometryConfig:
             for key in ("R", "S_minus", "S_plus"):
                 if key in raw:
                     kwargs[key] = float(raw[key])
-            if "R_max" in raw:
-                kwargs.setdefault("S_minus", float(raw["R_max"]))
-                kwargs.setdefault("S_plus", float(raw["R_max"]))
             if "grid" in raw:
                 kwargs["grid"] = GridSpec(**raw["grid"])
             if "radii" in raw:

@@ -39,13 +39,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg import lu_factor, lu_solve
-from scipy.sparse.linalg import LinearOperator, svds
 
 from . import product_kernels as pk
 from .bvp import GluedSystem
 from .cutoffs import Bump, CutoffField, Step, minus_cutoff, on_grid
 from .errors import SingularSystemError
 from .keylemma import KeyApproximation
+from .lp_estimator import spectral_norms
 from .model import ModelManifold
 from .specfun import ilg
 
@@ -369,7 +369,7 @@ def finite_rank_fix(pieces: ParametrixPieces,
 
     With no null vectors (singular values all above the relative
     threshold) the fix is trivial: M = 0 and G4 = 0.  The extreme singular
-    values come from Lanczos; the singular vectors, by a full SVD, only
+    values come from spectral_norms; the singular vectors, by a full SVD, only
     when there is a null space to repair.  The weighted Id + E(0) is
     written into the array of the E(0) that error_kernel returns.
     """
@@ -380,7 +380,7 @@ def finite_rank_fix(pieces: ParametrixPieces,
         e0 = err0.total
     w = pieces.weight
     M = _weighted_operator(model, e0, w)
-    thresh = NULL_REL_THRESHOLD * spectral_norm(M)
+    thresh = NULL_REL_THRESHOLD * _norm2(M)
     sigma_min = smallest_singular_value(M)
     if sigma_min >= thresh:
         return FiniteRankFix(rank=0, threshold=thresh,
@@ -495,24 +495,34 @@ def invert_error(model: ModelManifold, err: ErrorOperator) -> InvertedError:
                          -err.jump_ramp, -err.jump_step)
 
 
-def spectral_norm(mat) -> float:
-    """Largest singular value of a square matrix or linear operator by
-    Lanczos bidiagonalization; the fixed start vector makes reruns
-    bitwise equal."""
-    return float(svds(mat, k=1, v0=np.ones(mat.shape[0]), tol=0,
-                      return_singular_vectors=False)[0])
+def _norm2(op) -> float:
+    """||op||_2 of a square matrix or operator: spectral_norms with unit
+    weights on one full truncation."""
+    return float(spectral_norms(op, np.ones(op.shape[0]), [slice(None)])[0])
+
+
+class _LUInverse:
+    """M^-1 from one LU factorization of M, with `@` on both sides, as
+    spectral_norms applies an operator."""
+    __array_ufunc__ = None      # an ndarray on the left defers to __rmatmul__
+
+    def __init__(self, lu):
+        self.lu, self.shape = lu, lu[0].shape
+
+    def __matmul__(self, x):
+        return lu_solve(self.lu, x)
+
+    def __rmatmul__(self, x):
+        return lu_solve(self.lu, x.T, trans=1).T
 
 
 def smallest_singular_value(M: np.ndarray) -> float:
-    """sigma_min(M) = 1 / ||M^{-1}||_2, with the norm of the inverse by
-    Lanczos on one LU factorization of M."""
+    """sigma_min(M) = 1 / ||M^-1||_2, with the norm of the inverse by
+    spectral_norms on one LU factorization of M."""
     lu = lu_factor(M)
     if not np.all(np.diag(lu[0])):
         return 0.0      # an exactly zero pivot: M is singular
-    inv = LinearOperator(M.shape, dtype=float,
-                         matvec=lambda x: lu_solve(lu, x),
-                         rmatvec=lambda x: lu_solve(lu, x, trans=1))
-    return 1.0 / spectral_norm(inv)
+    return 1.0 / _norm2(_LUInverse(lu))
 
 
 # smallest singular value of Id + E(k) at which choose_k0 accepts k

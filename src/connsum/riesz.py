@@ -12,10 +12,11 @@ the Euclidean split check live with their tests (tests/test_riesz.py).
 The k-quadrature of Green kernel gradients is semiseparable: each term is
 rank one on either side of the diagonal, so the kernel on densities is
 kept in generator form (bvp.GreenSumOperator) next to its dense values.
-Every norm estimate (the Boyd iteration, the p = 2 bidiagonalization and
-the structured test family) multiplies through that operator at O(n K)
-per column (K quadrature nodes) instead of O(n^2); the dense values serve
-the Schur masses and the bound on the k-quadrature error.
+Every norm estimate (the Boyd iteration and the p = 2 bidiagonalization,
+both from lp_estimator, and the structured test family) multiplies
+through that operator at O(n K) per column (K quadrature nodes) instead
+of O(n^2); the dense values serve the Schur masses and the bound on the
+k-quadrature error.
 
 The low-energy kernel drives the boundedness experiments (norm estimates
 stabilizing in the truncation radius for 1 < p <= 2) and the
@@ -31,14 +32,13 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal, svdvals
 
 from . import product_kernels as pk
 from .bvp import GluedSystem, GreenSumOperator, green_kernel_sums
 from .cutoffs import Bump, minus_cutoff
 from .errors import DomainError, NonConvergenceError
 from .fits import classify_trend, loglog_slope
-from .lp_estimator import boyd_lower_bound, lp_norm
+from .lp_estimator import boyd_lower_bound, lp_norm, spectral_norms
 from .model import ModelManifold
 from .quadrature import cc_segment
 
@@ -116,83 +116,6 @@ def low_energy_kernel(model: ModelManifold, k0: float,
 
 # ---------------------------------------------------------------------------
 # L^p machinery on the model grid
-
-
-# bidiagonalization steps after which spectral_norms gives up; the
-# default riesz sweep converges in at most 79
-GKL_MAX_STEPS = 300
-
-
-def spectral_norms(mat, sq: np.ndarray, cuts) -> np.ndarray:
-    """Largest singular value of A = D mat[c, c] D^-1, D = diag(sq[c]),
-    for each truncation c (a slice) of the square operator mat: an
-    ndarray, or any operator with a shape and `@` on both sides
-    (bvp.GreenSumOperator).
-
-    Golub-Kahan-Lanczos bidiagonalization (Golub and Kahan, SIAM J.
-    Numer. Anal. B 2, 1965) runs for every truncation in lockstep, each
-    truncation one row of a block: a half step is one masked product of
-    the live rows with the whole matrix, the weights applied to the
-    vectors rather than to the matrix.  Each truncation starts from its
-    normalized mask (the v0 = ones of parametrix.spectral_norm).  The
-    right vectors are reorthogonalized fully, twice, against their own
-    basis; only the previous left vector is kept (one-sided
-    reorthogonalization, Simon and Zha, SIAM J. Sci. Comput. 21, 2000).
-
-    After k steps the bidiagonal B (diagonal alpha, superdiagonal beta)
-    and the next beta_k give the residual ||A^T u - sigma v|| =
-    beta_k alpha_k |y_k| / sigma of the leading Ritz triplet, with y the
-    top eigenvector of the tridiagonal B^T B.  A truncation stops once
-    beta_k |y_k|, which bounds that residual since alpha_k <= ||B|| =
-    sigma, is at most 4 eps sigma; its norm is the largest singular
-    value of B.  A truncation still running after GKL_MAX_STEPS steps
-    raises NonConvergenceError."""
-    n = mat.shape[0]
-    m = len(cuts)
-    keep = np.zeros((m, n))
-    for i, cut in enumerate(cuts):
-        keep[i, cut] = 1.0
-    # step-major basis: the first k steps fill one contiguous prefix, so
-    # untouched steps commit no memory
-    V = np.empty((GKL_MAX_STEPS + 1, m, n))
-    V[0] = keep / np.sqrt(keep.sum(axis=1))[:, None]
-    u = np.zeros((m, n))
-    alpha = np.zeros((m, GKL_MAX_STEPS))
-    beta = np.zeros((m, GKL_MAX_STEPS))
-    norms = np.empty(m)
-    live = np.ones(m, dtype=bool)
-    tol = 4.0 * np.finfo(float).eps
-    for k in range(GKL_MAX_STEPS):
-        rows = np.flatnonzero(live)
-        p = (mat @ (V[k, rows] / sq).T).T * sq * keep[rows]
-        if k:
-            p -= beta[rows, k - 1, None] * u[rows]
-        a = np.linalg.norm(p, axis=1)
-        alpha[rows, k] = a
-        u[rows] = p / np.where(a > 0, a, 1.0)[:, None]
-        r = ((u[rows] * sq) @ mat) / sq * keep[rows]
-        r -= a[:, None] * V[k, rows]
-        for j, i in enumerate(rows):
-            basis = V[:k + 1, i, cuts[i]]
-            x = r[j, cuts[i]]
-            for _ in range(2):
-                x -= (basis @ x) @ basis
-        b = np.linalg.norm(r, axis=1)
-        beta[rows, k] = b
-        V[k + 1, rows] = r / np.where(b > 0, b, 1.0)[:, None]
-        for i in rows:
-            diag, sup = alpha[i, :k + 1], beta[i, :k]
-            ev, y = eigh_tridiagonal(diag ** 2 + np.r_[0.0, sup ** 2],
-                                     diag[:-1] * sup, select="i",
-                                     select_range=(k, k))
-            if beta[i, k] * abs(y[-1, 0]) <= tol * math.sqrt(max(ev[0], 0.0)):
-                norms[i] = svdvals(np.diag(diag) + np.diag(sup, 1))[0]
-                live[i] = False
-        if not live.any():
-            return norms
-    raise NonConvergenceError(
-        f"spectral_norms: {int(live.sum())} of {m} truncations unconverged "
-        f"after {GKL_MAX_STEPS} bidiagonalization steps")
 
 
 def schur_upper_bound(values: np.ndarray, q: np.ndarray, diagonal, p):
@@ -382,7 +305,6 @@ class UnboundednessWitness:
     cols: np.ndarray            # grid indices of the right factor support
     entrywise_nonneg: bool
     lower_constant: float
-    diff_exponent: float
     growth: dict = field(default_factory=dict)
 
 
@@ -447,20 +369,9 @@ def unboundedness_witness(model: ModelManifold, key_approx, p_list=(3.0, 4.0),
         cmin = float(np.min(ratio))
     else:
         cmin = math.nan
-    # basepoint-freezing error: int |R(z,.) - R(z^o,.)| dk = O(r'^{-2})
-    sig2, w2 = cc_segment(math.log(1.0 / k0), WITNESS_SIGMA_MAX, 13)
-    mid = float(np.median(rr))
-    dint = np.zeros(len(rc))
-    for s_i, w_i in zip(sig2, w2):
-        k = math.exp(-s_i)
-        dint += w_i * k * np.abs(pk.reduced_kernel(end, k, mid, rc)
-                                 - pk.reduced_kernel(end, k, r0b, rc))
-    sel = rc > 2.0 / k0
-    diff_exp = loglog_slope(rc[sel], np.maximum(dint[sel], 1e-300)) \
-        if sel.sum() >= 3 else math.nan
     wit = UnboundednessWitness(model, beta, k0, tau, kern, rows, cols,
                                positive and bool(np.all(kern >= 0)),
-                               cmin, diff_exp)
+                               cmin)
     top = model.config.S_minus
     r_maxes = tuple(top / 2.0 ** j for j in (7.0, 5.25, 3.5, 1.75, 0.0))
     q = model.weights
@@ -469,8 +380,7 @@ def unboundedness_witness(model: ModelManifold, key_approx, p_list=(3.0, 4.0),
         norms = []
         for rmax in r_maxes:
             sel_c = rc <= rmax
-            b = ilg_clipped(1.0 / rc[sel_c]) / rc[sel_c]
-            f = b ** (pp - 1.0)
+            f = _aligned_profile(rc[sel_c], p)
             qs = q[cols][sel_c]
             g = kern[:, sel_c] @ (qs * f)
             norms.append(lp_norm(q[rows], g, p) / lp_norm(qs, f, p))

@@ -7,6 +7,7 @@ a library result or a statement of the paper from outside.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -15,6 +16,8 @@ from connsum import product_kernels as pk
 from connsum.errors import ConfigError, DomainError
 from connsum.fits import loglog_slope
 from connsum.model import ModelManifold
+from connsum.quadrature import cc_segment
+from connsum.riesz import WITNESS_SIGMA_MAX
 
 
 @dataclass(frozen=True)
@@ -122,3 +125,22 @@ def composed_kernel(kern) -> np.ndarray:
     riesz.DiscretizedKernel, as model.composition_matrix forms it: the
     reference for the kernel's operator."""
     return kern.model.composition_matrix(kern.values, 0.0, kern.jump_step)
+
+
+def basepoint_freezing_exponent(wit) -> float:
+    """Fitted decay exponent in r' of the basepoint-freezing error of a
+    riesz.UnboundednessWitness, int_0^{k0} |R(z, r') - R(z^o, r')| dk
+    with z at the median row radius, over r' > 2/k0 (O(r'^{-2}) from
+    the paper's estimate)."""
+    model, k0 = wit.model, wit.k0
+    rc = model.r[wit.cols]
+    mid = float(np.median(model.r[wit.rows]))
+    sig, w = cc_segment(math.log(1.0 / k0), WITNESS_SIGMA_MAX, 13)
+    dint = np.zeros(len(rc))
+    for s_i, w_i in zip(sig, w):
+        k = math.exp(-s_i)
+        dint += w_i * k * np.abs(
+            pk.reduced_kernel(model.minus, k, mid, rc)
+            - pk.reduced_kernel(model.minus, k, model.basepoint_minus, rc))
+    sel = rc > 2.0 / k0
+    return loglog_slope(rc[sel], np.maximum(dint[sel], 1e-300))

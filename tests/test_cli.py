@@ -50,6 +50,20 @@ class TestCli:
         ({"grid": {"neck_pts": 129.0}}, "neck_pts"),
         ({"grid": {"pts_per_decade": True}}, "pts_per_decade"),
         ({"grid": {"neck_pts": 31}}, "neck_pts"),
+        # every key the parser does not read is named, at any depth
+        ({"S_minux": 512}, "unknown geometry key 'S_minux'"),
+        ({"R_max": 512}, "unknown geometry key 'R_max'"),
+        ({"spectra": {"minus": {"type": "circle", "lenght": 3.0}}},
+         "unknown geometry key 'spectra.minus.lenght'"),
+        ({"spectra": {"plus": {"type": "point", "dim": 0}}},
+         "unknown geometry key 'spectra.plus.dim'"),
+        ({"spectra": {"plus": {"dim": 0, "volume": 2.0, "spectrum": [0.0],
+                               "length": 1.0}}},
+         "unknown geometry key 'spectra.plus.length'"),
+        ({"spectra": {"minus": {"type": "cirlce"}}}, "'spectra.minus.type'"),
+        ({"spectra": {"plsu": {"type": "point"}}},
+         "unknown geometry key 'spectra.plsu'"),
+        ({"volumes": {"minsu": 2.0}}, "unknown geometry key 'volumes.minsu'"),
     ])
     def test_malformed_geometry_is_config_error(self, tmp_path, capsys,
                                                 geometry, message):

@@ -5,13 +5,15 @@ import numpy as np
 import pytest
 
 from connsum import bvp, keylemma as kl, model as md, parametrix as px, riesz as rz
+from connsum import lp_estimator as lpe
 from connsum import product_kernels as pk
 from connsum.cutoffs import minus_cutoff_source
 from connsum.errors import DomainError, NonConvergenceError
 from connsum.fits import loglog_slope
 from connsum.quadrature import cc_segment, clenshaw_curtis, fornberg_weights
 
-from oracles import (ModeChannel, composed_kernel, dense_green_kernel,
+from oracles import (ModeChannel, basepoint_freezing_exponent,
+                     composed_kernel, dense_green_kernel,
                      schur_exponent_check)
 
 
@@ -453,9 +455,9 @@ class TestBoundednessReport:
             mask = model.r <= rmax
             sub = low_matrix[np.ix_(mask, mask)]
             a = sq[mask][:, None] * sub / sq[mask][None, :]
-            lanczos = px.spectral_norm(a)
+            lanczos = px._norm2(a)
             assert lanczos == pytest.approx(np.linalg.norm(a, 2), rel=1e-12)
-            assert px.spectral_norm(a) == lanczos
+            assert px._norm2(a) == lanczos
 
     def test_spectral_norms_match_dense(self, model, low_matrix,
                                         kernel_forms):
@@ -502,7 +504,7 @@ class TestBoundednessReport:
             assert norm == pytest.approx(dense, rel=1e-12, abs=1e-15)
 
     def test_spectral_norms_step_cap(self, model, low_kernel, monkeypatch):
-        monkeypatch.setattr(rz, "GKL_MAX_STEPS", 3)
+        monkeypatch.setattr(lpe, "GKL_MAX_STEPS", 3)
         cuts = [rz._truncation(model, 512.0)]
         with pytest.raises(NonConvergenceError, match="after 3 "):
             rz.spectral_norms(low_kernel.operator, np.sqrt(model.weights),
@@ -516,7 +518,7 @@ class TestBoundednessReport:
         sq = np.sqrt(model.weights)
         for row in report["rows"]:
             cut = rz._truncation(model, row.r_max)
-            want = px.spectral_norm(weighted_block(mat, sq, cut))
+            want = np.linalg.norm(weighted_block(mat, sq, cut), 2)
             assert row.lower == row.upper
             assert row.upper == pytest.approx(want, rel=1e-12)
 
@@ -620,7 +622,7 @@ class TestWitness:
         assert wit.entrywise_nonneg
         assert wit.lower_constant > 0
         # basepoint-freezing error: O(r'^{-2}) bound with room
-        assert wit.diff_exponent < -2.0 + 0.3
+        assert basepoint_freezing_exponent(wit) < -2.0 + 0.3
         for p, g in wit.growth.items():
             assert g["fitted_exponent"] == pytest.approx(g["expected"], abs=0.1)
 

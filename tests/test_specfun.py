@@ -234,16 +234,19 @@ class TestHeatIdentity:
 
 
 def test_pipeline_import_leaves_scipy_integrate_unloaded():
-    # only the quadrature oracles need scipy.integrate; a fresh process that
-    # imports the pipeline modules must not pay for it
+    # only the quadrature oracles need scipy.integrate, and no norm
+    # estimate needs scipy.sparse; a fresh process that imports the
+    # pipeline modules must not pay for either
     code = ("import sys\n"
             "import connsum.cli, connsum.bvp, connsum.keylemma, "
             "connsum.riesz, connsum.parametrix\n"
-            "print('scipy.integrate' in sys.modules)")
+            "print('scipy.integrate' in sys.modules)\n"
+            "print(any(m.split('.')[:2] == ['scipy', 'sparse'] "
+            "for m in sys.modules))")
     src = str(Path(sf.__file__).resolve().parents[1])
     env = {**os.environ,
            "PYTHONPATH": os.pathsep.join(
                filter(None, [src, os.environ.get("PYTHONPATH")]))}
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True, timeout=120)
-    assert out.stdout.strip() == "False"
+    assert out.stdout.split() == ["False", "False"]
