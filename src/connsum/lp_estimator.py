@@ -215,17 +215,17 @@ def spectral_norms(mat, sq: np.ndarray, cuts) -> np.ndarray:
     """Largest singular value of A = D mat[c, c] D^-1, D = diag(sq[c]),
     for each truncation c (a slice) of the square operator mat: an
     ndarray, or any operator with a shape and `@` on both sides
-    (bvp.GreenSumOperator).
+    (bvp.GreenSumOperator, the LU inverse of parametrix).
 
     Golub-Kahan-Lanczos bidiagonalization (Golub and Kahan, SIAM J.
     Numer. Anal. B 2, 1965) runs for every truncation in lockstep, each
     truncation one row of a block: a half step is one masked product of
     the live rows with the whole matrix, the weights applied to the
     vectors rather than to the matrix.  Each truncation starts from its
-    normalized mask, so reruns are bitwise equal.  The
-    right vectors are reorthogonalized fully, twice, against their own
-    basis; only the previous left vector is kept (one-sided
-    reorthogonalization, Simon and Zha, SIAM J. Sci. Comput. 21, 2000).
+    normalized mask, so reruns are bitwise equal.  The right vectors are
+    reorthogonalized fully, twice, against their own basis; only the
+    previous left vector is kept (one-sided reorthogonalization, Simon
+    and Zha, SIAM J. Sci. Comput. 21, 2000).
 
     After k steps the bidiagonal B (diagonal alpha, superdiagonal beta)
     and the next beta_k give the residual ||A^T u - sigma v|| =
