@@ -4,11 +4,14 @@ emit machine-readable reports.
 Exit status contract: 0 success, 2 configuration error, 3 invariant
 violation, 4 numerical non-convergence.  Reports are JSON (plus CSV
 tables for the Riesz experiments); identical configuration and seed give
-byte-identical reports at a fixed BLAS thread count (the dense products
-behind the Riesz kernel round differently with, say,
-OPENBLAS_NUM_THREADS=1 and 2).  Each report's `checks` block lists the
-subcommand's pass conditions as {name: {value, bound, ok}}; the status
-line and the choice between exit 0 and 3 are derived from it.
+byte-identical reports at a fixed BLAS thread count (numpy's dense
+products behind the Riesz kernel and the resolvent round differently
+with, say, OPENBLAS_NUM_THREADS=1 and 2).  `import connsum` holds scipy's
+bundled OpenBLAS at one thread, so resolvent.json's k0_selection, whose LU
+factorizations run there, does not depend on the thread count.  Each
+report's `checks` block lists the subcommand's pass conditions as
+{name: {value, bound, ok}}; the status line and the choice between exit
+0 and 3 are derived from it.
 """
 
 from __future__ import annotations

@@ -137,6 +137,17 @@ class CutoffRadii:
         return sorted({*self.chi, *self.phi, *self.eta, *self.zeta})
 
 
+def _require_integer(key: str, val, least: int) -> int:
+    """val as an int, or a ConfigError naming key unless val is a
+    numbers.Integral other than bool and >= least: a float or a JSON
+    true is never truncated to an integer."""
+    if not (isinstance(val, numbers.Integral) and not isinstance(val, bool)
+            and val >= least):
+        raise ConfigError(f"{key} must be an integer >= {least}, got "
+                          f"{val!r}")
+    return int(val)
+
+
 @dataclass(frozen=True)
 class GridSpec:
     """Grid resolution.  Each half of the neck gets neck_pts // 2 + 1
@@ -148,11 +159,7 @@ class GridSpec:
     def __post_init__(self):
         for name, least in (("pts_per_decade", 1), ("neck_pts", 32),
                             ("min_segment_pts", 2)):
-            val = getattr(self, name)
-            if not (isinstance(val, numbers.Integral)
-                    and not isinstance(val, bool) and val >= least):
-                raise ConfigError(f"grid.{name} must be an integer >= "
-                                  f"{least}, got {val!r}")
+            _require_integer(f"grid.{name}", getattr(self, name), least)
 
 
 # the keys a cross-section entry of the spectra block may give, by type
@@ -191,9 +198,11 @@ class GeometryConfig:
             if kind == "point":
                 return CrossSection.point()
             if kind == "circle":
-                return CrossSection.circle(spec.get("length", 2 * math.pi),
-                                           spec.get("l_max", 32))
-            return CrossSection("explicit", int(spec["dim"]),
+                return CrossSection.circle(
+                    spec.get("length", 2 * math.pi),
+                    _require_integer(f"{key}.l_max", spec.get("l_max", 32), 0))
+            return CrossSection("explicit",
+                                _require_integer(f"{key}.dim", spec["dim"], 0),
                                 float(spec["volume"]),
                                 tuple(float(x) for x in spec["spectrum"]))
 
@@ -205,7 +214,7 @@ class GeometryConfig:
         try:
             kwargs = {}
             if "n_plus" in raw:
-                kwargs["n_plus"] = int(raw["n_plus"])
+                kwargs["n_plus"] = _require_integer("n_plus", raw["n_plus"], 0)
             for block in ("spectra", "volumes"):
                 if not isinstance(raw.get(block, {}), dict):
                     raise ConfigError(f"geometry key {block!r} must be a "
@@ -235,7 +244,8 @@ class GeometryConfig:
                       for k, v in raw["radii"].items()}
                 kwargs["radii"] = CutoffRadii(**rr)
             if "neck_smoothness" in raw:
-                kwargs["neck_smoothness"] = int(raw["neck_smoothness"])
+                kwargs["neck_smoothness"] = _require_integer(
+                    "neck_smoothness", raw["neck_smoothness"], 0)
             return GeometryConfig(**kwargs)
         except (KeyError, TypeError, ValueError) as exc:
             if isinstance(exc, ConfigError):

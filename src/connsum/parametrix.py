@@ -221,33 +221,32 @@ class ErrorOperator:
     model: ModelManifold
     k: float
     e1: np.ndarray        # cutoff-commutator part (E' plus G4 action)
-    e2: np.ndarray        # key-lemma residual part E''
+    e2: LowRank           # key-lemma residual part E'' (rank 2)
     weight: np.ndarray
     jump_ramp: np.ndarray
     jump_step: np.ndarray
 
     @property
     def total(self) -> np.ndarray:
-        return self.e1 + self.e2
+        return self.e1 + self.e2.kernel()
 
     def take_total(self) -> np.ndarray:
         """total summed into the array of e1, the same bits without a new
         n x n array, for a caller that owns this operator and overwrites
         the result; e1 and e2 are released."""
         out = self.e1
-        out += self.e2
+        out += self.e2.kernel()
         self.e1 = self.e2 = None
         return out
 
     def hs_e2(self) -> float:
-        return hs_norm(self.model, self.e2, self.weight)
+        return hs_norm(self.model, self.e2.kernel(), self.weight)
 
 
-def error_kernel(pieces: ParametrixPieces, k: float) -> ErrorOperator:
-    """E(k) = (Delta + k^2) G~(k) - Id, assembled analytically."""
+def _phi_commutator_blocks(pieces: ParametrixPieces, k: float):
+    """(rows, cols, block) per end: the phi-commutator terms of E'(k) on
+    the transition rows of phi times the columns of supp phi."""
     m = pieces.model
-    n = m.n
-    e1 = np.zeros((n, n))
     for side in ("minus", "plus"):
         end, phi, r0, orient = pieces._end_data(side)
         rows, cols, g_int, g_int_dleft = pieces.commutator_blocks[side]
@@ -267,14 +266,27 @@ def error_kernel(pieces: ParametrixPieces, k: float) -> ErrorOperator:
         ds_kern = orient * dkern_r
         block = phi.lap[rows, None] * (diff - g_int) \
             - 2.0 * phi.d1[rows, None] * (ds_kern - g_int_dleft)
-        e1[np.ix_(rows, cols)] += block * phi.values[None, cols]
-    # zeta-commutator terms and the frozen-energy defect
+        yield rows, cols, block * phi.values[None, cols]
+
+
+def error_kernel(pieces: ParametrixPieces, k: float) -> ErrorOperator:
+    """E(k) = (Delta + k^2) G~(k) - Id, assembled analytically: E'(k) in
+    one n x n array that starts as the frozen-energy defect
+    (k^2 - kbar^2) G2, E''(k) as its rank-2 factors."""
+    m = pieces.model
+    e1 = (k * k - pieces.kbar ** 2) * pieces.g2
+    for rows, cols, block in _phi_commutator_blocks(pieces, k):
+        e1[np.ix_(rows, cols)] += block
+    # zeta-commutator terms
     zrows, zeta_rows = pieces.zeta_rows
     e1[zrows, :] += zeta_rows
-    e1 += (k * k - pieces.kbar ** 2) * pieces.g2
-    # key-lemma residual terms
-    e2 = np.zeros((n, n)) if k <= 0 else pieces.basepoint_outer(
-        k, pieces.u_minus.residual(k), pieces.u_plus.residual(k)).kernel()
+    # key-lemma residual terms, zero at k = 0, where adding that zero
+    # still turns the -0.0 entries of -kbar^2 G2 into +0.0
+    if k > 0:
+        e2 = pieces.basepoint_outer(k, pieces.u_minus.residual(k),
+                                    pieces.u_plus.residual(k))
+    else:
+        e2 = LowRank(np.zeros((m.n, 2)), np.zeros((2, m.n)))
     # diagonal jumps: every Green-type factor has slope jump -1/v and its
     # left derivative a value jump 1/v at the diagonal
     v = m.v

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from connsum import product_kernels as pk
+from connsum import parametrix as px, product_kernels as pk
 from connsum.errors import ConfigError, DomainError
 from connsum.fits import loglog_slope
 from connsum.model import ModelManifold
@@ -118,6 +118,24 @@ def dense_green_kernel(g, dleft: bool = False) -> np.ndarray:
     d = np.arange(len(s))
     out[d, d] = 0.5 * (upper[d, d] + lower[d, d])
     return out * np.exp(np.clip(expo, -745.0, 700.0)) / g.wronskian
+
+
+def dense_error_total(pieces, k: float) -> np.ndarray:
+    """E(k) of a parametrix.ParametrixPieces summed term by term into a
+    zero n x n array: the phi-commutator blocks, the zeta-commutator rows,
+    the frozen-energy defect (k^2 - kbar^2) G2, then E''(k) as a dense
+    kernel.  The reference for parametrix.error_kernel, which starts from
+    the defect and keeps E'' as its rank-2 factors."""
+    n = pieces.model.n
+    e1 = np.zeros((n, n))
+    for rows, cols, block in px._phi_commutator_blocks(pieces, k):
+        e1[np.ix_(rows, cols)] += block
+    zrows, zeta_rows = pieces.zeta_rows
+    e1[zrows, :] += zeta_rows
+    e1 += (k * k - pieces.kbar ** 2) * pieces.g2
+    e2 = np.zeros((n, n)) if k <= 0 else pieces.basepoint_outer(
+        k, pieces.u_minus.residual(k), pieces.u_plus.residual(k)).kernel()
+    return e1 + e2
 
 
 def composed_kernel(kern) -> np.ndarray:

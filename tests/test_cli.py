@@ -64,6 +64,15 @@ class TestCli:
         ({"spectra": {"plsu": {"type": "point"}}},
          "unknown geometry key 'spectra.plsu'"),
         ({"volumes": {"minsu": 2.0}}, "unknown geometry key 'volumes.minsu'"),
+        # an integer key is never truncated from a float or a boolean
+        ({"n_plus": 3.7}, "n_plus must be an integer"),
+        ({"neck_smoothness": 4.9}, "neck_smoothness must be an integer"),
+        ({"n_plus": True}, "n_plus must be an integer"),
+        ({"spectra": {"plus": {"dim": 0.5, "volume": 2.0,
+                               "spectrum": [0.0]}}},
+         "spectra.plus.dim must be an integer"),
+        ({"spectra": {"minus": {"type": "circle", "l_max": True}}},
+         "spectra.minus.l_max must be an integer"),
     ])
     def test_malformed_geometry_is_config_error(self, tmp_path, capsys,
                                                 geometry, message):

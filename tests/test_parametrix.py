@@ -14,7 +14,7 @@ from connsum import bvp, checks, model as md, parametrix as px
 from connsum.fits import loglog_slope
 from connsum.specfun import ilg
 
-from oracles import resolvent, segment_interior
+from oracles import dense_error_total, resolvent, segment_interior
 
 
 def resolvent_kernel(par, k):
@@ -49,7 +49,8 @@ def forced(par, model):
     norm2 = float(np.dot(q / w ** 2, g * g))
     Edeg = err0.total - np.outer(g, g / w ** 2) / norm2 \
         - (err0.total * q[None, :]) @ np.outer(g, g / w ** 2) / norm2
-    deg = px.ErrorOperator(model, 0.0, Edeg, np.zeros_like(Edeg), w,
+    no_e2 = px.LowRank(np.zeros((model.n, 1)), np.zeros((1, model.n)))
+    deg = px.ErrorOperator(model, 0.0, Edeg, no_e2, w,
                            np.zeros(model.n), np.zeros(model.n))
     out = copy.copy(par)
     out.fix = px.finite_rank_fix(par.pieces, err0=deg)
@@ -117,6 +118,23 @@ class TestAssembly:
                     sel[start:start + nn] = False
             scale = np.max(np.abs(E[:, j])) + 1e-30
             assert np.max(np.abs(lhs - rhs)[sel]) / scale < 1e-6
+
+    @pytest.mark.parametrize("config", [
+        md.GeometryConfig(),
+        # the kernel-providers benchmark model
+        md.GeometryConfig(S_minus=512.0, S_plus=512.0)],
+        ids=["default", "S512"])
+    def test_error_kernel_matches_dense_sum(self, config):
+        # E' starts as the frozen-energy defect and E'' stays rank 2, with
+        # the bits of the term-by-term sum into a zero array, signed
+        # zeros included
+        pieces = px.ParametrixPieces(md.build_model(config))
+        for k in (0.0, 1e-4, 1e-2, 0.05, 0.5):
+            for got in (px.error_kernel(pieces, k).total,
+                        px.error_kernel(pieces, k).take_total()):
+                np.testing.assert_array_equal(
+                    got.view(np.uint64),
+                    dense_error_total(pieces, k).view(np.uint64))
 
     def test_error_left_support_compact(self, par, model):
         for k in (0.0, 1e-3):

@@ -13,6 +13,14 @@ change wins and a sign-test interval for the median paired difference:
     python3 tools/bench_pairs.py --workload riesz-sweep --pairs 10 \\
         --seed 3 --out BENCH_riesz.json
 
+An A/A run compares a commit with itself and measures the noise floor a
+claim is read against: with ``--parent HEAD`` on a clean checkout both
+sides run the same code, so the sign-test interval of its paired
+differences is the spread that alternating pairs show with no change:
+
+    python3 tools/bench_pairs.py --workload resolvent-apply --pairs 10 \\
+        --parent HEAD --seed 5 --out BENCH_aa.json
+
 Both trees' benchmarks must report ``correct: true`` in every run, or the
 driver stops without writing the file.
 """
@@ -134,7 +142,7 @@ def main(argv=None) -> int:
     ap.add_argument("--workload", required=True)
     ap.add_argument("--pairs", type=int, default=10)
     ap.add_argument("--parent", default="HEAD~1",
-                    help="parent revision for the git worktree")
+                    help="parent revision to clone (HEAD for an A/A run)")
     ap.add_argument("--seed", type=int, default=0)
     ap.add_argument("--out", required=True)
     args = ap.parse_args(argv)
