@@ -6,10 +6,11 @@ energy k > 0), so a two-sided Green function for the whole axis needs
 numerical work only across the neck |s| <= R, where the two branches are
 continued by high-accuracy ODE integration.  Domain truncation commits no
 error: the boundary behaviour is encoded exactly in the decaying branch.
-One formula serves both ends (`GluedSystem._pair`): r^{-nu} K_nu and
-r^{-nu} I_nu with nu = n/2 - 1, the two-dimensional end being nu = 0
-with log(r/R) as its growing zero-energy branch, and one routine
-(`GluedSystem._branch`) builds u_L and u_R from it.
+One formula serves both ends (`GluedSystem._pair`): the decaying branch
+is the zero channel of the one decaying channel solution,
+`model.decaying_channel` (r^{-nu} K_nu, nu = n/2 - 1), the growing one
+r^{-nu} I_nu, with log(r/R) at zero energy on the two-dimensional end,
+and one routine (`GluedSystem._branch`) builds u_L and u_R from them.
 
 `solve_laplace` returns the unique solution of Delta u = F (F compactly
 supported) that stays bounded on the two-dimensional end and decays on the
@@ -37,7 +38,7 @@ from .cutoffs import Step, on_grid
 from .errors import DomainError, SingularSystemError
 from .quadrature import cheb_cumint_matrix
 from .model import (ModelManifold, _fd_operator, band_matrix,
-                    radiation_logderiv)
+                    decaying_channel, radiation_logderiv)
 
 
 def _neck_collocation(model: ModelManifold, k: float, from_plus: bool,
@@ -124,28 +125,26 @@ class GluedSystem:
         the k > 0 branches carry their exponent -k(r - R) (decaying) or
         +k(r - R) (growing) outside.
 
-        On the n-dimensional end the branches are r^{-nu} K_nu(kr) and
-        r^{-nu} I_nu(kr), nu = n/2 - 1, and at k = 0 the powers r^{2-n}
-        and 1; the two-dimensional end is nu = 0, except that its growing
-        zero-energy branch is log(r/R).  d/ds = orient d/dr, orient = -1
-        on the minus end."""
+        The decaying branch is the zero channel of
+        `model.decaying_channel`, r^{-nu} K_nu(kr) with nu = n/2 - 1 (the
+        power r^{2-n} at k = 0); the growing one is r^{-nu} I_nu(kr), at
+        k = 0 the constant 1, or log(r/R) on a two-dimensional end.
+        d/ds = orient d/dr, orient = -1 on the minus end."""
         k, R = self.k, self.model.R
-        n = self.model.end_spec(end).euclidean_dim
-        nu = 0.5 * n - 1.0
+        spec = self.model.end_spec(end)
         orient = -1.0 if end == "minus" else 1.0
+        if decaying:
+            val, dval, _ = decaying_channel(spec, 0, k, R, r)
+            return val, orient * dval
+        nu = 0.5 * spec.euclidean_dim - 1.0
         if k == 0.0:
-            if decaying:
-                return (r / R) ** (2.0 - n), \
-                    -orient * (n - 2.0) / R * (r / R) ** (1.0 - n)
-            if n == 2:
+            if nu == 0.0:
                 return np.log(r / R), orient / r
             return np.ones_like(r), np.zeros_like(r)
-        bessel, dsign = (sf.bessel_K, -orient) if decaying \
-            else (sf.bessel_I, orient)
-        den = R ** (-nu) * bessel(nu, k * R, scaled=True)
-        val = r ** (-nu) * bessel(nu, k * r, scaled=True) / den
-        dval = dsign * k * r ** (-nu) * bessel(nu + 1.0, k * r,
-                                               scaled=True) / den
+        den = R ** (-nu) * sf.bessel_I(nu, k * R, scaled=True)
+        val = r ** (-nu) * sf.bessel_I(nu, k * r, scaled=True) / den
+        dval = orient * k * r ** (-nu) * sf.bessel_I(nu + 1.0, k * r,
+                                                     scaled=True) / den
         return val, dval
 
     def _branch(self, toward: str):

@@ -9,7 +9,7 @@ pinned ones.
 
 from __future__ import annotations
 
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 from scipy.linalg import solve_banded
@@ -60,12 +60,13 @@ def log_harmonic_remainder(model: ModelManifold, U: bvp.LogHarmonic):
 
 def beta_refinement(model: ModelManifold, system: bvp.GluedSystem):
     """(beta, shift): the limit constant beta of the neck bump
-    exp(-2 s^2) and its change when the grid density doubles."""
+    exp(-2 s^2) and its change when every grid field doubles (beta reads
+    the neck grid, which pts_per_decade alone leaves unchanged)."""
     beta = bvp.solve_laplace(model, np.exp(-2.0 * model.s ** 2),
                              system=system).beta
-    cfg = model.config
-    fine = build_model(replace(cfg, grid=replace(
-        cfg.grid, pts_per_decade=2 * cfg.grid.pts_per_decade)))
+    g = model.config.grid
+    fine = build_model(replace(model.config, grid=replace(
+        g, **{f.name: 2 * getattr(g, f.name) for f in fields(g)})))
     beta_fine = bvp.solve_laplace(fine, np.exp(-2.0 * fine.s ** 2)).beta
     return beta, abs(beta - beta_fine)
 

@@ -58,7 +58,7 @@ def _config_payload(args) -> dict:
 BESSEL_RTOL = 1e-10    # bessel_K against the quadrature oracle, relative
 ODE_RESIDUAL = 1e-8    # harmonic-extension ODE residual
 HOMOGENEOUS = 1e-10    # neck solve with zero boundary data
-BETA_SHIFT = 1e-4      # change of beta when the grid density doubles
+BETA_SHIFT = 1e-4      # change of beta when every grid field doubles
 ILG_COEF_REL = 1e-3    # first inverse-log coefficient against beta U
 C0_REL = 1e-4          # leading coefficient against the zero-energy solve
 ORACLE_REL = 1e-5      # R(k) v against the radiation oracle
@@ -297,7 +297,7 @@ def cmd_riesz(args) -> int:
         else:
             vsrc = minus_cutoff_source(wmodel)
         ka = kl.build_key_approximation(wmodel, vsrc, q=3, system=wsys)
-        if ka.stages[0].beta <= 0:
+        if not ka.stages[0].beta_positive:
             witness_section = {"applicable": False,
                                "reason": "beta <= 0 for the chosen source"}
         else:

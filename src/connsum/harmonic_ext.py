@@ -1,22 +1,21 @@
 """Harmonic extensions on the product ends and exterior
 Dirichlet-to-Neumann operators as per-channel multipliers.
 
-On the two-dimensional end, boundary data on the gluing sphere r = R
-decomposes into channels (m, l): Fourier mode m on the angle, eigenvalue
-mu_l^2 on the cross-section.  The bounded harmonic extension has radial
-profiles
+On an end R^n x M, boundary data on the gluing sphere r = R decomposes
+into channels (m, l): spherical harmonic degree m (the Fourier mode on
+the angle when n = 2), eigenvalue mu_l^2 on the cross-section.  Every
+channel profile is the one decaying channel solution
+`model.decaying_channel` with kappa = mu_l, normalized to 1 at R (read
+through `model.channel_profile`).  On the two-dimensional end it is
 
     (r/R)^{-|m|}                       l = 0, m != 0,
     1                                  (m, l) = (0, 0),
     K_{|m|}(mu_l r) / K_{|m|}(mu_l R)  l >= 1,
 
-and the decaying extension on the n-dimensional end replaces the powers
-by r^{-(n-2)-m} and the Bessel profile by r^{-(n-2)/2} K_{(n-2)/2+m}.
-Both are the one decaying channel solution `model.channel_profile` with
-kappa = mu_l (the n = 2 case gives the first list).  The exterior DtN
-operator is the diagonal map f -> lambda_{ml} f with
-lambda_{ml} = -(d/dr) b_{ml}(R), a first-order symbol: lambda ~ |m|/R
-at large m and ~ mu_l at large mu_l R.
+the bounded extension; on an end with n >= 3, the decaying one.  The
+exterior DtN operator is the diagonal map f -> lambda_{ml} f with
+lambda_{ml} = -(d/dr) log b_{ml}(R) (`model.decaying_radial_logderiv`),
+a first-order symbol: lambda ~ |m|/R at large m, ~ mu_l at large mu_l R.
 """
 
 from __future__ import annotations
@@ -86,35 +85,29 @@ class HarmonicExtension:
 
 
 def extend_minus(end: EndSpec, f: BoundaryData) -> HarmonicExtension:
-    """Unique bounded harmonic extension into the two-dimensional end.
-
-    Tends to the (0,0) coefficient times the constant mode at infinity.
-    """
-    if f.end != "minus":
-        raise DomainError("extend_minus needs minus-end boundary data")
-    if end.euclidean_dim != 2:
-        raise DomainError("extend_minus requires a two-dimensional end")
-    _check_truncation(end, f)
-    return HarmonicExtension(end, f)
+    """Harmonic extension of minus-end boundary data (`_extend`)."""
+    return _extend("minus", end, f)
 
 
 def extend_plus(end: EndSpec, f: BoundaryData) -> HarmonicExtension:
-    """Unique decaying harmonic extension, O(r^{2-n}) at infinity."""
-    if f.end != "plus":
-        raise DomainError("extend_plus needs plus-end boundary data")
-    if end.euclidean_dim < 3:
-        raise DomainError("extend_plus requires an end of dimension >= 3")
-    _check_truncation(end, f)
-    return HarmonicExtension(end, f)
+    """Harmonic extension of plus-end boundary data (`_extend`)."""
+    return _extend("plus", end, f)
 
 
-def _check_truncation(end: EndSpec, f: BoundaryData):
+def _extend(side: str, end: EndSpec, f: BoundaryData) -> HarmonicExtension:
+    """The unique harmonic extension of f into the end whose channels all
+    follow the decaying channel solution: on a two-dimensional end the
+    bounded one, tending to the (0, 0) coefficient at infinity, and on an
+    end of dimension n >= 3 the decaying one, O(r^{2-n})."""
+    if f.end != side:
+        raise DomainError(f"extend_{side} needs {side}-end boundary data")
     n_modes = len(end.cross_section.eigenvalues)
     for (m, l) in f.coeffs:
         if l >= n_modes:
             raise TruncationError(
                 f"channel (m={m}, l={l}) beyond the configured spectrum "
                 f"truncation ({n_modes} modes)")
+    return HarmonicExtension(end, f)
 
 
 def dtn_multiplier(end: EndSpec, m: int, l: int, R: float) -> float:
@@ -134,13 +127,10 @@ def dtn_symbol_check(end: EndSpec, R: float, m_max: int = 20) -> dict:
     if m_max < 10:
         raise DomainError("dtn_symbol_check: need m_max >= 10")
     n = end.euclidean_dim
-    ang = {}
-    for m in range(1, m_max + 1):
-        ang[m] = dtn_multiplier(end, m, 0, R) / ((n - 2 + m) / R)
-    cross = {}
-    for l in range(1, len(end.cross_section.eigenvalues)):
-        mu = end.cross_section.mu(l)
-        cross[l] = dtn_multiplier(end, 0, l, R) / mu
+    ang = {m: dtn_multiplier(end, m, 0, R) / ((n - 2 + m) / R)
+           for m in range(1, m_max + 1)}
+    cross = {l: dtn_multiplier(end, 0, l, R) / end.cross_section.mu(l)
+             for l in range(1, len(end.cross_section.eigenvalues))}
     return {"angular_ratio": ang, "cross_ratio": cross,
             "worst_angular": max(abs(v - 1) for v in ang.values()),
             "cross_at_largest": cross[max(cross)] if cross else None}

@@ -70,6 +70,12 @@ def _gnu_prime(nu: float, x):
     return out
 
 
+# beta / sup |phi| up to which beta counts as 0: a source that is itself
+# a Laplacian (of a bump, say) has beta = 0 up to the rounding of its
+# spectral derivatives, 1e-14 to 3e-12 of sup |phi|, of either sign
+BETA_ROUNDING = 1e-9
+
+
 @dataclass
 class KeyStage:
     """One stage of the construction, for one compact source."""
@@ -78,6 +84,11 @@ class KeyStage:
     beta: float
     c_raw: float          # phi = c_raw r^{2-n} near plus infinity
     v_next: np.ndarray    # the next compact source (zero when beta = 0)
+
+    @property
+    def beta_positive(self) -> bool:
+        """beta > BETA_ROUNDING sup |phi|: positive beyond rounding."""
+        return self.beta > BETA_ROUNDING * np.max(np.abs(self.phi.values))
 
 
 class KeyApproximation:
@@ -235,11 +246,11 @@ def verify_lower_bound(approx: KeyApproximation, ks,
                        eps: float = 0.1) -> dict:
     """Check d_r(u + phi) >= C beta ilg(k)/r on {k r <= eps, r >= r0} of
     the minus end, r0 = 1.2 times the outer radius of phi, and fit the
-    largest such C (vacuous when beta <= 0)."""
+    largest such C (vacuous when beta <= 0, up to rounding)."""
     m = approx.model
     st = approx.stages[0]
     beta = st.beta
-    if beta <= 0:
+    if not st.beta_positive:
         return {"applicable": False, "beta": beta}
     r0 = m.radii.phi[1] * 1.2
     cs, rems = [], []

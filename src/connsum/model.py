@@ -27,7 +27,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import ConfigError
-from .quadrature import (cc_segment, cheb_cumint_matrix, clenshaw_curtis,
+from .quadrature import (cc_segment, cheb_cumint_matrix, cheb_diff_matrix,
                          fornberg_weights)
 
 
@@ -267,21 +267,21 @@ class GeometryConfig:
 class NeckProfile:
     """Weight and radial interpolants through the neck |s| <= R."""
 
-    def __init__(self, c_minus: float, c_plus: float, n_plus: int, R: float,
-                 smoothness: int = 4):
-        self.R = R
+    def __init__(self, minus: EndSpec, plus: EndSpec, R: float,
+                 smoothness: int):
         m = smoothness
-        # log v matched to log(c_minus * |s|) at -R, log(c_plus * s^{n-1}) at R
-        def end_derivs(c, power, s):
-            vals = [math.log(c) + power * math.log(abs(s))]
+        # log v matched to log(c |s|^{n-1}) of each end at its side, s = -+R
+        def end_derivs(end, s):
+            power = end.euclidean_dim - 1.0
+            vals = [math.log(end.weight_constant) + power * math.log(abs(s))]
             sign = 1.0
             for j in range(1, m + 1):
                 vals.append(power * sign * math.factorial(j - 1) / s ** j)
                 sign *= -1.0
             return vals
 
-        self._logv = hermite_two_point(-R, end_derivs(c_minus, 1.0, -R),
-                                       R, end_derivs(c_plus, n_plus - 1.0, R))
+        self._logv = hermite_two_point(-R, end_derivs(minus, -R),
+                                       R, end_derivs(plus, R))
         self._dlogv = np.polynomial.polynomial.polyder(self._logv)
         # radial function: even C^4 dip from r(+-R) = R to r(0) ~ 1
         self._rpoly = hermite_two_point(0.0, [1.0, 0.0, 0.0, 0.0, 0.0],
@@ -292,11 +292,9 @@ class NeckProfile:
             raise ConfigError(
                 f"neck radial interpolant ill-behaved for R={R}; use R >= 1.5")
 
-    def log_weight(self, s):
-        return np.polynomial.polynomial.polyval(np.asarray(s, float), self._logv)
-
     def weight(self, s):
-        return np.exp(self.log_weight(s))
+        return np.exp(np.polynomial.polynomial.polyval(np.asarray(s, float),
+                                                       self._logv))
 
     def dlog_weight(self, s):
         return np.polynomial.polynomial.polyval(np.asarray(s, float), self._dlogv)
@@ -319,12 +317,13 @@ class ModelManifold:
         c = config
         if c.n_plus < 3:
             raise ConfigError(f"invalid dimension: n_plus must be >= 3, got {c.n_plus}")
-        n_total_minus = 2 + c.minus_section.dim
-        n_total_plus = c.n_plus + c.plus_section.dim
-        if n_total_minus != n_total_plus:
+        self.minus = EndSpec(2, c.minus_section, c.R)
+        self.plus = EndSpec(c.n_plus, c.plus_section, c.R)
+        if self.minus.total_dim != self.plus.total_dim:
             raise ConfigError(
-                f"total dimension mismatch: 2 + dim(M-) = {n_total_minus} "
-                f"!= n_plus + dim(M+) = {n_total_plus}")
+                f"total dimension mismatch: {self.minus.euclidean_dim} + "
+                f"dim(M-) = {self.minus.total_dim} != n_plus + dim(M+) = "
+                f"{self.plus.total_dim}")
         if not (1.5 <= c.R < c.radii.chi[0]):
             raise ConfigError("need 1.5 <= R < first cutoff radius")
         if c.S_minus <= c.radii.zeta[1] or c.S_plus <= c.radii.zeta[1]:
@@ -333,15 +332,12 @@ class ModelManifold:
             raise ConfigError("basepoint must sit between the neck and supp phi")
 
         self.config = c
-        self.minus = EndSpec(2, c.minus_section, c.R)
-        self.plus = EndSpec(c.n_plus, c.plus_section, c.R)
         self.R = c.R
         self.radii = c.radii
         self.basepoint_minus = c.radii.basepoint
         self.basepoint_plus = c.radii.basepoint
-        self.neck = NeckProfile(self.minus.weight_constant,
-                                self.plus.weight_constant,
-                                c.n_plus, c.R, c.neck_smoothness)
+        self.neck = NeckProfile(self.minus, self.plus, c.R,
+                                c.neck_smoothness)
         self._build_grid()
 
     # -- grid ---------------------------------------------------------------
@@ -430,22 +426,15 @@ class ModelManifold:
         Spectral for functions analytic on each segment; at shared segment
         nodes the two one-sided values are averaged.
         """
-        from numpy.polynomial import chebyshev as C
-
         y = np.asarray(y, dtype=float)
         d1 = np.zeros(self.n)
         d2 = np.zeros(self.n)
         counts = np.zeros(self.n)
         for start, n, th, jac, kind in self.segments:
             sl = slice(start, start + n)
-            t, _ = clenshaw_curtis(n)
-            V = C.chebvander(t, n - 1)
-            coef = np.linalg.solve(V, y[sl])
-            half = 0.5 * (th[-1] - th[0])
-            c1 = C.chebder(coef) / half
-            c2 = C.chebder(c1) / half
-            u_t = C.chebval(t, c1)
-            u_tt = C.chebval(t, c2)
+            D = cheb_diff_matrix(n) / (0.5 * (th[-1] - th[0]))
+            u_t = D @ y[sl]
+            u_tt = D @ u_t
             # map theta derivatives to s derivatives: s'(theta) = jac,
             # s''(theta) = sec * jac with sec = -1 (minus), +1 (plus), 0 (neck)
             sec = {"minus": -1.0, "plus": 1.0, "neck": 0.0}[kind]
@@ -502,29 +491,27 @@ class ModelManifold:
 
     # -- coordinate fields ----------------------------------------------------
 
-    def weight(self, s):
+    def _by_end(self, s, on_end, on_neck):
+        """on_end(end, s) on each end's part of the axis points s,
+        on_neck(s) in the neck."""
         s = np.asarray(s, dtype=float)
         out = np.empty_like(s)
-        mi = s <= -self.R
-        pl = s >= self.R
-        nk = ~(mi | pl)
-        out[mi] = self.minus.weight_constant * (-s[mi])
-        out[pl] = self.plus.weight_constant * s[pl] ** (self.plus.euclidean_dim - 1)
-        if nk.any():
-            out[nk] = self.neck.weight(s[nk])
+        nk = np.abs(s) < self.R
+        out[nk] = on_neck(s[nk])
+        for end, on in ((self.minus, s <= -self.R), (self.plus, s >= self.R)):
+            out[on] = on_end(end, s[on])
         return out
 
+    def weight(self, s):
+        """v = c |s|^{n-1} on each end, the neck interpolant between."""
+        return self._by_end(s, lambda end, x: end.weight_constant
+                            * np.abs(x) ** (end.euclidean_dim - 1),
+                            self.neck.weight)
+
     def dlog_weight(self, s):
-        s = np.asarray(s, dtype=float)
-        out = np.empty_like(s)
-        mi = s <= -self.R
-        pl = s >= self.R
-        nk = ~(mi | pl)
-        out[mi] = 1.0 / s[mi]
-        out[pl] = (self.plus.euclidean_dim - 1.0) / s[pl]
-        if nk.any():
-            out[nk] = self.neck.dlog_weight(s[nk])
-        return out
+        """(log v)' = (n - 1)/s on each end."""
+        return self._by_end(s, lambda end, x: (end.euclidean_dim - 1.0) / x,
+                            self.neck.dlog_weight)
 
     def radial(self, s):
         """Global radial function: |s| on the ends, >= 1 everywhere."""
@@ -566,52 +553,47 @@ def build_model(config: GeometryConfig | dict | None = None) -> ModelManifold:
 # discrete radial operators
 
 
-def decaying_radial_logderiv(end: EndSpec, angular: int, kappa: float,
-                             r: float) -> float:
-    """d/dr log of the channel solution decaying as r -> oo on a product
-    end of Euclidean dimension n: r^{1-n/2} K_{n/2-1+m}(kappa r) for
-    kappa > 0, the decaying power for kappa = 0 (constant branch when the
-    end is two-dimensional with m = 0).  `channel_profile` gives the
-    solution itself."""
+def decaying_channel(end: EndSpec, angular: int, kappa: float, R: float, r):
+    """(value, d/dr, d/dr log) at radii r of the solution of channel m
+    decaying as r -> oo on an end of Euclidean dimension n:
+    r^{-nu0} K_{nu0+m}(kappa r), nu0 = n/2 - 1, or at kappa = 0 the power
+    r^{2-n-m}.  value and d/dr are normalized to 1 at r = R and in hat
+    form (the solution is value e^{-kappa (r - R)}), from the scaled
+    Ks_nu(x) = e^x K_nu(x): d/dr[r^{-nu0} K_{nu0+m}] = r^{-nu0} ((m/r)
+    K_{nu0+m} - kappa K_{nu0+m+1}), d/dr log = m/r - kappa
+    Ks_{nu0+m+1}/Ks_{nu0+m}.  No value leaves the double range."""
     from . import specfun as sf
 
     n = end.euclidean_dim
     m = angular
+    r = np.asarray(r, dtype=float)
     if kappa == 0.0:
-        if n == 2 and m == 0:
-            return 0.0
-        return -(n - 2.0 + m) / r
-    nu = 0.5 * (n - 2.0) + m
-    return (1.0 - 0.5 * n) / r + \
-        kappa * sf.bessel_K_prime(nu, kappa * r) / sf.bessel_K(nu, kappa * r)
+        p = -(n - 2.0) - m
+        return (r / R) ** p, p / R * (r / R) ** (p - 1.0), p / r
+    nu0 = 0.5 * n - 1.0
+    den = R ** (-nu0) * sf.bessel_K(nu0 + m, kappa * R, scaled=True)
+    rn = r ** (-nu0)
+    k_m = sf.bessel_K(nu0 + m, kappa * r, scaled=True)
+    k_m1 = sf.bessel_K(nu0 + m + 1.0, kappa * r, scaled=True)
+    return (rn * k_m / den, (rn * (m / r) * k_m - kappa * rn * k_m1) / den,
+            m / r - kappa * k_m1 / k_m)
+
+
+def decaying_radial_logderiv(end: EndSpec, angular: int, kappa: float,
+                             r: float) -> float:
+    """d/dr log of the decaying channel solution (`decaying_channel`) at
+    the radius r."""
+    return float(decaying_channel(end, angular, kappa, r, r)[2])
 
 
 def channel_profile(end: EndSpec, angular: int, kappa: float, R: float):
-    """(value, d/dr) of the decaying channel solution of
-    `decaying_radial_logderiv`, normalized to 1 at r = R:
-    (r/R)^{2-n-m} for kappa = 0, r^{1-n/2} K_{n/2-1+m}(kappa r) over its
-    value at R for kappa > 0.  Both functions take arrays of radii."""
-    from . import specfun as sf
+    """(value, d/dr) functions of the radius r (arrays too) for the
+    decaying channel solution `decaying_channel`, out of hat form."""
+    def part(j):
+        return lambda r: decaying_channel(end, angular, kappa, R, r)[j] \
+            * np.exp(-kappa * (np.asarray(r, dtype=float) - R))
 
-    n = end.euclidean_dim
-    if kappa == 0.0:
-        p = -(n - 2.0) - angular
-        return (lambda r: (np.asarray(r, float) / R) ** p,
-                lambda r: p / R * (np.asarray(r, float) / R) ** (p - 1))
-    nu = 0.5 * (n - 2.0) + angular
-    a = -0.5 * (n - 2.0)
-    den = R ** a * sf.bessel_K(nu, kappa * R)
-
-    def val(r):
-        r = np.asarray(r, float)
-        return r ** a * sf.bessel_K(nu, kappa * r) / den
-
-    def der(r):
-        r = np.asarray(r, float)
-        return (a * r ** (a - 1) * sf.bessel_K(nu, kappa * r)
-                + r ** a * kappa * sf.bessel_K_prime(nu, kappa * r)) / den
-
-    return val, der
+    return part(0), part(1)
 
 
 def radiation_logderiv(model: ModelManifold, k: float, s: float) -> float:

@@ -262,7 +262,7 @@ def _phi_commutator_blocks(pieces: ParametrixPieces, k: float):
         else:
             diff = pk.reduced_kernel_k0_diff(end, rr[:, None], rc[None, :],
                                              r0, rc[None, :])
-            dkern_r = _dleft_zero_energy(end, rr[:, None], rc[None, :])
+            dkern_r = pk.reduced_kernel_dleft_k0(end, rr[:, None], rc[None, :])
         ds_kern = orient * dkern_r
         block = phi.lap[rows, None] * (diff - g_int) \
             - 2.0 * phi.d1[rows, None] * (ds_kern - g_int_dleft)
@@ -300,15 +300,6 @@ def error_kernel(pieces: ParametrixPieces, k: float) -> ErrorOperator:
     jump_step = (-2.0 * d1_sum * (1.0 - z ** 2)
                  - 2.0 * pieces.zeta.d1 * z * m_diag) / v
     return ErrorOperator(m, k, e1, e2, pieces.weight, jump_ramp, jump_step)
-
-
-def _dleft_zero_energy(end, r, rp):
-    """k -> 0 limit of reduced_kernel_dleft: -r^{1-n}/c for r > r', 0 below."""
-    n = end.euclidean_dim
-    r = np.asarray(r, dtype=float)
-    rp = np.asarray(rp, dtype=float)
-    out = np.where(r > rp, -r ** (1.0 - n) / end.weight_constant, 0.0)
-    return out
 
 
 # ---------------------------------------------------------------------------

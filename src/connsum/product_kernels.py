@@ -8,7 +8,7 @@ the volume measure c r^{n-1} dr,
 
     (r r')^{1 - n/2} I_nu(k r_<) K_nu(k r_>) / c,   nu = n/2 - 1,
 
-with its left derivative and its k -> 0 limits.
+with its left derivative and the k -> 0 limits of both.
 """
 
 from __future__ import annotations
@@ -74,6 +74,14 @@ def reduced_zero_energy_kernel(end: EndSpec, r, rp):
         raise DomainError("zero-energy kernel needs euclidean dimension >= 3")
     b = np.maximum(np.asarray(r, float), np.asarray(rp, float))
     return b ** (2.0 - n) / ((n - 2.0) * end.weight_constant)
+
+
+def reduced_kernel_dleft_k0(end: EndSpec, r, rp):
+    """k -> 0 limit of reduced_kernel_dleft: -r^{1-n}/c for r > r', 0 below."""
+    n = end.euclidean_dim
+    r = np.asarray(r, dtype=float)
+    rp = np.asarray(rp, dtype=float)
+    return np.where(r > rp, -r ** (1.0 - n) / end.weight_constant, 0.0)
 
 
 def reduced_kernel_k0_diff(end: EndSpec, r, rp, r2, rp2):

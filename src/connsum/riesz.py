@@ -331,7 +331,7 @@ def unboundedness_witness(model: ModelManifold, key_approx, p_list=(3.0, 4.0),
     """
     ka = key_approx
     beta = ka.stages[0].beta
-    if beta <= 0:
+    if not ka.stages[0].beta_positive:
         raise DomainError("unboundedness witness needs beta > 0")
     za, zb = model.radii.zeta
     tau = Bump(-zb, -zb + 1.0, -za - 1.0, -za)(model.s)

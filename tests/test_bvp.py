@@ -2,6 +2,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from scipy import special
 
 from connsum import bvp, checks
 from connsum import model as md
@@ -122,23 +123,32 @@ class TestGluedSystem:
     @pytest.mark.parametrize("n_plus", [3, 4])
     @pytest.mark.parametrize("k", [0.0, 0.05, 0.7])
     def test_decaying_branches_match_channel_profile(self, n_plus, k):
-        # the decaying branch of each end, uL e^{exp_l} on the minus end
-        # and uR e^{exp_r} on the plus end, with d/ds = -+ d/dr, against
-        # the zero-channel profile r^{-nu} K_nu(k r) (powers at k = 0)
+        # the decaying branch of each end, uL on the minus end and uR on
+        # the plus end in hat form, with d/ds = -+ d/dr, against the
+        # closed form (r/R)^{-nu} kve_nu(k r) / kve_nu(k R) of the hat
+        # profile, nu = n/2 - 1, and d/dr = -k (r/R)^{-nu}
+        # kve_{nu+1}(k r) / kve_nu(k R) (at k = 0 the powers (r/R)^{2-n}
+        # and (2 - n) r^{1-n} R^{n-2})
         minus_dim = n_plus - 2
         section = md.CrossSection.circle() if minus_dim == 1 else \
             md.CrossSection("explicit", minus_dim, 4 * np.pi, (0.0, 2.0, 6.0))
         m = md.build_model(md.GeometryConfig(n_plus=n_plus,
                                              minus_section=section))
         sysk = bvp.GluedSystem(m, k)
-        for end, mask, val, dval, expo, orient in (
-                (m.minus, m.mask_minus, sysk.uL, sysk.uLp, sysk.exp_l, -1.0),
-                (m.plus, m.mask_plus, sysk.uR, sysk.uRp, sysk.exp_r, 1.0)):
-            ref, dref = md.channel_profile(end, 0, k, m.R)
-            r, scale = m.r[mask], np.exp(expo[mask])
-            np.testing.assert_allclose(val[mask] * scale, ref(r), rtol=1e-13,
-                                       atol=0.0)
-            np.testing.assert_allclose(dval[mask] * scale, orient * dref(r),
+        for n, mask, val, dval, orient in (
+                (2, m.mask_minus, sysk.uL, sysk.uLp, -1.0),
+                (n_plus, m.mask_plus, sysk.uR, sysk.uRp, 1.0)):
+            nu = 0.5 * n - 1.0
+            r, R = m.r[mask], m.R
+            if k == 0.0:
+                ref = (r / R) ** (2.0 - n)
+                dref = (2.0 - n) / R * (r / R) ** (1.0 - n)
+            else:
+                den = special.kve(nu, k * R)
+                ref = (r / R) ** -nu * special.kve(nu, k * r) / den
+                dref = -k * (r / R) ** -nu * special.kve(nu + 1.0, k * r) / den
+            np.testing.assert_allclose(val[mask], ref, rtol=1e-13, atol=0.0)
+            np.testing.assert_allclose(dval[mask], orient * dref,
                                        rtol=1e-13, atol=0.0)
 
     def test_green_kernel_positive(self, model):

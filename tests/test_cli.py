@@ -119,6 +119,20 @@ class TestCli:
                                  if s > sel["floor"])
         assert "k0_selection" not in data["checks"]
 
+    def test_extend_large_cross_section_eigenvalue(self, tmp_path):
+        # mu R = 894: K_0(mu R) underflows to zero, the scaled ratio of
+        # the DtN multiplier does not
+        geo = tmp_path / "geo.json"
+        geo.write_text(json.dumps({"spectra": {"minus": {
+            "dim": 1, "volume": 6.283185307179586,
+            "spectrum": [0.0, 2e5]}}}))
+        rc = cli.main(["extend", "--geometry", str(geo),
+                       "--out", str(tmp_path)])
+        assert rc == 0
+        data = json.loads((tmp_path / "extend.json").read_text())
+        assert data["minus"]["cross_ratio_at_largest"] == \
+            pytest.approx(1.0, abs=1e-3)
+
     def test_geometry_file_roundtrip(self, tmp_path):
         geo = tmp_path / "geo.json"
         geo.write_text(json.dumps({

@@ -147,6 +147,16 @@ class TestDtN:
                     assert hx.dtn_multiplier(end, m, l, R) == \
                         -md.decaying_radial_logderiv(end, m, mu, R)
 
+    def test_multiplier_where_bessel_k_underflows(self):
+        # mu R = 800: K_nu(800) ~ 1e-349 is below the double range; the
+        # multiplier is mu + (n - 1)/(2R) + O(1/(mu R^2))
+        sec = md.CrossSection("explicit", 1, 1.0, (0.0, (800.0 / R) ** 2))
+        for n in (2, 3):
+            lam = hx.dtn_multiplier(md.EndSpec(n, sec, R), 0, 1, R)
+            assert math.isfinite(lam)
+            assert lam == pytest.approx(800.0 / R + (n - 1.0) / (2.0 * R),
+                                        rel=1e-5)
+
     def test_nonnegative_on_minus(self, minus_end):
         for (m, l) in [(0, 0), (1, 0), (0, 1), (4, 3)]:
             assert hx.dtn_multiplier(minus_end, m, l, R) >= 0.0

@@ -6,8 +6,8 @@ import pytest
 from connsum.errors import ConfigError
 from connsum import model as md
 from connsum import specfun as sf
-from connsum.quadrature import (cheb_cumint_matrix, clenshaw_curtis,
-                                fornberg_weights)
+from connsum.quadrature import (cheb_cumint_matrix, cheb_diff_matrix,
+                                clenshaw_curtis, fornberg_weights)
 
 from oracles import ModeChannel
 
@@ -143,6 +143,16 @@ class TestGrid:
             - (T(j - 1) + (-1.0) ** j) / (2.0 * (j - 1))
         got = cheb_cumint_matrix(n) @ T(np.arange(n))
         np.testing.assert_allclose(got, exact, rtol=0, atol=1e-13)
+
+    @pytest.mark.parametrize("n", [2, 33, 65, 129])
+    def test_diff_matrix_matches_chebder(self, n):
+        # D applied to the values of T_j gives the values of chebder(T_j)
+        C = np.polynomial.chebyshev
+        t, _ = clenshaw_curtis(n)
+        exact = C.chebval(t, C.chebder(np.eye(n))).T
+        got = cheb_diff_matrix(n) @ C.chebvander(t, n - 1)
+        np.testing.assert_allclose(got, exact, rtol=0,
+                                   atol=1e-13 * max(1.0, np.abs(exact).max()))
 
     def test_cumulative_integral_gaussian(self, default_model):
         # int_{s_0}^s e^{-x^2/100} dx = 5 sqrt(pi) (erf(s/10) - erf(s_0/10))
@@ -283,6 +293,19 @@ class TestRadialLaplacian:
         assert np.max(np.abs(res[:-1])) < 1e-9
         # plus-side row enforces u'/u = -(n-2)/r, nonzero on constants
         assert res[-1] != 0.0
+
+    def test_radiation_logderiv_where_bessel_k_underflows(self, default_model):
+        # k r = 800 on both ends: K_nu(800) ~ 1e-349 is below the double
+        # range; the log-derivative is -k - (n - 1)/(2r) + O(1/(k r^2))
+        m = default_model
+        for s, end, orient in ((m.s[0], m.minus, -1.0),
+                               (m.s[-1], m.plus, 1.0)):
+            r = abs(s)
+            k = 800.0 / r
+            got = md.radiation_logderiv(m, k, s)
+            expected = -k - (end.euclidean_dim - 1.0) / (2.0 * r)
+            assert np.isfinite(got)
+            assert orient * got == pytest.approx(expected, rel=1e-5)
 
 
 def test_basepoint_outside_neck(default_model):

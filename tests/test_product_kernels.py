@@ -392,6 +392,20 @@ class TestReducedKernels:
             diff = pk.reduced_kernel(end, k, r, rp) - pk.reduced_kernel(end, k, r2, rp2)
             assert diff == pytest.approx(limit, rel=1e-6)
 
+    def test_dleft_k0_limit(self):
+        # d/dr of the kernel tends to -r^{1-n}/c above the diagonal and
+        # to 0 below it, on either end
+        for end in (CIRCLE_END_2, POINT_END_3):
+            r = np.array([7.0, 3.0])
+            rp = np.array([3.0, 7.0])
+            limit = pk.reduced_kernel_dleft_k0(end, r, rp)
+            assert limit[1] == 0.0
+            assert limit[0] == pytest.approx(
+                -7.0 ** (1 - end.euclidean_dim) / end.weight_constant,
+                rel=1e-14)
+            got = pk.reduced_kernel_dleft(end, 1e-7, r, rp)
+            np.testing.assert_allclose(got, limit, rtol=1e-6, atol=1e-12)
+
     def test_zero_energy_plus(self):
         end = POINT_END_3
         val = pk.reduced_zero_energy_kernel(end, 3.0, 5.0)

@@ -1,22 +1,26 @@
 """Record a before/after benchmark comparison in a file.
 
 Runs ``perfbench/run.py --workload W`` in alternating pairs: once in a
-checkout of the parent revision and once in this checkout, the parent
-first in even pairs and second in odd ones.  The parent checkout is a
-shared ``git clone`` of this repository at ``--parent`` (default
-``HEAD~1``), made in a temporary directory and removed afterwards; each
-run lasts the ``run_seconds`` of BENCHMARK.json.  The output file holds
-the machine, both commit SHAs, every pair, and for each end-to-end metric
-both medians, the parent's interquartile range, the number of pairs the
-change wins and a sign-test interval for the median paired difference:
+checkout of the parent revision and once in a checkout of the change,
+the parent first in even pairs and second in odd ones.  Both checkouts
+are shared ``git clone``s of this repository, at ``--parent`` (default
+``HEAD~1``) and ``--change`` (default ``HEAD``), made side by side in one
+temporary directory and removed afterwards, so that neither side runs
+from a different place than the other; each run lasts the
+``run_seconds`` of BENCHMARK.json.  Only commits are compared: with
+uncommitted changes to tracked files the driver refuses to run.  The
+output file holds the machine, both commit SHAs, every pair, and for
+each end-to-end metric both medians, the parent's interquartile range,
+the number of pairs the change wins and a sign-test interval for the
+median paired difference:
 
     python3 tools/bench_pairs.py --workload riesz-sweep --pairs 10 \\
         --seed 3 --out BENCH_riesz.json
 
 An A/A run compares a commit with itself and measures the noise floor a
-claim is read against: with ``--parent HEAD`` on a clean checkout both
-sides run the same code, so the sign-test interval of its paired
-differences is the spread that alternating pairs show with no change:
+claim is read against: with ``--parent HEAD`` both sides run the same
+code, so the sign-test interval of its paired differences is the spread
+that alternating pairs show with no change:
 
     python3 tools/bench_pairs.py --workload resolvent-apply --pairs 10 \\
         --parent HEAD --seed 5 --out BENCH_aa.json
@@ -50,16 +54,19 @@ def git(*args, cwd=ROOT) -> str:
 
 
 @contextmanager
-def parent_checkout(rev: str):
-    """A clone of this repository at rev that borrows its objects; this
-    repository's own .git is left untouched."""
-    sha = git("rev-parse", rev)
-    with tempfile.TemporaryDirectory(prefix="bench-parent-") as tmp:
-        tree = Path(tmp) / "tree"
-        git("clone", "--quiet", "--shared", "--no-checkout", str(ROOT),
-            str(tree))
-        git("checkout", "--quiet", "--detach", sha, cwd=tree)
-        yield tree
+def checkouts(revs: dict):
+    """{side: tree}: a clone of this repository at each side's revision,
+    all in one temporary directory, each borrowing this repository's
+    objects; this repository's own .git is left untouched."""
+    with tempfile.TemporaryDirectory(prefix="bench-pairs-") as tmp:
+        trees = {}
+        for side, rev in revs.items():
+            sha = git("rev-parse", rev)
+            trees[side] = Path(tmp) / side
+            git("clone", "--quiet", "--shared", "--no-checkout", str(ROOT),
+                str(trees[side]))
+            git("checkout", "--quiet", "--detach", sha, cwd=trees[side])
+        yield trees
 
 
 def run_once(tree: Path, args) -> dict:
@@ -143,13 +150,17 @@ def main(argv=None) -> int:
     ap.add_argument("--pairs", type=int, default=10)
     ap.add_argument("--parent", default="HEAD~1",
                     help="parent revision to clone (HEAD for an A/A run)")
+    ap.add_argument("--change", default="HEAD",
+                    help="changed revision to clone")
     ap.add_argument("--seed", type=int, default=0)
     ap.add_argument("--out", required=True)
     args = ap.parse_args(argv)
 
+    if git("status", "--porcelain", "--untracked-files=no"):
+        raise SystemExit("uncommitted changes to tracked files: commit them "
+                         "first, both sides run from commits")
     pairs, envs = [], {}
-    with parent_checkout(args.parent) as parent:
-        trees = {"parent": parent, "change": ROOT}
+    with checkouts({"parent": args.parent, "change": args.change}) as trees:
         for i in range(args.pairs):
             order = ("parent", "change") if i % 2 == 0 else \
                 ("change", "parent")
@@ -163,7 +174,6 @@ def main(argv=None) -> int:
                   f"{pair['parent']['pass_s']:.4f} change "
                   f"{pair['change']['pass_s']:.4f}", flush=True)
     shas = {side: env.pop("git_sha") for side, env in envs.items()}
-    dirty = bool(git("status", "--porcelain", "--untracked-files=no"))
     report = {
         "workload": args.workload,
         "command": f"perfbench/run.py --workload {args.workload} "
@@ -172,7 +182,6 @@ def main(argv=None) -> int:
         "machine": {**envs["change"], "platform": platform.platform()},
         "parent_sha": shas["parent"],
         "change_sha": shas["change"],
-        "change_tree_dirty": dirty,
         "pairs": pairs,
         "summary": summarize(pairs),
     }
