@@ -11,6 +11,10 @@ is the zero channel of the one decaying channel solution,
 `model.decaying_channel` (r^{-nu} K_nu, nu = n/2 - 1), the growing one
 r^{-nu} I_nu, with log(r/R) at zero energy on the two-dimensional end,
 and one routine (`GluedSystem._branch`) builds u_L and u_R from them.
+Each end's decaying pair is evaluated once per system, as the near
+branch of one solution and the far branch of the other, and the neck
+collocation takes its energy-independent matrices from the model
+(`ModelManifold.neck_marching`).
 
 `solve_laplace` returns the unique solution of Delta u = F (F compactly
 supported) that stays bounded on the two-dimensional end and decays on the
@@ -36,7 +40,6 @@ import numpy as np
 from . import specfun as sf
 from .cutoffs import Step, on_grid
 from .errors import DomainError, SingularSystemError
-from .quadrature import cheb_cumint_matrix
 from .model import (ModelManifold, _fd_operator, band_matrix,
                     decaying_channel, radiation_logderiv)
 
@@ -51,29 +54,15 @@ def _neck_collocation(model: ModelManifold, k: float, from_plus: bool,
     represented in the same per-segment polynomial space as the grid, the
     continued branch differentiates spectrally clean.
     """
-    segs = [(start, n, th) for start, n, th, _jac, kind in model.segments
-            if kind == "neck"]
-    if from_plus:
-        segs = segs[::-1]
     vals: dict[int, tuple[np.ndarray, np.ndarray]] = {}
     u_c, du_c = u0, du0
-    for start, n, th in segs:
-        half = 0.5 * (th[-1] - th[0])
-        sl = slice(start, start + n)
-        s_seg = model.s[sl]
-        dlv = model.dlog_weight(s_seg)
+    for start, J, J2, dlv, base, ds in model.neck_marching[from_plus]:
         # integral formulation from the marching side: with g = u'',
         #   u' = du0 + J g,   u = u0 + du0 (s - s0) + J^2 g,
         # and the equation g + dlv (du0 + J g) - k^2 u = 0 becomes a
-        # well-conditioned linear system for g.
-        J = cheb_cumint_matrix(n) * half
-        if from_plus:
-            # integrate from the right end: J~ y = -(J_total - J) reversed
-            J = J - J[-1][None, :]
-        s0 = s_seg[-1] if from_plus else s_seg[0]
-        ds = s_seg - s0
-        J2 = J @ J
-        A = np.eye(n) + dlv[:, None] * J - k * k * J2
+        # well-conditioned linear system for g; only its k^2 term
+        # depends on the energy
+        A = base - k * k * J2
         rhs = -dlv * du_c + k * k * (u_c + du_c * ds)
         try:
             g = np.linalg.solve(A, rhs)
@@ -82,7 +71,7 @@ def _neck_collocation(model: ModelManifold, k: float, from_plus: bool,
         u_seg = u_c + du_c * ds + J2 @ g
         du_seg = du_c + J @ g
         vals[start] = (u_seg, du_seg)
-        out = 0 if from_plus else n - 1
+        out = 0 if from_plus else len(ds) - 1
         u_c, du_c = float(u_seg[out]), float(du_seg[out])
     return vals, u_c, du_c
 
@@ -108,8 +97,14 @@ class GluedSystem:
         kr = k * np.maximum(model.r - model.R, 0.0)
         self.exp_l = np.where(model.mask_plus, kr, -kr)
         self.exp_r = np.where(model.mask_minus, kr, -kr)
-        self.uL, self.uLp = self._branch(toward="minus")
-        self.uR, self.uRp = self._branch(toward="plus")
+        # each end's decaying pair on its nodes and at R, once: it is the
+        # near branch of one solution and the far branch of the other
+        at_R = np.array([model.R])
+        decaying = {end: (self._pair(end, model.r[self._mask(end)], True),
+                          self._pair(end, at_R, True))
+                    for end in ("minus", "plus")}
+        self.uL, self.uLp = self._branch("minus", decaying)
+        self.uR, self.uRp = self._branch("plus", decaying)
         w = model.v * (self.uL * self.uRp - self.uLp * self.uR)
         self.wronskian = float(-np.median(w))
         if self.wronskian <= 0:
@@ -147,7 +142,11 @@ class GluedSystem:
                                                      scaled=True) / den
         return val, dval
 
-    def _branch(self, toward: str):
+    def _mask(self, end: str) -> np.ndarray:
+        m = self.model
+        return m.mask_minus if end == "minus" else m.mask_plus
+
+    def _branch(self, toward: str, decaying: dict):
         """Hat-scaled branch: the true branch equals the returned values
         times e^{exp_l} (toward 'minus') or e^{exp_r} (toward 'plus').
 
@@ -156,34 +155,32 @@ class GluedSystem:
         decaying and growing branches.  There the decaying component is
         re-expressed in the growing branch's exponent: its extra factor
         e^{-2k(r-R)} only shrinks, so everything stays inside double
-        range.
+        range.  decaying holds each end's decaying pair ((value, d/ds)
+        on its nodes, and at R).
         """
         m, k = self.model, self.k
         near, far = ("minus", "plus") if toward == "minus" \
             else ("plus", "minus")
-        mask = {"minus": m.mask_minus, "plus": m.mask_plus}
         val = np.empty_like(m.s)
         dval = np.empty_like(m.s)
-        at_R = np.array([m.R])
-        val[mask[near]], dval[mask[near]] = self._pair(
-            near, m.r[mask[near]], decaying=True)
-        v0, d0 = self._pair(near, at_R, True)
+        (vn, dn), (v0, d0) = decaying[near]
+        val[self._mask(near)] = vn
+        dval[self._mask(near)] = dn
         neck_vals, u_far, du_far = _neck_collocation(
             m, k, near == "plus", float(v0[0]), float(d0[0]))
         for start, (u_seg, du_seg) in neck_vals.items():
             sl = slice(start, start + len(u_seg))
             val[sl] = u_seg
             dval[sl] = du_seg
-        d_val, d_dval = self._pair(far, at_R, True)
-        g_val, g_dval = self._pair(far, at_R, False)
+        (vd, dd), (d_val, d_dval) = decaying[far]
+        g_val, g_dval = self._pair(far, np.array([m.R]), False)
         A = np.array([[d_val[0], g_val[0]], [d_dval[0], g_dval[0]]])
         cd, cg = np.linalg.solve(A, [u_far, du_far])
-        r = m.r[mask[far]]
-        vd, dd = self._pair(far, r, True)
+        r = m.r[self._mask(far)]
         vg, dg = self._pair(far, r, False)
         damp = np.exp(-2.0 * k * (r - m.R)) if k > 0 else 1.0
-        val[mask[far]] = cd * vd * damp + cg * vg
-        dval[mask[far]] = cd * dd * damp + cg * dg
+        val[self._mask(far)] = cd * vd * damp + cg * vg
+        dval[self._mask(far)] = cd * dd * damp + cg * dg
         return val, dval
 
     # Green machinery ----------------------------------------------------------
@@ -236,21 +233,27 @@ def _generators(systems: list[GluedSystem], coefs, dleft: bool):
 
 
 def green_kernel_sums(systems: list[GluedSystem], coefs,
-                      dleft: bool = False) -> list[np.ndarray]:
+                      dleft: bool = False,
+                      stored: int | None = None) -> list:
     """sum_k coefs[c, k] G_k on grid x grid for each row c of the (C, K)
     array coefs, G_k = uL(s_<) uR(s_>) / W the Green kernel of systems[k]
     or, with dleft, its d/ds in the left variable, without building any
-    system's n x n kernel.
+    system's n x n kernel.  With stored = j only the first j sums are
+    written out as n x n arrays; each later row returns instead the
+    largest absolute entry of its sum, a float taken as a running
+    maximum over the blocks, equal bit for bit to the maximum over the
+    stored sum.
 
     Off the diagonal each kernel is rank one per triangle, fL(s) uR(s') / W
     above it and fR(s) uL(s') / W below, with (fL, fR) = (uL, uR) for the
     values and (uLp, uRp) for d/ds, so the sum over the K systems is
     semiseparable.  In each block of KERNEL_BLOCK rows the strict upper
-    part is one (rows x K) @ (K x columns) product; the strict lower part
-    is the mirror image, blocked by columns.  Each system gets the shift
-    m_k = exp_l at the last node of the block: as exp_l is non-decreasing
-    in s and exp_r = -exp_l, both factors then carry exponents <= 0 and
-    stay in double range at every k.  The diagonal blocks are dense: the
+    part is one (C rows x K) @ (K x columns) product for all C rows of
+    coefs; the strict lower part is the mirror image, blocked by columns.
+    Each system gets the shift m_k = exp_l at the last node of the
+    block: as exp_l is non-decreasing in s and exp_r = -exp_l, both
+    factors then carry exponents <= 0 and stay in double range at every
+    k.  The diagonal blocks are dense: the
     branch is selected first and only the selected exponent is
     exponentiated.  The diagonal itself takes the midpoint of the two
     one-sided limits, which for the values is exact (both products are
@@ -258,7 +261,9 @@ def green_kernel_sums(systems: list[GluedSystem], coefs,
     """
     n = systems[0].model.n
     el, er, uL, uR, fL, fR, cw = _generators(systems, coefs, dleft)
-    out = [np.empty((n, n)) for _ in cw]
+    stored = len(cw) if stored is None else stored
+    out = [np.empty((n, n)) for _ in range(stored)]
+    peaks = [0.0] * (len(cw) - stored)
     for a in range(0, n, KERNEL_BLOCK):
         b = min(a + KERNEL_BLOCK, n)
         blk, nb = slice(a, b), b - a
@@ -281,12 +286,20 @@ def green_kernel_sums(systems: list[GluedSystem], coefs,
         dense[:, d, d] = 0.5 * (fL[:, blk] * uR[:, blk]
                                 + fR[:, blk] * uL[:, blk])
         diag = np.tensordot(cw, dense * np.exp(expo), axes=1)
-        for o, up, lo, dg in zip(out, np.split(upper, len(cw)),
-                                 np.split(lower, len(cw), axis=1), diag):
-            o[blk, b:] = up
-            o[b:, blk] = lo
-            o[blk, blk] = dg
-    return out
+        parts = zip(np.split(upper, len(cw)),
+                    np.split(lower, len(cw), axis=1), diag)
+        for c, (up, lo, dg) in enumerate(parts):
+            if c < stored:
+                out[c][blk, b:] = up
+                out[c][b:, blk] = lo
+                out[c][blk, blk] = dg
+            else:
+                for x in (up, lo, dg):
+                    if x.size:
+                        peaks[c - stored] = max(peaks[c - stored],
+                                                float(x.max()),
+                                                float(-x.min()))
+    return out + peaks
 
 
 class GreenSumOperator:

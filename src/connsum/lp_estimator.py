@@ -207,8 +207,11 @@ def boyd_lower_bound(mat, w1: np.ndarray, w2: np.ndarray,
 
 
 # bidiagonalization steps after which spectral_norms gives up; the
-# default riesz sweep converges in at most 79
+# default riesz sweep converges in at most 80
 GKL_MAX_STEPS = 300
+# spectral_norms runs its stop test after every GKL_CHECK_EVERY-th step
+# (and after step GKL_MAX_STEPS)
+GKL_CHECK_EVERY = 4
 
 
 def spectral_norms(mat, sq: np.ndarray, cuts) -> np.ndarray:
@@ -233,8 +236,12 @@ def spectral_norms(mat, sq: np.ndarray, cuts) -> np.ndarray:
     top eigenvector of the tridiagonal B^T B.  A truncation stops once
     beta_k |y_k|, which bounds that residual since alpha_k <= ||B|| =
     sigma, is at most 4 eps sigma; its norm is the largest singular
-    value of B.  A truncation still running after GKL_MAX_STEPS steps
-    raises NonConvergenceError."""
+    value of B.  The test, one tridiagonal eigenproblem per live
+    truncation, runs only after every GKL_CHECK_EVERY-th step and after
+    the last one, so a truncation may run up to GKL_CHECK_EVERY - 1
+    steps past the first step that meets the rule; the rule itself
+    holds at the step where it stops.  A truncation still running after
+    GKL_MAX_STEPS steps raises NonConvergenceError."""
     n = mat.shape[0]
     m = len(cuts)
     keep = np.zeros((m, n))
@@ -268,6 +275,8 @@ def spectral_norms(mat, sq: np.ndarray, cuts) -> np.ndarray:
         b = np.linalg.norm(r, axis=1)
         beta[rows, k] = b
         V[k + 1, rows] = r / np.where(b > 0, b, 1.0)[:, None]
+        if (k + 1) % GKL_CHECK_EVERY and k + 1 < GKL_MAX_STEPS:
+            continue
         for i in rows:
             diag, sup = alpha[i, :k + 1], beta[i, :k]
             ev, y = eigh_tridiagonal(diag ** 2 + np.r_[0.0, sup ** 2],

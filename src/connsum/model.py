@@ -468,6 +468,34 @@ class ModelManifold:
             k0[sl] += self.v[sl] * jac * half * C0
         return k1, k0
 
+    @cached_property
+    def neck_marching(self) -> dict[bool, list[tuple]]:
+        """The energy-independent pieces of the neck collocation
+        (bvp._neck_collocation), keyed by its marching direction
+        (from_plus): for each neck segment in marching order, (start, J,
+        J @ J, (log v)', I + (log v)' J, s - s0), with J the scaled
+        Chebyshev cumulative integral from the marching side and s0 that
+        side's node.  The arrays are read-only."""
+        segs = [(start, n, th) for start, n, th, _jac, kind
+                in self.segments if kind == "neck"]
+        out = {}
+        for from_plus in (False, True):
+            pieces = []
+            for start, n, th in segs[::-1] if from_plus else segs:
+                s_seg = self.s[start:start + n]
+                dlv = self.dlog_weight(s_seg)
+                J = cheb_cumint_matrix(n) * (0.5 * (th[-1] - th[0]))
+                if from_plus:
+                    # integrate from the right end: J~ y = -(J_total - J)
+                    J = J - J[-1][None, :]
+                ds = s_seg - (s_seg[-1] if from_plus else s_seg[0])
+                piece = (J, J @ J, dlv, np.eye(n) + dlv[:, None] * J, ds)
+                for a in piece:
+                    a.flags.writeable = False
+                pieces.append((start, *piece))
+            out[from_plus] = pieces
+        return out
+
     def kink_diagonal(self, jump_ramp, jump_step) -> np.ndarray:
         """J1 kappa_ramp + J0 kappa_step: the diagonal that a kernel's
         diagonal slope jumps J1 and value jumps J0 add to its corrected

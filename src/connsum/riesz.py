@@ -15,8 +15,12 @@ kept in generator form (bvp.GreenSumOperator) next to its dense values.
 Every norm estimate (the Boyd iteration and the p = 2 bidiagonalization,
 both from lp_estimator, and the structured test family) multiplies
 through that operator at O(n K) per column (K quadrature nodes) instead
-of O(n^2); the dense values serve the Schur masses and the bound on the
-k-quadrature error.
+of O(n^2); the dense values serve the Schur masses, whose |values| a
+report takes once, and the bound on the k-quadrature error.  Only the
+fine rule's sum is stored: the embedded coarse rule's difference from it
+is reduced to its largest absolute entry while it is summed.  The p = 2
+bidiagonalization runs its stop test every lp_estimator.GKL_CHECK_EVERY
+steps.
 
 The low-energy kernel drives the boundedness experiments (norm estimates
 stabilizing in the truncation radius for 1 < p <= 2) and the
@@ -56,7 +60,8 @@ class DiscretizedKernel:
 
     def quad_error_bound(self) -> float:
         """The largest accepted quad_error: 1e-3 of the largest entry."""
-        return 1e-3 * float(np.max(np.abs(self.values)))
+        # max |values| without an n x n temporary of |values|
+        return 1e-3 * float(max(self.values.max(), -self.values.min()))
 
 
 # upper end of the sigma = log(1/k) interval of the low-energy k-integral
@@ -78,7 +83,9 @@ def low_energy_kernel(model: ModelManifold, k0: float,
     The resolvent gradients come from the exact glued Green system, which
     is stable at every k on the lattice.  Both rules are summed together
     in generator form (bvp.green_kernel_sums), the coarse one as its
-    difference from the fine one.  The kernel's operator on densities
+    difference from the fine one; only the fine sum is stored, and the
+    difference is reduced block by block to its largest absolute entry,
+    quad_error.  The kernel's operator on densities
     (bvp.GreenSumOperator) keeps the fine rule's generator arrays, not
     the systems.
     """
@@ -99,13 +106,11 @@ def low_energy_kernel(model: ModelManifold, k0: float,
         jump += (2.0 / math.pi) * w_i * k * (1.0 / model.v)
         if i % 2 == 0:
             coarse[i] = (2.0 / math.pi) * w_coarse[i // 2] * k
-    vals, diff = green_kernel_sums(systems, [fine, fine - coarse],
-                                   dleft=True)
+    vals, quad_error = green_kernel_sums(
+        systems, [fine, fine - coarse], dleft=True, stored=1)
     op = GreenSumOperator(systems, fine, vals, model.weights,
                           model.kink_diagonal(0.0, jump), dleft=True)
-    # max |diff| without an n x n temporary of |diff|
-    kern = DiscretizedKernel(model, vals, op, jump,
-                             float(max(diff.max(), -diff.min())))
+    kern = DiscretizedKernel(model, vals, op, jump, quad_error)
     if kern.quad_error > kern.quad_error_bound():
         raise NonConvergenceError(
             f"k-quadrature unconverged: per-entry error "
@@ -118,15 +123,18 @@ def low_energy_kernel(model: ModelManifold, k0: float,
 # L^p machinery on the model grid
 
 
-def schur_upper_bound(values: np.ndarray, q: np.ndarray, diagonal, p):
+def schur_upper_bound(values: np.ndarray, q: np.ndarray, diagonal, p,
+                      magnitude: np.ndarray | None = None):
     """|| K ||_{p->p} <= C_1^{1/p'} C_inf^{1/p} for K f = values (q f) +
     diagonal f, with C_1 / C_inf its max column / row L^1 masses (Schur
     interpolation).  The masses are taken from |values| q, with each
     diagonal entry replaced by its corrected value, so K is never
     composed.  They do not depend on p: a vector p gets them once and
     returns one bound per entry, each equal bit for bit to the scalar
-    call."""
-    a = np.abs(values)
+    call.  magnitude, when given, is |values|, for instance a view of
+    |values| of the whole kernel, so that the absolute values of several
+    truncations are taken once."""
+    a = np.abs(values) if magnitude is None else magnitude
     own = np.diagonal(a) * q
     fix = np.abs(np.diagonal(values) * q + diagonal) - own
     row = float(np.max(a @ q + fix))
@@ -173,9 +181,10 @@ def lp_boundedness_report(kern: DiscretizedKernel, p_list, r_maxes) -> dict:
     structured-family images all go through the kernel's operator
     (bvp.GreenSumOperator), at O(n K) per column; no composed n x n
     matrix is formed.  Everything independent of p, the family images
-    and the Schur masses (from a view of the truncated kernel values),
-    is computed once per R_max.  A cell whose iteration overflows has
-    lower bound +inf, and its trend is divergent.
+    and the Schur masses, is computed once per R_max.  The masses read a
+    view of |values|, which is taken once per report on the largest
+    truncation.  A cell whose iteration overflows has lower bound +inf,
+    and its trend is divergent.
     """
     model = kern.model
     q = model.weights
@@ -189,12 +198,18 @@ def lp_boundedness_report(kern: DiscretizedKernel, p_list, r_maxes) -> dict:
     boyd = dict(zip(boyd_cells, boyd_lower_bound(
         op, q, q, [p for p, _ in boyd_cells], 50, support)))
     cells: dict[tuple[float, float], TrendRow] = {}
+    if p_boyd:
+        # |values| once, on the largest truncation, which holds the others
+        top = cuts[max(r_maxes)]
+        mags = np.abs(kern.values[top, top])
     for rmax in r_maxes:
         cut = cuts[rmax]
         if p_boyd:
             family = _family_lower_bounds(model, cut, op, rmax, p_boyd)
+            view = slice(cut.start - top.start, cut.stop - top.start)
             uppers = schur_upper_bound(kern.values[cut, cut], q[cut],
-                                       op.diagonal[cut], p_boyd)
+                                       op.diagonal[cut], p_boyd,
+                                       mags[view, view])
             for p, lower, upper in zip(p_boyd, family, uppers):
                 cells[p, rmax] = TrendRow(p, rmax,
                                           max(lower, float(boyd[p, rmax])),

@@ -151,6 +151,47 @@ class TestGluedSystem:
             np.testing.assert_allclose(dval[mask], orient * dref,
                                        rtol=1e-13, atol=0.0)
 
+    @pytest.mark.parametrize("k", [1e-3, 0.3])
+    def test_decaying_pairs_evaluated_once(self, model, k, monkeypatch):
+        # each end's decaying pair is the near branch of one solution and
+        # the far branch of the other, and is evaluated on the end's nodes
+        # once per build: K_nu and K_{nu+1} there, nothing more
+        calls = []
+        bessel_K = sf.bessel_K
+
+        def recording(order, x, *args, **kwargs):
+            calls.append((order, np.array(x, dtype=float)))
+            return bessel_K(order, x, *args, **kwargs)
+
+        monkeypatch.setattr(sf, "bessel_K", recording)
+        bvp.GluedSystem(model, k)
+        for end, mask in (("minus", model.mask_minus),
+                          ("plus", model.mask_plus)):
+            nodes = k * model.r[mask]
+            orders = sorted(order for order, x in calls
+                            if x.shape == nodes.shape
+                            and np.array_equal(x, nodes))
+            nu = 0.5 * model.end_spec(end).euclidean_dim - 1.0
+            assert orders == [nu, nu + 1.0], end
+
+    @pytest.mark.parametrize("k", [0.0, 1e-3, 0.3])
+    def test_collocation_cache_is_safe(self, k):
+        # the energy-independent neck collocation pieces are cached on the
+        # model: a model that has served other energies builds the same
+        # bits as a fresh one, and the cached arrays are read-only
+        used = md.build_model()
+        for other in (0.7, 0.0, 2e-2):
+            bvp.GluedSystem(used, other)
+        got = bvp.GluedSystem(used, k)
+        want = bvp.GluedSystem(md.build_model(), k)
+        for name in ("uL", "uLp", "uR", "uRp"):
+            assert getattr(got, name).tobytes() \
+                == getattr(want, name).tobytes(), name
+        assert got.wronskian == want.wronskian
+        for pieces in used.neck_marching.values():
+            for _start, *arrays in pieces:
+                assert not any(a.flags.writeable for a in arrays)
+
     def test_green_kernel_positive(self, model):
         sysk = bvp.GluedSystem(model, 0.01)
         K = sysk.kernel_matrix()

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -316,6 +317,40 @@ class TestLowEnergyKernel:
         assert low_kernel.quad_error == pytest.approx(
             float(np.max(np.abs(vals - coarse))), rel=1e-12, abs=0.0)
 
+    def test_quad_error_is_peak_of_difference_sum(self, model, monkeypatch):
+        # the coarse rule's difference row is reduced block by block to
+        # its largest absolute entry: the bits of max |d| of the stored
+        # two-row sum
+        seen = []
+        sums = rz.green_kernel_sums
+
+        def recording(systems, coefs, **kwargs):
+            seen.append((systems, coefs))
+            return sums(systems, coefs, **kwargs)
+
+        monkeypatch.setattr(rz, "green_kernel_sums", recording)
+        kern = rz.low_energy_kernel(model, k0=0.05, n_sigma=25)
+        [(systems, coefs)] = seen
+        assert len(coefs) == 2
+        vals, diff = bvp.green_kernel_sums(systems, coefs, dleft=True)
+        assert kern.values.tobytes() == vals.tobytes()
+        assert kern.quad_error == np.max(np.abs(diff))
+
+    def test_kernel_stores_one_dense_sum(self):
+        # at the default riesz size, building the kernel holds its one
+        # n x n sum and no second one (the parent read 2.15 n^2 above
+        # the final live size, with a dense difference sum and |values|)
+        model = md.build_model(md.GeometryConfig(S_minus=2.0 ** 16,
+                                                 S_plus=2.0 ** 16))
+        tracemalloc.start()
+        try:
+            kern = rz.low_energy_kernel(model, k0=0.05, n_sigma=33)
+            live, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert live > kern.values.nbytes
+        assert peak - live < 1.5 * model.n ** 2 * 8
+
     def test_generator_sums_match_dense(self, model):
         # k S reaches 4096 at k = 8: every factor needs its block shift,
         # and no branch may be scaled before it is selected
@@ -504,11 +539,35 @@ class TestBoundednessReport:
             assert norm == pytest.approx(dense, rel=1e-12, abs=1e-15)
 
     def test_spectral_norms_step_cap(self, model, low_kernel, monkeypatch):
-        monkeypatch.setattr(lpe, "GKL_MAX_STEPS", 3)
+        # 5 is not a multiple of the stop-test cadence, and neither is 3:
+        # the test still runs at the last step
         cuts = [rz._truncation(model, 512.0)]
-        with pytest.raises(NonConvergenceError, match="after 3 "):
-            rz.spectral_norms(low_kernel.operator, np.sqrt(model.weights),
-                              cuts)
+        for cap in (3, 5):
+            assert cap % lpe.GKL_CHECK_EVERY
+            monkeypatch.setattr(lpe, "GKL_MAX_STEPS", cap)
+            with pytest.raises(NonConvergenceError, match=f"after {cap} "):
+                rz.spectral_norms(low_kernel.operator,
+                                  np.sqrt(model.weights), cuts)
+
+    def test_stop_test_cadence(self, monkeypatch):
+        # the default riesz report (S = 2^16, R_max = 2^5 ... 2^16) runs
+        # one tridiagonal eigenproblem per live truncation every
+        # GKL_CHECK_EVERY steps, not every step (554 calls at every step)
+        model = md.build_model(md.GeometryConfig(S_minus=2.0 ** 16,
+                                                 S_plus=2.0 ** 16))
+        kern = rz.low_energy_kernel(model, k0=0.05, n_sigma=33)
+        calls = []
+        eigh = lpe.eigh_tridiagonal
+
+        def counting(*args, **kwargs):
+            calls.append(len(args[0]))
+            return eigh(*args, **kwargs)
+
+        monkeypatch.setattr(lpe, "eigh_tridiagonal", counting)
+        rz.lp_boundedness_report(kern, (1.25, 1.5, 2.0),
+                                 [2.0 ** j for j in range(5, 17)])
+        assert len(calls) <= 150
+        assert all(steps % lpe.GKL_CHECK_EVERY == 0 for steps in calls)
 
     def test_p2_rows_match_spectral_norm(self, model, low_kernel,
                                          low_matrix):
