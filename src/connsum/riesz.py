@@ -123,22 +123,21 @@ def low_energy_kernel(model: ModelManifold, k0: float,
 # L^p machinery on the model grid
 
 
-def schur_upper_bound(values: np.ndarray, q: np.ndarray, diagonal, p,
-                      magnitude: np.ndarray | None = None):
+def schur_upper_bound(values: np.ndarray, magnitude: np.ndarray,
+                      q: np.ndarray, diagonal, p):
     """|| K ||_{p->p} <= C_1^{1/p'} C_inf^{1/p} for K f = values (q f) +
     diagonal f, with C_1 / C_inf its max column / row L^1 masses (Schur
-    interpolation).  The masses are taken from |values| q, with each
-    diagonal entry replaced by its corrected value, so K is never
-    composed.  They do not depend on p: a vector p gets them once and
-    returns one bound per entry, each equal bit for bit to the scalar
-    call.  magnitude, when given, is |values|, for instance a view of
-    |values| of the whole kernel, so that the absolute values of several
-    truncations are taken once."""
-    a = np.abs(values) if magnitude is None else magnitude
-    own = np.diagonal(a) * q
+    interpolation).  magnitude is |values|, typically a view of |values|
+    of the whole kernel, so that the absolute values of several
+    truncations are taken once.  The masses are taken from |values| q,
+    with each diagonal entry replaced by its corrected value, so K is
+    never composed.  They do not depend on p: a vector p gets them once
+    and returns one bound per entry, each equal bit for bit to the
+    scalar call."""
+    own = np.diagonal(magnitude) * q
     fix = np.abs(np.diagonal(values) * q + diagonal) - own
-    row = float(np.max(a @ q + fix))
-    col = float(np.max((np.ones(len(q)) @ a) * q + fix))
+    row = float(np.max(magnitude @ q + fix))
+    col = float(np.max((np.ones(len(q)) @ magnitude) * q + fix))
     bounds = [col ** (1.0 - 1.0 / pj) * row ** (1.0 / pj)
               for pj in np.atleast_1d(p)]
     return bounds[0] if np.ndim(p) == 0 else np.array(bounds)
@@ -182,8 +181,7 @@ def lp_boundedness_report(kern: DiscretizedKernel, p_list, r_maxes) -> dict:
     (bvp.GreenSumOperator), at O(n K) per column; no composed n x n
     matrix is formed.  Everything independent of p, the family images
     and the Schur masses, is computed once per R_max.  The masses read a
-    view of |values|, which is taken once per report on the largest
-    truncation.  A cell whose iteration overflows has lower bound +inf,
+    view of |values|, which is taken once per report.  A cell whose iteration overflows has lower bound +inf,
     and its trend is divergent.
     """
     model = kern.model
@@ -199,17 +197,13 @@ def lp_boundedness_report(kern: DiscretizedKernel, p_list, r_maxes) -> dict:
         op, q, q, [p for p, _ in boyd_cells], 50, support)))
     cells: dict[tuple[float, float], TrendRow] = {}
     if p_boyd:
-        # |values| once, on the largest truncation, which holds the others
-        top = cuts[max(r_maxes)]
-        mags = np.abs(kern.values[top, top])
-    for rmax in r_maxes:
-        cut = cuts[rmax]
-        if p_boyd:
+        mags = np.abs(kern.values)
+        for rmax in r_maxes:
+            cut = cuts[rmax]
             family = _family_lower_bounds(model, cut, op, rmax, p_boyd)
-            view = slice(cut.start - top.start, cut.stop - top.start)
-            uppers = schur_upper_bound(kern.values[cut, cut], q[cut],
-                                       op.diagonal[cut], p_boyd,
-                                       mags[view, view])
+            uppers = schur_upper_bound(kern.values[cut, cut],
+                                       mags[cut, cut], q[cut],
+                                       op.diagonal[cut], p_boyd)
             for p, lower, upper in zip(p_boyd, family, uppers):
                 cells[p, rmax] = TrendRow(p, rmax,
                                           max(lower, float(boyd[p, rmax])),

@@ -231,6 +231,24 @@ def low_matrix(low_kernel):
     return composed_kernel(low_kernel)
 
 
+DEFAULT_S = 2.0 ** 16
+
+
+def sweep_kernel(S):
+    """The riesz kernel at the CLI's k0 and n_sigma on the symmetric model
+    of end length S, built with RuntimeWarning as an error."""
+    model = md.build_model(md.GeometryConfig(S_minus=S, S_plus=S))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        return rz.low_energy_kernel(model, k0=0.05, n_sigma=33)
+
+
+@pytest.fixture(scope="module")
+def default_kernel():
+    """The kernel of connsum riesz at defaults (S = 2^16)."""
+    return sweep_kernel(DEFAULT_S)
+
+
 @pytest.fixture(scope="module")
 def kernel_forms(low_kernel, low_matrix):
     """The low-energy kernel on densities as the dense composition and as
@@ -338,8 +356,8 @@ class TestLowEnergyKernel:
 
     def test_kernel_stores_one_dense_sum(self):
         # at the default riesz size, building the kernel holds its one
-        # n x n sum and no second one (the parent read 2.15 n^2 above
-        # the final live size, with a dense difference sum and |values|)
+        # n x n sum and no second one: no dense difference sum and no
+        # |values| temporary (a fresh build, for tracemalloc)
         model = md.build_model(md.GeometryConfig(S_minus=2.0 ** 16,
                                                  S_plus=2.0 ** 16))
         tracemalloc.start()
@@ -383,15 +401,16 @@ class TestLowEnergyKernel:
                     <= 1e-13 * np.max(np.abs(want))
 
     @pytest.mark.parametrize("S", [2.0 ** 16, 2.0 ** 20])
-    def test_operator_matches_composition(self, S):
+    def test_operator_matches_composition(self, S, request):
         # the default riesz kernel, and a domain where k r reaches 5e4 so
         # that every factor needs its shift; neither n is a multiple of
         # the block size
-        model = md.build_model(md.GeometryConfig(S_minus=S, S_plus=S))
+        kern = (request.getfixturevalue("default_kernel")
+                if S == DEFAULT_S else sweep_kernel(S))
+        model = kern.model
         assert model.n % bvp.KERNEL_BLOCK != 0
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
-            kern = rz.low_energy_kernel(model, k0=0.05, n_sigma=33)
             ref = composed_kernel(kern)
             X = np.random.default_rng(3).standard_normal((model.n, 7))
             for rmax in (64.0, S):
@@ -549,13 +568,10 @@ class TestBoundednessReport:
                 rz.spectral_norms(low_kernel.operator,
                                   np.sqrt(model.weights), cuts)
 
-    def test_stop_test_cadence(self, monkeypatch):
+    def test_stop_test_cadence(self, default_kernel, monkeypatch):
         # the default riesz report (S = 2^16, R_max = 2^5 ... 2^16) runs
         # one tridiagonal eigenproblem per live truncation every
-        # GKL_CHECK_EVERY steps, not every step (554 calls at every step)
-        model = md.build_model(md.GeometryConfig(S_minus=2.0 ** 16,
-                                                 S_plus=2.0 ** 16))
-        kern = rz.low_energy_kernel(model, k0=0.05, n_sigma=33)
+        # GKL_CHECK_EVERY steps, not every step
         calls = []
         eigh = lpe.eigh_tridiagonal
 
@@ -564,7 +580,7 @@ class TestBoundednessReport:
             return eigh(*args, **kwargs)
 
         monkeypatch.setattr(lpe, "eigh_tridiagonal", counting)
-        rz.lp_boundedness_report(kern, (1.25, 1.5, 2.0),
+        rz.lp_boundedness_report(default_kernel, (1.25, 1.5, 2.0),
                                  [2.0 ** j for j in range(5, 17)])
         assert len(calls) <= 150
         assert all(steps % lpe.GKL_CHECK_EVERY == 0 for steps in calls)
@@ -616,9 +632,13 @@ class TestBoundednessReport:
 
     def test_schur_vector_p_is_scalar_bitwise(self, model, low_kernel,
                                               low_matrix):
+        # the report's input: a slice view of |values| of the whole kernel
         cut = rz._truncation(model, 64.0)
-        args = (low_kernel.values[cut, cut], model.weights[cut],
-                low_kernel.operator.diagonal[cut])
+        mags = np.abs(low_kernel.values)
+        assert cut.stop - cut.start < model.n
+        args = (low_kernel.values[cut, cut], mags[cut, cut],
+                model.weights[cut], low_kernel.operator.diagonal[cut])
+        assert args[1].base is mags
         ps = (1.1, 1.25, 1.5, 1.75)
         got = rz.schur_upper_bound(*args, ps)
         want = [rz.schur_upper_bound(*args, p) for p in ps]
