@@ -88,15 +88,23 @@ def identity_residuals(par, k: float):
     algebra where composition is matrix multiplication with the
     quadrature weights: sup |(Id + E)(Id + S) - Id| for the S solving it,
     and the weighted Hilbert-Schmidt norm of S - K relative to that of S,
-    with K = -E + E E + E S E."""
+    with K = -E + E E + E S E.  S is solved on the equilibrated matrix
+    D (Id + E q) D^-1, D = diag(sqrt(q) / w), as parametrix.invert_error
+    solves: unscaled, Id + E q has cond 2e12 on ends of length 80000."""
     from .parametrix import hs_norm
 
     model = par.model
-    e_total = par.error(k).total
+    err = par.error(k)
+    e_total = err.total
     q = model.weights
     eye = np.eye(model.n)
     A0 = eye + e_total * q[None, :]
-    S0 = np.linalg.solve(A0, -e_total)
+    scale = np.sqrt(q) / err.weight
+    balanced = A0 * scale[:, None]
+    balanced /= scale[None, :]
+    S0 = np.linalg.solve(balanced, e_total * -scale[:, None])
+    del balanced
+    S0 /= scale[:, None]
     res_id = float(np.max(np.abs(A0 @ (eye + S0 * q[None, :]) - eye)))
     rhs_sk = -e_total + (e_total * q[None, :]) @ (
         e_total + (S0 * q[None, :]) @ e_total)

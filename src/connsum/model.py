@@ -504,14 +504,6 @@ class ModelManifold:
         k1, k0 = self.kink_kappa
         return jump_ramp * k1 + jump_step * k0
 
-    def composition_matrix(self, kernel, jump_ramp, jump_step) -> np.ndarray:
-        """K_ij q_j plus the kink diagonal: a kernel acting on densities."""
-        out = kernel * self.weights[None, :]
-        # a fresh sum, not an in-place diagonal add: the in-place add has
-        # been measured to raise peak RSS by 5 % through the heap layout
-        out = out + np.diag(self.kink_diagonal(jump_ramp, jump_step))
-        return out
-
     def laplacian(self, d1, d2) -> np.ndarray:
         """Delta y = -y'' - (log v)' y' on the grid, from the s-derivatives
         d1 = y' and d2 = y'' of a zero-channel grid function y."""

@@ -13,8 +13,9 @@ The pre-parametrix is G1 + G2 + G3:
 below, once: the product block of each end on supp phi x supp phi
 (`ParametrixPieces.product_block`), the k-independent dense G2, and G3
 and G4 as low-rank factors; with dleft, the same list for d_s G.
-`g_kernel` adds them into one copy of G2, `g_apply` applies them to a
-density without an n x n matrix.
+`g_matrix` adds them into one copy of G2 and makes it G's corrected
+composition matrix in place, `g_apply` applies them to a density
+without an n x n matrix.
 
 Applying (Delta + k^2) row-wise and collecting the product-rule terms
 gives the error kernel E(k) in closed form: every term is an explicit
@@ -27,9 +28,22 @@ residual terms, vanishing at k = 0).
 On the weighted space L^2_w, w = 1 on the neck, r^{-1} on the plus end
 and (r log r)^{-1} on the minus end, E(k) is Hilbert-Schmidt uniformly
 down to k = 0.  A finite-rank correction G4 repairs any null space of
-Id + E(0); inverting Id + E(k) = (Id + S(k))^{-1} yields the resolvent
+Id + E(0), and the resolvent is
 
-    R(k) = G(k)(Id + S(k)).
+    R(k) = G(k)(Id + E(k))^{-1} = G(k)(Id + S(k)).
+
+With kink-corrected compositions the Nystrom matrix of Id + E is
+A = Id + E q + diag(kink_E), so E q = A - Id - diag(kink_E) exactly, and
+the whole kernel of X (Id + S), for X with composition matrix M_X and
+kink diagonal kink_X, is
+
+    M_X A^-1 diag((1 + kink_E)(1 + c_left) / q)
+        - diag(kink_X (1 + c_left) / q),
+
+c_left the left-variable kinks of S: one transposed solve with n
+right-hand sides on A equilibrated by D = diag(sqrt(q) / w), the scaling
+of L^2_w (`InvertedError.right_compose`), and no kernel of S(k).  One
+density takes the Nystrom system of S itself (`Parametrix.s_apply`).
 """
 
 from __future__ import annotations
@@ -436,31 +450,42 @@ def _select_bumps(model, cokernel, null_dim, scale, q):
 
 @dataclass
 class InvertedError:
-    """S(k) with (Id + E(k))(Id + S(k)) = Id in the kernel algebra.
+    """(Id + E(k))^{-1} in the kink-corrected kernel algebra, kept as the
+    equilibrated Nystrom matrix of Id + E; no kernel of
+    S(k) = (Id + E)^{-1} - Id is formed.
 
-    jump vectors: the diagonal jumps of S, equal to minus those of E at
-    leading order; used by downstream kink-corrected compositions.
+    The Nystrom matrix is A = Id + E q + diag(kink) (kink: E's diagonal
+    jumps restored), so E q = A - Id - diag(kink).  `system` is
+    D A D^-1, with D = diag(sqrt(q) / w) the scaling that makes L^2_w
+    an orthonormal discrete basis, and `c_left` the left-variable kinks
+    of S(., z'), whose jumps are minus those of E.
     """
     model: ModelManifold
     k: float
-    s_kernel: np.ndarray
-    jump_ramp: np.ndarray
-    jump_step: np.ndarray
+    system: np.ndarray    # D A D^-1
+    scale: np.ndarray     # D
+    kink: np.ndarray      # E's kink diagonal
+    c_left: np.ndarray
 
-    def right_compose(self, kernel: np.ndarray,
-                      matrix: np.ndarray) -> np.ndarray:
-        """X (Id + S) for a kernel X with corrected composition matrix
-        `matrix` (X's kinks at y = z); the defect of the left-variable
-        kinks of S(., z') at y = z' is added column by column."""
-        c_left = self.model.kink_diagonal(self.jump_ramp, -self.jump_step)
-        return kernel + matrix @ self.s_kernel + kernel * c_left[None, :]
+    def right_compose(self, matrix: np.ndarray,
+                      kink: np.ndarray) -> np.ndarray:
+        """The whole kernel of X (Id + S), for a kernel X with corrected
+        composition matrix `matrix` and kink diagonal `kink`; `matrix` is
+        overwritten.
 
-
-# The kink-corrected Nystrom system A S = rhs for the kernel S of
-# (Id + E)(Id + S) = Id has A = Id + E q + diag(kink), the corrected
-# matrix of Id + E (diagonal-jump defects restored), and
-# rhs = -E - E diag(c_left), which accounts for the diagonal kinks of the
-# unknown S(., z') columns (jumps -J_E).
+        The kernel X + matrix S + X diag(c_left), with
+        S = -A^-1 E (Id + diag(c_left)) and E q = A - Id - diag(kink_E),
+        is exactly matrix A^-1 diag((1 + kink_E)(1 + c_left) / q) minus
+        diag(kink (1 + c_left) / q): X cancels, and
+        matrix A^-1 = (matrix D^-1) system^-1 D is one transposed solve
+        on the equilibrated system."""
+        q = self.model.weights
+        matrix /= self.scale[None, :]
+        out = _solve(self.system.T, matrix.T, self.k).T
+        right = (1.0 + self.c_left) / q
+        out *= (self.scale * (1.0 + self.kink) * right)[None, :]
+        out[np.diag_indices(self.model.n)] -= kink * right
+        return out
 
 
 def _left_kinks(model: ModelManifold, err: ErrorOperator) -> np.ndarray:
@@ -473,7 +498,9 @@ def _left_kinks(model: ModelManifold, err: ErrorOperator) -> np.ndarray:
 def _nystrom_matrix(model: ModelManifold, e_total: np.ndarray,
                     err: ErrorOperator) -> np.ndarray:
     """A = Id + E q + diag(kink), written into the array e_total of E;
-    bitwise the composition matrix of E plus the identity."""
+    bitwise the composition matrix of E plus the identity.  S(k) solves
+    A S = -E (Id + diag(c_left)), which accounts for the diagonal kinks
+    of the unknown S(., z') columns (jumps -J_E)."""
     e_total *= model.weights[None, :]
     diag = np.diag_indices(model.n)
     e_total[diag] += model.kink_diagonal(err.jump_ramp, err.jump_step)
@@ -489,13 +516,17 @@ def _solve(A: np.ndarray, b: np.ndarray, k: float) -> np.ndarray:
 
 
 def invert_error(model: ModelManifold, err: ErrorOperator) -> InvertedError:
-    """Solve (Id + E)(Id + S) = Id with kink-corrected compositions for the
-    whole kernel S(k)."""
-    e_total = err.total
-    rhs = -e_total - e_total * _left_kinks(model, err)[None, :]
-    A = _nystrom_matrix(model, e_total, err)
-    return InvertedError(model, err.k, _solve(A, rhs, err.k),
-                         -err.jump_ramp, -err.jump_step)
+    """(Id + E)^{-1} as the equilibrated Nystrom matrix
+    D (Id + E q + diag(kink)) D^-1, written into E's own array; err is
+    consumed.  Unscaled, A is as ill-conditioned as the quadrature
+    weights are spread (cond 1e10 on 929 nodes, 1e18 at S = 2^16);
+    D A D^-1 keeps cond at a few hundred."""
+    kink = model.kink_diagonal(err.jump_ramp, err.jump_step)
+    c_left = _left_kinks(model, err)
+    system = _weighted_operator(model, err.take_total(), err.weight)
+    system[np.diag_indices(model.n)] += kink
+    return InvertedError(model, err.k, system,
+                         np.sqrt(model.weights) / err.weight, kink, c_left)
 
 
 def _norm2(op) -> float:
@@ -569,28 +600,30 @@ class Parametrix:
             low_rank.append(self.fix.g4(dleft))
         return (p.g2_dleft if dleft else p.g2), blocks, low_rank
 
-    def _g_jumps(self, dleft: bool):
-        """(slope, value) diagonal jumps of G: the exact Green slope jump
-        -1/v, or for d_s G the value jump +1/v instead."""
+    def _g_kink(self, dleft: bool) -> np.ndarray:
+        """The kink diagonal of G: from the exact Green slope jump -1/v,
+        or for d_s G from the value jump +1/v instead."""
         inv_v = 1.0 / self.model.v
-        return (0.0, inv_v) if dleft else (-inv_v, 0.0)
+        return self.model.kink_diagonal(*((0.0, inv_v) if dleft
+                                          else (-inv_v, 0.0)))
 
-    def g_kernel(self, k: float, dleft: bool = False):
-        """(kernel, corrected composition matrix) of G(k), or with dleft
-        of its left derivative: the terms of _g_terms added into one copy
-        of G2."""
+    def g_matrix(self, k: float, dleft: bool = False) -> np.ndarray:
+        """The corrected composition matrix of G(k), or with dleft of its
+        left derivative: the terms of _g_terms added into one copy of G2,
+        then weighted by q and given G's kink diagonal in place."""
         g2, blocks, low_rank = self._g_terms(k, dleft)
         out = g2.copy()
         for idx, block in blocks:
             out[np.ix_(idx, idx)] += block
         for term in low_rank:
             out += term.kernel()
-        return out, self.model.composition_matrix(out,
-                                                  *self._g_jumps(dleft))
+        out *= self.model.weights[None, :]
+        out[np.diag_indices(self.model.n)] += self._g_kink(dleft)
+        return out
 
     def g_apply(self, k: float, u) -> np.ndarray:
-        """g_kernel(k)[1] @ u from the terms of _g_terms, with neither
-        n x n matrix."""
+        """g_matrix(k) @ u from the terms of _g_terms, with no n x n
+        matrix."""
         m = self.model
         g2, blocks, low_rank = self._g_terms(k)
         w = m.weights * u
@@ -599,7 +632,7 @@ class Parametrix:
             out[idx] += block @ w[idx]
         for term in low_rank:
             out += term.apply(w)
-        return out + m.kink_diagonal(*self._g_jumps(False)) * u
+        return out + self._g_kink(False) * u
 
     def s_operator(self, k: float) -> InvertedError:
         return invert_error(self.model, self.error(k))
@@ -626,8 +659,12 @@ class Parametrix:
         return self.g_apply(k, v + self.s_apply(k, v))
 
     def resolvent_dleft(self, k: float) -> np.ndarray:
-        """d/ds in the left variable of the resolvent kernel."""
-        return self.s_operator(k).right_compose(*self.g_kernel(k, dleft=True))
+        """d/ds in the left variable of the resolvent kernel: the whole
+        kernel of d_s G (Id + S) from one solve with n right-hand sides,
+        InvertedError.right_compose of d_s G's composition matrix."""
+        inverse = self.s_operator(k)
+        return inverse.right_compose(self.g_matrix(k, dleft=True),
+                                     self._g_kink(True))
 
     def choose_k0(self, k_list) -> tuple[float, dict]:
         """(k0, {k: sigma_min}): the largest lattice k whose smallest

@@ -69,8 +69,56 @@ def resolvent(par, k: float, v):
     (values and d/ds values)."""
     v = np.asarray(v, dtype=float)
     vsv = v + par.s_apply(k, v)
-    return GridFunction(par.g_kernel(k)[1] @ vsv,
-                        par.g_kernel(k, dleft=True)[1] @ vsv)
+    return GridFunction(par.g_matrix(k) @ vsv,
+                        par.g_matrix(k, dleft=True) @ vsv)
+
+
+def composition_matrix(model: ModelManifold, kernel, jump_ramp,
+                       jump_step) -> np.ndarray:
+    """K_ij q_j plus the kink diagonal: a kernel with diagonal slope jumps
+    jump_ramp and value jumps jump_step acting on densities."""
+    return kernel * model.weights[None, :] \
+        + np.diag(model.kink_diagonal(jump_ramp, jump_step))
+
+
+def g_kernel(par, k: float, dleft: bool = False):
+    """(kernel, corrected composition matrix) of G(k) of a
+    parametrix.Parametrix, or with dleft of its left derivative: the
+    terms of its _g_terms added into one copy of G2."""
+    g2, blocks, low_rank = par._g_terms(k, dleft)
+    out = g2.copy()
+    for idx, block in blocks:
+        out[np.ix_(idx, idx)] += block
+    for term in low_rank:
+        out += term.kernel()
+    return out, out * par.model.weights[None, :] + np.diag(par._g_kink(dleft))
+
+
+def s_kernel(par, k: float):
+    """(S, c_left, kink): the whole kernel of S(k) = (Id + E(k))^{-1} - Id
+    of a parametrix.Parametrix, the left-variable kinks of its columns and
+    its kink diagonal.  S solves the kink-corrected Nystrom system
+    A S = -E (Id + diag(c_left)), A = Id + E q + diag(kink_E), unscaled,
+    with one step of iterative refinement."""
+    model = par.model
+    err = par.error(k)
+    e_total = err.total
+    c_left = px._left_kinks(model, err)
+    rhs = -e_total - e_total * c_left[None, :]
+    A = px._nystrom_matrix(model, e_total, err)
+    S = np.linalg.solve(A, rhs)
+    S += np.linalg.solve(A, rhs - A @ S)
+    return S, c_left, model.kink_diagonal(-err.jump_ramp, -err.jump_step)
+
+
+def resolvent_kernel(par, k: float, dleft: bool = False) -> np.ndarray:
+    """The whole kernel of R(k) = G(k)(Id + S(k)), or with dleft of
+    d_s R(k), by the two-step route: S(k) from s_kernel, then
+    G + G_matrix S + G diag(c_left).  The reference for
+    parametrix.InvertedError.right_compose."""
+    S, c_left, _ = s_kernel(par, k)
+    kernel, matrix = g_kernel(par, k, dleft)
+    return kernel + matrix @ S + kernel * c_left[None, :]
 
 
 def fit_envelope(values, shape) -> float:
@@ -140,9 +188,9 @@ def dense_error_total(pieces, k: float) -> np.ndarray:
 
 def composed_kernel(kern) -> np.ndarray:
     """The dense composition values * q + diag(kink) of a
-    riesz.DiscretizedKernel, as model.composition_matrix forms it: the
+    riesz.DiscretizedKernel, as composition_matrix forms it: the
     reference for the kernel's operator."""
-    return kern.model.composition_matrix(kern.values, 0.0, kern.jump_step)
+    return composition_matrix(kern.model, kern.values, 0.0, kern.jump_step)
 
 
 def basepoint_freezing_exponent(wit) -> float:

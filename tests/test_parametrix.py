@@ -14,12 +14,16 @@ from connsum import bvp, checks, model as md, parametrix as px
 from connsum.fits import loglog_slope
 from connsum.specfun import ilg
 
-from oracles import dense_error_total, resolvent, segment_interior
+from oracles import (dense_error_total, g_kernel, resolvent, s_kernel,
+                     segment_interior)
+from oracles import resolvent_kernel as two_step_kernel
 
 
-def resolvent_kernel(par, k):
-    """The whole kernel of R(k) = G(k)(Id + S(k))."""
-    return par.s_operator(k).right_compose(*par.g_kernel(k))
+def resolvent_kernel(par, k, dleft=False):
+    """The whole kernel of R(k) = G(k)(Id + S(k)), or with dleft of
+    d_s R(k), from one solve."""
+    return par.s_operator(k).right_compose(par.g_matrix(k, dleft),
+                                           par._g_kink(dleft))
 
 
 @pytest.fixture(scope="module")
@@ -106,7 +110,7 @@ class TestAssembly:
         # segment-edge differentiation nodes)
         k = 0.01
         assert par.fix.rank == 0    # G(k) is the pre-parametrix G~(k)
-        Gt = par.g_kernel(k)[0]
+        Gt = g_kernel(par, k)[0]
         E = px.error_kernel(par.pieces, k).total
         for j in (60, 230, 430, 700):
             lhs = md.apply_operator(model, Gt[:, j], k=k)
@@ -207,9 +211,8 @@ class TestInversion:
     @pytest.mark.parametrize("k", [1e-2, 1e-3, 1e-4, math.exp(-256.0)])
     def test_s_apply_matches_kernel(self, par, model, k):
         v = np.exp(-2.0 * model.s ** 2)
-        S = par.s_operator(k)
-        ref = model.composition_matrix(S.s_kernel, S.jump_ramp,
-                                       S.jump_step) @ v
+        S, _, s_kink = s_kernel(par, k)
+        ref = S @ (model.weights * v) + s_kink * v
         got = par.s_apply(k, v)
         assert np.max(np.abs(got - ref)) < 1e-12 * np.max(np.abs(ref))
 
@@ -227,12 +230,65 @@ class TestInversion:
     def test_s_left_decay(self, par, model):
         # S(k) rapidly decaying in the left variable: exactly compactly
         # supported here, so sup r^M |S| is finite for M <= 4
-        S = par.s_operator(1e-3).s_kernel
+        S = s_kernel(par, 1e-3)[0]
         for M in range(5):
             vals = model.r[:, None] ** M * np.abs(S)
             assert np.isfinite(np.max(vals))
         outside = np.abs(model.s) > model.radii.zeta[1] + 0.5
         assert np.max(np.abs(S[outside, :])) < 1e-14
+
+
+class TestWholeKernel:
+    """R(k) and d_s R(k) from InvertedError.right_compose, one transposed
+    solve on the equilibrated Nystrom matrix, against the two-step route
+    through the whole kernel S(k) (oracles.resolvent_kernel).  Without
+    the equilibration the transposed solve drifts from it by 2.5e-10 to
+    5.3e-8 on the long-ended grid."""
+    TOL = 1e-12
+
+    @pytest.fixture(scope="class")
+    def long_par(self):
+        m = md.build_model(md.GeometryConfig(S_minus=2.0 ** 16,
+                                             S_plus=2.0 ** 16))
+        return px.Parametrix(m, q=2, kbar=1.0,
+                             system=bvp.GluedSystem(m, 0.0))
+
+    def check(self, p, k):
+        for dleft in (False, True):
+            got = resolvent_kernel(p, k, dleft)
+            ref = two_step_kernel(p, k, dleft)
+            assert np.max(np.abs(got - ref)) \
+                <= self.TOL * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("fixture", ["par", "forced"])
+    @pytest.mark.parametrize("k", [1e-2, 1e-4, math.exp(-256.0)])
+    def test_matches_two_step_route(self, request, fixture, k):
+        self.check(request.getfixturevalue(fixture), k)
+
+    @pytest.mark.parametrize("k", [math.exp(-10.0), math.exp(-16.0)])
+    def test_matches_two_step_route_long_ends(self, long_par, k):
+        assert long_par.model.n == 1335
+        self.check(long_par, k)
+
+    @pytest.mark.parametrize("fixture", ["par", "long_par"])
+    def test_work_and_memory(self, request, fixture, monkeypatch):
+        # one error kernel, one inversion and one dense solve with n
+        # right-hand sides; the live n x n arrays are the equilibrated
+        # system, the composition matrix of d_s G and the result
+        p = request.getfixturevalue(fixture)
+        n = p.model.n
+        errors = _count_calls(monkeypatch, px, "error_kernel")
+        inverts = _count_calls(monkeypatch, px, "invert_error")
+        solves = _count_calls(monkeypatch, np.linalg, "solve")
+        tracemalloc.start()
+        try:
+            p.resolvent_dleft(1e-3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(errors) == 1 and len(inverts) == 1
+        assert [a[1].shape for a in solves] == [(n, n)]
+        assert peak <= 3.5 * n ** 2 * np.dtype(float).itemsize
 
 
 class TestResolvent:
@@ -294,7 +350,7 @@ class TestResolvent:
         den = math.sqrt(float(np.einsum("i,ij,j->", q, Rk ** 2, q)))
         assert num / den < 1e-7
         assert par.fix.rank == 0    # G(k) is the pre-parametrix G~(k)
-        Gt = par.g_kernel(1e-3)[0]
+        Gt = g_kernel(par, 1e-3)[0]
         numg = math.sqrt(float(np.einsum("i,ij,j->", q, (Gt - Gt.T) ** 2, q)))
         assert numg / den > 1e-2  # the input asymmetry is large
 
@@ -379,9 +435,8 @@ class TestResolvent:
         # bound is cond(Id + E) ~ 4e3 times rounding, with room to spare
         p = request.getfixturevalue(fixture)
         v = np.exp(-2.0 * model.s ** 2)
-        S = p.s_operator(k)
-        ref = p.g_kernel(k)[1] @ (v + model.composition_matrix(
-            S.s_kernel, S.jump_ramp, S.jump_step) @ v)
+        S, _, s_kink = s_kernel(p, k)
+        ref = p.g_matrix(k) @ (v + S @ (model.weights * v) + s_kink * v)
         got = p.resolvent_apply(k, v)
         assert np.max(np.abs(got - ref)) < 1e-10 * np.max(np.abs(ref))
 
