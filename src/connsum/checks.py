@@ -95,17 +95,26 @@ def identity_residuals(par, k: float):
 
     model = par.model
     err = par.error(k)
-    e_total = err.total
     q = model.weights
-    eye = np.eye(model.n)
-    A0 = eye + e_total * q[None, :]
+    diag = np.diag_indices(model.n)
+    # E in the array of its first term, and each product freed once read
+    e_total = err.take_total()
+    A0 = e_total * q[None, :]
+    A0[diag] += 1.0
     scale = np.sqrt(q) / err.weight
     balanced = A0 * scale[:, None]
     balanced /= scale[None, :]
     S0 = np.linalg.solve(balanced, e_total * -scale[:, None])
     del balanced
     S0 /= scale[:, None]
-    res_id = float(np.max(np.abs(A0 @ (eye + S0 * q[None, :]) - eye)))
+    # (Id + E q)(Id + S q) - Id, the identity added on the diagonals
+    right = S0 * q[None, :]
+    right[diag] += 1.0
+    left = A0 @ right
+    del A0, right
+    left[diag] -= 1.0
+    res_id = float(np.max(np.abs(left)))
+    del left
     rhs_sk = -e_total + (e_total * q[None, :]) @ (
         e_total + (S0 * q[None, :]) @ e_total)
     res_sk = hs_norm(model, S0 - rhs_sk) / max(hs_norm(model, S0), 1e-300)

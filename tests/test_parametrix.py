@@ -42,6 +42,15 @@ def par(model, sys0):
 
 
 @pytest.fixture(scope="module")
+def long_par():
+    """A parametrix on ends of length 2^16 (1335 nodes), where the
+    unscaled Nystrom matrix of Id + E has cond 1e18."""
+    m = md.build_model(md.GeometryConfig(S_minus=2.0 ** 16,
+                                         S_plus=2.0 ** 16))
+    return px.Parametrix(m, q=2, kbar=1.0, system=bvp.GluedSystem(m, 0.0))
+
+
+@pytest.fixture(scope="module")
 def forced(par, model):
     """A copy of `par` whose finite-rank fix repairs a degenerate E(0) with
     a known null vector, so that G4 (rank >= 1) enters G, d_s G and E(k)."""
@@ -208,6 +217,12 @@ class TestInversion:
         _, sk_identity = checks.identity_residuals(par, 1e-3)
         assert sk_identity < 1e-8
 
+    def test_identity_residuals_long_ends(self, long_par):
+        # S solved on the equilibrated matrix: unscaled, sk_identity read
+        # 1.9e-8 here, above the bound
+        identity, sk_identity = checks.identity_residuals(long_par, 1e-3)
+        assert identity < 1e-8 and sk_identity < 1e-8
+
     @pytest.mark.parametrize("k", [1e-2, 1e-3, 1e-4, math.exp(-256.0)])
     def test_s_apply_matches_kernel(self, par, model, k):
         v = np.exp(-2.0 * model.s ** 2)
@@ -245,13 +260,6 @@ class TestWholeKernel:
     the equilibration the transposed solve drifts from it by 2.5e-10 to
     5.3e-8 on the long-ended grid."""
     TOL = 1e-12
-
-    @pytest.fixture(scope="class")
-    def long_par(self):
-        m = md.build_model(md.GeometryConfig(S_minus=2.0 ** 16,
-                                             S_plus=2.0 ** 16))
-        return px.Parametrix(m, q=2, kbar=1.0,
-                             system=bvp.GluedSystem(m, 0.0))
 
     def check(self, p, k):
         for dleft in (False, True):
