@@ -40,10 +40,15 @@ kink diagonal kink_X, is
     M_X A^-1 diag((1 + kink_E)(1 + c_left) / q)
         - diag(kink_X (1 + c_left) / q),
 
-c_left the left-variable kinks of S: one transposed solve with n
-right-hand sides on A equilibrated by D = diag(sqrt(q) / w), the scaling
-of L^2_w (`InvertedError.right_compose`), and no kernel of S(k).  One
-density takes the Nystrom system of S itself (`Parametrix.s_apply`).
+c_left the left-variable kinks of S, and for one density v
+
+    (Id + S) v = A^-1 ((1 + kink_E)(1 + c_left) v) - (c_left + kink_E) v.
+
+Both routes solve on A equilibrated by D = diag(sqrt(q) / w), the
+scaling of L^2_w: the kernel with one transposed solve with n right-hand
+sides (`InvertedError.right_compose`), a density with one solve for a
+single right-hand side (`InvertedError.apply`); no kernel of S(k) is
+formed.
 """
 
 from __future__ import annotations
@@ -451,7 +456,8 @@ def _select_bumps(model, cokernel, null_dim, scale, q):
 @dataclass
 class InvertedError:
     """(Id + E(k))^{-1} in the kink-corrected kernel algebra, kept as the
-    equilibrated Nystrom matrix of Id + E; no kernel of
+    equilibrated Nystrom matrix of Id + E, on which both the whole kernel
+    of X (Id + S) and (Id + S) v for one density are solved; no kernel of
     S(k) = (Id + E)^{-1} - Id is formed.
 
     The Nystrom matrix is A = Id + E q + diag(kink) (kink: E's diagonal
@@ -487,25 +493,16 @@ class InvertedError:
         out[np.diag_indices(self.model.n)] -= kink * right
         return out
 
-
-def _left_kinks(model: ModelManifold, err: ErrorOperator) -> np.ndarray:
-    """c_left: the left-variable jumps of S columns, ramp -J1_E and value
-    jump -J0_E, whose sign flips across the left variable; their
-    composition defect against E enters the system as E diag(c_left)."""
-    return model.kink_diagonal(-err.jump_ramp, err.jump_step)
-
-
-def _nystrom_matrix(model: ModelManifold, e_total: np.ndarray,
-                    err: ErrorOperator) -> np.ndarray:
-    """A = Id + E q + diag(kink), written into the array e_total of E;
-    bitwise the composition matrix of E plus the identity.  S(k) solves
-    A S = -E (Id + diag(c_left)), which accounts for the diagonal kinks
-    of the unknown S(., z') columns (jumps -J_E)."""
-    e_total *= model.weights[None, :]
-    diag = np.diag_indices(model.n)
-    e_total[diag] += model.kink_diagonal(err.jump_ramp, err.jump_step)
-    e_total[diag] += 1.0
-    return e_total
+    def apply(self, v: np.ndarray) -> np.ndarray:
+        """(Id + S) v for one density v, with S's corrected composition
+        matrix: v + S v, S = -A^-1 E (Id + diag(c_left)), with
+        E q = A - Id - diag(kink_E), is exactly
+        A^-1 ((1 + kink_E)(1 + c_left) v) - (c_left + kink_E) v, and
+        A^-1 y = D^-1 system^-1 (D y) is one solve on the equilibrated
+        system."""
+        y = self.scale * (1.0 + self.kink) * (1.0 + self.c_left) * v
+        return _solve(self.system, y, self.k) / self.scale \
+            - (self.c_left + self.kink) * v
 
 
 def _solve(A: np.ndarray, b: np.ndarray, k: float) -> np.ndarray:
@@ -522,7 +519,7 @@ def invert_error(model: ModelManifold, err: ErrorOperator) -> InvertedError:
     weights are spread (cond 1e10 on 929 nodes, 1e18 at S = 2^16);
     D A D^-1 keeps cond at a few hundred."""
     kink = model.kink_diagonal(err.jump_ramp, err.jump_step)
-    c_left = _left_kinks(model, err)
+    c_left = model.kink_diagonal(-err.jump_ramp, err.jump_step)
     system = _weighted_operator(model, err.take_total(), err.weight)
     system[np.diag_indices(model.n)] += kink
     return InvertedError(model, err.k, system,
@@ -637,26 +634,13 @@ class Parametrix:
     def s_operator(self, k: float) -> InvertedError:
         return invert_error(self.model, self.error(k))
 
-    def s_apply(self, k: float, v) -> np.ndarray:
-        """S(k) v, the corrected composition matrix of S applied to one
-        density: the Nystrom system of invert_error solved for a single
-        right-hand side.  The one n x n matrix is E(k) from error_kernel;
-        the right-hand side is rhs @ (q v) as one matrix-vector product,
-        and then E's own array is overwritten with A for the solve."""
-        v = np.asarray(v, dtype=float)
-        m = self.model
-        err = self.error(k)
-        e_total = err.take_total()
-        qv = m.weights * v
-        b = -(e_total @ (qv + _left_kinks(m, err) * qv))
-        sv = _solve(_nystrom_matrix(m, e_total, err), b, k)
-        return sv + m.kink_diagonal(-err.jump_ramp, -err.jump_step) * v
-
     def resolvent_apply(self, k: float, v) -> np.ndarray:
-        """R(k) v = G(k)(v + S(k) v): s_apply, then g_apply, so one
-        apply assembles one dense matrix, A(k) in the array of E(k)."""
+        """R(k) v = G(k)(Id + S(k)) v: InvertedError.apply, one solve for
+        a single right-hand side on the equilibrated system that
+        invert_error writes into the array of E(k), then g_apply, so one
+        apply assembles one dense matrix."""
         v = np.asarray(v, dtype=float)
-        return self.g_apply(k, v + self.s_apply(k, v))
+        return self.g_apply(k, self.s_operator(k).apply(v))
 
     def resolvent_dleft(self, k: float) -> np.ndarray:
         """d/ds in the left variable of the resolvent kernel: the whole

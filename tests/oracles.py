@@ -68,7 +68,7 @@ def resolvent(par, k: float, v):
     """R(k) v on the grid of a parametrix.Parametrix as a GridFunction
     (values and d/ds values)."""
     v = np.asarray(v, dtype=float)
-    vsv = v + par.s_apply(k, v)
+    vsv = par.s_operator(k).apply(v)
     return GridFunction(par.g_matrix(k) @ vsv,
                         par.g_matrix(k, dleft=True) @ vsv)
 
@@ -99,13 +99,16 @@ def s_kernel(par, k: float):
     of a parametrix.Parametrix, the left-variable kinks of its columns and
     its kink diagonal.  S solves the kink-corrected Nystrom system
     A S = -E (Id + diag(c_left)), A = Id + E q + diag(kink_E), unscaled,
-    with one step of iterative refinement."""
+    with one step of iterative refinement.  The columns S(., z') jump by
+    minus E's jumps, and as left-variable kinks their value jumps flip
+    sign: c_left = kink_diagonal(-J1_E, J0_E)."""
     model = par.model
     err = par.error(k)
     e_total = err.total
-    c_left = px._left_kinks(model, err)
+    c_left = model.kink_diagonal(-err.jump_ramp, err.jump_step)
     rhs = -e_total - e_total * c_left[None, :]
-    A = px._nystrom_matrix(model, e_total, err)
+    A = composition_matrix(model, e_total, err.jump_ramp, err.jump_step) \
+        + np.eye(model.n)
     S = np.linalg.solve(A, rhs)
     S += np.linalg.solve(A, rhs - A @ S)
     return S, c_left, model.kink_diagonal(-err.jump_ramp, -err.jump_step)

@@ -225,10 +225,12 @@ class TestInversion:
 
     @pytest.mark.parametrize("k", [1e-2, 1e-3, 1e-4, math.exp(-256.0)])
     def test_s_apply_matches_kernel(self, par, model, k):
+        # InvertedError.apply(v) - v = S v, with S's corrected composition
+        # matrix S q + diag(kink_S)
         v = np.exp(-2.0 * model.s ** 2)
         S, _, s_kink = s_kernel(par, k)
         ref = S @ (model.weights * v) + s_kink * v
-        got = par.s_apply(k, v)
+        got = par.s_operator(k).apply(v) - v
         assert np.max(np.abs(got - ref)) < 1e-12 * np.max(np.abs(ref))
 
     @pytest.mark.parametrize("k", [1e-4, 1e-3, 1e-2, 0.05])
@@ -434,19 +436,20 @@ class TestResolvent:
         par.choose_k0([1e-4, 1e-3, 1e-2, 0.05])
         assert svd == []
 
-    @pytest.mark.parametrize("fixture", ["par", "forced"])
-    @pytest.mark.parametrize("k", [1e-2, 1e-4, math.exp(-256.0)])
-    def test_resolvent_apply_matches_kernel(self, request, model, fixture,
-                                            k):
+    @pytest.mark.parametrize("fixture", ["par", "forced", "long_par"])
+    @pytest.mark.parametrize("k", [1e-2, 1e-3, 1e-4, math.exp(-256.0)])
+    def test_resolvent_apply_matches_kernel(self, request, fixture, k):
         # the factored apply path against G's composition matrix and the
-        # whole kernel S; the forced fix puts G4 into both G and E.  The
-        # bound is cond(Id + E) ~ 4e3 times rounding, with room to spare
+        # whole kernel S; the forced fix puts G4 into both G and E.  One
+        # solve on the equilibrated system (cond a few hundred) holds the
+        # bound; the unscaled matrix of Id + E missed it by 12x on long_par
         p = request.getfixturevalue(fixture)
-        v = np.exp(-2.0 * model.s ** 2)
+        m = p.model
+        v = np.exp(-2.0 * m.s ** 2)
         S, _, s_kink = s_kernel(p, k)
-        ref = p.g_matrix(k) @ (v + S @ (model.weights * v) + s_kink * v)
+        ref = p.g_matrix(k) @ (v + S @ (m.weights * v) + s_kink * v)
         got = p.resolvent_apply(k, v)
-        assert np.max(np.abs(got - ref)) < 1e-10 * np.max(np.abs(ref))
+        assert np.max(np.abs(got - ref)) < 1e-12 * np.max(np.abs(ref))
 
     def test_apply_path_memory(self, par, model):
         # one apply, and one choose_k0 energy, assemble one n x n matrix
@@ -483,14 +486,18 @@ class TestResolvent:
         assert out.stdout.strip() == "False"
 
     def test_apply_path_solves_no_kernel(self, par, model, monkeypatch):
+        # one apply: one error kernel, one inversion and one solve for a
+        # single right-hand side, with no n-column solve
         inverts = _count_calls(monkeypatch, px, "invert_error")
         errors = _count_calls(monkeypatch, px, "error_kernel")
+        solves = _count_calls(monkeypatch, np.linalg, "solve")
         v = np.exp(-2.0 * model.s ** 2)
         par.resolvent_apply(1e-3, v)
-        assert inverts == [] and len(errors) == 1
+        assert len(inverts) == 1 and len(errors) == 1
+        assert [a[1].shape for a in solves] == [(model.n,)]
         resolvent(par, 1e-3, v)
         resolvent(par, 1e-4, v)
-        assert inverts == [] and len(errors) == 3
+        assert len(inverts) == 3 and len(errors) == 3
 
 
 class TestIlgExpansion:
