@@ -49,5 +49,5 @@ for terms in (2, 3):
 print("\n== resolvent against the radiation-condition oracle ==")
 vv = np.exp(-2.0 * m.s ** 2)
 for k in (1e-2, 1e-4):
-    print(f"k = {k:g}: rel difference "
-          f"{checks.radiation_oracle_error(par, k, vv):.1e}")
+    err = checks.radiation_oracle_error(m, k, vv, par.resolvent_apply(k, vv))
+    print(f"k = {k:g}: rel difference {err:.1e}")

@@ -89,9 +89,12 @@ def identity_residuals(par, k: float):
     quadrature weights: sup |(Id + E)(Id + S) - Id| for the S solving it,
     and the weighted Hilbert-Schmidt norm of S - K relative to that of S,
     with K = -E + E E + E S E.  S is solved on the equilibrated matrix
-    D (Id + E q) D^-1, D = diag(sqrt(q) / w), as parametrix.invert_error
-    solves: unscaled, Id + E q has cond 2e12 on ends of length 80000."""
-    from .parametrix import hs_norm
+    D (Id + E q) D^-1 of parametrix.weighted_operator, with the scaling
+    D = diag(sqrt(q) / w) of parametrix.equilibration that
+    parametrix.invert_error also equilibrates its (kink-corrected)
+    system with: unscaled, Id + E q has cond 2e12 on ends of length
+    80000."""
+    from .parametrix import equilibration, hs_norm, weighted_operator
 
     model = par.model
     err = par.error(k)
@@ -99,14 +102,12 @@ def identity_residuals(par, k: float):
     diag = np.diag_indices(model.n)
     # E in the array of its first term, and each product freed once read
     e_total = err.take_total()
+    scale = equilibration(model, err.weight)
+    S0 = np.linalg.solve(weighted_operator(model, e_total.copy(), err.weight),
+                         e_total * -scale[:, None])
+    S0 /= scale[:, None]
     A0 = e_total * q[None, :]
     A0[diag] += 1.0
-    scale = np.sqrt(q) / err.weight
-    balanced = A0 * scale[:, None]
-    balanced /= scale[None, :]
-    S0 = np.linalg.solve(balanced, e_total * -scale[:, None])
-    del balanced
-    S0 /= scale[:, None]
     # (Id + E q)(Id + S q) - Id, the identity added on the diagonals
     right = S0 * q[None, :]
     right[diag] += 1.0
@@ -126,12 +127,12 @@ def identity_residuals(par, k: float):
 ORACLE_ORDER = 6
 
 
-def radiation_oracle_error(par, k: float, v) -> float:
-    """Relative sup error on |s| < 30 of the parametrix resolvent R(k) v
-    against the finite-difference radiation oracle of order
-    ORACLE_ORDER, solved on its bands."""
-    model = par.model
-    Rv = par.resolvent_apply(k, v)
+def radiation_oracle_error(model: ModelManifold, k: float, v,
+                           Rv) -> float:
+    """Relative sup error on |s| < 30 of the parametrix resolvent
+    Rv = R(k) v against the finite-difference radiation oracle of order
+    ORACLE_ORDER, solved on its bands.  The caller computes Rv, so the
+    resolvent can be applied with a factorization it already holds."""
     ab = radial_laplacian(model, k=k, order=ORACLE_ORDER)
     rhs = v.copy()
     rhs[0] = rhs[-1] = 0.0

@@ -210,7 +210,16 @@ def cmd_resolvent(args) -> int:
     model = build_model(_geometry(args))
     sys0 = bvp.GluedSystem(model, 0.0)
     par = px.Parametrix(model, q=args.q, kbar=1.0, system=sys0)
-    k0, sigma_min = par.choose_k0([1e-4, 1e-3, 1e-2, 0.05])
+    vv = np.exp(-2.0 * model.s ** 2)
+    oracle = dict.fromkeys((1e-2, 1e-3, 1e-4))
+
+    def oracle_error(k, inverse):
+        # R(k) v = G(k)(Id + S(k)) v from the factorization behind sigma_min
+        if k in oracle:
+            oracle[k] = checks.radiation_oracle_error(
+                model, k, vv, par.g_apply(k, inverse.apply(vv)))
+
+    k0, sigma_min = par.choose_k0([1e-4, 1e-3, 1e-2, 0.05], oracle_error)
     v = par.pieces.v_minus
     out = px.ilg_expansion(par, v)
     coef, mask = out.coefficients, out.mask
@@ -219,9 +228,6 @@ def cmd_resolvent(args) -> int:
     U = bvp.build_log_harmonic(model, system=sys0)
     c1_rel = checks.c1_vs_beta_log_harmonic(coef[1], -sol.beta,
                                             U.values[mask])
-    vv = np.exp(-2.0 * model.s ** 2)
-    oracle = {k: checks.radiation_oracle_error(par, k, vv)
-              for k in (1e-2, 1e-3, 1e-4)}
     identity, sk_identity = checks.identity_residuals(par, 1e-3)
     payload = {"k0": k0,
                "k0_selection": {"sigma_min": sigma_min, "floor": px.K0_FLOOR},

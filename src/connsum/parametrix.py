@@ -46,15 +46,20 @@ c_left the left-variable kinks of S, and for one density v
 
 Both routes solve on A equilibrated by D = diag(sqrt(q) / w), the
 scaling of L^2_w: the kernel with one transposed solve with n right-hand
-sides (`InvertedError.right_compose`), a density with one solve for a
+sides (`InvertedError.right_compose`), a density with one LU solve for a
 single right-hand side (`InvertedError.apply`); no kernel of S(k) is
-formed.
+formed.  The LU factorization that `apply` solves with also gives the
+smallest singular value of the equilibrated system
+(`InvertedError.sigma_min`), the figure behind the choice of k0, so at a
+lattice energy the k0 selection and a density solve share one
+factorization.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 from scipy.linalg import lu_factor, lu_solve
@@ -351,20 +356,25 @@ class FiniteRankFix:
         return LowRank(np.stack(lefts, axis=1), np.stack(self.phis))
 
 
+def equilibration(model: ModelManifold, w: np.ndarray) -> np.ndarray:
+    """The diagonal of D = diag(sqrt(q) / w), the scaling that makes L^2_w
+    an orthonormal discrete basis."""
+    return np.sqrt(model.weights) / w
+
+
 def _weigh(model: ModelManifold, kernel: np.ndarray,
            w: np.ndarray) -> np.ndarray:
     """D kernel q D^-1, D = diag(sqrt(q) / w), written into kernel's own
     array."""
-    q = model.weights
-    scale = np.sqrt(q) / w
-    kernel *= q[None, :]
+    scale = equilibration(model, w)
+    kernel *= model.weights[None, :]
     kernel *= scale[:, None]
     kernel /= scale[None, :]
     return kernel
 
 
-def _weighted_operator(model: ModelManifold, kernel: np.ndarray,
-                       w: np.ndarray) -> np.ndarray:
+def weighted_operator(model: ModelManifold, kernel: np.ndarray,
+                      w: np.ndarray) -> np.ndarray:
     """Matrix of Id + kernel on L^2_w in an orthonormal discrete basis,
     D (Id + kernel q) D^-1, written into kernel's own array."""
     out = _weigh(model, kernel, w)
@@ -401,7 +411,7 @@ def finite_rank_fix(pieces: ParametrixPieces,
     else:
         e0 = err0.total
     w = pieces.weight
-    M = _weighted_operator(model, e0, w)
+    M = weighted_operator(model, e0, w)
     thresh = NULL_REL_THRESHOLD * _norm2(M)
     sigma_min = smallest_singular_value(M)
     if sigma_min >= thresh:
@@ -412,7 +422,7 @@ def finite_rank_fix(pieces: ParametrixPieces,
     fix = FiniteRankFix(rank=null_dim, threshold=thresh,
                         sigma_before=float(sig[-1]))
     q = model.weights
-    scale = np.sqrt(q) / w
+    scale = equilibration(model, w)
     # null vectors back in value coordinates
     null_vecs = [Vt[-(i + 1)] / scale for i in range(null_dim)]
     cokernel = [U[:, -(i + 1)] for i in range(null_dim)]
@@ -465,6 +475,10 @@ class InvertedError:
     D A D^-1, with D = diag(sqrt(q) / w) the scaling that makes L^2_w
     an orthonormal discrete basis, and `c_left` the left-variable kinks
     of S(., z'), whose jumps are minus those of E.
+
+    `apply` and `sigma_min` read one LU factorization of `system`, made
+    on first use and kept with it; `right_compose` does not factor, so
+    the whole-kernel route makes no LU.
     """
     model: ModelManifold
     k: float
@@ -493,16 +507,29 @@ class InvertedError:
         out[np.diag_indices(self.model.n)] -= kink * right
         return out
 
+    @cached_property
+    def _inverse(self) -> _LUInverse:
+        return _LUInverse(self.system)
+
     def apply(self, v: np.ndarray) -> np.ndarray:
         """(Id + S) v for one density v, with S's corrected composition
         matrix: v + S v, S = -A^-1 E (Id + diag(c_left)), with
         E q = A - Id - diag(kink_E), is exactly
         A^-1 ((1 + kink_E)(1 + c_left) v) - (c_left + kink_E) v, and
-        A^-1 y = D^-1 system^-1 (D y) is one solve on the equilibrated
+        A^-1 y = D^-1 system^-1 (D y) is one LU solve on the equilibrated
         system."""
+        if self._inverse.singular:
+            raise SingularSystemError(
+                f"Id + E(k) singular at k={self.k}: an exactly zero pivot")
         y = self.scale * (1.0 + self.kink) * (1.0 + self.c_left) * v
-        return _solve(self.system, y, self.k) / self.scale \
+        return (self._inverse @ y) / self.scale \
             - (self.c_left + self.kink) * v
+
+    def sigma_min(self) -> float:
+        """The smallest singular value of `system`, from the factorization
+        that `apply` solves with; 0.0 when `system` is exactly
+        singular."""
+        return self._inverse.sigma_min()
 
 
 def _solve(A: np.ndarray, b: np.ndarray, k: float) -> np.ndarray:
@@ -520,10 +547,10 @@ def invert_error(model: ModelManifold, err: ErrorOperator) -> InvertedError:
     D A D^-1 keeps cond at a few hundred."""
     kink = model.kink_diagonal(err.jump_ramp, err.jump_step)
     c_left = model.kink_diagonal(-err.jump_ramp, err.jump_step)
-    system = _weighted_operator(model, err.take_total(), err.weight)
+    system = weighted_operator(model, err.take_total(), err.weight)
     system[np.diag_indices(model.n)] += kink
     return InvertedError(model, err.k, system,
-                         np.sqrt(model.weights) / err.weight, kink, c_left)
+                         equilibration(model, err.weight), kink, c_left)
 
 
 def _norm2(op) -> float:
@@ -534,11 +561,14 @@ def _norm2(op) -> float:
 
 class _LUInverse:
     """M^-1 from one LU factorization of M, with `@` on both sides, as
-    spectral_norms applies an operator."""
+    spectral_norms applies an operator.  lu_solve does not raise on an
+    exactly zero pivot (it returns inf or nan), so `singular` records
+    one."""
     __array_ufunc__ = None      # an ndarray on the left defers to __rmatmul__
 
-    def __init__(self, lu):
-        self.lu, self.shape = lu, lu[0].shape
+    def __init__(self, M: np.ndarray):
+        self.lu, self.shape = lu_factor(M), M.shape
+        self.singular = not np.all(np.diag(self.lu[0]))
 
     def __matmul__(self, x):
         return lu_solve(self.lu, x)
@@ -546,17 +576,21 @@ class _LUInverse:
     def __rmatmul__(self, x):
         return lu_solve(self.lu, x.T, trans=1).T
 
+    def sigma_min(self) -> float:
+        """sigma_min(M) = 1 / ||M^-1||_2, with the norm of the inverse by
+        spectral_norms; 0.0 when M is singular."""
+        return 0.0 if self.singular else 1.0 / _norm2(self)
+
 
 def smallest_singular_value(M: np.ndarray) -> float:
     """sigma_min(M) = 1 / ||M^-1||_2, with the norm of the inverse by
-    spectral_norms on one LU factorization of M."""
-    lu = lu_factor(M)
-    if not np.all(np.diag(lu[0])):
-        return 0.0      # an exactly zero pivot: M is singular
-    return 1.0 / _norm2(_LUInverse(lu))
+    spectral_norms on one LU factorization of M; 0.0 at an exactly zero
+    pivot."""
+    return _LUInverse(M).sigma_min()
 
 
-# smallest singular value of Id + E(k) at which choose_k0 accepts k
+# smallest singular value of the system of Id + E(k) at which choose_k0
+# accepts k
 K0_FLOOR = 1e-6
 # ilg_expansion fits R(k) v at k = e^{-2^j}, j in ILG_FIT_J, on
 # |s| <= ILG_REGION; ilg_residual_order checks it at the fresh ILG_CHECK_J
@@ -650,16 +684,23 @@ class Parametrix:
         return inverse.right_compose(self.g_matrix(k, dleft=True),
                                      self._g_kink(True))
 
-    def choose_k0(self, k_list) -> tuple[float, dict]:
-        """(k0, {k: sigma_min}): the largest lattice k whose smallest
-        singular value of Id + E(k) on the weighted space is above
-        K0_FLOOR, and that singular value at every lattice k."""
-        w = self.pieces.weight
+    def choose_k0(self, k_list, visit=None) -> tuple[float, dict]:
+        """(k0, {k: sigma_min}): the largest lattice k at which the
+        smallest singular value of the system that s_operator(k) solves,
+        the equilibrated, kink-corrected D (Id + E q + diag(kink)) D^-1,
+        is above K0_FLOOR, and that singular value at every lattice k.
+
+        visit(k, inverse), when given, is called with each energy's
+        InvertedError before the next energy's is built, so a caller can
+        solve with the factorization the singular value came from while
+        no n x n array outlives its energy."""
         sigma_min = {}
         for k in sorted(k_list):
-            # D (Id + E q) D^-1, written into the array of E(k)
-            M = _weighted_operator(self.model, self.error(k).take_total(), w)
-            sigma_min[k] = smallest_singular_value(M)
+            inverse = self.s_operator(k)
+            sigma_min[k] = inverse.sigma_min()
+            if visit is not None:
+                visit(k, inverse)
+            del inverse
         above = [k for k, sig in sigma_min.items() if sig > K0_FLOOR]
         if not above:
             raise SingularSystemError("no lattice k keeps Id + E(k) invertible")

@@ -160,8 +160,8 @@ def test_criterion_6_parametrix(model, sys0):
     slope1 = loglog_slope(ils, hs1)
     identity, _ = checks.identity_residuals(par2, 1e-3)
     v = np.exp(-2.0 * model.s ** 2)
-    worst_oracle = max(checks.radiation_oracle_error(par2, k, v)
-                       for k in (1e-2, 1e-3, 1e-4))
+    worst_oracle = max(checks.radiation_oracle_error(
+        model, k, v, par2.resolvent_apply(k, v)) for k in (1e-2, 1e-3, 1e-4))
     ok = slope2 >= 0.4 and slope1 <= 0.0 \
         and identity < 1e-8 and worst_oracle < 1e-5
     _line(6, ok, f"HS(E'') slope {slope2:.2f} at q=2 (>=0.4: the "

@@ -80,3 +80,20 @@ def test_k0_selection_does_not_depend_on_thread_count():
     one, two = (json.loads(run_python(code, OPENBLAS_NUM_THREADS=n))
                 for n in ("1", "2"))
     assert one == two
+
+
+def test_resolvent_apply_does_not_depend_on_thread_count():
+    # R(k) v solves with one LU factorization in scipy's pool; G(k)'s
+    # products in numpy's pool read the same bits at either count
+    code = ("import hashlib, json, math\n"
+            "from connsum import bvp, model as md, parametrix as px\n"
+            "m = md.build_model()\n"
+            "par = px.Parametrix(m, q=3, kbar=1.0,\n"
+            "                    system=bvp.GluedSystem(m, 0.0))\n"
+            "v = par.pieces.v_minus\n"
+            "print(json.dumps([hashlib.sha256(\n"
+            "    par.resolvent_apply(k, v).tobytes()).hexdigest()\n"
+            "    for k in (1e-3, math.exp(-256.0))]))")
+    one, two = (json.loads(run_python(code, OPENBLAS_NUM_THREADS=n))
+                for n in ("1", "2"))
+    assert one == two

@@ -1,9 +1,11 @@
 import argparse
+import hashlib
 import json
 
+import numpy as np
 import pytest
 
-from connsum import checks, cli
+from connsum import checks, cli, parametrix as px
 from connsum import reports
 
 
@@ -118,6 +120,31 @@ class TestCli:
         assert data["k0"] == max(float(k) for k, s in sel["sigma_min"].items()
                                  if s > sel["floor"])
         assert "k0_selection" not in data["checks"]
+
+    def test_resolvent_factors_each_matrix_once(self, tmp_path,
+                                                monkeypatch):
+        # E(k) is built once per energy: the finite-rank fix at 0, the
+        # four lattice energies, whose factorizations also serve the
+        # oracle at 1e-2, 1e-3 and 1e-4, the five fit energies and the
+        # identity residuals at 1e-3; no matrix is LU-factored twice
+        errors = []
+        factored = []
+        error_kernel, lu_factor = px.error_kernel, px.lu_factor
+
+        def counted_error(*args):
+            errors.append(args[1])
+            return error_kernel(*args)
+
+        def counted_lu(a, *args, **kwargs):
+            factored.append(hashlib.sha256(
+                np.ascontiguousarray(a).tobytes()).hexdigest())
+            return lu_factor(a, *args, **kwargs)
+
+        monkeypatch.setattr(px, "error_kernel", counted_error)
+        monkeypatch.setattr(px, "lu_factor", counted_lu)
+        assert cli.main(["resolvent", "--out", str(tmp_path)]) == 0
+        assert len(errors) == 11
+        assert len(factored) == 10 and len(set(factored)) == len(factored)
 
     def test_extend_large_cross_section_eigenvalue(self, tmp_path):
         # mu R = 894: K_0(mu R) underflows to zero, the scaled ratio of

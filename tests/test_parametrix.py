@@ -11,6 +11,7 @@ import pytest
 from scipy.linalg import LinAlgWarning, solve_banded
 
 from connsum import bvp, checks, model as md, parametrix as px
+from connsum.errors import SingularSystemError
 from connsum.fits import loglog_slope
 from connsum.specfun import ilg
 
@@ -235,7 +236,7 @@ class TestInversion:
 
     @pytest.mark.parametrize("k", [1e-4, 1e-3, 1e-2, 0.05])
     def test_smallest_singular_value_matches_svd(self, par, model, k):
-        M = px._weighted_operator(model, par.error(k).total, par.pieces.weight)
+        M = px.weighted_operator(model, par.error(k).total, par.pieces.weight)
         ref = np.linalg.svd(M, compute_uv=False)[-1]
         assert abs(px.smallest_singular_value(M) - ref) < 1e-10 * ref
 
@@ -243,6 +244,24 @@ class TestInversion:
         M = np.diag([1.0, 2.0, 0.0, 3.0])
         with pytest.warns(LinAlgWarning):
             assert px.smallest_singular_value(M) == 0.0
+
+    @pytest.mark.parametrize("fixture", ["par", "long_par"])
+    @pytest.mark.parametrize("k", [1e-4, 1e-2, 0.05])
+    def test_sigma_min_matches_svd(self, request, fixture, k):
+        # the figure behind k0, from the LU factorization that apply
+        # solves with, against a full SVD of the same system
+        inverse = request.getfixturevalue(fixture).s_operator(k)
+        ref = np.linalg.svd(inverse.system, compute_uv=False)[-1]
+        assert abs(inverse.sigma_min() - ref) < 1e-10 * ref
+
+    def test_apply_raises_on_singular_system(self, par, model):
+        # lu_solve returns inf or nan at an exactly zero pivot; apply
+        # must raise instead
+        inverse = par.s_operator(1e-3)
+        inverse.system[:, 0] = 0.0
+        with pytest.warns(LinAlgWarning), \
+                pytest.raises(SingularSystemError):
+            inverse.apply(np.exp(-2.0 * model.s ** 2))
 
     def test_s_left_decay(self, par, model):
         # S(k) rapidly decaying in the left variable: exactly compactly
@@ -305,7 +324,8 @@ class TestResolvent:
     def test_matches_radiation_oracle(self, par, model):
         v = np.exp(-2.0 * model.s ** 2)
         for k in (1e-2, 1e-3, 1e-4):
-            assert checks.radiation_oracle_error(par, k, v) < 1e-5
+            assert checks.radiation_oracle_error(
+                model, k, v, par.resolvent_apply(k, v)) < 1e-5
 
     def test_oracle_band_storage(self, model):
         # the oracle's bands hold the operator: on u = s^2, which its
@@ -431,6 +451,22 @@ class TestResolvent:
         assert list(sigma_min) == ks
         assert k0 == max(k for k in ks if sigma_min[k] > px.K0_FLOOR)
 
+    def test_k0_selection_rejects_singular_energy(self, par, monkeypatch):
+        # an exactly singular system reads sigma_min 0.0, below the floor
+        s_operator = par.s_operator
+
+        def singular_at_005(k):
+            inverse = s_operator(k)
+            if k == 0.05:
+                inverse.system[:, 0] = 0.0
+            return inverse
+
+        monkeypatch.setattr(par, "s_operator", singular_at_005)
+        with pytest.warns(LinAlgWarning):
+            k0, sigma_min = par.choose_k0([1e-2, 0.05])
+        assert sigma_min[0.05] == 0.0 and sigma_min[1e-2] > px.K0_FLOOR
+        assert k0 == 1e-2
+
     def test_k0_selection_without_full_svd(self, par, monkeypatch):
         svd = _count_calls(monkeypatch, np.linalg, "svd")
         par.choose_k0([1e-4, 1e-3, 1e-2, 0.05])
@@ -486,15 +522,20 @@ class TestResolvent:
         assert out.stdout.strip() == "False"
 
     def test_apply_path_solves_no_kernel(self, par, model, monkeypatch):
-        # one apply: one error kernel, one inversion and one solve for a
-        # single right-hand side, with no n-column solve
+        # one apply: one error kernel, one inversion, one LU factorization
+        # and one LU solve for a single right-hand side, with no n-column
+        # solve
         inverts = _count_calls(monkeypatch, px, "invert_error")
         errors = _count_calls(monkeypatch, px, "error_kernel")
+        factors = _count_calls(monkeypatch, px, "lu_factor")
+        lu_solves = _count_calls(monkeypatch, px, "lu_solve")
         solves = _count_calls(monkeypatch, np.linalg, "solve")
         v = np.exp(-2.0 * model.s ** 2)
         par.resolvent_apply(1e-3, v)
         assert len(inverts) == 1 and len(errors) == 1
-        assert [a[1].shape for a in solves] == [(model.n,)]
+        assert [a[0].shape for a in factors] == [(model.n, model.n)]
+        assert [a[1].shape for a in lu_solves] == [(model.n,)]
+        assert solves == []
         resolvent(par, 1e-3, v)
         resolvent(par, 1e-4, v)
         assert len(inverts) == 3 and len(errors) == 3
