@@ -29,8 +29,13 @@ for q in (1, 2):
 par = px.Parametrix(m, q=3, kbar=1.0, system=sys0)
 print(f"\nfinite-rank fix: null space dimension {par.fix.rank} "
       f"(smallest singular value of Id+E(0): {par.fix.sigma_before:.4f})")
-identity, _ = checks.identity_residuals(par, 1e-3)
-print(f"(Id + E)(Id + S) - Id at k = 1e-3: {identity:.1e}")
+inverse = par.s_operator(1e-3)
+y, z = inverse.solve(np.exp(-2.0 * m.s ** 2))
+backward, forward = checks.solve_errors(inverse.system, y, z,
+                                        inverse.sigma_min())
+print(f"solve with Id + E at k = 1e-3: backward error {backward:.1e}, "
+      f"forward error bound {forward:.1e}")
+del inverse
 
 print("\n== inverse-log series of R(k) v ==")
 v = par.pieces.v_minus

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import fields, replace
 
 import numpy as np
-from scipy.linalg import solve_banded
+from scipy.linalg import blas, lapack, solve_banded
 
 from . import bvp
 from . import specfun as sf
@@ -21,14 +21,12 @@ from .model import ModelManifold, build_model, radial_laplacian
 
 def bessel_vs_quadrature(orders, xs) -> float:
     """Worst relative error of bessel_K against the quadrature oracle over
-    the grid orders x xs."""
-    worst = 0.0
-    for nu in orders:
-        for x in xs:
-            ref = sf.bessel_K_quadrature(float(nu), float(x))
-            worst = max(worst, abs(sf.bessel_K(float(nu), float(x)) - ref)
-                        / ref)
-    return worst
+    the grid orders x xs, the oracle in one array call."""
+    orders = np.asarray(orders, dtype=float)
+    xs = np.asarray(xs, dtype=float)
+    ref = sf.bessel_K_quadrature(orders[:, None], xs[None, :])
+    got = np.array([sf.bessel_K(float(nu), xs) for nu in orders])
+    return float(np.max(np.abs(got - ref) / ref))
 
 
 def exponential_comparison_violations(nu: float, x, y) -> int:
@@ -40,7 +38,7 @@ def exponential_comparison_violations(nu: float, x, y) -> int:
 
 def derivative_bound_violations(m: int, x) -> int:
     """Number of points with |x K_m'(x)| > (m + x) K_m(x) (1 + 1e-12)."""
-    lhs = np.abs(x * np.array([sf.bessel_K_prime(m, float(t)) for t in x]))
+    lhs = np.abs(x * sf.bessel_K_prime(m, x))
     rhs = (m + x) * sf.bessel_K(float(m), x)
     return int(np.sum(lhs > rhs * (1 + 1e-12)))
 
@@ -83,43 +81,22 @@ def c0_vs_zero_energy_solve(c0, solution) -> float:
     return float(np.max(np.abs(c0 - solution)) / np.max(np.abs(solution)))
 
 
-def identity_residuals(par, k: float):
-    """(identity, sk_identity) at energy k, in the plain discrete kernel
-    algebra where composition is matrix multiplication with the
-    quadrature weights: sup |(Id + E)(Id + S) - Id| for the S solving it,
-    and the weighted Hilbert-Schmidt norm of S - K relative to that of S,
-    with K = -E + E E + E S E.  S is solved on the equilibrated matrix
-    D (Id + E q) D^-1 of parametrix.weighted_operator, with the scaling
-    D = diag(sqrt(q) / w) of parametrix.equilibration that
-    parametrix.invert_error also equilibrates its (kink-corrected)
-    system with: unscaled, Id + E q has cond 2e12 on ends of length
-    80000."""
-    from .parametrix import equilibration, hs_norm, weighted_operator
-
-    model = par.model
-    err = par.error(k)
-    q = model.weights
-    diag = np.diag_indices(model.n)
-    # E in the array of its first term, and each product freed once read
-    e_total = err.take_total()
-    scale = equilibration(model, err.weight)
-    S0 = np.linalg.solve(weighted_operator(model, e_total.copy(), err.weight),
-                         e_total * -scale[:, None])
-    S0 /= scale[:, None]
-    A0 = e_total * q[None, :]
-    A0[diag] += 1.0
-    # (Id + E q)(Id + S q) - Id, the identity added on the diagonals
-    right = S0 * q[None, :]
-    right[diag] += 1.0
-    left = A0 @ right
-    del A0, right
-    left[diag] -= 1.0
-    res_id = float(np.max(np.abs(left)))
-    del left
-    rhs_sk = -e_total + (e_total * q[None, :]) @ (
-        e_total + (S0 * q[None, :]) @ e_total)
-    res_sk = hs_norm(model, S0 - rhs_sk) / max(hs_norm(model, S0), 1e-300)
-    return res_id, res_sk
+def solve_errors(system: np.ndarray, y: np.ndarray, z: np.ndarray,
+                 sigma_min: float) -> tuple[float, float]:
+    """(backward, forward) of a computed solution z of A z = y, A the
+    matrix `system`: the normwise backward error
+    ||A z - y||_inf / (||A||_inf ||z||_inf + ||y||_inf), and the bound
+    ||A z - y||_2 / (sigma_min ||z||_2) on the relative forward error
+    ||z - A^-1 y||_2 / ||z||_2, with sigma_min the smallest singular
+    value of A.  The residual and ||A||_inf run in scipy's BLAS and
+    LAPACK on the transposed (Fortran-ordered) view, so neither copies
+    A nor depends on numpy's BLAS thread count."""
+    residual = blas.dgemv(1.0, system.T, z, beta=-1.0, y=y, trans=1)
+    norm_a = lapack.dlange("1", system.T)
+    residual_inf = np.max(np.abs(residual))
+    backward = residual_inf / (norm_a * np.max(np.abs(z)) + np.max(np.abs(y)))
+    forward = np.linalg.norm(residual) / (sigma_min * np.linalg.norm(z))
+    return float(backward), float(forward)
 
 
 # order of the finite-difference radiation oracle; its (ORACLE_ORDER + 1)-

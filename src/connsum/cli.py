@@ -5,10 +5,11 @@ Exit status contract: 0 success, 2 configuration error, 3 invariant
 violation, 4 numerical non-convergence.  Reports are JSON (plus CSV
 tables for the Riesz experiments); identical configuration and seed give
 byte-identical reports at a fixed BLAS thread count (numpy's dense
-products behind the Riesz kernel and the resolvent round differently
-with, say, OPENBLAS_NUM_THREADS=1 and 2).  `import connsum` holds scipy's
-bundled OpenBLAS at one thread, so resolvent.json's k0_selection, whose LU
-factorizations run there, does not depend on the thread count.  Each
+products behind the Riesz kernel round differently with, say,
+OPENBLAS_NUM_THREADS=1 and 2).  `import connsum` holds scipy's bundled
+OpenBLAS at one thread, and every LU factorization, LU solve and solve
+check of `resolvent` runs there, so resolvent.json does not depend on the
+thread count.  Each
 report's `checks` block lists the subcommand's pass conditions as
 {name: {value, bound, ok}}; the status line and the choice between exit
 0 and 3 are derived from it.
@@ -62,7 +63,7 @@ BETA_SHIFT = 1e-4      # change of beta when every grid field doubles
 ILG_COEF_REL = 1e-3    # first inverse-log coefficient against beta U
 C0_REL = 1e-4          # leading coefficient against the zero-energy solve
 ORACLE_REL = 1e-5      # R(k) v against the radiation oracle
-IDENTITY = 1e-8        # both identity residuals of the inversion
+IDENTITY = 1e-8        # backward error and forward bound of each solve
 GROWTH_TOL = 0.1       # witness growth exponent against its expected value
 
 
@@ -212,14 +213,20 @@ def cmd_resolvent(args) -> int:
     par = px.Parametrix(model, q=args.q, kbar=1.0, system=sys0)
     vv = np.exp(-2.0 * model.s ** 2)
     oracle = dict.fromkeys((1e-2, 1e-3, 1e-4))
+    backward, forward = {}, {}
 
-    def oracle_error(k, inverse):
-        # R(k) v = G(k)(Id + S(k)) v from the factorization behind sigma_min
+    def check_solve(k, inverse, sigma):
+        # (Id + S(k)) vv from the factorization behind sigma_min: the
+        # backward error and forward-error bound of its one solve, and
+        # R(k) vv = G(k)(Id + S(k)) vv against the radiation oracle
+        y, z = inverse.solve(vv)
+        backward[k], forward[k] = checks.solve_errors(inverse.system, y, z,
+                                                      sigma)
         if k in oracle:
             oracle[k] = checks.radiation_oracle_error(
-                model, k, vv, par.g_apply(k, inverse.apply(vv)))
+                model, k, vv, par.g_apply(k, inverse.apply(vv, z)))
 
-    k0, sigma_min = par.choose_k0([1e-4, 1e-3, 1e-2, 0.05], oracle_error)
+    k0, sigma_min = par.choose_k0([1e-4, 1e-3, 1e-2, 0.05], check_solve)
     v = par.pieces.v_minus
     out = px.ilg_expansion(par, v)
     coef, mask = out.coefficients, out.mask
@@ -228,23 +235,25 @@ def cmd_resolvent(args) -> int:
     U = bvp.build_log_harmonic(model, system=sys0)
     c1_rel = checks.c1_vs_beta_log_harmonic(coef[1], -sol.beta,
                                             U.values[mask])
-    identity, sk_identity = checks.identity_residuals(par, 1e-3)
     payload = {"k0": k0,
                "k0_selection": {"sigma_min": sigma_min, "floor": px.K0_FLOOR},
                "c0_vs_bvp_rel": c0_rel,
                "c1_vs_beta_logharmonic_rel": c1_rel,
                "oracle_rel_err": oracle,
                "coefficient_norms": np.max(np.abs(coef), axis=1).tolist(),
-               "identity": {"residual": identity, "bound": IDENTITY},
-               "sk_identity": {"residual": sk_identity, "bound": IDENTITY}}
+               "solve_errors": {"backward": backward,
+                                "forward_bound": forward,
+                                "bound": IDENTITY}}
     if args.q == 1:
         payload["hs_divergence_warning"] = (
             "q = 1: the Hilbert-Schmidt norm of the key-lemma error does "
             "not tend to zero as k -> 0; take q > 1")
     chk = {"c0_vs_bvp_rel": check(c0_rel, C0_REL),
            **{f"oracle_k{k}": check(e, ORACLE_REL) for k, e in oracle.items()},
-           "identity": check(identity, IDENTITY),
-           "sk_identity": check(sk_identity, IDENTITY)}
+           **{f"backward_error_k{k}": check(e, IDENTITY)
+              for k, e in backward.items()},
+           **{f"forward_bound_k{k}": check(e, IDENTITY)
+              for k, e in forward.items()}}
     return finish(args, "resolvent.json", payload, chk)
 
 

@@ -62,7 +62,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-from scipy.linalg import lu_factor, lu_solve
+from scipy.linalg import blas, lu_factor, lu_solve
 
 from . import product_kernels as pk
 from .bvp import GluedSystem
@@ -255,11 +255,14 @@ class ErrorOperator:
         return self.e1 + self.e2.kernel()
 
     def take_total(self) -> np.ndarray:
-        """total summed into the array of e1, the same bits without a new
-        n x n array, for a caller that owns this operator and overwrites
-        the result; e1 and e2 are released."""
-        out = self.e1
-        out += self.e2.kernel()
+        """total summed into the array of e1, the same bits without an
+        n x n temporary, for a caller that owns this operator and
+        overwrites the result; e1 and e2 are released.  The rank-2 E''
+        enters through one dgemm with beta = 1 on the transposed
+        (Fortran-ordered) view of e1, in scipy's one-thread BLAS pool."""
+        left, right = self.e2.left, self.e2.right
+        out = blas.dgemm(1.0, right.T, left.T, beta=1.0, c=self.e1.T,
+                         overwrite_c=True).T
         self.e1 = self.e2 = None
         return out
 
@@ -365,7 +368,7 @@ def equilibration(model: ModelManifold, w: np.ndarray) -> np.ndarray:
 def _weigh(model: ModelManifold, kernel: np.ndarray,
            w: np.ndarray) -> np.ndarray:
     """D kernel q D^-1, D = diag(sqrt(q) / w), written into kernel's own
-    array."""
+    array in three passes over it and no temporary."""
     scale = equilibration(model, w)
     kernel *= model.weights[None, :]
     kernel *= scale[:, None]
@@ -511,19 +514,27 @@ class InvertedError:
     def _inverse(self) -> _LUInverse:
         return _LUInverse(self.system)
 
-    def apply(self, v: np.ndarray) -> np.ndarray:
+    def solve(self, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(y, z): the right-hand side y = D (1 + kink_E)(1 + c_left) v
+        of the one LU solve behind apply(v), and its solution
+        z = system^-1 y."""
+        if self._inverse.singular:
+            raise SingularSystemError(
+                f"Id + E(k) singular at k={self.k}: an exactly zero pivot")
+        y = self.scale * (1.0 + self.kink) * (1.0 + self.c_left) * v
+        return y, self._inverse @ y
+
+    def apply(self, v: np.ndarray, z: np.ndarray | None = None) -> np.ndarray:
         """(Id + S) v for one density v, with S's corrected composition
         matrix: v + S v, S = -A^-1 E (Id + diag(c_left)), with
         E q = A - Id - diag(kink_E), is exactly
         A^-1 ((1 + kink_E)(1 + c_left) v) - (c_left + kink_E) v, and
         A^-1 y = D^-1 system^-1 (D y) is one LU solve on the equilibrated
-        system."""
-        if self._inverse.singular:
-            raise SingularSystemError(
-                f"Id + E(k) singular at k={self.k}: an exactly zero pivot")
-        y = self.scale * (1.0 + self.kink) * (1.0 + self.c_left) * v
-        return (self._inverse @ y) / self.scale \
-            - (self.c_left + self.kink) * v
+        system.  z, when given, is solve(v)[1], so a caller that checks
+        that solve does not make it twice."""
+        if z is None:
+            z = self.solve(v)[1]
+        return z / self.scale - (self.c_left + self.kink) * v
 
     def sigma_min(self) -> float:
         """The smallest singular value of `system`, from the factorization
@@ -542,9 +553,11 @@ def _solve(A: np.ndarray, b: np.ndarray, k: float) -> np.ndarray:
 def invert_error(model: ModelManifold, err: ErrorOperator) -> InvertedError:
     """(Id + E)^{-1} as the equilibrated Nystrom matrix
     D (Id + E q + diag(kink)) D^-1, written into E's own array; err is
-    consumed.  Unscaled, A is as ill-conditioned as the quadrature
-    weights are spread (cond 1e10 on 929 nodes, 1e18 at S = 2^16);
-    D A D^-1 keeps cond at a few hundred."""
+    consumed, and no n x n temporary is made (take_total, then the three
+    scaling passes of weighted_operator).  Unscaled, A is as
+    ill-conditioned as the quadrature weights are spread (cond 1e10 on
+    929 nodes, 1e18 at S = 2^16); D A D^-1 keeps cond at a few
+    hundred."""
     kink = model.kink_diagonal(err.jump_ramp, err.jump_step)
     c_left = model.kink_diagonal(-err.jump_ramp, err.jump_step)
     system = weighted_operator(model, err.take_total(), err.weight)
@@ -690,16 +703,17 @@ class Parametrix:
         the equilibrated, kink-corrected D (Id + E q + diag(kink)) D^-1,
         is above K0_FLOOR, and that singular value at every lattice k.
 
-        visit(k, inverse), when given, is called with each energy's
-        InvertedError before the next energy's is built, so a caller can
-        solve with the factorization the singular value came from while
-        no n x n array outlives its energy."""
+        visit(k, inverse, sigma), when given, is called with each
+        energy's InvertedError and its sigma_min before the next energy's
+        is built, so a caller can solve with the factorization the
+        singular value came from while no n x n array outlives its
+        energy."""
         sigma_min = {}
         for k in sorted(k_list):
             inverse = self.s_operator(k)
             sigma_min[k] = inverse.sigma_min()
             if visit is not None:
-                visit(k, inverse)
+                visit(k, inverse, sigma_min[k])
             del inverse
         above = [k for k, sig in sigma_min.items() if sig > K0_FLOOR]
         if not above:

@@ -13,11 +13,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from connsum import parametrix as px, product_kernels as pk
-from connsum.errors import ConfigError, DomainError
+from connsum.errors import ConfigError, DomainError, NonConvergenceError
 from connsum.fits import loglog_slope
 from connsum.model import ModelManifold
 from connsum.quadrature import cc_segment
 from connsum.riesz import WITNESS_SIGMA_MAX
+from connsum.specfun import K_QUADRATURE_RTOL, _log_cosh
 
 
 @dataclass(frozen=True)
@@ -62,6 +63,74 @@ class GridFunction:
             self.dvalues = np.asarray(self.dvalues, dtype=float)
             if self.dvalues.shape != self.values.shape:
                 raise DomainError("GridFunction: value/derivative shape mismatch")
+
+
+def bessel_K_adaptive(order: float, x: float) -> float:
+    """K_order(x) by adaptive quadrature of
+    int_0^oo exp(-x cosh t) cosh(order t) dt on [0, tmax], with the peak
+    t* = asinh(order / x) as a break point: the reference for
+    specfun.bessel_K_quadrature, which sums the same integral by the
+    trapezoidal rule."""
+    from scipy.integrate import quad
+
+    if x <= 0:
+        raise DomainError("bessel_K_adaptive: need x > 0")
+    nu = float(order)
+
+    def integrand(t):
+        return math.exp(-x * math.cosh(t) + float(_log_cosh(nu * t)))
+
+    tstar = math.asinh(nu / x) if nu > 0 else 0.0
+    # beyond T the integrand is below exp(-750) relative to the peak
+    big = 750.0 + x + (nu * tstar - x * math.cosh(tstar) if nu > 0 else 0.0)
+    tmax = math.acosh(max(big, 2.0) / x) + 2.0 if big / x > 1.0 else 25.0
+    pts = [tstar] if 0 < tstar < tmax else None
+    val, err = quad(integrand, 0.0, tmax, points=pts, limit=400,
+                    epsabs=0.0, epsrel=K_QUADRATURE_RTOL)
+    if not math.isfinite(val) or (
+            val != 0 and err / abs(val) > 100 * K_QUADRATURE_RTOL):
+        raise NonConvergenceError(
+            f"bessel_K_adaptive failed: order={order}, x={x}, err={err:g}")
+    return val
+
+
+def identity_residuals(par, k: float):
+    """(identity, sk_identity) at energy k, in the plain discrete kernel
+    algebra where composition is matrix multiplication with the
+    quadrature weights: sup |(Id + E)(Id + S) - Id| for the S solving it,
+    and the weighted Hilbert-Schmidt norm of S - K relative to that of S,
+    with K = -E + E E + E S E.  S is solved on the equilibrated matrix
+    D (Id + E q) D^-1 of parametrix.weighted_operator, with the scaling
+    D = diag(sqrt(q) / w) of parametrix.equilibration that
+    parametrix.invert_error also equilibrates its (kink-corrected)
+    system with: unscaled, Id + E q has cond 2e12 on ends of length
+    80000."""
+    model = par.model
+    err = par.error(k)
+    q = model.weights
+    diag = np.diag_indices(model.n)
+    # E in the array of its first term, and each product freed once read
+    e_total = err.take_total()
+    scale = px.equilibration(model, err.weight)
+    S0 = np.linalg.solve(px.weighted_operator(model, e_total.copy(),
+                                              err.weight),
+                         e_total * -scale[:, None])
+    S0 /= scale[:, None]
+    A0 = e_total * q[None, :]
+    A0[diag] += 1.0
+    # (Id + E q)(Id + S q) - Id, the identity added on the diagonals
+    right = S0 * q[None, :]
+    right[diag] += 1.0
+    left = A0 @ right
+    del A0, right
+    left[diag] -= 1.0
+    res_id = float(np.max(np.abs(left)))
+    del left
+    rhs_sk = -e_total + (e_total * q[None, :]) @ (
+        e_total + (S0 * q[None, :]) @ e_total)
+    res_sk = px.hs_norm(model, S0 - rhs_sk) \
+        / max(px.hs_norm(model, S0), 1e-300)
+    return res_id, res_sk
 
 
 def resolvent(par, k: float, v):

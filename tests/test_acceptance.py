@@ -24,7 +24,7 @@ from connsum.cutoffs import minus_cutoff_source
 from connsum.fits import loglog_slope
 from connsum.specfun import ilg
 
-from oracles import schur_exponent_check
+from oracles import identity_residuals, schur_exponent_check
 
 RNG = np.random.default_rng(20260808)
 
@@ -158,7 +158,7 @@ def test_criterion_6_parametrix(model, sys0):
     par1 = px.Parametrix(model, q=1, kbar=1.0, system=sys0)
     hs1 = [par1.error(math.exp(-2.0 ** j)).hs_e2() for j in js]
     slope1 = loglog_slope(ils, hs1)
-    identity, _ = checks.identity_residuals(par2, 1e-3)
+    identity, _ = identity_residuals(par2, 1e-3)
     v = np.exp(-2.0 * model.s ** 2)
     worst_oracle = max(checks.radiation_oracle_error(
         model, k, v, par2.resolvent_apply(k, v)) for k in (1e-2, 1e-3, 1e-4))

@@ -125,11 +125,14 @@ class TestCli:
                                                 monkeypatch):
         # E(k) is built once per energy: the finite-rank fix at 0, the
         # four lattice energies, whose factorizations also serve the
-        # oracle at 1e-2, 1e-3 and 1e-4, the five fit energies and the
-        # identity residuals at 1e-3; no matrix is LU-factored twice
+        # solve checks at all four and the oracle at 1e-2, 1e-3 and 1e-4,
+        # and the five fit energies; no matrix is LU-factored twice, and
+        # nothing is solved with a matrix right-hand side
         errors = []
         factored = []
+        matrix_solves = []
         error_kernel, lu_factor = px.error_kernel, px.lu_factor
+        solve = np.linalg.solve
 
         def counted_error(*args):
             errors.append(args[1])
@@ -140,11 +143,34 @@ class TestCli:
                 np.ascontiguousarray(a).tobytes()).hexdigest())
             return lu_factor(a, *args, **kwargs)
 
+        def counted_solve(a, b):
+            if np.ndim(b) == 2:
+                matrix_solves.append(np.shape(b))
+            return solve(a, b)
+
         monkeypatch.setattr(px, "error_kernel", counted_error)
         monkeypatch.setattr(px, "lu_factor", counted_lu)
+        monkeypatch.setattr(np.linalg, "solve", counted_solve)
         assert cli.main(["resolvent", "--out", str(tmp_path)]) == 0
-        assert len(errors) == 11
+        assert len(errors) == 10 and len(set(errors)) == 10
         assert len(factored) == 10 and len(set(factored)) == len(factored)
+        assert matrix_solves == []
+
+    def test_resolvent_reports_solve_errors(self, tmp_path):
+        # both figures of the solve at every lattice energy, each with
+        # its checks entry under IDENTITY; the identity residuals are gone
+        assert cli.main(["resolvent", "--out", str(tmp_path)]) == 0
+        data = json.loads((tmp_path / "resolvent.json").read_text())
+        lattice = ["0.0001", "0.001", "0.01", "0.05"]
+        solves = data["solve_errors"]
+        assert solves["bound"] == cli.IDENTITY
+        for figure, prefix in (("backward", "backward_error"),
+                               ("forward_bound", "forward_bound")):
+            assert list(solves[figure]) == lattice
+            for k, value in solves[figure].items():
+                assert data["checks"][f"{prefix}_k{k}"] == {
+                    "value": value, "bound": cli.IDENTITY, "ok": True}
+        assert "identity" not in data and "sk_identity" not in data
 
     def test_extend_large_cross_section_eigenvalue(self, tmp_path):
         # mu R = 894: K_0(mu R) underflows to zero, the scaled ratio of

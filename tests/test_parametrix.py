@@ -8,15 +8,15 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from scipy.linalg import LinAlgWarning, solve_banded
+from scipy.linalg import LinAlgWarning, lu_factor, lu_solve, solve_banded
 
-from connsum import bvp, checks, model as md, parametrix as px
+from connsum import bvp, checks, cli, model as md, parametrix as px
 from connsum.errors import SingularSystemError
 from connsum.fits import loglog_slope
 from connsum.specfun import ilg
 
-from oracles import (dense_error_total, g_kernel, resolvent, s_kernel,
-                     segment_interior)
+from oracles import (dense_error_total, g_kernel, identity_residuals,
+                     resolvent, s_kernel, segment_interior)
 from oracles import resolvent_kernel as two_step_kernel
 
 
@@ -211,18 +211,36 @@ class TestFiniteRank:
 class TestInversion:
     def test_identity_residual(self, par):
         for k in (1e-2, 1e-3, 1e-4):
-            identity, _ = checks.identity_residuals(par, k)
+            identity, _ = identity_residuals(par, k)
             assert identity < 1e-8
 
     def test_sk_identity(self, par):
-        _, sk_identity = checks.identity_residuals(par, 1e-3)
+        _, sk_identity = identity_residuals(par, 1e-3)
         assert sk_identity < 1e-8
 
     def test_identity_residuals_long_ends(self, long_par):
         # S solved on the equilibrated matrix: unscaled, sk_identity read
         # 1.9e-8 here, above the bound
-        identity, sk_identity = checks.identity_residuals(long_par, 1e-3)
+        identity, sk_identity = identity_residuals(long_par, 1e-3)
         assert identity < 1e-8 and sk_identity < 1e-8
+
+    @pytest.mark.parametrize("k", [1e-3, math.exp(-256.0)])
+    def test_invert_error_writes_in_place(self, par, model, k):
+        # the equilibrated system in E's own array: E'' added by one
+        # in-place dgemm, the same bits as e1 + e2.kernel(), then three
+        # scaling passes, with no n x n temporary
+        err = par.error(k)
+        np.testing.assert_array_equal(par.error(k).take_total(), err.total)
+        e1 = err.e1
+        unit = model.n ** 2 * np.dtype(float).itemsize
+        tracemalloc.start()
+        try:
+            inverse = px.invert_error(model, err)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.shares_memory(inverse.system, e1)
+        assert peak < 0.5 * unit
 
     @pytest.mark.parametrize("k", [1e-2, 1e-3, 1e-4, math.exp(-256.0)])
     def test_s_apply_matches_kernel(self, par, model, k):
@@ -272,6 +290,59 @@ class TestInversion:
             assert np.isfinite(np.max(vals))
         outside = np.abs(model.s) > model.radii.zeta[1] + 0.5
         assert np.max(np.abs(S[outside, :])) < 1e-14
+
+
+class TestSolveErrors:
+    """checks.solve_errors, the two figures `connsum resolvent` reports
+    for the solve at each lattice energy, and a planted defect that turns
+    each one's check false."""
+
+    @staticmethod
+    def ok(value) -> bool:
+        return cli.check(value, cli.IDENTITY)["ok"]
+
+    @staticmethod
+    def solve(p, k=1e-3):
+        inverse = p.s_operator(k)
+        return (inverse, *inverse.solve(np.exp(-2.0 * p.model.s ** 2)),
+                inverse.sigma_min())
+
+    @pytest.mark.parametrize("fixture", ["par", "long_par"])
+    def test_definitions(self, request, fixture):
+        # the transposed BLAS and LAPACK views against the dense formulas
+        inverse, y, z, sigma = self.solve(request.getfixturevalue(fixture))
+        A = inverse.system
+        r = A @ z - y
+        backward, forward = checks.solve_errors(A, y, z, sigma)
+        assert backward == pytest.approx(np.max(np.abs(r)) / (
+            np.linalg.norm(A, np.inf) * np.max(np.abs(z))
+            + np.max(np.abs(y))), rel=1e-6)
+        assert forward == pytest.approx(
+            np.linalg.norm(r) / (sigma * np.linalg.norm(z)), rel=1e-6)
+        assert backward < 1e-15 and forward < 1e-12
+        np.testing.assert_array_equal(
+            inverse.apply(np.exp(-2.0 * inverse.model.s ** 2), z),
+            inverse.apply(np.exp(-2.0 * inverse.model.s ** 2)))
+
+    def test_dropped_kink_diagonal_fails(self, par):
+        # solved with the LU of the system without its kink diagonal, the
+        # matrix the identity residuals once solved
+        inverse, y, _, sigma = self.solve(par)
+        wrong = inverse.system.copy()
+        wrong[np.diag_indices(par.model.n)] -= inverse.kink
+        z = lu_solve(lu_factor(wrong), y)
+        backward, forward = checks.solve_errors(inverse.system, y, z, sigma)
+        assert not self.ok(backward) and not self.ok(forward)
+
+    def test_dropped_equilibration_fails_forward_bound(self, long_par):
+        # solved on the unscaled A = D^-1 system D (cond 1e18 here): the
+        # LU is backward stable, so only the forward bound sees it
+        inverse, y, _, sigma = self.solve(long_par)
+        d = inverse.scale
+        A = inverse.system * d[None, :] / d[:, None]
+        z = d * lu_solve(lu_factor(A), y / d)
+        backward, forward = checks.solve_errors(inverse.system, y, z, sigma)
+        assert self.ok(backward) and not self.ok(forward)
 
 
 class TestWholeKernel:

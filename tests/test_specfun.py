@@ -7,8 +7,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from connsum.errors import DomainError
+from connsum.errors import DomainError, NonConvergenceError
 from connsum import checks, specfun as sf
+
+from oracles import bessel_K_adaptive
 
 # reference values frozen from the adaptive quadrature of the integral
 # representation (30-digit tanh-sinh runs)
@@ -75,6 +77,53 @@ class TestBesselK:
     def test_overflow_signal(self):
         with pytest.raises(OverflowError):
             sf.bessel_K(200.0, 1e-8)
+
+
+class TestBesselKQuadrature:
+    """The trapezoidal oracle against the adaptive quadrature of the same
+    integral, the closed form of K_1/2, its shapes and its failure."""
+    ORDERS = np.arange(0, 11, dtype=float)
+    XS = np.geomspace(1e-3, 50.0, 12)
+
+    def test_matches_adaptive_quadrature(self):
+        # the specfun-check grid in one call, and its two corners where
+        # the peak of the integrand sits far out (order 10 at x = 1e-3)
+        # or the integrand is narrowest (x = 50)
+        got = sf.bessel_K_quadrature(self.ORDERS[:, None], self.XS[None, :])
+        ref = np.array([[bessel_K_adaptive(nu, x) for x in self.XS]
+                        for nu in self.ORDERS])
+        assert np.max(np.abs(got - ref) / ref) < 1e-13
+        for nu, x in ((10.0, 1e-3), (0.0, 50.0)):
+            ref = bessel_K_adaptive(nu, x)
+            assert abs(sf.bessel_K_quadrature(nu, x) - ref) < 1e-13 * ref
+
+    def test_half_order_closed_form(self):
+        x = np.geomspace(1e-3, 50.0, 25)
+        exact = np.sqrt(np.pi / (2.0 * x)) * np.exp(-x)
+        got = sf.bessel_K_quadrature(0.5, x)
+        assert np.max(np.abs(got - exact) / exact) < 1e-14
+
+    def test_scalar_and_broadcast_shapes(self):
+        assert type(sf.bessel_K_quadrature(1.0, 2.0)) is float
+        orders = np.array([[0.0], [1.0], [2.5]])
+        xs = np.array([0.1, 1.0, 3.0, 10.0])
+        got = sf.bessel_K_quadrature(orders, xs)
+        assert got.shape == (3, 4)
+        for i, nu in enumerate(orders[:, 0]):
+            for j, x in enumerate(xs):
+                assert got[i, j] == pytest.approx(
+                    sf.bessel_K_quadrature(nu, x), rel=1e-14)
+
+    def test_domain_error(self):
+        with pytest.raises(DomainError):
+            sf.bessel_K_quadrature(1.0, np.array([1.0, 0.0]))
+
+    def test_halving_cap_raises(self, monkeypatch):
+        # with no halving allowed no two sums are ever compared, so none
+        # can agree
+        monkeypatch.setattr(sf, "K_QUADRATURE_HALVINGS", 0)
+        with pytest.raises(NonConvergenceError):
+            sf.bessel_K_quadrature(1.0, 2.0)
 
 
 class TestBesselKPrime:
