@@ -255,11 +255,13 @@ class ErrorOperator:
         return self.e1 + self.e2.kernel()
 
     def take_total(self) -> np.ndarray:
-        """total summed into the array of e1, the same bits without an
-        n x n temporary, for a caller that owns this operator and
-        overwrites the result; e1 and e2 are released.  The rank-2 E''
-        enters through one dgemm with beta = 1 on the transposed
-        (Fortran-ordered) view of e1, in scipy's one-thread BLAS pool."""
+        """total summed into the array of e1 without an n x n temporary,
+        for a caller that owns this operator and overwrites the result;
+        e1 and e2 are released.  The rank-2 E'' enters through one dgemm
+        with beta = 1 on the transposed (Fortran-ordered) view of e1, in
+        scipy's one-thread BLAS pool.  Its two right factors, basepoint
+        columns cut off by phi_- and phi_+, have disjoint supports, so
+        each entry gains one product and the bits are those of total."""
         left, right = self.e2.left, self.e2.right
         out = blas.dgemm(1.0, right.T, left.T, beta=1.0, c=self.e1.T,
                          overwrite_c=True).T
