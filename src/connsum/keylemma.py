@@ -44,7 +44,9 @@ from .specfun import C_GAMMA, ilg
 
 def _gnu(nu: float, x):
     """g_nu(x) = K_nu(x) x^nu / (2^{nu-1} Gamma(nu)): the decaying radial
-    profile normalized so that r^{2-n} g_nu(k r) -> r^{2-n} as k -> 0."""
+    profile normalized so that r^{2-n} g_nu(k r) -> r^{2-n} as k -> 0.
+    K_nu is the scaled one times e^-x, so x past the double range of
+    K_nu (k r on long ends) gives 0."""
     x = np.asarray(x, dtype=float)
     if nu == 0.5:
         return np.exp(-x)
@@ -52,12 +54,14 @@ def _gnu(nu: float, x):
     big = x > 1e-8
     if big.any():
         xb = x[big]
-        out[big] = sf.bessel_K(nu, xb) * xb ** nu / (2 ** (nu - 1) * math.gamma(nu))
+        out[big] = sf.bessel_K(nu, xb, scaled=True) * np.exp(-xb) \
+            * xb ** nu / (2 ** (nu - 1) * math.gamma(nu))
     return out
 
 
 def _gnu_prime(nu: float, x):
-    """d/dx g_nu(x) = -x^nu K_{nu-1}(x) / (2^{nu-1} Gamma(nu))."""
+    """d/dx g_nu(x) = -x^nu K_{nu-1}(x) / (2^{nu-1} Gamma(nu)), with
+    K from the scaled one as in _gnu."""
     x = np.asarray(x, dtype=float)
     if nu == 0.5:
         return -np.exp(-x)
@@ -65,7 +69,8 @@ def _gnu_prime(nu: float, x):
     pos = x > 0
     if pos.any():
         xp = x[pos]
-        out[pos] = -xp ** nu * sf.bessel_K(abs(nu - 1.0), xp) \
+        out[pos] = -xp ** nu \
+            * (sf.bessel_K(abs(nu - 1.0), xp, scaled=True) * np.exp(-xp)) \
             / (2 ** (nu - 1) * math.gamma(nu))
     return out
 

@@ -53,6 +53,19 @@ smallest singular value of the equilibrated system
 (`InvertedError.sigma_min`), the figure behind the choice of k0, so at a
 lattice energy the k0 selection and a density solve share one
 factorization.
+
+E' and the kink diagonal live on the collar rows C, |s| <= the outer
+radius of zeta (641 of 815 or 929 nodes), so outside C a row of the
+equilibrated system is e_i + U_i V^T, with U V^T = D E'' q D^-1 the
+rank-2 key-lemma tail.  Every solve eliminates those rows: with
+t = V^T x it runs on the bordered matrix
+
+    K = [[A_CC, -A_CF U_F], [-V_C^T, I_2 + V_F^T U_F]]
+
+of order m + 2, F the outer rows and columns (`_ReducedInverse`), and
+A is singular exactly when K is.  The whole equilibrated system is
+still formed: the solve checks of `connsum resolvent` measure each
+solve against it.
 """
 
 from __future__ import annotations
@@ -116,6 +129,15 @@ class LowRank:
 
     def kernel(self) -> np.ndarray:
         return self.left @ self.right
+
+    def add_to(self, out: np.ndarray) -> np.ndarray:
+        """out + kernel() in the array of out (C-ordered n x n), with no
+        n x n temporary: one dgemm with beta = 1 on the transposed
+        (Fortran-ordered) view of out, in scipy's one-thread BLAS pool.
+        Where the right factors have disjoint supports each entry gains
+        one product, so the bits are those of out + kernel()."""
+        return blas.dgemm(1.0, self.right.T, self.left.T, beta=1.0, c=out.T,
+                          overwrite_c=True).T
 
     def apply(self, w: np.ndarray) -> np.ndarray:
         """kernel() @ w without forming the kernel."""
@@ -209,10 +231,11 @@ class ParametrixPieces:
         end, phi, _, orient = self._end_data(side)
         idx = np.where(phi.values > 0)[0]
         r = self.model.r[idx]
-        block = pk.reduced_kernel(end, k, r[:, None], r[None, :])
         if not dleft:
+            block = pk.reduced_kernel(end, k, r[:, None], r[None, :])
             return idx, block * phi.values[idx, None] * phi.values[None, idx]
-        dblock = pk.reduced_kernel_dleft(end, k, r[:, None], r[None, :])
+        block, dblock = pk.reduced_kernel_pair(end, k, r[:, None],
+                                               r[None, :])
         return idx, (orient * dblock * phi.values[idx, None]
                      + block * phi.d1[idx, None]) * phi.values[None, idx]
 
@@ -255,16 +278,12 @@ class ErrorOperator:
         return self.e1 + self.e2.kernel()
 
     def take_total(self) -> np.ndarray:
-        """total summed into the array of e1 without an n x n temporary,
-        for a caller that owns this operator and overwrites the result;
-        e1 and e2 are released.  The rank-2 E'' enters through one dgemm
-        with beta = 1 on the transposed (Fortran-ordered) view of e1, in
-        scipy's one-thread BLAS pool.  Its two right factors, basepoint
-        columns cut off by phi_- and phi_+, have disjoint supports, so
-        each entry gains one product and the bits are those of total."""
-        left, right = self.e2.left, self.e2.right
-        out = blas.dgemm(1.0, right.T, left.T, beta=1.0, c=self.e1.T,
-                         overwrite_c=True).T
+        """total summed into the array of e1 without an n x n temporary
+        (LowRank.add_to), for a caller that owns this operator and
+        overwrites the result; e1 and e2 are released.  The two right
+        factors of E'', basepoint columns cut off by phi_- and phi_+,
+        have disjoint supports, so the bits are those of total."""
+        out = self.e2.add_to(self.e1)
         self.e1 = self.e2 = None
         return out
 
@@ -479,11 +498,15 @@ class InvertedError:
     jumps restored), so E q = A - Id - diag(kink).  `system` is
     D A D^-1, with D = diag(sqrt(q) / w) the scaling that makes L^2_w
     an orthonormal discrete basis, and `c_left` the left-variable kinks
-    of S(., z'), whose jumps are minus those of E.
+    of S(., z'), whose jumps are minus those of E.  Outside the rows
+    `span`, `system` is the identity plus `tail`, the equilibrated
+    E'' q = (D L)(R q D^-1) of the factors L R of E'', so every solve
+    runs on the bordered matrix of _ReducedInverse; `system` itself is
+    kept as the matrix each solve is checked against.
 
-    `apply` and `sigma_min` read one LU factorization of `system`, made
-    on first use and kept with it; `right_compose` does not factor, so
-    the whole-kernel route makes no LU.
+    `apply` and `sigma_min` read one LU factorization of the bordered
+    matrix, made on first use and kept with it; `right_compose` does not
+    factor, so the whole-kernel route makes no LU.
     """
     model: ModelManifold
     k: float
@@ -491,30 +514,42 @@ class InvertedError:
     scale: np.ndarray     # D
     kink: np.ndarray      # E's kink diagonal
     c_left: np.ndarray
+    span: slice           # the rows where system is more than Id + tail
+    tail: LowRank         # D E'' q D^-1, rank 0 where E'' = 0
 
     def right_compose(self, matrix: np.ndarray,
                       kink: np.ndarray) -> np.ndarray:
         """The whole kernel of X (Id + S), for a kernel X with corrected
-        composition matrix `matrix` and kink diagonal `kink`; `matrix` is
-        overwritten.
+        composition matrix `matrix` and kink diagonal `kink`, written
+        into `matrix`.
 
         The kernel X + matrix S + X diag(c_left), with
         S = -A^-1 E (Id + diag(c_left)) and E q = A - Id - diag(kink_E),
         is exactly matrix A^-1 diag((1 + kink_E)(1 + c_left) / q) minus
         diag(kink (1 + c_left) / q): X cancels, and
-        matrix A^-1 = (matrix D^-1) system^-1 D is one transposed solve
-        on the equilibrated system."""
+        matrix A^-1 = (matrix D^-1) system^-1 D is one solve with n
+        right-hand sides on the transposed bordered matrix."""
         q = self.model.weights
         matrix /= self.scale[None, :]
-        out = _solve(self.system.T, matrix.T, self.k).T
+        out = self._inverse.compose(matrix, self._solve_transposed)
         right = (1.0 + self.c_left) / q
         out *= (self.scale * (1.0 + self.kink) * right)[None, :]
         out[np.diag_indices(self.model.n)] -= kink * right
         return out
 
+    def _solve_transposed(self, rhs: np.ndarray) -> np.ndarray:
+        """rhs K^-1 for the bordered matrix K, by one np.linalg.solve
+        with n right-hand sides on K^T in numpy's BLAS pool; K lives for
+        this call only."""
+        try:
+            return np.linalg.solve(self._inverse.bordered().T, rhs.T).T
+        except np.linalg.LinAlgError as exc:
+            raise SingularSystemError(
+                f"Id + E(k) singular at k={self.k}: {exc}") from exc
+
     @cached_property
-    def _inverse(self) -> _LUInverse:
-        return _LUInverse(self.system)
+    def _inverse(self) -> _ReducedInverse:
+        return _ReducedInverse(self.system, self.span, self.tail)
 
     def solve(self, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(y, z): the right-hand side y = D (1 + kink_E)(1 + c_left) v
@@ -531,8 +566,8 @@ class InvertedError:
         matrix: v + S v, S = -A^-1 E (Id + diag(c_left)), with
         E q = A - Id - diag(kink_E), is exactly
         A^-1 ((1 + kink_E)(1 + c_left) v) - (c_left + kink_E) v, and
-        A^-1 y = D^-1 system^-1 (D y) is one LU solve on the equilibrated
-        system.  z, when given, is solve(v)[1], so a caller that checks
+        A^-1 y = D^-1 system^-1 (D y) is one LU solve on the bordered
+        matrix.  z, when given, is solve(v)[1], so a caller that checks
         that solve does not make it twice."""
         if z is None:
             z = self.solve(v)[1]
@@ -545,13 +580,6 @@ class InvertedError:
         return self._inverse.sigma_min()
 
 
-def _solve(A: np.ndarray, b: np.ndarray, k: float) -> np.ndarray:
-    try:
-        return np.linalg.solve(A, b)
-    except np.linalg.LinAlgError as exc:
-        raise SingularSystemError(f"Id + E(k) singular at k={k}: {exc}") from exc
-
-
 def invert_error(model: ModelManifold, err: ErrorOperator) -> InvertedError:
     """(Id + E)^{-1} as the equilibrated Nystrom matrix
     D (Id + E q + diag(kink)) D^-1, written into E's own array; err is
@@ -559,13 +587,24 @@ def invert_error(model: ModelManifold, err: ErrorOperator) -> InvertedError:
     scaling passes of weighted_operator).  Unscaled, A is as
     ill-conditioned as the quadrature weights are spread (cond 1e10 on
     929 nodes, 1e18 at S = 2^16); D A D^-1 keeps cond at a few
-    hundred."""
+    hundred.
+
+    Before take_total merges them, the rows where E' or the kink
+    diagonal is nonzero give the span (the collar |s| <= the outer
+    radius of zeta), and the nonzero factors of E'' the equilibrated
+    tail."""
     kink = model.kink_diagonal(err.jump_ramp, err.jump_step)
     c_left = model.kink_diagonal(-err.jump_ramp, err.jump_step)
+    span = _span(np.any(err.e1, axis=1) | (kink != 0))
+    scale = equilibration(model, err.weight)
+    left, right = err.e2.left, err.e2.right
+    live = np.any(left, axis=0) & np.any(right, axis=1)
+    tail = LowRank(scale[:, None] * left[:, live],
+                   right[live] * (model.weights / scale)[None, :])
     system = weighted_operator(model, err.take_total(), err.weight)
     system[np.diag_indices(model.n)] += kink
-    return InvertedError(model, err.k, system,
-                         equilibration(model, err.weight), kink, c_left)
+    return InvertedError(model, err.k, system, scale, kink, c_left, span,
+                         tail)
 
 
 def _norm2(op) -> float:
@@ -574,34 +613,131 @@ def _norm2(op) -> float:
     return float(spectral_norms(op, np.ones(op.shape[0]), [slice(None)])[0])
 
 
-class _LUInverse:
-    """M^-1 from one LU factorization of M, with `@` on both sides, as
-    spectral_norms applies an operator.  lu_solve does not raise on an
-    exactly zero pivot (it returns inf or nan), so `singular` records
-    one."""
+class _ReducedInverse:
+    """A^-1 for an n x n matrix A that, outside one span C = lo:hi of its
+    rows, is the identity plus a rank-r tail U V^T (r = 0 allowed).
+
+    Block elimination (Golub and Van Loan, Matrix Computations, 3.2 and
+    2.1.4) with t = V^T x leaves the bordered (m + r) x (m + r) matrix,
+    m = hi - lo and F the outer rows and columns,
+
+        K = [[A_CC, -A_CF U_F], [-V_C^T, I_r + V_F^T U_F]],
+
+    whose border column is [0; I_r] - W U_F for the outer columns
+    W = [A_CF; -V_F^T].  Then
+
+        A^-1 y:  K [x_C; t] = [y_C; 0] - W y_F,  x_F = y_F - U_F t;
+        M A^-1:  Z K = [M_C, -M_F U_F],  X_C = Z_C,  X_F = M_F - Z W.
+
+    A is singular exactly when K is.  W is read from A's outer column
+    blocks in place, never copied.  `@` on both sides, as spectral_norms
+    applies an operator, solves with one LU factorization of K, made on
+    first use in K's own array.  lu_solve does not raise on an exactly
+    zero pivot (it returns inf or nan), so `singular` records one."""
     __array_ufunc__ = None      # an ndarray on the left defers to __rmatmul__
 
-    def __init__(self, M: np.ndarray):
-        self.lu, self.shape = lu_factor(M), M.shape
-        self.singular = not np.all(np.diag(self.lu[0]))
+    def __init__(self, A: np.ndarray, span: slice,
+                 tail: LowRank | None = None):
+        n = A.shape[0]
+        if tail is None:
+            tail = LowRank(np.zeros((n, 0)), np.zeros((0, n)))
+        self.A, self.span, self.shape = A, span, A.shape
+        self.outer = (slice(0, span.start), slice(span.stop, n))
+        self.m, self.r = span.stop - span.start, tail.left.shape[1]
+        # powers of two that bring each row of V^T to a 1-norm in
+        # [1/2, 1), so the border rows of K weigh like rows of A (at
+        # k = e^-256 the unscaled rows raised the backward error 6x);
+        # U V^T keeps its bits
+        power = np.frexp(np.abs(tail.right).sum(axis=1))[1]
+        self.u = np.ldexp(tail.left, power[None, :])
+        self.v = np.ldexp(tail.right, -power[:, None])
 
-    def __matmul__(self, x):
-        return lu_solve(self.lu, x)
+    def _w(self, x: np.ndarray) -> np.ndarray:
+        """W x_F for x of shape (n,) or (n, p)."""
+        out = np.zeros((self.m + self.r,) + x.shape[1:])
+        for f in self.outer:
+            out[:self.m] += self.A[self.span, f] @ x[f]
+            out[self.m:] -= self.v[:, f] @ x[f]
+        return out
+
+    def bordered(self) -> np.ndarray:
+        """A new Fortran-ordered K, which lu_factor overwrites."""
+        m, r = self.m, self.r
+        K = np.empty((m + r, m + r), order="F")
+        K[:m, :m] = self.A[self.span, self.span]
+        K[m:, :m] = -self.v[:, self.span]
+        K[:, m:] = -self._w(self.u)
+        K[m:, m:] += np.eye(r)
+        return K
+
+    @cached_property
+    def lu(self):
+        return lu_factor(self.bordered(), overwrite_a=True)
+
+    @property
+    def singular(self) -> bool:
+        return not np.all(np.diag(self.lu[0]))
+
+    def solve(self, y: np.ndarray, solve) -> np.ndarray:
+        """A^-1 y, y of shape (n,) or (n, p), with solve(b) = K^-1 b."""
+        m = self.m
+        b = -self._w(y)
+        b[:m] += y[self.span]
+        x_t = solve(b)
+        x = y.copy()
+        x[self.span] = x_t[:m]
+        for f in self.outer:
+            x[f] -= self.u[f] @ x_t[m:]
+        return x
+
+    def compose(self, M: np.ndarray, solve) -> np.ndarray:
+        """M A^-1, M of shape (p, n), written into M's array, with
+        solve(R) = R K^-1 in a new array.  R is M's columns lo:hi + r,
+        the last r of them saved and given -M_F U_F for the solve, so
+        the right-hand sides take no new p x m array; only a span that
+        ends within r of the last column takes R as a new array."""
+        m, r, span = self.m, self.r, self.span
+        border = np.zeros((M.shape[0], r))
+        for f in self.outer:
+            border -= M[:, f] @ self.u[f]
+        end = span.stop + r
+        if end <= M.shape[1]:
+            saved = M[:, span.stop:end].copy()
+            M[:, span.stop:end] = border
+            Z = solve(M[:, span.start:end])
+            M[:, span.stop:end] = saved
+        else:
+            Z = solve(np.concatenate((M[:, span], border), axis=1))
+        for f in self.outer:
+            M[:, f] -= Z[:, :m] @ self.A[span, f]
+            M[:, f] += Z[:, m:] @ self.v[:, f]
+        M[:, span] = Z[:, :m]
+        return M
+
+    def __matmul__(self, y):
+        return self.solve(y, lambda b: lu_solve(self.lu, b,
+                                                overwrite_b=True))
 
     def __rmatmul__(self, x):
-        return lu_solve(self.lu, x.T, trans=1).T
+        return self.compose(
+            np.array(x, dtype=float),
+            lambda rhs: lu_solve(self.lu, rhs.T, trans=1).T)
 
     def sigma_min(self) -> float:
-        """sigma_min(M) = 1 / ||M^-1||_2, with the norm of the inverse by
-        spectral_norms; 0.0 when M is singular."""
+        """sigma_min(A) = 1 / ||A^-1||_2, with the norm of the inverse by
+        spectral_norms; 0.0 when A is singular."""
         return 0.0 if self.singular else 1.0 / _norm2(self)
 
 
 def smallest_singular_value(M: np.ndarray) -> float:
     """sigma_min(M) = 1 / ||M^-1||_2, with the norm of the inverse by
-    spectral_norms on one LU factorization of M; 0.0 at an exactly zero
+    spectral_norms on one LU factorization of the bordered matrix of
+    the rows of M that are not identity rows; 0.0 at an exactly zero
     pivot."""
-    return _LUInverse(M).sigma_min()
+    diagonal = M.diagonal()
+    off = np.count_nonzero(M, axis=1) - (diagonal != 0)
+    return _ReducedInverse(M, _span((off > 0) | (diagonal != 1.0))) \
+        .sigma_min()
 
 
 # smallest singular value of the system of Id + E(k) at which choose_k0
@@ -655,14 +791,17 @@ class Parametrix:
 
     def g_matrix(self, k: float, dleft: bool = False) -> np.ndarray:
         """The corrected composition matrix of G(k), or with dleft of its
-        left derivative: the terms of _g_terms added into one copy of G2,
-        then weighted by q and given G's kink diagonal in place."""
+        left derivative: the terms of _g_terms added into one copy of G2
+        (the low-rank ones by LowRank.add_to; the right factors of G3
+        have disjoint supports, so the bits are those of adding G3's
+        kernel), then weighted by q and given G's kink diagonal in
+        place."""
         g2, blocks, low_rank = self._g_terms(k, dleft)
         out = g2.copy()
         for idx, block in blocks:
             out[np.ix_(idx, idx)] += block
         for term in low_rank:
-            out += term.kernel()
+            out = term.add_to(out)
         out *= self.model.weights[None, :]
         out[np.diag_indices(self.model.n)] += self._g_kink(dleft)
         return out

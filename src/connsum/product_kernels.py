@@ -28,42 +28,56 @@ def _scaled_at(fn, order: float, k: float, r, rp, take_r):
                     fn(order, k * rp, scaled=True))
 
 
-def reduced_kernel(end: EndSpec, k: float, r, rp):
-    """Zero-channel radial resolvent kernel of the product end:
-    (Kf)(r) = int kernel(r, r') f(r') c r'^{n-1} dr' inverts Delta + k^2
-    on radial functions.  Broadcasts over r and rp."""
-    n = end.euclidean_dim
-    nu = 0.5 * n - 1.0
-    c = end.weight_constant
+def _shared_factors(end: EndSpec, k: float, r, rp):
+    """(nu, c, r, rp, lo, hi, power, expf, ie, ke): what reduced_kernel
+    and its left derivative share.  nu = n/2 - 1 and c the weight
+    constant, r and rp as arrays, the masks lo = r <= rp and
+    hi = r >= rp, power = (r rp)^{-nu}, expf = e^{-k (max - min)}, and
+    the scaled I_nu(k min) and K_nu(k max)."""
+    nu = 0.5 * end.euclidean_dim - 1.0
     r = np.asarray(r, dtype=float)
     rp = np.asarray(rp, dtype=float)
-    a = np.minimum(r, rp)
-    b = np.maximum(r, rp)
-    ie = _scaled_at(sf.bessel_I, nu, k, r, rp, r <= rp)
-    ke = _scaled_at(sf.bessel_K, nu, k, r, rp, r >= rp)
-    return (r * rp) ** (-nu) * ie * ke * np.exp(-k * (b - a)) / c
-
-
-def reduced_kernel_dleft(end: EndSpec, k: float, r, rp):
-    """d/dr of reduced_kernel in the left variable (kink across r = rp)."""
-    n = end.euclidean_dim
-    nu = 0.5 * n - 1.0
-    c = end.weight_constant
-    r = np.asarray(r, dtype=float)
-    rp = np.asarray(rp, dtype=float)
-    a = np.minimum(r, rp)
-    b = np.maximum(r, rp)
-    expf = np.exp(-k * (b - a))
+    expf = np.exp(-k * (np.maximum(r, rp) - np.minimum(r, rp)))
     lo, hi = r <= rp, r >= rp
-    val_below = k * _scaled_at(sf.bessel_I, nu + 1.0, k, r, rp, lo) \
-        * _scaled_at(sf.bessel_K, nu, k, r, rp, hi)
-    val_above = -k * _scaled_at(sf.bessel_I, nu, k, r, rp, lo) \
-        * _scaled_at(sf.bessel_K, nu + 1.0, k, r, rp, hi)
+    ie = _scaled_at(sf.bessel_I, nu, k, r, rp, lo)
+    ke = _scaled_at(sf.bessel_K, nu, k, r, rp, hi)
+    return (nu, end.weight_constant, r, rp, lo, hi, (r * rp) ** (-nu),
+            expf, ie, ke)
+
+
+def _kernel(factors):
+    nu, c, r, rp, lo, hi, power, expf, ie, ke = factors
+    return power * ie * ke * expf / c
+
+
+def _kernel_dleft(k: float, factors):
+    nu, c, r, rp, lo, hi, power, expf, ie, ke = factors
+    val_below = k * _scaled_at(sf.bessel_I, nu + 1.0, k, r, rp, lo) * ke
+    val_above = -k * ie * _scaled_at(sf.bessel_K, nu + 1.0, k, r, rp, hi)
     # midpoint convention on the diagonal (value jumps enter kink-corrected
     # compositions with H(0) = 1/2)
     out = np.where(r < rp, val_below,
                    np.where(r > rp, val_above, 0.5 * (val_below + val_above)))
-    return (r * rp) ** (-nu) * out * expf / c
+    return power * out * expf / c
+
+
+def reduced_kernel(end: EndSpec, k: float, r, rp):
+    """Zero-channel radial resolvent kernel of the product end:
+    (Kf)(r) = int kernel(r, r') f(r') c r'^{n-1} dr' inverts Delta + k^2
+    on radial functions.  Broadcasts over r and rp."""
+    return _kernel(_shared_factors(end, k, r, rp))
+
+
+def reduced_kernel_dleft(end: EndSpec, k: float, r, rp):
+    """d/dr of reduced_kernel in the left variable (kink across r = rp)."""
+    return _kernel_dleft(k, _shared_factors(end, k, r, rp))
+
+
+def reduced_kernel_pair(end: EndSpec, k: float, r, rp):
+    """(reduced_kernel, reduced_kernel_dleft) with the bits of each, from
+    one evaluation of the factors they share."""
+    factors = _shared_factors(end, k, r, rp)
+    return _kernel(factors), _kernel_dleft(k, factors)
 
 
 def reduced_zero_energy_kernel(end: EndSpec, r, rp):

@@ -3,7 +3,9 @@ and the inverse-log scale function.
 
 K_nu and I_nu (real order nu >= 0, x > 0) are thin wrappers over
 scipy.special.kv/kve and iv/ive that add the domain checks and turn a
-value outside the double range into OverflowError.  An independent
+value outside the double range into OverflowError.  kv flushes to 0.0
+from x ~ 697 on, where K_nu is still a normal double (K_0(700) =
+4.67e-306); bessel_K takes kve(nu, x) e^-x there.  An independent
 reference is the trapezoidal rule on the integral representation
 
     K_nu(x) = int_0^oo exp(-x cosh t) cosh(nu t) dt,
@@ -48,16 +50,33 @@ def _bessel(name: str, plain, scaled_fn, order: float, x, scaled: bool):
     return float(out[0]) if was_scalar else out
 
 
+def _kv(order: float, x: np.ndarray) -> np.ndarray:
+    """scipy.special.kv, with kve(order, x) e^-x where kv flushes to 0.0
+    (from x ~ 697 on); OverflowError where that underflows too."""
+    out = special.kv(order, x)
+    flushed = out == 0.0
+    if flushed.any():
+        xf = x[flushed]
+        out[flushed] = special.kve(order, xf) * np.exp(-xf)
+        if not np.all(out[flushed]):
+            raise OverflowError(
+                f"bessel_K underflow: order={order}, x in "
+                f"[{xf.min():g}, {xf.max():g}] (K below the smallest "
+                "subnormal; take scaled=True)")
+    return out
+
+
 def bessel_K(order: float, x, scaled: bool = False):
     """Modified Bessel function of the second kind, K_order(x).
 
     order: real, >= 0.  x: positive scalar or array.
     scaled=True returns e^x K_order(x), safe for large x.
 
-    Raises DomainError for x <= 0 and OverflowError when the value
-    exceeds the double range (tiny x at large order).
+    Raises DomainError for x <= 0 and OverflowError when the value lies
+    outside the double range: above it (tiny x at large order), or below
+    the smallest subnormal (x past about 745).
     """
-    return _bessel("bessel_K", special.kv, special.kve, order, x, scaled)
+    return _bessel("bessel_K", _kv, special.kve, order, x, scaled)
 
 
 def bessel_K_prime(order: float, x):
@@ -136,8 +155,10 @@ def k0_remainder(x):
                 break
         out[small] = -lg * i0m1 + hsum
     if (~small).any():
+        # kv's flush to zero past x ~ 697 is exact here: K_0 is then
+        # far below an ulp of log(x/2) + gamma
         xb = xa[~small]
-        out[~small] = bessel_K(0.0, xb) + np.log(0.5 * xb) + EULER_GAMMA
+        out[~small] = special.kv(0.0, xb) + np.log(0.5 * xb) + EULER_GAMMA
     return float(out[0]) if was_scalar else out
 
 
@@ -150,8 +171,10 @@ def k1_tail(x):
         xs = xa[small]
         out[small] = 0.5 * xs * (np.log(0.5 * xs) + EULER_GAMMA - 0.5)
     if (~small).any():
+        # as in k0_remainder, K_1 past its flush to zero is below an ulp
+        # of 1/x
         xb = xa[~small]
-        out[~small] = bessel_K(1.0, xb) - 1.0 / xb
+        out[~small] = special.kv(1.0, xb) - 1.0 / xb
     return float(out[0]) if was_scalar else out
 
 

@@ -193,6 +193,28 @@ def resolvent_kernel(par, k: float, dleft: bool = False) -> np.ndarray:
     return kernel + matrix @ S + kernel * c_left[None, :]
 
 
+def full_solve(inverse, b, trans: bool = False) -> np.ndarray:
+    """system^-1 b, or with trans b system^-1 for rows b, of a
+    parametrix.InvertedError by one dense solve on the whole n x n
+    equilibrated system: the reference for its bordered solves."""
+    if trans:
+        return np.linalg.solve(inverse.system.T, np.asarray(b).T).T
+    return np.linalg.solve(inverse.system, b)
+
+
+def full_right_compose(inverse, matrix, kink) -> np.ndarray:
+    """parametrix.InvertedError.right_compose(matrix, kink) by one
+    transposed solve with n right-hand sides on the whole equilibrated
+    system, the route before the bordered solve; matrix is left as it
+    is."""
+    q = inverse.model.weights
+    out = full_solve(inverse, matrix / inverse.scale[None, :], trans=True)
+    right = (1.0 + inverse.c_left) / q
+    out *= (inverse.scale * (1.0 + inverse.kink) * right)[None, :]
+    out[np.diag_indices(inverse.model.n)] -= kink * right
+    return out
+
+
 def fit_envelope(values, shape) -> float:
     """Smallest constant C with |values| <= C * shape over the samples."""
     values = np.abs(np.asarray(values, dtype=float)).ravel()

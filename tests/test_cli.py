@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from connsum import checks, cli, parametrix as px
+from connsum import checks, cli, model as md, parametrix as px
 from connsum import reports
 
 
@@ -127,9 +127,14 @@ class TestCli:
         # four lattice energies, whose factorizations also serve the
         # solve checks at all four and the oracle at 1e-2, 1e-3 and 1e-4,
         # and the five fit energies; no matrix is LU-factored twice, and
-        # nothing is solved with a matrix right-hand side
+        # nothing is solved with a matrix right-hand side.  Each
+        # factorization is of the bordered matrix on the m collar rows:
+        # of order m at k = 0, where E'' vanishes, and m + 2 elsewhere
+        model = md.build_model()
+        m = int(np.sum(np.abs(model.s) <= model.radii.zeta[1]))
         errors = []
         factored = []
+        shapes = []
         matrix_solves = []
         error_kernel, lu_factor = px.error_kernel, px.lu_factor
         solve = np.linalg.solve
@@ -141,6 +146,7 @@ class TestCli:
         def counted_lu(a, *args, **kwargs):
             factored.append(hashlib.sha256(
                 np.ascontiguousarray(a).tobytes()).hexdigest())
+            shapes.append(a.shape)
             return lu_factor(a, *args, **kwargs)
 
         def counted_solve(a, b):
@@ -154,6 +160,7 @@ class TestCli:
         assert cli.main(["resolvent", "--out", str(tmp_path)]) == 0
         assert len(errors) == 10 and len(set(errors)) == 10
         assert len(factored) == 10 and len(set(factored)) == len(factored)
+        assert shapes == [(m, m)] + 9 * [(m + 2, m + 2)]
         assert matrix_solves == []
 
     def test_resolvent_reports_solve_errors(self, tmp_path):

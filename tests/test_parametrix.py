@@ -15,8 +15,9 @@ from connsum.errors import SingularSystemError
 from connsum.fits import loglog_slope
 from connsum.specfun import ilg
 
-from oracles import (dense_error_total, g_kernel, identity_residuals,
-                     resolvent, s_kernel, segment_interior)
+from oracles import (dense_error_total, full_right_compose, full_solve,
+                     g_kernel, identity_residuals, resolvent, s_kernel,
+                     segment_interior)
 from oracles import resolvent_kernel as two_step_kernel
 
 
@@ -71,17 +72,29 @@ def forced(par, model):
     return out
 
 
-def _count_calls(monkeypatch, owner, name) -> list:
-    """Replace owner.name by a wrapper that records each call."""
+def _count_calls(monkeypatch, owner, name, record=None) -> list:
+    """Replace owner.name by a wrapper that records each call: its
+    positional arguments, or what record(*args) makes of them, so that
+    a memory test need not keep the arrays of a call alive."""
     calls = []
     orig = getattr(owner, name)
 
     def counted(*args, **kwargs):
-        calls.append(args)
+        calls.append(args if record is None else record(*args))
         return orig(*args, **kwargs)
 
     monkeypatch.setattr(owner, name, counted)
     return calls
+
+
+def _neck_column(inverse) -> int:
+    """The column of the equilibrated system at s = 0, inside its span,
+    where the tail's right factors (basepoint columns cut off by phi_-
+    and phi_+) vanish."""
+    j = int(np.searchsorted(inverse.model.s, 0.0))
+    assert inverse.span.start <= j < inverse.span.stop
+    assert not np.any(inverse.tail.right[:, j])
+    return j
 
 
 class TestAssembly:
@@ -94,6 +107,25 @@ class TestAssembly:
                 idx, block = par.pieces.product_block(side, 0.01, dleft)
                 assert block.shape == (len(idx), len(idx))
                 assert not np.any(hole[idx])
+
+    @pytest.mark.parametrize("dleft", [False, True])
+    def test_g_matrix_matches_dense_sum(self, par, model, dleft):
+        # G3 enters by one in-place dgemm; its right factors have
+        # disjoint supports, so the values are those of adding its dense
+        # kernel, and g_matrix makes no n x n temporary beyond its result
+        right = par.pieces.basepoint_outer(1e-3, model.s, model.s).right
+        assert not np.any((right[0] != 0) & (right[1] != 0))
+        unit = model.n ** 2 * np.dtype(float).itemsize
+        for k in (1e-4, 1e-2, 0.3):
+            np.testing.assert_array_equal(par.g_matrix(k, dleft),
+                                          g_kernel(par, k, dleft)[1])
+        tracemalloc.start()
+        try:
+            par.g_matrix(1e-3, dleft)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * unit
 
     def test_interior_build_memory(self, par, model):
         # G2 and d_s G2 are formed in the arrays of the frozen kernel and
@@ -278,9 +310,11 @@ class TestInversion:
 
     def test_apply_raises_on_singular_system(self, par, model):
         # lu_solve returns inf or nan at an exactly zero pivot; apply
-        # must raise instead
+        # must raise instead.  The zero column is a neck column: there
+        # the right factors of the tail vanish, so the bordered matrix
+        # has the same zero column
         inverse = par.s_operator(1e-3)
-        inverse.system[:, 0] = 0.0
+        inverse.system[:, _neck_column(inverse)] = 0.0
         with pytest.warns(LinAlgWarning), \
                 pytest.raises(SingularSystemError):
             inverse.apply(np.exp(-2.0 * model.s ** 2))
@@ -341,6 +375,19 @@ class TestSolveErrors:
         backward, forward = checks.solve_errors(inverse.system, y, z, sigma)
         assert not self.ok(backward) and not self.ok(forward)
 
+    def test_broken_outer_row_fails(self, par):
+        # the bordered solve reads the rows outside the span from the
+        # tail factors, not from `system`; an outer row of `system` that
+        # is no longer the identity plus the tail shows in the backward
+        # error against it
+        inverse = par.s_operator(1e-3)
+        row = inverse.span.stop + 5
+        inverse.system[row, _neck_column(inverse)] = 1.0
+        y, z = inverse.solve(np.exp(-2.0 * par.model.s ** 2))
+        backward, forward = checks.solve_errors(inverse.system, y, z,
+                                                inverse.sigma_min())
+        assert not self.ok(backward) and not self.ok(forward)
+
     def test_dropped_equilibration_fails_forward_bound(self, long_par):
         # solved on the unscaled A = D^-1 system D (cond 1e18 here): the
         # LU is backward stable, so only the forward bound sees it
@@ -350,6 +397,73 @@ class TestSolveErrors:
         z = d * lu_solve(lu_factor(A), y / d)
         backward, forward = checks.solve_errors(inverse.system, y, z, sigma)
         assert self.ok(backward) and not self.ok(forward)
+
+
+class TestReduction:
+    """The bordered solve behind every factorization and the whole
+    kernel: outside the collar rows (the span), the equilibrated system
+    is the identity plus the rank-2 tail of E'', which the bordered
+    matrix of order m + 2 takes in exactly."""
+    TOL = 1e-12
+    KS = [1e-2, 1e-4, 0.05, math.exp(-256.0)]
+
+    @pytest.mark.parametrize("fixture, m", [
+        ("par", 641), ("forced", 641), ("long_par", 640)])
+    def test_span_and_outer_rows(self, request, fixture, m):
+        # the span is the nodes with |s| <= 16, the outer radius of zeta:
+        # 641 of them on the default grid, 640 at S = 2^16, where the
+        # node next to s = -16 lies 7e-15 outside it
+        p = request.getfixturevalue(fixture)
+        inverse = p.s_operator(1e-3)
+        span, n = inverse.span, p.model.n
+        collar = np.abs(p.model.s) <= p.model.radii.zeta[1]
+        np.testing.assert_array_equal(np.arange(n)[span],
+                                      np.flatnonzero(collar))
+        assert span.stop - span.start == m
+        # entrywise, to a few rounding errors of the tail, and on the
+        # diagonal, where 1 + tail rounds to 1, to one of 1
+        outer = np.r_[0:span.start, span.stop:n]
+        tail = inverse.tail.left[outer] @ inverse.tail.right
+        eye = np.eye(n)[outer]
+        eps = np.finfo(float).eps
+        assert np.all(np.abs(inverse.system[outer] - eye - tail)
+                      <= 8 * eps * np.abs(tail) + eps * eye)
+        # at k = 0 there is no tail, and the outer rows are identity rows
+        zero = p.s_operator(0.0)
+        assert zero.tail.left.shape == (n, 0)
+        np.testing.assert_array_equal(zero.system[outer], np.eye(n)[outer])
+
+    @pytest.mark.parametrize("fixture", ["par", "forced", "long_par"])
+    @pytest.mark.parametrize("k", KS)
+    def test_matches_full_solve(self, request, fixture, k):
+        # both sides of the reduced inverse and the whole kernel against
+        # one dense solve on the whole equilibrated system
+        p = request.getfixturevalue(fixture)
+        inverse = p.s_operator(k)
+        reduced = inverse._inverse
+        s = p.model.s
+        y = inverse.scale * np.exp(-2.0 * s ** 2)
+        rows = np.stack((np.exp(-s ** 2 / 8.0), np.cos(s) / (1.0 + s * s)))
+        for got, ref in ((reduced @ y, full_solve(inverse, y)),
+                         (rows @ reduced, full_solve(inverse, rows, True))):
+            assert np.max(np.abs(got - ref)) <= self.TOL * np.max(np.abs(ref))
+        matrix, kink = p.g_matrix(k, dleft=True), p._g_kink(True)
+        ref = full_right_compose(inverse, matrix, kink)
+        got = inverse.right_compose(matrix, kink)
+        assert np.max(np.abs(got - ref)) <= self.TOL * np.max(np.abs(ref))
+
+    def test_dropped_tail_fails(self, long_par):
+        # the tail is at most 2.3e-14 here (S = 2^16, k = 0.05), but the
+        # reduction without it raises the backward error from 2.2e-17 to
+        # 9.8e-16; the bound sits at the geometric middle of that gap
+        bound = 1.5e-16
+        inverse = long_par.s_operator(0.05)
+        y, z = inverse.solve(np.exp(-2.0 * long_par.model.s ** 2))
+        untailed = px._ReducedInverse(inverse.system, inverse.span) @ y
+        sigma = inverse.sigma_min()
+        assert checks.solve_errors(inverse.system, y, z, sigma)[0] < bound
+        assert checks.solve_errors(inverse.system, y, untailed,
+                                   sigma)[0] > bound
 
 
 class TestWholeKernel:
@@ -380,13 +494,18 @@ class TestWholeKernel:
     @pytest.mark.parametrize("fixture", ["par", "long_par"])
     def test_work_and_memory(self, request, fixture, monkeypatch):
         # one error kernel, one inversion and one dense solve with n
-        # right-hand sides; the live n x n arrays are the equilibrated
-        # system, the composition matrix of d_s G and the result
+        # right-hand sides on the bordered matrix, of order m + 2 (the
+        # span and the rank-2 tail); the live n x n arrays are the
+        # equilibrated system and the composition matrix of d_s G, which
+        # becomes the result and holds the right-hand sides
         p = request.getfixturevalue(fixture)
         n = p.model.n
+        span = p.s_operator(1e-3).span
+        order = span.stop - span.start + 2
         errors = _count_calls(monkeypatch, px, "error_kernel")
         inverts = _count_calls(monkeypatch, px, "invert_error")
-        solves = _count_calls(monkeypatch, np.linalg, "solve")
+        solves = _count_calls(monkeypatch, np.linalg, "solve",
+                              lambda a, b: (a.shape, b.shape))
         tracemalloc.start()
         try:
             p.resolvent_dleft(1e-3)
@@ -394,7 +513,7 @@ class TestWholeKernel:
         finally:
             tracemalloc.stop()
         assert len(errors) == 1 and len(inverts) == 1
-        assert [a[1].shape for a in solves] == [(n, n)]
+        assert solves == [((order, order), (order, n))]
         assert peak <= 3.5 * n ** 2 * np.dtype(float).itemsize
 
 
@@ -536,7 +655,7 @@ class TestResolvent:
         def singular_at_005(k):
             inverse = s_operator(k)
             if k == 0.05:
-                inverse.system[:, 0] = 0.0
+                inverse.system[:, _neck_column(inverse)] = 0.0
             return inverse
 
         monkeypatch.setattr(par, "s_operator", singular_at_005)
@@ -601,8 +720,10 @@ class TestResolvent:
 
     def test_apply_path_solves_no_kernel(self, par, model, monkeypatch):
         # one apply: one error kernel, one inversion, one LU factorization
-        # and one LU solve for a single right-hand side, with no n-column
-        # solve
+        # of the bordered matrix (order m + 2) and one LU solve for a
+        # single right-hand side, with no n-column solve
+        span = par.s_operator(1e-3).span
+        order = span.stop - span.start + 2
         inverts = _count_calls(monkeypatch, px, "invert_error")
         errors = _count_calls(monkeypatch, px, "error_kernel")
         factors = _count_calls(monkeypatch, px, "lu_factor")
@@ -611,8 +732,8 @@ class TestResolvent:
         v = np.exp(-2.0 * model.s ** 2)
         par.resolvent_apply(1e-3, v)
         assert len(inverts) == 1 and len(errors) == 1
-        assert [a[0].shape for a in factors] == [(model.n, model.n)]
-        assert [a[1].shape for a in lu_solves] == [(model.n,)]
+        assert [a[0].shape for a in factors] == [(order, order)]
+        assert [a[1].shape for a in lu_solves] == [(order,)]
         assert solves == []
         resolvent(par, 1e-3, v)
         resolvent(par, 1e-4, v)

@@ -384,6 +384,18 @@ class TestReducedKernels:
             an = pk.reduced_kernel_dleft(end, k, r, rp)
             np.testing.assert_allclose(an, fd, rtol=1e-7)
 
+    def test_pair_has_the_bits_of_each(self):
+        # one outer grid, the diagonal included, on either end
+        r = np.geomspace(1.0, 400.0, 37)
+        for end in (CIRCLE_END_2, POINT_END_3):
+            for k in (1e-6, 0.05, 1.3):
+                args = (end, k, r[:, None], r[None, :])
+                value, dleft = pk.reduced_kernel_pair(*args)
+                for got, ref in ((value, pk.reduced_kernel(*args)),
+                                 (dleft, pk.reduced_kernel_dleft(*args))):
+                    np.testing.assert_array_equal(got.view(np.uint64),
+                                                  ref.view(np.uint64))
+
     def test_k0_difference_limit(self):
         end = CIRCLE_END_2
         r, rp, r2, rp2 = 3.0, 7.0, 2.5, 11.0

@@ -6,6 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy import special
 
 from connsum.errors import DomainError, NonConvergenceError
 from connsum import checks, specfun as sf
@@ -77,6 +78,21 @@ class TestBesselK:
     def test_overflow_signal(self):
         with pytest.raises(OverflowError):
             sf.bessel_K(200.0, 1e-8)
+
+    def test_past_the_flush_of_kv(self):
+        # scipy's kv returns 0.0 from x ~ 697 on; K_0(700) = 4.67e-306 is
+        # still a normal double, and bessel_K keeps kv's bits below 697
+        ref = sf.bessel_K_quadrature(0.0, 700.0)
+        assert sf.bessel_K(0.0, 700.0) == pytest.approx(ref, rel=1e-10)
+        x = np.array([1.0, 696.0, 700.0])
+        got = sf.bessel_K(0.0, x)
+        assert got[1] == special.kv(0.0, 696.0) and got[2] > 0.0
+
+    def test_underflow_signal(self):
+        # below the smallest subnormal even through the scaled function
+        with pytest.raises(OverflowError, match="underflow"):
+            sf.bessel_K(0.0, np.array([1.0, 800.0]))
+        assert sf.bessel_K(0.0, 800.0, scaled=True) > 0.0
 
 
 class TestBesselKQuadrature:
