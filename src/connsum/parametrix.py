@@ -116,9 +116,10 @@ def _transition_rows(cutoff: CutoffField) -> np.ndarray:
 
 
 def _span(mask: np.ndarray) -> slice:
-    """The grid nodes from the first to the last where mask holds."""
+    """The grid nodes from the first to the last where mask holds; none
+    where it never holds."""
     idx = np.flatnonzero(mask)
-    return slice(idx[0], idx[-1] + 1)
+    return slice(idx[0], idx[-1] + 1) if idx.size else slice(0, 0)
 
 
 @dataclass

@@ -299,6 +299,10 @@ class TestInversion:
         with pytest.warns(LinAlgWarning):
             assert px.smallest_singular_value(M) == 0.0
 
+    def test_smallest_singular_value_of_identity(self):
+        # no row differs from the identity: the bordered matrix is empty
+        assert px.smallest_singular_value(np.eye(5)) == pytest.approx(1.0)
+
     @pytest.mark.parametrize("fixture", ["par", "long_par"])
     @pytest.mark.parametrize("k", [1e-4, 1e-2, 0.05])
     def test_sigma_min_matches_svd(self, request, fixture, k):
