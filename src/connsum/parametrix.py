@@ -506,8 +506,8 @@ class InvertedError:
     kept as the matrix each solve is checked against.
 
     `apply` and `sigma_min` read one LU factorization of the bordered
-    matrix, made on first use and kept with it; `right_compose` does not
-    factor, so the whole-kernel route makes no LU.
+    matrix, made on first use and kept with it; `right_compose` keeps
+    none: its one n-column solve factors a bordered matrix of its own.
     """
     model: ModelManifold
     k: float
