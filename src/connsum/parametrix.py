@@ -52,7 +52,8 @@ formed.  The LU factorization that `apply` solves with also gives the
 smallest singular value of the equilibrated system
 (`InvertedError.sigma_min`), the figure behind the choice of k0, so at a
 lattice energy the k0 selection and a density solve share one
-factorization.
+factorization.  The finite-rank fix reads the same system at k = 0: the
+null space that G4 repairs is that of the matrix every solve inverts.
 
 E' and the kink diagonal live on the collar rows C, |s| <= the outer
 radius of zeta (641 of 815 or 929 nodes), so outside C a row of the
@@ -71,7 +72,7 @@ solve against it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 
 import numpy as np
@@ -99,11 +100,9 @@ def weight_w(model: ModelManifold) -> np.ndarray:
 
 
 def hs_norm(model: ModelManifold, kernel: np.ndarray,
-            w: np.ndarray | None = None) -> float:
+            w: np.ndarray) -> float:
     """Hilbert-Schmidt norm of a kernel on L^2_w: the L^2(dV) norm of
     w(z)^{-1} K(z, z') w(z')."""
-    if w is None:
-        w = weight_w(model)
     q = model.weights
     row = q / w ** 2
     col = q * w ** 2
@@ -274,16 +273,13 @@ class ErrorOperator:
     jump_ramp: np.ndarray
     jump_step: np.ndarray
 
-    @property
-    def total(self) -> np.ndarray:
-        return self.e1 + self.e2.kernel()
-
     def take_total(self) -> np.ndarray:
-        """total summed into the array of e1 without an n x n temporary
-        (LowRank.add_to), for a caller that owns this operator and
-        overwrites the result; e1 and e2 are released.  The two right
-        factors of E'', basepoint columns cut off by phi_- and phi_+,
-        have disjoint supports, so the bits are those of total."""
+        """E = e1 + e2.kernel() summed into the array of e1 without an
+        n x n temporary (LowRank.add_to), for a caller that owns this
+        operator and overwrites the result; e1 and e2 are released.  The
+        two right factors of E'', basepoint columns cut off by phi_- and
+        phi_+, have disjoint supports, so the bits are those of that
+        sum."""
         out = self.e2.add_to(self.e1)
         self.e1 = self.e2 = None
         return out
@@ -304,10 +300,10 @@ def _phi_commutator_blocks(pieces: ParametrixPieces, k: float):
         rr = m.r[rows]
         rc = m.r[cols]
         if k > 0:
-            kern = pk.reduced_kernel(end, k, rr[:, None], rc[None, :])
+            kern, dkern_r = pk.reduced_kernel_pair(end, k, rr[:, None],
+                                                   rc[None, :])
             base = pk.reduced_kernel(end, k, r0, rc)
             diff = kern - base[None, :]
-            dkern_r = pk.reduced_kernel_dleft(end, k, rr[:, None], rc[None, :])
         else:
             diff = pk.reduced_kernel_k0_diff(end, rr[:, None], rc[None, :],
                                              r0, rc[None, :])
@@ -424,39 +420,35 @@ def finite_rank_fix(pieces: ParametrixPieces,
     """Compute the null space of Id + E(0) on the weighted space and the
     rank-M correction G4 making Id + E(0) invertible.
 
-    With no null vectors (singular values all above the relative
-    threshold) the fix is trivial: M = 0 and G4 = 0.  The extreme singular
-    values come from spectral_norms; the singular vectors, by a full SVD, only
-    when there is a null space to repair.  The weighted Id + E(0) is
-    written into the array of the E(0) that error_kernel returns.
+    Id + E(0) is the system that every solve reads: invert_error
+    consumes E(0) (err0, or error_kernel's), as s_operator does, and the
+    fix reads its InvertedError.  With no null vectors (sigma_min above
+    the relative threshold) the fix is trivial: M = 0 and G4 = 0.  The
+    extreme singular values come from spectral_norms, sigma_min on the
+    factorization behind choose_k0; the singular vectors, by a full SVD
+    of the system, only when there is a null space to repair.
     """
     model = pieces.model
-    if err0 is None:
-        e0 = error_kernel(pieces, 0.0).take_total()
-    else:
-        e0 = err0.total
-    w = pieces.weight
-    M = weighted_operator(model, e0, w)
-    thresh = NULL_REL_THRESHOLD * _norm2(M)
-    sigma_min = smallest_singular_value(M)
+    inverse = invert_error(model, error_kernel(pieces, 0.0)
+                           if err0 is None else err0)
+    thresh = NULL_REL_THRESHOLD * _norm2(inverse.system)
+    sigma_min = inverse.sigma_min()
     if sigma_min >= thresh:
         return FiniteRankFix(rank=0, threshold=thresh,
                              sigma_before=sigma_min, sigma_after=sigma_min)
-    U, sig, Vt = np.linalg.svd(M)
+    U, sig, Vt = np.linalg.svd(inverse.system)
     null_dim = int(np.sum(sig < thresh))
     fix = FiniteRankFix(rank=null_dim, threshold=thresh,
                         sigma_before=float(sig[-1]))
-    q = model.weights
-    scale = equilibration(model, w)
     # null vectors back in value coordinates
-    null_vecs = [Vt[-(i + 1)] / scale for i in range(null_dim)]
+    fix.phis = [Vt[-(i + 1)] / inverse.scale for i in range(null_dim)]
     cokernel = [U[:, -(i + 1)] for i in range(null_dim)]
-    fix.phis = null_vecs
-    fix.bumps = _select_bumps(model, cokernel, null_dim, scale, q)
-    # Id + E(0) + (Delta) G4 on L^2_w, with Id + E(0) from M
-    corr = _weigh(model, fix.g4_error(0.0), w)
-    corr += M
-    fix.sigma_after = smallest_singular_value(corr)
+    fix.bumps = _select_bumps(model, cokernel, inverse.scale)
+    # the system plus (Delta) G4 on L^2_w; the rows of G4 lie in the neck,
+    # inside the span, and at k = 0 the tail has rank 0
+    corr = _weigh(model, fix.g4_error(0.0), pieces.weight)
+    corr += inverse.system
+    fix.sigma_after = replace(inverse, system=corr).sigma_min()
     if fix.sigma_after < 10 * thresh:
         raise SingularSystemError(
             "finite-rank complement construction failed "
@@ -464,19 +456,19 @@ def finite_rank_fix(pieces: ParametrixPieces,
     return fix
 
 
-def _select_bumps(model, cokernel, null_dim, scale, q):
+def _select_bumps(model, cokernel, scale):
     cands = _bump_dictionary(model)
-    if len(cands) < null_dim:
+    if len(cands) < len(cokernel):
         raise SingularSystemError("bump dictionary smaller than null space")
     # greedy pick maximizing alignment of Delta psi with the cokernel
     picked = []
     used = set()
-    for u in cokernel[:null_dim]:
+    for u in cokernel:
         best, best_score = None, -1.0
         for j, cand in enumerate(cands):
             if j in used:
                 continue
-            score = abs(float(np.dot(u, scale * q * cand.lap)))
+            score = abs(float(np.dot(u, scale * model.weights * cand.lap)))
             if score > best_score:
                 best, best_score = j, score
         used.add(best)
@@ -508,6 +500,9 @@ class InvertedError:
     `apply` and `sigma_min` read one LU factorization of the bordered
     matrix, made on first use and kept with it; `right_compose` keeps
     none: its one n-column solve factors a bordered matrix of its own.
+    choose_k0 reads `sigma_min` at each lattice energy, and
+    finite_rank_fix reads it, with the norm and, for a null space, the
+    SVD of `system`, at k = 0.
     """
     model: ModelManifold
     k: float
@@ -637,13 +632,9 @@ class _ReducedInverse:
     zero pivot (it returns inf or nan), so `singular` records one."""
     __array_ufunc__ = None      # an ndarray on the left defers to __rmatmul__
 
-    def __init__(self, A: np.ndarray, span: slice,
-                 tail: LowRank | None = None):
-        n = A.shape[0]
-        if tail is None:
-            tail = LowRank(np.zeros((n, 0)), np.zeros((0, n)))
+    def __init__(self, A: np.ndarray, span: slice, tail: LowRank):
         self.A, self.span, self.shape = A, span, A.shape
-        self.outer = (slice(0, span.start), slice(span.stop, n))
+        self.outer = (slice(0, span.start), slice(span.stop, A.shape[0]))
         self.m, self.r = span.stop - span.start, tail.left.shape[1]
         # powers of two that bring each row of V^T to a 1-norm in
         # [1/2, 1), so the border rows of K weigh like rows of A (at
@@ -679,12 +670,12 @@ class _ReducedInverse:
     def singular(self) -> bool:
         return not np.all(np.diag(self.lu[0]))
 
-    def solve(self, y: np.ndarray, solve) -> np.ndarray:
-        """A^-1 y, y of shape (n,) or (n, p), with solve(b) = K^-1 b."""
+    def __matmul__(self, y: np.ndarray) -> np.ndarray:
+        """A^-1 y, y of shape (n,) or (n, p)."""
         m = self.m
         b = -self._w(y)
         b[:m] += y[self.span]
-        x_t = solve(b)
+        x_t = lu_solve(self.lu, b, overwrite_b=True)
         x = y.copy()
         x[self.span] = x_t[:m]
         for f in self.outer:
@@ -715,10 +706,6 @@ class _ReducedInverse:
         M[:, span] = Z[:, :m]
         return M
 
-    def __matmul__(self, y):
-        return self.solve(y, lambda b: lu_solve(self.lu, b,
-                                                overwrite_b=True))
-
     def __rmatmul__(self, x):
         return self.compose(
             np.array(x, dtype=float),
@@ -728,17 +715,6 @@ class _ReducedInverse:
         """sigma_min(A) = 1 / ||A^-1||_2, with the norm of the inverse by
         spectral_norms; 0.0 when A is singular."""
         return 0.0 if self.singular else 1.0 / _norm2(self)
-
-
-def smallest_singular_value(M: np.ndarray) -> float:
-    """sigma_min(M) = 1 / ||M^-1||_2, with the norm of the inverse by
-    spectral_norms on one LU factorization of the bordered matrix of
-    the rows of M that are not identity rows; 0.0 at an exactly zero
-    pivot."""
-    diagonal = M.diagonal()
-    off = np.count_nonzero(M, axis=1) - (diagonal != 0)
-    return _ReducedInverse(M, _span((off > 0) | (diagonal != 1.0))) \
-        .sigma_min()
 
 
 # smallest singular value of the system of Id + E(k) at which choose_k0
@@ -866,10 +842,8 @@ class Parametrix:
 @dataclass
 class IlgSeries:
     """Fitted inverse-log series of R(k) v on a compact set."""
-    ks: list
     mask: np.ndarray
     coefficients: np.ndarray   # (deg+1, n_mask)
-    values: np.ndarray
 
 
 def ilg_expansion(parametrix: Parametrix, v) -> IlgSeries:
@@ -884,7 +858,7 @@ def ilg_expansion(parametrix: Parametrix, v) -> IlgSeries:
     ks = [math.exp(-2.0 ** j) for j in ILG_FIT_J]
     vals = np.array([parametrix.resolvent_apply(k, v)[mask] for k in ks])
     coef = fit_ilg_series(ks, vals, deg=len(ks) - 1)
-    return IlgSeries(ks, mask, coef, vals)
+    return IlgSeries(mask, coef)
 
 
 def ilg_residual_order(parametrix: Parametrix, v, coef, mask,

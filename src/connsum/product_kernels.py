@@ -68,14 +68,9 @@ def reduced_kernel(end: EndSpec, k: float, r, rp):
     return _kernel(_shared_factors(end, k, r, rp))
 
 
-def reduced_kernel_dleft(end: EndSpec, k: float, r, rp):
-    """d/dr of reduced_kernel in the left variable (kink across r = rp)."""
-    return _kernel_dleft(k, _shared_factors(end, k, r, rp))
-
-
 def reduced_kernel_pair(end: EndSpec, k: float, r, rp):
-    """(reduced_kernel, reduced_kernel_dleft) with the bits of each, from
-    one evaluation of the factors they share."""
+    """(reduced_kernel, its d/dr in the left variable, with a kink across
+    r = rp), from one evaluation of the factors they share."""
     factors = _shared_factors(end, k, r, rp)
     return _kernel(factors), _kernel_dleft(k, factors)
 
@@ -91,7 +86,8 @@ def reduced_zero_energy_kernel(end: EndSpec, r, rp):
 
 
 def reduced_kernel_dleft_k0(end: EndSpec, r, rp):
-    """k -> 0 limit of reduced_kernel_dleft: -r^{1-n}/c for r > r', 0 below."""
+    """k -> 0 limit of the left derivative of reduced_kernel (the second
+    member of reduced_kernel_pair): -r^{1-n}/c for r > r', 0 below."""
     n = end.euclidean_dim
     r = np.asarray(r, dtype=float)
     rp = np.asarray(rp, dtype=float)

@@ -94,6 +94,12 @@ def bessel_K_adaptive(order: float, x: float) -> float:
     return val
 
 
+def error_total(err) -> np.ndarray:
+    """E = E' + E'' of a parametrix.ErrorOperator in a new n x n array,
+    the allocating reference beside its in-place take_total."""
+    return err.e1 + err.e2.kernel()
+
+
 def identity_residuals(par, k: float):
     """(identity, sk_identity) at energy k, in the plain discrete kernel
     algebra where composition is matrix multiplication with the
@@ -128,8 +134,8 @@ def identity_residuals(par, k: float):
     del left
     rhs_sk = -e_total + (e_total * q[None, :]) @ (
         e_total + (S0 * q[None, :]) @ e_total)
-    res_sk = px.hs_norm(model, S0 - rhs_sk) \
-        / max(px.hs_norm(model, S0), 1e-300)
+    res_sk = px.hs_norm(model, S0 - rhs_sk, err.weight) \
+        / max(px.hs_norm(model, S0, err.weight), 1e-300)
     return res_id, res_sk
 
 
@@ -173,7 +179,7 @@ def s_kernel(par, k: float):
     sign: c_left = kink_diagonal(-J1_E, J0_E)."""
     model = par.model
     err = par.error(k)
-    e_total = err.total
+    e_total = error_total(err)
     c_left = model.kink_diagonal(-err.jump_ramp, err.jump_step)
     rhs = -e_total - e_total * c_left[None, :]
     A = composition_matrix(model, e_total, err.jump_ramp, err.jump_step) \

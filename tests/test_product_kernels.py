@@ -381,20 +381,21 @@ class TestReducedKernels:
             h = 1e-6
             fd = (pk.reduced_kernel(end, k, r + h, rp)
                   - pk.reduced_kernel(end, k, r - h, rp)) / (2 * h)
-            an = pk.reduced_kernel_dleft(end, k, r, rp)
+            an = pk.reduced_kernel_pair(end, k, r, rp)[1]
             np.testing.assert_allclose(an, fd, rtol=1e-7)
 
     def test_pair_has_the_bits_of_each(self):
-        # one outer grid, the diagonal included, on either end
+        # the value half has the bits of reduced_kernel, on one outer
+        # grid, the diagonal included, on either end; the left derivative
+        # has no other path (test_dleft_matches_fd checks it)
         r = np.geomspace(1.0, 400.0, 37)
         for end in (CIRCLE_END_2, POINT_END_3):
             for k in (1e-6, 0.05, 1.3):
                 args = (end, k, r[:, None], r[None, :])
-                value, dleft = pk.reduced_kernel_pair(*args)
-                for got, ref in ((value, pk.reduced_kernel(*args)),
-                                 (dleft, pk.reduced_kernel_dleft(*args))):
-                    np.testing.assert_array_equal(got.view(np.uint64),
-                                                  ref.view(np.uint64))
+                value = pk.reduced_kernel_pair(*args)[0]
+                np.testing.assert_array_equal(
+                    value.view(np.uint64),
+                    pk.reduced_kernel(*args).view(np.uint64))
 
     def test_k0_difference_limit(self):
         end = CIRCLE_END_2
@@ -415,7 +416,7 @@ class TestReducedKernels:
             assert limit[0] == pytest.approx(
                 -7.0 ** (1 - end.euclidean_dim) / end.weight_constant,
                 rel=1e-14)
-            got = pk.reduced_kernel_dleft(end, 1e-7, r, rp)
+            got = pk.reduced_kernel_pair(end, 1e-7, r, rp)[1]
             np.testing.assert_allclose(got, limit, rtol=1e-6, atol=1e-12)
 
     def test_zero_energy_plus(self):

@@ -157,7 +157,7 @@ def split_consistency_euclidean(k0: float = 1.0, n_r: int = 160,
     for s_i, w_i in zip(sig, ws):
         k = math.exp(-s_i)
         low += (2.0 / math.pi) * w_i * k * \
-            pk.reduced_kernel_dleft(end, k, r[:, None], r[None, :])
+            pk.reduced_kernel_pair(end, k, r[:, None], r[None, :])[1]
     # high part kernel: d_r F_>(sqrt(Delta)) by dense eigen-decomposition
     w, S, _ = _finite_volume(r, end.euclidean_dim, 0.0, end.weight_constant)
     eigs, modes = _weighted_modes(S, w)
