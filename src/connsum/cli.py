@@ -75,6 +75,14 @@ def check(value, bound, strict=True, ok=None) -> dict:
     return {"value": value, "bound": bound, "ok": bool(ok)}
 
 
+def _at_least(args, option: str, low: int) -> int:
+    """The value of the integer option `option`, which must be >= low."""
+    value = getattr(args, option.lstrip("-").replace("-", "_"))
+    if value < low:
+        raise ConfigError(f"{option} must be >= {low}, got {value}")
+    return value
+
+
 def finish(args, name: str, payload: dict, block: dict) -> int:
     """Write the report with block as its `checks`, print the status line
     and return the exit code, all three from the same entries."""
@@ -91,7 +99,7 @@ def finish(args, name: str, payload: dict, block: dict) -> int:
 
 
 def cmd_specfun_check(args) -> int:
-    rng = np.random.default_rng(args.seed)
+    rng = np.random.default_rng(_at_least(args, "--seed", 0))
     worst = checks.bessel_vs_quadrature(np.arange(0, 11, dtype=float),
                                         np.geomspace(1e-3, 50.0, 12))
     chk = {"bessel_vs_quadrature": check(worst, BESSEL_RTOL, strict=False)}
@@ -208,9 +216,10 @@ def cmd_keylemma(args) -> int:
 def cmd_resolvent(args) -> int:
     from . import bvp, parametrix as px
 
+    q = _at_least(args, "--q", 1)
     model = build_model(_geometry(args))
     sys0 = bvp.GluedSystem(model, 0.0)
-    par = px.Parametrix(model, q=args.q, kbar=1.0, system=sys0)
+    par = px.Parametrix(model, q=q, kbar=1.0, system=sys0)
     vv = np.exp(-2.0 * model.s ** 2)
     oracle = dict.fromkeys((1e-2, 1e-3, 1e-4))
     backward, forward = {}, {}
@@ -244,7 +253,7 @@ def cmd_resolvent(args) -> int:
                "solve_errors": {"backward": backward,
                                 "forward_bound": forward,
                                 "bound": IDENTITY}}
-    if args.q == 1:
+    if q == 1:
         payload["hs_divergence_warning"] = (
             "q = 1: the Hilbert-Schmidt norm of the key-lemma error does "
             "not tend to zero as k -> 0; take q > 1")
@@ -341,7 +350,8 @@ def cmd_riesz(args) -> int:
 def cmd_lp_lemmas(args) -> int:
     from . import lp_estimator as lpe
 
-    out = lpe.random_instance_suite(args.instances, seed=args.seed)
+    out = lpe.random_instance_suite(_at_least(args, "--instances", 1),
+                                    seed=_at_least(args, "--seed", 0))
     rows = []
     for kern, _ in lpe.paper_instances(3):
         for p in (1.2, 1.5, 2.5, 3.5):

@@ -79,6 +79,10 @@ def _gnu_prime(nu: float, x):
 # a Laplacian (of a bump, say) has beta = 0 up to the rounding of its
 # spectral derivatives, 1e-14 to 3e-12 of sup |phi|, of either sign
 BETA_ROUNDING = 1e-9
+# verify_lower_bound checks the lower bound where k r <= LOWER_BOUND_EPS;
+# residual_slope fits the residual at k = e^{-2^j}, j in RESIDUAL_SLOPE_J
+LOWER_BOUND_EPS = 0.1
+RESIDUAL_SLOPE_J = (3, 4, 5, 6, 7)
 
 
 @dataclass
@@ -247,11 +251,11 @@ def build_key_approximation(model: ModelManifold, v, q: int = 3,
 # estimate verification
 
 
-def verify_lower_bound(approx: KeyApproximation, ks,
-                       eps: float = 0.1) -> dict:
-    """Check d_r(u + phi) >= C beta ilg(k)/r on {k r <= eps, r >= r0} of
-    the minus end, r0 = 1.2 times the outer radius of phi, and fit the
-    largest such C (vacuous when beta <= 0, up to rounding)."""
+def verify_lower_bound(approx: KeyApproximation, ks) -> dict:
+    """Check d_r(u + phi) >= C beta ilg(k)/r on {k r <= LOWER_BOUND_EPS,
+    r >= r0} of the minus end, r0 = 1.2 times the outer radius of phi,
+    and fit the largest such C (vacuous when beta <= 0, up to
+    rounding)."""
     m = approx.model
     st = approx.stages[0]
     beta = st.beta
@@ -262,7 +266,7 @@ def verify_lower_bound(approx: KeyApproximation, ks,
     for k in ks:
         _, dvals = approx.u(k)
         dr = -(dvals + st.phi.dvalues)   # d/dr = -d/ds on the minus end
-        mask = m.mask_minus & (m.r >= r0) & (k * m.r <= eps)
+        mask = m.mask_minus & (m.r >= r0) & (k * m.r <= LOWER_BOUND_EPS)
         if not mask.any():
             continue
         shape = beta * ilg(k) / m.r[mask]
@@ -275,11 +279,11 @@ def verify_lower_bound(approx: KeyApproximation, ks,
             "positive": bool(cs and c_fit > 0)}
 
 
-def residual_slope(approx: KeyApproximation, j_list=(3, 4, 5, 6, 7)) -> float:
+def residual_slope(approx: KeyApproximation) -> float:
     """Fitted order of sup_{|s| <= 20} |(Delta+k^2) u - v| against ilg k
-    at k = e^{-2^j}."""
+    at k = e^{-2^j}, j in RESIDUAL_SLOPE_J."""
     m = approx.model
     mask = np.abs(m.s) <= 20.0
-    ks = [math.exp(-2.0 ** j) for j in j_list]
+    ks = [math.exp(-2.0 ** j) for j in RESIDUAL_SLOPE_J]
     sups = [float(np.max(np.abs(approx.residual(k)[mask]))) for k in ks]
     return loglog_slope(ilg(np.array(ks)), np.array(sups))

@@ -625,31 +625,25 @@ def radiation_logderiv(model: ModelManifold, k: float, s: float) -> float:
     return -ddr if s < 0 else ddr  # d/ds = -d/dr on the minus side
 
 
-def radial_laplacian(model: ModelManifold, k: float = 0.0, order: int = 4,
-                     bc: str = "radiation"):
+def radial_laplacian(model: ModelManifold, k: float = 0.0, order: int = 4):
     """Discrete (Delta + k^2) of the glued zero channel on the whole axis
     grid, in the band storage of `_fd_operator` (`order` diagonals on
     each side) that scipy.linalg.solve_banded takes; `band_matrix`
     expands it.
 
-    Delta is the positive Laplacian -v^{-1}(v u')'.  bc = "radiation"
-    closes the outer boundaries with the exact decaying log-derivative;
-    "dirichlet" forces u = 0 there instead.
+    Delta is the positive Laplacian -v^{-1}(v u')'.  The outer boundaries
+    are closed with the exact decaying log-derivative.
     """
-    if bc not in ("radiation", "dirichlet"):
-        raise ConfigError(f"unknown bc {bc!r}")
     x = model.s
-    ends = [None, None]
-    if bc == "radiation":
-        ends = [radiation_logderiv(model, k, xi) for xi in (x[0], x[-1])]
+    ends = [radiation_logderiv(model, k, xi) for xi in (x[0], x[-1])]
     return _fd_operator(x, model.dlog_weight(x), k * k, order, ends)
 
 
 def _fd_operator(x, dlv, shift, order: int, ends) -> np.ndarray:
     """Finite-difference operator u -> -u'' - dlv u' + shift u on the
     ascending nodes x, by (order + 1)-point Fornberg stencils kept inside
-    the grid.  ends gives the first and last rows: None is the Dirichlet
-    row u = 0, a number L the radiation row u' - L u = 0.
+    the grid.  ends gives the first and last rows: each number L the
+    radiation row u' - L u = 0.
 
     Every stencil lies within `order` diagonals of its row, so the
     operator is returned in the diagonal-ordered band storage
@@ -665,9 +659,6 @@ def _fd_operator(x, dlv, shift, order: int, ends) -> np.ndarray:
     ab[order + rows - cols, cols] = -w[2] - dlv[rows] * w[1]
     ab[order, rows] += shift[rows]
     for i, logderiv in zip((0, n - 1), ends):
-        if logderiv is None:
-            ab[order, i] = 1.0
-            continue
         j0 = 0 if i == 0 else n - width
         cols = np.arange(j0, j0 + width)
         w = fornberg_weights(x[i], x[cols], 1)

@@ -63,10 +63,11 @@ t = V^T x it runs on the bordered matrix
 
     K = [[A_CC, -A_CF U_F], [-V_C^T, I_2 + V_F^T U_F]]
 
-of order m + 2, F the outer rows and columns (`_ReducedInverse`), and
-A is singular exactly when K is.  The whole equilibrated system is
-still formed: the solve checks of `connsum resolvent` measure each
-solve against it.
+of order m + 2, F the outer rows and columns, and A is singular
+exactly when K is.  `InvertedError` is that one operator: it holds the
+system, the span and the tail, forms K and keeps K's LU factorization.
+The whole equilibrated system is still formed: the solve checks of
+`connsum resolvent` measure each solve against it.
 """
 
 from __future__ import annotations
@@ -377,30 +378,14 @@ class FiniteRankFix:
         return LowRank(np.stack(lefts, axis=1), np.stack(self.phis))
 
 
-def equilibration(model: ModelManifold, w: np.ndarray) -> np.ndarray:
-    """The diagonal of D = diag(sqrt(q) / w), the scaling that makes L^2_w
-    an orthonormal discrete basis."""
-    return np.sqrt(model.weights) / w
-
-
 def _weigh(model: ModelManifold, kernel: np.ndarray,
-           w: np.ndarray) -> np.ndarray:
-    """D kernel q D^-1, D = diag(sqrt(q) / w), written into kernel's own
+           scale: np.ndarray) -> np.ndarray:
+    """D kernel q D^-1, for D = diag(scale), written into kernel's own
     array in three passes over it and no temporary."""
-    scale = equilibration(model, w)
     kernel *= model.weights[None, :]
     kernel *= scale[:, None]
     kernel /= scale[None, :]
     return kernel
-
-
-def weighted_operator(model: ModelManifold, kernel: np.ndarray,
-                      w: np.ndarray) -> np.ndarray:
-    """Matrix of Id + kernel on L^2_w in an orthonormal discrete basis,
-    D (Id + kernel q) D^-1, written into kernel's own array."""
-    out = _weigh(model, kernel, w)
-    out[np.diag_indices(model.n)] += 1.0
-    return out
 
 
 def _bump_dictionary(model: ModelManifold):
@@ -446,7 +431,7 @@ def finite_rank_fix(pieces: ParametrixPieces,
     fix.bumps = _select_bumps(model, cokernel, inverse.scale)
     # the system plus (Delta) G4 on L^2_w; the rows of G4 lie in the neck,
     # inside the span, and at k = 0 the tail has rank 0
-    corr = _weigh(model, fix.g4_error(0.0), pieces.weight)
+    corr = _weigh(model, fix.g4_error(0.0), inverse.scale)
     corr += inverse.system
     fix.sigma_after = replace(inverse, system=corr).sigma_min()
     if fix.sigma_after < 10 * thresh:
@@ -491,19 +476,38 @@ class InvertedError:
     jumps restored), so E q = A - Id - diag(kink).  `system` is
     D A D^-1, with D = diag(sqrt(q) / w) the scaling that makes L^2_w
     an orthonormal discrete basis, and `c_left` the left-variable kinks
-    of S(., z'), whose jumps are minus those of E.  Outside the rows
-    `span`, `system` is the identity plus `tail`, the equilibrated
-    E'' q = (D L)(R q D^-1) of the factors L R of E'', so every solve
-    runs on the bordered matrix of _ReducedInverse; `system` itself is
+    of S(., z'), whose jumps are minus those of E.  `system` itself is
     kept as the matrix each solve is checked against.
 
-    `apply` and `sigma_min` read one LU factorization of the bordered
-    matrix, made on first use and kept with it; `right_compose` keeps
-    none: its one n-column solve factors a bordered matrix of its own.
-    choose_k0 reads `sigma_min` at each lattice energy, and
-    finite_rank_fix reads it, with the norm and, for a null space, the
-    SVD of `system`, at k = 0.
+    Outside the rows `span`, C = lo:hi, `system` is the identity plus
+    `tail`, the equilibrated E'' q = (D L)(R q D^-1) of the factors L R
+    of E'', a rank-r tail U V^T (r = 0 where E'' = 0).  Block elimination
+    (Golub and Van Loan, Matrix Computations, 3.2 and 2.1.4) with
+    t = V^T x leaves the bordered (m + r) x (m + r) matrix, m = hi - lo
+    and F the outer rows and columns,
+
+        K = [[A_CC, -A_CF U_F], [-V_C^T, I_r + V_F^T U_F]],
+
+    whose border column is [0; I_r] - W U_F for the outer columns
+    W = [A_CF; -V_F^T], A here standing for `system`.  Then
+
+        A^-1 y:  K [x_C; t] = [y_C; 0] - W y_F,  x_F = y_F - U_F t;
+        M A^-1:  Z K = [M_C, -M_F U_F],  X_C = Z_C,  X_F = M_F - Z W.
+
+    A is singular exactly when K is.  W is read from the outer column
+    blocks of `system` in place, never copied.
+
+    `@` on both sides, as spectral_norms applies an operator, `apply`
+    and `sigma_min` read one LU factorization of K, made on first use in
+    K's own array and kept; lu_solve does not raise on an exactly zero
+    pivot (it returns inf or nan), so `singular` records one.
+    `right_compose` keeps none: its one n-column solve factors a K of its
+    own in numpy's BLAS pool.  choose_k0 reads `sigma_min` at each
+    lattice energy, and finite_rank_fix reads it, with the norm and, for
+    a null space, the SVD of `system`, at k = 0.
     """
+    __array_ufunc__ = None      # an ndarray on the left defers to __rmatmul__
+
     model: ModelManifold
     k: float
     system: np.ndarray    # D A D^-1
@@ -512,6 +516,19 @@ class InvertedError:
     c_left: np.ndarray
     span: slice           # the rows where system is more than Id + tail
     tail: LowRank         # D E'' q D^-1, rank 0 where E'' = 0
+
+    def __post_init__(self):
+        span, n = self.span, self.system.shape[0]
+        self.shape = self.system.shape
+        self.outer = (slice(0, span.start), slice(span.stop, n))
+        self.m, self.r = span.stop - span.start, self.tail.left.shape[1]
+        # powers of two that bring each row of V^T to a 1-norm in
+        # [1/2, 1), so the border rows of K weigh like rows of A (at
+        # k = e^-256 the unscaled rows raised the backward error 6x);
+        # U V^T keeps its bits
+        power = np.frexp(np.abs(self.tail.right).sum(axis=1))[1]
+        self.u = np.ldexp(self.tail.left, power[None, :])
+        self.v = np.ldexp(self.tail.right, -power[:, None])
 
     def right_compose(self, matrix: np.ndarray,
                       kink: np.ndarray) -> np.ndarray:
@@ -523,39 +540,31 @@ class InvertedError:
         S = -A^-1 E (Id + diag(c_left)) and E q = A - Id - diag(kink_E),
         is exactly matrix A^-1 diag((1 + kink_E)(1 + c_left) / q) minus
         diag(kink (1 + c_left) / q): X cancels, and
-        matrix A^-1 = (matrix D^-1) system^-1 D is one solve with n
-        right-hand sides on the transposed bordered matrix."""
+        matrix A^-1 = (matrix D^-1) system^-1 D is one np.linalg.solve
+        with n right-hand sides on K^T, a K that lives for this call
+        only."""
         q = self.model.weights
         matrix /= self.scale[None, :]
-        out = self._inverse.compose(matrix, self._solve_transposed)
+        try:
+            out = self.compose(matrix, lambda rhs: np.linalg.solve(
+                self.bordered().T, rhs.T).T)
+        except np.linalg.LinAlgError as exc:
+            raise SingularSystemError(
+                f"Id + E(k) singular at k={self.k}: {exc}") from exc
         right = (1.0 + self.c_left) / q
         out *= (self.scale * (1.0 + self.kink) * right)[None, :]
         out[np.diag_indices(self.model.n)] -= kink * right
         return out
 
-    def _solve_transposed(self, rhs: np.ndarray) -> np.ndarray:
-        """rhs K^-1 for the bordered matrix K, by one np.linalg.solve
-        with n right-hand sides on K^T in numpy's BLAS pool; K lives for
-        this call only."""
-        try:
-            return np.linalg.solve(self._inverse.bordered().T, rhs.T).T
-        except np.linalg.LinAlgError as exc:
-            raise SingularSystemError(
-                f"Id + E(k) singular at k={self.k}: {exc}") from exc
-
-    @cached_property
-    def _inverse(self) -> _ReducedInverse:
-        return _ReducedInverse(self.system, self.span, self.tail)
-
     def solve(self, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(y, z): the right-hand side y = D (1 + kink_E)(1 + c_left) v
         of the one LU solve behind apply(v), and its solution
         z = system^-1 y."""
-        if self._inverse.singular:
+        if self.singular:
             raise SingularSystemError(
                 f"Id + E(k) singular at k={self.k}: an exactly zero pivot")
         y = self.scale * (1.0 + self.kink) * (1.0 + self.c_left) * v
-        return y, self._inverse @ y
+        return y, self @ y
 
     def apply(self, v: np.ndarray, z: np.ndarray | None = None) -> np.ndarray:
         """(Id + S) v for one density v, with S's corrected composition
@@ -569,86 +578,11 @@ class InvertedError:
             z = self.solve(v)[1]
         return z / self.scale - (self.c_left + self.kink) * v
 
-    def sigma_min(self) -> float:
-        """The smallest singular value of `system`, from the factorization
-        that `apply` solves with; 0.0 when `system` is exactly
-        singular."""
-        return self._inverse.sigma_min()
-
-
-def invert_error(model: ModelManifold, err: ErrorOperator) -> InvertedError:
-    """(Id + E)^{-1} as the equilibrated Nystrom matrix
-    D (Id + E q + diag(kink)) D^-1, written into E's own array; err is
-    consumed, and no n x n temporary is made (take_total, then the three
-    scaling passes of weighted_operator).  Unscaled, A is as
-    ill-conditioned as the quadrature weights are spread (cond 1e10 on
-    929 nodes, 1e18 at S = 2^16); D A D^-1 keeps cond at a few
-    hundred.
-
-    Before take_total merges them, the rows where E' or the kink
-    diagonal is nonzero give the span (the collar |s| <= the outer
-    radius of zeta), and the nonzero factors of E'' the equilibrated
-    tail."""
-    kink = model.kink_diagonal(err.jump_ramp, err.jump_step)
-    c_left = model.kink_diagonal(-err.jump_ramp, err.jump_step)
-    span = _span(np.any(err.e1, axis=1) | (kink != 0))
-    scale = equilibration(model, err.weight)
-    left, right = err.e2.left, err.e2.right
-    live = np.any(left, axis=0) & np.any(right, axis=1)
-    tail = LowRank(scale[:, None] * left[:, live],
-                   right[live] * (model.weights / scale)[None, :])
-    system = weighted_operator(model, err.take_total(), err.weight)
-    system[np.diag_indices(model.n)] += kink
-    return InvertedError(model, err.k, system, scale, kink, c_left, span,
-                         tail)
-
-
-def _norm2(op) -> float:
-    """||op||_2 of a square matrix or operator: spectral_norms with unit
-    weights on one full truncation."""
-    return float(spectral_norms(op, np.ones(op.shape[0]), [slice(None)])[0])
-
-
-class _ReducedInverse:
-    """A^-1 for an n x n matrix A that, outside one span C = lo:hi of its
-    rows, is the identity plus a rank-r tail U V^T (r = 0 allowed).
-
-    Block elimination (Golub and Van Loan, Matrix Computations, 3.2 and
-    2.1.4) with t = V^T x leaves the bordered (m + r) x (m + r) matrix,
-    m = hi - lo and F the outer rows and columns,
-
-        K = [[A_CC, -A_CF U_F], [-V_C^T, I_r + V_F^T U_F]],
-
-    whose border column is [0; I_r] - W U_F for the outer columns
-    W = [A_CF; -V_F^T].  Then
-
-        A^-1 y:  K [x_C; t] = [y_C; 0] - W y_F,  x_F = y_F - U_F t;
-        M A^-1:  Z K = [M_C, -M_F U_F],  X_C = Z_C,  X_F = M_F - Z W.
-
-    A is singular exactly when K is.  W is read from A's outer column
-    blocks in place, never copied.  `@` on both sides, as spectral_norms
-    applies an operator, solves with one LU factorization of K, made on
-    first use in K's own array.  lu_solve does not raise on an exactly
-    zero pivot (it returns inf or nan), so `singular` records one."""
-    __array_ufunc__ = None      # an ndarray on the left defers to __rmatmul__
-
-    def __init__(self, A: np.ndarray, span: slice, tail: LowRank):
-        self.A, self.span, self.shape = A, span, A.shape
-        self.outer = (slice(0, span.start), slice(span.stop, A.shape[0]))
-        self.m, self.r = span.stop - span.start, tail.left.shape[1]
-        # powers of two that bring each row of V^T to a 1-norm in
-        # [1/2, 1), so the border rows of K weigh like rows of A (at
-        # k = e^-256 the unscaled rows raised the backward error 6x);
-        # U V^T keeps its bits
-        power = np.frexp(np.abs(tail.right).sum(axis=1))[1]
-        self.u = np.ldexp(tail.left, power[None, :])
-        self.v = np.ldexp(tail.right, -power[:, None])
-
     def _w(self, x: np.ndarray) -> np.ndarray:
         """W x_F for x of shape (n,) or (n, p)."""
         out = np.zeros((self.m + self.r,) + x.shape[1:])
         for f in self.outer:
-            out[:self.m] += self.A[self.span, f] @ x[f]
+            out[:self.m] += self.system[self.span, f] @ x[f]
             out[self.m:] -= self.v[:, f] @ x[f]
         return out
 
@@ -656,7 +590,7 @@ class _ReducedInverse:
         """A new Fortran-ordered K, which lu_factor overwrites."""
         m, r = self.m, self.r
         K = np.empty((m + r, m + r), order="F")
-        K[:m, :m] = self.A[self.span, self.span]
+        K[:m, :m] = self.system[self.span, self.span]
         K[m:, :m] = -self.v[:, self.span]
         K[:, m:] = -self._w(self.u)
         K[m:, m:] += np.eye(r)
@@ -671,7 +605,7 @@ class _ReducedInverse:
         return not np.all(np.diag(self.lu[0]))
 
     def __matmul__(self, y: np.ndarray) -> np.ndarray:
-        """A^-1 y, y of shape (n,) or (n, p)."""
+        """system^-1 y, y of shape (n,) or (n, p)."""
         m = self.m
         b = -self._w(y)
         b[:m] += y[self.span]
@@ -683,7 +617,7 @@ class _ReducedInverse:
         return x
 
     def compose(self, M: np.ndarray, solve) -> np.ndarray:
-        """M A^-1, M of shape (p, n), written into M's array, with
+        """M system^-1, M of shape (p, n), written into M's array, with
         solve(R) = R K^-1 in a new array.  R is M's columns lo:hi + r,
         the last r of them saved and given -M_F U_F for the solve, so
         the right-hand sides take no new p x m array; only a span that
@@ -701,7 +635,7 @@ class _ReducedInverse:
         else:
             Z = solve(np.concatenate((M[:, span], border), axis=1))
         for f in self.outer:
-            M[:, f] -= Z[:, :m] @ self.A[span, f]
+            M[:, f] -= Z[:, :m] @ self.system[span, f]
             M[:, f] += Z[:, m:] @ self.v[:, f]
         M[:, span] = Z[:, :m]
         return M
@@ -712,9 +646,46 @@ class _ReducedInverse:
             lambda rhs: lu_solve(self.lu, rhs.T, trans=1).T)
 
     def sigma_min(self) -> float:
-        """sigma_min(A) = 1 / ||A^-1||_2, with the norm of the inverse by
-        spectral_norms; 0.0 when A is singular."""
+        """The smallest singular value of `system`, 1 / ||system^-1||_2
+        with the norm of the inverse by spectral_norms on the
+        factorization that `apply` solves with; 0.0 when `system` is
+        exactly singular."""
         return 0.0 if self.singular else 1.0 / _norm2(self)
+
+
+def invert_error(model: ModelManifold, err: ErrorOperator) -> InvertedError:
+    """(Id + E)^{-1} as the equilibrated Nystrom matrix
+    D (Id + E q + diag(kink)) D^-1, D = diag(sqrt(q) / w), written into
+    E's own array; err is consumed, and no n x n temporary is made
+    (take_total, then the three scaling passes of _weigh).  Unscaled, A
+    is as ill-conditioned as the quadrature weights are spread (cond 1e10
+    on 929 nodes, 1e18 at S = 2^16); D A D^-1 keeps cond at a few
+    hundred.
+
+    Before take_total merges them, the rows where E' or the kink
+    diagonal is nonzero give the span (the collar |s| <= the outer
+    radius of zeta), and the nonzero factors of E'' the equilibrated
+    tail."""
+    kink = model.kink_diagonal(err.jump_ramp, err.jump_step)
+    c_left = model.kink_diagonal(-err.jump_ramp, err.jump_step)
+    span = _span(np.any(err.e1, axis=1) | (kink != 0))
+    scale = np.sqrt(model.weights) / err.weight
+    left, right = err.e2.left, err.e2.right
+    live = np.any(left, axis=0) & np.any(right, axis=1)
+    tail = LowRank(scale[:, None] * left[:, live],
+                   right[live] * (model.weights / scale)[None, :])
+    system = _weigh(model, err.take_total(), scale)
+    diag = np.diag_indices(model.n)
+    system[diag] += 1.0
+    system[diag] += kink
+    return InvertedError(model, err.k, system, scale, kink, c_left, span,
+                         tail)
+
+
+def _norm2(op) -> float:
+    """||op||_2 of a square matrix or operator: spectral_norms with unit
+    weights on one full truncation."""
+    return float(spectral_norms(op, np.ones(op.shape[0]), [slice(None)])[0])
 
 
 # smallest singular value of the system of Id + E(k) at which choose_k0

@@ -281,18 +281,24 @@ def witness_f(t):
     return np.where(t < 1.0, il / (1.0 + il), 1.0)
 
 
-def ilg_chain_inequality(samples: int = 10000) -> dict:
-    """ilg k >= f(k r') ilg(1/r') whenever k r' < 1 and r' >= e.
+# random (k, r') pairs on which ilg_chain_inequality checks the bound
+CHAIN_SAMPLES = 10000
+
+
+def ilg_chain_inequality() -> dict:
+    """ilg k >= f(k r') ilg(1/r') whenever k r' < 1 and r' >= e, on
+    CHAIN_SAMPLES random pairs.
 
     From 1/ilg k = 1/ilg(k r') + 1/ilg(1/r') the bound needs
     ilg(1/r') <= 1, which is exactly r' >= e (large radius regime)."""
     rng = np.random.default_rng(11)
-    rp = np.exp(rng.uniform(1.0, np.log(1e6), samples))
-    k = np.exp(rng.uniform(np.log(1e-12), 0.0, samples)) / rp  # k r' < 1
+    rp = np.exp(rng.uniform(1.0, np.log(1e6), CHAIN_SAMPLES))
+    # k r' < 1
+    k = np.exp(rng.uniform(np.log(1e-12), 0.0, CHAIN_SAMPLES)) / rp
     lhs = ilg_clipped(k)
     rhs = witness_f(k * rp) * ilg_clipped(1.0 / rp)
     ok = lhs >= rhs * (1 - 1e-12)
-    return {"violations": int((~ok).sum()), "samples": samples}
+    return {"violations": int((~ok).sum()), "samples": CHAIN_SAMPLES}
 
 
 def ilg_clipped(x):

@@ -106,8 +106,7 @@ def identity_residuals(par, k: float):
     quadrature weights: sup |(Id + E)(Id + S) - Id| for the S solving it,
     and the weighted Hilbert-Schmidt norm of S - K relative to that of S,
     with K = -E + E E + E S E.  S is solved on the equilibrated matrix
-    D (Id + E q) D^-1 of parametrix.weighted_operator, with the scaling
-    D = diag(sqrt(q) / w) of parametrix.equilibration that
+    D (Id + E q) D^-1, with the scaling D = diag(sqrt(q) / w) that
     parametrix.invert_error also equilibrates its (kink-corrected)
     system with: unscaled, Id + E q has cond 2e12 on ends of length
     80000."""
@@ -117,10 +116,13 @@ def identity_residuals(par, k: float):
     diag = np.diag_indices(model.n)
     # E in the array of its first term, and each product freed once read
     e_total = err.take_total()
-    scale = px.equilibration(model, err.weight)
-    S0 = np.linalg.solve(px.weighted_operator(model, e_total.copy(),
-                                              err.weight),
-                         e_total * -scale[:, None])
+    scale = np.sqrt(q) / err.weight
+    weighted = e_total * q[None, :]
+    weighted *= scale[:, None]
+    weighted /= scale[None, :]
+    weighted[diag] += 1.0
+    S0 = np.linalg.solve(weighted, e_total * -scale[:, None])
+    del weighted
     S0 /= scale[:, None]
     A0 = e_total * q[None, :]
     A0[diag] += 1.0

@@ -111,6 +111,23 @@ class TestCli:
         assert message in capsys.readouterr().err
         assert not (tmp_path / "riesz.json").exists()
 
+    @pytest.mark.parametrize("argv,message", [
+        (["specfun-check", "--seed", "-1"], "--seed must be >= 0"),
+        (["lp-lemmas", "--seed", "-1"], "--seed must be >= 0"),
+        (["lp-lemmas", "--instances", "0"], "--instances must be >= 1"),
+        (["lp-lemmas", "--instances", "-3"], "--instances must be >= 1"),
+        (["resolvent", "--q", "0"], "--q must be >= 1"),
+    ])
+    def test_rejects_invalid_integer_option(self, tmp_path, capsys, argv,
+                                            message):
+        # a configuration error, not a numpy traceback, an invariant
+        # violation or a check over zero instances
+        rc = cli.main(argv + ["--out", str(tmp_path)])
+        err = capsys.readouterr().err
+        assert rc == cli.EXIT_CONFIG
+        assert message in err and "Traceback" not in err
+        assert not list(tmp_path.iterdir())
+
     def test_resolvent_reports_k0_selection(self, tmp_path):
         assert cli.main(["resolvent", "--out", str(tmp_path)]) == 0
         data = json.loads((tmp_path / "resolvent.json").read_text())

@@ -236,7 +236,7 @@ class TestEstimates:
 
     def test_lower_bound_positive(self, key_minus):
         ks = [1e-3, 1e-4, 1e-6]
-        out = kl.verify_lower_bound(key_minus, ks, eps=0.1)
+        out = kl.verify_lower_bound(key_minus, ks)
         assert out["applicable"] and out["positive"]
         assert out["constant"] > 0.5  # K_0 mechanism gives C ~ 1
 

@@ -265,7 +265,7 @@ class TestRadialLaplacian:
         # <A u, w>_v = <u, A w>_v for interior-supported grid functions
         m = default_model
         rng = np.random.default_rng(7)
-        A = md.band_matrix(md.radial_laplacian(m, k=0.3, bc="dirichlet"))
+        A = md.band_matrix(md.radial_laplacian(m, k=0.3))
         inner = (np.abs(m.s) < 30)
         u = np.where(inner, np.exp(-0.1 * m.s ** 2) * (1 + 0.1 * np.sin(m.s)), 0.0)
         w = np.where(inner, np.exp(-0.05 * (m.s - 1) ** 2), 0.0)

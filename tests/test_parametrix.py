@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -455,12 +456,11 @@ class TestReduction:
         # one dense solve on the whole equilibrated system
         p = request.getfixturevalue(fixture)
         inverse = p.s_operator(k)
-        reduced = inverse._inverse
         s = p.model.s
         y = inverse.scale * np.exp(-2.0 * s ** 2)
         rows = np.stack((np.exp(-s ** 2 / 8.0), np.cos(s) / (1.0 + s * s)))
-        for got, ref in ((reduced @ y, full_solve(inverse, y)),
-                         (rows @ reduced, full_solve(inverse, rows, True))):
+        for got, ref in ((inverse @ y, full_solve(inverse, y)),
+                         (rows @ inverse, full_solve(inverse, rows, True))):
             assert np.max(np.abs(got - ref)) <= self.TOL * np.max(np.abs(ref))
         matrix, kink = p.g_matrix(k, dleft=True), p._g_kink(True)
         ref = full_right_compose(inverse, matrix, kink)
@@ -476,8 +476,7 @@ class TestReduction:
         y, z = inverse.solve(np.exp(-2.0 * long_par.model.s ** 2))
         n = long_par.model.n
         no_tail = px.LowRank(np.zeros((n, 0)), np.zeros((0, n)))
-        untailed = px._ReducedInverse(inverse.system, inverse.span,
-                                      no_tail) @ y
+        untailed = replace(inverse, tail=no_tail) @ y
         sigma = inverse.sigma_min()
         assert checks.solve_errors(inverse.system, y, z, sigma)[0] < bound
         assert checks.solve_errors(inverse.system, y, untailed,
