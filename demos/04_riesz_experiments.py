@@ -10,10 +10,7 @@ tau(z)/r x ilg(1/r')/r' whose norms grow like R^{(2-p')/p'} / log R once
 p > 2; the measured growth exponents land on 1/3 and 1/2 for p = 3, 4.
 """
 
-import math
-
-from connsum import bvp, keylemma as kl, model as md, riesz as rz
-from connsum.cutoffs import minus_cutoff_source
+from connsum import model as md, riesz as rz
 
 print("== boundedness side (p <= 2) ==")
 wide = md.build_model(md.GeometryConfig(S_minus=2.0 ** 14, S_plus=2.0 ** 14))
@@ -30,11 +27,7 @@ print("note: at p = 2 the estimate approaches the multiplier bound "
       "sup xi F_<(xi) = 1")
 
 print("\n== unboundedness side (p > 2) ==")
-wit_model = md.build_model(md.GeometryConfig(S_minus=2.0 ** 24, S_plus=64.0))
-sys0 = bvp.GluedSystem(wit_model, 0.0)
-ka = kl.build_key_approximation(wit_model, minus_cutoff_source(wit_model),
-                                q=3, system=sys0)
-wit = rz.unboundedness_witness(wit_model, ka, k0=math.exp(-9.5))
+wit = rz.unboundedness_witness(md.GeometryConfig())
 print(f"beta = {wit.beta:.6f} (> 0: the witness applies)")
 print(f"witness kernel entrywise nonnegative: {wit.entrywise_nonneg}; "
       f"lower constant against (tau/r) ilg(1/r')/r': {wit.lower_constant:.4f}")

@@ -38,7 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import specfun as sf
-from .cutoffs import Step, on_grid
+from .cutoffs import log_cutoff
 from .errors import DomainError, SingularSystemError
 from .model import (ModelManifold, _fd_operator, band_matrix,
                     decaying_channel, radiation_logderiv)
@@ -124,22 +124,22 @@ class GluedSystem:
         `model.decaying_channel`, r^{-nu} K_nu(kr) with nu = n/2 - 1 (the
         power r^{2-n} at k = 0); the growing one is r^{-nu} I_nu(kr), at
         k = 0 the constant 1, or log(r/R) on a two-dimensional end.
-        d/ds = orient d/dr, orient = -1 on the minus end."""
+        d/ds is d/dr times the end's orientation `ModelManifold.dr_ds`."""
         k, R = self.k, self.model.R
         spec = self.model.end_spec(end)
-        orient = -1.0 if end == "minus" else 1.0
+        dr_ds = self.model.dr_ds(end)
         if decaying:
             val, dval, _ = decaying_channel(spec, 0, k, R, r)
-            return val, orient * dval
+            return val, dr_ds * dval
         nu = 0.5 * spec.euclidean_dim - 1.0
         if k == 0.0:
             if nu == 0.0:
-                return np.log(r / R), orient / r
+                return np.log(r / R), dr_ds / r
             return np.ones_like(r), np.zeros_like(r)
         den = R ** (-nu) * sf.bessel_I(nu, k * R, scaled=True)
         val = r ** (-nu) * sf.bessel_I(nu, k * r, scaled=True) / den
-        dval = orient * k * r ** (-nu) * sf.bessel_I(nu + 1.0, k * r,
-                                                     scaled=True) / den
+        dval = dr_ds * k * r ** (-nu) * sf.bessel_I(nu + 1.0, k * r,
+                                                    scaled=True) / den
         return val, dval
 
     def _mask(self, end: str) -> np.ndarray:
@@ -453,17 +453,10 @@ class LogHarmonic:
 
 def build_log_harmonic(model: ModelManifold,
                        system: GluedSystem | None = None) -> LogHarmonic:
-    """w_1 + w_2 with w_1 = chi(r) log r (chi = 1 far out on the minus
-    end) and Delta w_2 = -Delta w_1 solved by the global Laplace solver."""
-    a, b = model.radii.chi
-    # 1 for s <= -b, 0 for s >= -a
-    chi = on_grid(model, Step(-b, -a, falling=True))
-    s = model.s
-    neg = s < -model.R
-    logr = np.where(neg, np.log(np.maximum(model.r, 1e-12)), 0.0)
+    """w_1 + w_2 with w_1 = chi(r) log r (`cutoffs.log_cutoff`) and
+    Delta w_2 = -Delta w_1 solved by the global Laplace solver."""
+    chi, logr, dlogr = log_cutoff(model)
     w1 = chi.values * logr
-    dlogr = np.zeros_like(s)
-    dlogr[neg] = 1.0 / s[neg]
     dw1 = chi.d1 * logr + chi.values * dlogr
     # F = -Delta w1 on the minus product region (supp chi' there):
     # Delta(chi log r) = log r Delta chi - 2 chi' (log r)'

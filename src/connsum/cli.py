@@ -29,7 +29,7 @@ from . import specfun as sf
 from .cutoffs import minus_cutoff_source
 from .errors import ConfigError, DomainError, NonConvergenceError, \
     SingularSystemError
-from .model import GeometryConfig, apply_operator, build_model
+from .model import GeometryConfig, build_model
 from .reports import write_csv, write_report
 
 EXIT_OK = 0
@@ -267,9 +267,13 @@ def cmd_resolvent(args) -> int:
 
 
 def cmd_riesz(args) -> int:
+    """The L^p sweep of the low-energy kernel on ends of length
+    --sweep-max, and unless --skip-witness the p > 2 witness, which
+    builds its own geometry from the same config
+    (riesz.unboundedness_witness)."""
     from dataclasses import replace
 
-    from . import bvp, keylemma as kl, riesz as rz
+    from . import riesz as rz
     from .fits import TREND_STABILITY
 
     if args.n_sigma < 3 or args.n_sigma % 2 == 0:
@@ -313,36 +317,22 @@ def cmd_riesz(args) -> int:
 
     witness_section = {"applicable": False}
     if not args.skip_witness:
-        wcfg = replace(cfg, S_minus=2.0 ** 24, S_plus=64.0)
-        wmodel = build_model(wcfg)
-        wsys = bvp.GluedSystem(wmodel, 0.0)
-        if args.witness_source == "bump":
-            vsrc = apply_operator(wmodel, np.exp(-2.0 * wmodel.s ** 2))
-        else:
-            vsrc = minus_cutoff_source(wmodel)
-        ka = kl.build_key_approximation(wmodel, vsrc, q=3, system=wsys)
-        if not ka.stages[0].beta_positive:
-            witness_section = {"applicable": False,
-                               "reason": "beta <= 0 for the chosen source"}
-        else:
-            wit = rz.unboundedness_witness(
-                wmodel, ka, p_list=p_unbounded,
-                k0=math.exp(-9.5))
-            witness_section = {
-                "applicable": True, "beta": wit.beta,
-                "entrywise_nonneg": wit.entrywise_nonneg,
-                "lower_constant": wit.lower_constant,
-                "chain_violations": rz.ilg_chain_inequality()["violations"],
-                "growth": {str(p): g for p, g in wit.growth.items()}}
-            for p, g in witness_section["growth"].items():
-                err = abs(g["fitted_exponent"] - g["expected"])
-                chk[f"growth_p{p}"] = check(err, GROWTH_TOL, strict=False)
-            chk["chain_violations"] = check(
-                witness_section["chain_violations"], 0, strict=False)
-            chk["lower_constant"] = check(wit.lower_constant, 0,
-                                          ok=wit.lower_constant > 0)
-            chk["entrywise_nonneg"] = check(wit.entrywise_nonneg, True,
-                                            ok=wit.entrywise_nonneg)
+        wit = rz.unboundedness_witness(cfg, p_unbounded)
+        witness_section = {
+            "applicable": True, "beta": wit.beta,
+            "entrywise_nonneg": wit.entrywise_nonneg,
+            "lower_constant": wit.lower_constant,
+            "chain_violations": rz.ilg_chain_inequality()["violations"],
+            "growth": {str(p): g for p, g in wit.growth.items()}}
+        for p, g in witness_section["growth"].items():
+            err = abs(g["fitted_exponent"] - g["expected"])
+            chk[f"growth_p{p}"] = check(err, GROWTH_TOL, strict=False)
+        chk["chain_violations"] = check(
+            witness_section["chain_violations"], 0, strict=False)
+        chk["lower_constant"] = check(wit.lower_constant, 0,
+                                      ok=wit.lower_constant > 0)
+        chk["entrywise_nonneg"] = check(wit.entrywise_nonneg, True,
+                                        ok=wit.entrywise_nonneg)
     payload["witness"] = witness_section
     return finish(args, "riesz.json", payload, chk)
 
@@ -417,8 +407,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--p-bounded", nargs="+", default=[1.25, 1.5, 2.0])
     p.add_argument("--p-unbounded", nargs="+", default=[3.0, 4.0])
     p.add_argument("--skip-witness", action="store_true")
-    p.add_argument("--witness-source", choices=("minus-cutoff", "bump"),
-                   default="minus-cutoff")
     p.set_defaults(func=cmd_riesz)
 
     p = sub.add_parser("lp-lemmas", help="power-weight kernel lemma suite")

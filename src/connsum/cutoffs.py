@@ -71,6 +71,19 @@ def minus_cutoff_source(model) -> np.ndarray:
     return -on_grid(model, minus_cutoff(model)).lap
 
 
+def log_cutoff(model):
+    """(chi, log r, d/ds log r) on the grid of `model`: the K_0 gluing
+    cutoff chi, 1 for r >= chi[1] and 0 for r <= chi[0] on the minus end,
+    sampled with its derivatives, and log r and its d/ds on the minus end,
+    zero elsewhere.  They make the field chi log r that grows like log r
+    on the two-dimensional end."""
+    a, b = model.radii.chi
+    on = model.mask_minus
+    logr = np.where(on, np.log(model.r), 0.0)
+    dlogr = np.where(on, model.dr_ds("minus") / model.r, 0.0)
+    return on_grid(model, Step(-b, -a, falling=True)), logr, dlogr
+
+
 @dataclass(frozen=True)
 class Bump:
     """C^4 plateau bump: 0 off [a, d], 1 on [b, c]."""

@@ -35,7 +35,7 @@ import numpy as np
 
 from . import specfun as sf
 from .bvp import GlobalHarmonicSolution, GluedSystem, solve_laplace
-from .cutoffs import Step, on_grid
+from .cutoffs import Step, log_cutoff, on_grid
 from .errors import DomainError
 from .fits import loglog_slope
 from .model import ModelManifold
@@ -111,17 +111,11 @@ class KeyApproximation:
         self.q = q
         self.v = np.asarray(v, dtype=float)
         sys0 = system if system is not None else GluedSystem(model, 0.0)
-        s = model.s
-        a, b = model.radii.chi
         # chi is 1 far out on the minus end, eta 1 far out on the plus end
-        self.chi = on_grid(model, Step(-b, -a, falling=True))
+        self.chi, self.logr, self.dlogr = log_cutoff(model)
         self.eta = on_grid(model, Step(*model.radii.eta))
         self.n_plus = model.plus.euclidean_dim
         self.nu = 0.5 * self.n_plus - 1.0
-        self.logr = np.log(model.r)
-        neg = s < 0
-        self.dlogr = np.zeros_like(s)
-        self.dlogr[neg] = 1.0 / s[neg]      # valid on supp chi
         # g = log r - c_gamma and the compact-source generator
         g = self.logr - C_GAMMA
         self.unit_next = -(g * self.chi.lap - 2.0 * self.chi.d1 * self.dlogr)
@@ -152,7 +146,7 @@ class KeyApproximation:
         dout = np.zeros_like(s)
         r = self.model.r[on]
         il = ilg(k)
-        out[on] = il * (np.log(r) - C_GAMMA - sf.k0_remainder(k * r))
+        out[on] = il * (self.logr[on] - C_GAMMA - sf.k0_remainder(k * r))
         dout[on] = il * (self.dlogr[on] + k * sf.k1_tail(k * r))
         return out, dout
 
@@ -197,6 +191,14 @@ class KeyApproximation:
             vals += il ** i * ui
             dvals += il ** i * dui
         return vals, dvals
+
+    def radial_gradient(self, k: float) -> np.ndarray:
+        """d_r(u + phi_1)(., k) on the minus end, the gradient the key
+        lemma bounds below by beta ilg(k) / r (phi_1 the first stage's
+        harmonic solution), from d/ds by the end's orientation."""
+        _, dvals = self.u(k)
+        return self.model.dr_ds("minus") * (dvals
+                                            + self.stages[0].phi.dvalues)
 
     def residual(self, k: float):
         """(Delta + k^2) u - v in closed form."""
@@ -264,8 +266,7 @@ def verify_lower_bound(approx: KeyApproximation, ks) -> dict:
     r0 = m.radii.phi[1] * 1.2
     cs, rems = [], []
     for k in ks:
-        _, dvals = approx.u(k)
-        dr = -(dvals + st.phi.dvalues)   # d/dr = -d/ds on the minus end
+        dr = approx.radial_gradient(k)
         mask = m.mask_minus & (m.r >= r0) & (k * m.r <= LOWER_BOUND_EPS)
         if not mask.any():
             continue

@@ -27,8 +27,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import ConfigError
-from .quadrature import (cc_segment, cheb_cumint_matrix, cheb_diff_matrix,
-                         fornberg_weights)
+from .quadrature import cc_segment, cheb_cumint_matrix, fornberg_weights
 
 
 def sphere_area(n: int) -> float:
@@ -177,7 +176,6 @@ class GeometryConfig:
     S_plus: float = 128.0
     grid: GridSpec = field(default_factory=GridSpec)
     radii: CutoffRadii = field(default_factory=CutoffRadii)
-    neck_smoothness: int = 4
 
     @staticmethod
     def from_dict(raw: dict) -> "GeometryConfig":
@@ -210,7 +208,7 @@ class GeometryConfig:
             raise ConfigError("geometry config must be a JSON object, got "
                               f"{type(raw).__name__}")
         known(raw, ("n_plus", "spectra", "volumes", "R", "S_minus", "S_plus",
-                    "grid", "radii", "neck_smoothness"))
+                    "grid", "radii"))
         try:
             kwargs = {}
             if "n_plus" in raw:
@@ -243,9 +241,6 @@ class GeometryConfig:
                 rr = {k: tuple(v) if isinstance(v, (list, tuple)) else v
                       for k, v in raw["radii"].items()}
                 kwargs["radii"] = CutoffRadii(**rr)
-            if "neck_smoothness" in raw:
-                kwargs["neck_smoothness"] = _require_integer(
-                    "neck_smoothness", raw["neck_smoothness"], 0)
             return GeometryConfig(**kwargs)
         except (KeyError, TypeError, ValueError) as exc:
             if isinstance(exc, ConfigError):
@@ -267,9 +262,12 @@ class GeometryConfig:
 class NeckProfile:
     """Weight and radial interpolants through the neck |s| <= R."""
 
-    def __init__(self, minus: EndSpec, plus: EndSpec, R: float,
-                 smoothness: int):
-        m = smoothness
+    # derivatives of log v matched at s = -+R: as many as the C^4 radial
+    # dip below and the C^4 cutoff smoothstep (cutoffs) carry
+    SMOOTHNESS = 4
+
+    def __init__(self, minus: EndSpec, plus: EndSpec, R: float):
+        m = self.SMOOTHNESS
         # log v matched to log(c |s|^{n-1}) of each end at its side, s = -+R
         def end_derivs(end, s):
             power = end.euclidean_dim - 1.0
@@ -324,7 +322,7 @@ class ModelManifold:
                 f"total dimension mismatch: {self.minus.euclidean_dim} + "
                 f"dim(M-) = {self.minus.total_dim} != n_plus + dim(M+) = "
                 f"{self.plus.total_dim}")
-        if not (1.5 <= c.R < c.radii.chi[0]):
+        if not (1.5 <= c.R < c.radii.breakpoints()[0]):
             raise ConfigError("need 1.5 <= R < first cutoff radius")
         if c.S_minus <= c.radii.zeta[1] or c.S_plus <= c.radii.zeta[1]:
             raise ConfigError("domain must extend beyond the outermost cutoff")
@@ -334,10 +332,7 @@ class ModelManifold:
         self.config = c
         self.R = c.R
         self.radii = c.radii
-        self.basepoint_minus = c.radii.basepoint
-        self.basepoint_plus = c.radii.basepoint
-        self.neck = NeckProfile(self.minus, self.plus, c.R,
-                                c.neck_smoothness)
+        self.neck = NeckProfile(self.minus, self.plus, c.R)
         self._build_grid()
 
     # -- grid ---------------------------------------------------------------
@@ -419,29 +414,6 @@ class ModelManifold:
             out[sl] = offset + local
             offset = out[start + n - 1]
         return out
-
-    def derivatives(self, y) -> tuple[np.ndarray, np.ndarray]:
-        """(dy/ds, d2y/ds2) by per-segment Chebyshev differentiation.
-
-        Spectral for functions analytic on each segment; at shared segment
-        nodes the two one-sided values are averaged.
-        """
-        y = np.asarray(y, dtype=float)
-        d1 = np.zeros(self.n)
-        d2 = np.zeros(self.n)
-        counts = np.zeros(self.n)
-        for start, n, th, jac, kind in self.segments:
-            sl = slice(start, start + n)
-            D = cheb_diff_matrix(n) / (0.5 * (th[-1] - th[0]))
-            u_t = D @ y[sl]
-            u_tt = D @ u_t
-            # map theta derivatives to s derivatives: s'(theta) = jac,
-            # s''(theta) = sec * jac with sec = -1 (minus), +1 (plus), 0 (neck)
-            sec = {"minus": -1.0, "plus": 1.0, "neck": 0.0}[kind]
-            d1[sl] += u_t / jac
-            d2[sl] += (u_tt - sec * u_t) / jac ** 2
-            counts[sl] += 1.0
-        return d1 / counts, d2 / counts
 
     @cached_property
     def kink_kappa(self) -> tuple[np.ndarray, np.ndarray]:
@@ -545,6 +517,13 @@ class ModelManifold:
     def end_spec(self, end: str) -> EndSpec:
         return self.minus if end == "minus" else self.plus
 
+    @staticmethod
+    def dr_ds(end: str) -> float:
+        """dr/ds on one end: s runs outward on the plus end and inward on
+        the minus end, so d/ds = dr_ds(end) d/dr there.  Every conversion
+        between d/ds and d/dr reads it."""
+        return -1.0 if end == "minus" else 1.0
+
     # -- masks on the grid ----------------------------------------------------
 
     @cached_property
@@ -620,9 +599,9 @@ def radiation_logderiv(model: ModelManifold, k: float, s: float) -> float:
     """d/ds log of the glued zero-channel solution decaying toward the
     nearer infinity, at the axis point s.  Exact radiation condition:
     domain truncation then commits no error for the model."""
-    end = model.minus if s < 0 else model.plus
-    ddr = decaying_radial_logderiv(end, 0, k, abs(s))
-    return -ddr if s < 0 else ddr  # d/ds = -d/dr on the minus side
+    end = "minus" if s < 0 else "plus"
+    return model.dr_ds(end) * decaying_radial_logderiv(model.end_spec(end),
+                                                       0, k, abs(s))
 
 
 def radial_laplacian(model: ModelManifold, k: float = 0.0, order: int = 4):
@@ -677,14 +656,3 @@ def band_matrix(ab: np.ndarray) -> np.ndarray:
         j = np.arange(max(d, 0), n + min(d, 0))
         A[j - d, j] = ab[u - d, j]
     return A
-
-
-def apply_operator(model: ModelManifold, values, k: float = 0.0):
-    """(Delta + k^2) applied to a glued zero-channel grid function by
-    per-segment Chebyshev differentiation (accurate for functions analytic
-    per segment), with the two boundary values set to zero.
-    `radial_laplacian` is the independent finite-difference route."""
-    d1, d2 = model.derivatives(values)
-    out = model.laplacian(d1, d2) + k * k * np.asarray(values, float)
-    out[0] = out[-1] = 0.0
-    return out

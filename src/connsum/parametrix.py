@@ -163,8 +163,6 @@ class ParametrixPieces:
         self.u_minus = KeyApproximation(model, self.v_minus, q=q, system=sys0)
         self.u_plus = KeyApproximation(model, self.v_plus, q=q, system=sys0)
         self.gamma_ref = GluedSystem(model, kbar)
-        self.r0_minus = model.basepoint_minus
-        self.r0_plus = model.basepoint_plus
         self.weight = weight_w(model)
         self._build_interior()
 
@@ -221,15 +219,15 @@ class ParametrixPieces:
     # -- reduced product kernels on the grid ---------------------------------
 
     def _end_data(self, side: str):
-        if side == "minus":
-            return self.model.minus, self.phi_minus, self.r0_minus, -1.0
-        return self.model.plus, self.phi_plus, self.r0_plus, 1.0
+        """(end spec, phi cutoff field, dr/ds) of one end."""
+        phi = self.phi_minus if side == "minus" else self.phi_plus
+        return self.model.end_spec(side), phi, self.model.dr_ds(side)
 
     def product_block(self, side: str, k: float, dleft: bool = False):
         """(idx, block): the phi-localized reduced product resolvent
         R_side^k(z, z') phi(z) phi(z') on its support idx x idx, idx the
         nodes of supp phi; with dleft its d/ds in z, the block of d_s G1."""
-        end, phi, _, orient = self._end_data(side)
+        end, phi, dr_ds = self._end_data(side)
         idx = np.where(phi.values > 0)[0]
         r = self.model.r[idx]
         if not dleft:
@@ -237,16 +235,17 @@ class ParametrixPieces:
             return idx, block * phi.values[idx, None] * phi.values[None, idx]
         block, dblock = pk.reduced_kernel_pair(end, k, r[:, None],
                                                r[None, :])
-        return idx, (orient * dblock * phi.values[idx, None]
+        return idx, (dr_ds * dblock * phi.values[idx, None]
                      + block * phi.d1[idx, None]) * phi.values[None, idx]
 
     def basepoint_column(self, side: str, k: float) -> np.ndarray:
         """phi(z') R_side^k(z_side^o, z') on the grid."""
         m = self.model
-        end, phi, r0, _ = self._end_data(side)
+        end, phi, _ = self._end_data(side)
         out = np.zeros(m.n)
         idx = np.where(phi.values > 0)[0]
-        out[idx] = pk.reduced_kernel(end, k, r0, m.r[idx]) * phi.values[idx]
+        out[idx] = pk.reduced_kernel(end, k, m.radii.basepoint,
+                                     m.r[idx]) * phi.values[idx]
         return out
 
     def basepoint_outer(self, k: float, left_minus, left_plus) -> LowRank:
@@ -294,7 +293,7 @@ def _phi_commutator_blocks(pieces: ParametrixPieces, k: float):
     the transition rows of phi times the columns of supp phi."""
     m = pieces.model
     for side in ("minus", "plus"):
-        end, phi, r0, orient = pieces._end_data(side)
+        end, phi, dr_ds = pieces._end_data(side)
         rows, cols, g_int, g_int_dleft = pieces.commutator_blocks[side]
         if len(rows) == 0:
             continue
@@ -303,13 +302,13 @@ def _phi_commutator_blocks(pieces: ParametrixPieces, k: float):
         if k > 0:
             kern, dkern_r = pk.reduced_kernel_pair(end, k, rr[:, None],
                                                    rc[None, :])
-            base = pk.reduced_kernel(end, k, r0, rc)
+            base = pk.reduced_kernel(end, k, m.radii.basepoint, rc)
             diff = kern - base[None, :]
         else:
             diff = pk.reduced_kernel_k0_diff(end, rr[:, None], rc[None, :],
-                                             r0, rc[None, :])
+                                             m.radii.basepoint, rc[None, :])
             dkern_r = pk.reduced_kernel_dleft_k0(end, rr[:, None], rc[None, :])
-        ds_kern = orient * dkern_r
+        ds_kern = dr_ds * dkern_r
         block = phi.lap[rows, None] * (diff - g_int) \
             - 2.0 * phi.d1[rows, None] * (ds_kern - g_int_dleft)
         yield rows, cols, block * phi.values[None, cols]

@@ -86,23 +86,6 @@ def cheb_cumint_matrix(n: int) -> np.ndarray:
 
 
 @cache
-def cheb_diff_matrix(n: int) -> np.ndarray:
-    """Matrix D with (D y)_i = p'(t_i) for the Chebyshev interpolant p of
-    the values y on the n Clenshaw-Curtis nodes, cached per n: the
-    barycentric D_ij = (w_j / w_i) / (t_i - t_j), t_i - t_j in product
-    form and each diagonal entry minus the rest of its row."""
-    a = np.pi * np.arange(n) / (n - 1)     # t = -cos(a)
-    dt = 2.0 * np.sin(0.5 * np.add.outer(a, a)) \
-        * np.sin(0.5 * np.subtract.outer(a, a))
-    w = (-1.0) ** np.arange(n)
-    w[[0, -1]] *= 0.5
-    D = np.outer(1.0 / w, w) / (dt + np.eye(n))
-    np.fill_diagonal(D, 0.0)
-    np.fill_diagonal(D, -D.sum(axis=1))
-    return D
-
-
-@cache
 def cc_kink_coefficients(n: int) -> tuple[np.ndarray, np.ndarray]:
     """Quadrature-defect coefficients of the Clenshaw-Curtis rule for
     integrands with a corner at a node.

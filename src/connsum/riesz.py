@@ -33,17 +33,17 @@ ilg(1/r')/r' just fails to lie in L^{p'}.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from . import product_kernels as pk
+from . import keylemma as kl, product_kernels as pk
 from .bvp import GluedSystem, GreenSumOperator, green_kernel_sums
-from .cutoffs import Bump, minus_cutoff
+from .cutoffs import Bump, minus_cutoff, minus_cutoff_source
 from .errors import DomainError, NonConvergenceError
 from .fits import classify_trend, loglog_slope
 from .lp_estimator import boyd_lower_bound, lp_norm, spectral_norms
-from .model import ModelManifold
+from .model import GeometryConfig, ModelManifold, build_model
 from .quadrature import cc_segment
 
 
@@ -327,14 +327,25 @@ class UnboundednessWitness:
 # k-integral
 WITNESS_N_SIGMA = 33
 WITNESS_SIGMA_MAX = 44.0
+# the witness geometry's domain lengths, the order of its key
+# approximation, and its split point k0
+WITNESS_S_MINUS = 2.0 ** 24
+WITNESS_S_PLUS = 64.0
+WITNESS_Q = 3
+WITNESS_K0 = math.exp(-9.5)
 
 
-def unboundedness_witness(model: ModelManifold, key_approx, p_list=(3.0, 4.0),
-                          k0: float = math.exp(-10.0)) -> UnboundednessWitness:
-    """Assemble the two-dimensional-end witness
+def unboundedness_witness(config: GeometryConfig,
+                          p_list=(3.0, 4.0)) -> UnboundednessWitness:
+    """Assemble the two-dimensional-end witness on the geometry config
+    with S_minus = WITNESS_S_MINUS and S_plus = WITNESS_S_PLUS,
 
         T(z, z') = tau(z) int_0^{k0} d_r(phi + u)(z, k)
-                                     R_-(z^o, z') phi_-(z') dk.
+                                     R_-(z^o, z') phi_-(z') dk,
+
+    with u the order-WITNESS_Q key approximation for the source
+    v = -Delta phi_- and k0 = WITNESS_K0.  For that source the first
+    stage's solution is phi_- itself, so beta = 1 on every geometry.
 
     The split point k0 sits inside the asymptotic regime (the inverse-log
     stage cascade of the model has ratio beta_2/beta ~ -8, so the leading
@@ -344,21 +355,20 @@ def unboundedness_witness(model: ModelManifold, key_approx, p_list=(3.0, 4.0),
     truncated kernel then grow like R^{(2-p')/p'} / log R for p > 2
     (fitted with the log factor removed).
     """
-    ka = key_approx
-    beta = ka.stages[0].beta
-    if not ka.stages[0].beta_positive:
-        raise DomainError("unboundedness witness needs beta > 0")
+    model = build_model(replace(config, S_minus=WITNESS_S_MINUS,
+                                S_plus=WITNESS_S_PLUS))
+    ka = kl.build_key_approximation(model, minus_cutoff_source(model),
+                                    q=WITNESS_Q,
+                                    system=GluedSystem(model, 0.0))
+    k0 = WITNESS_K0
     za, zb = model.radii.zeta
     tau = Bump(-zb, -zb + 1.0, -za - 1.0, -za)(model.s)
     rows = np.where(tau > 0)[0]
     pa = model.radii.phi[0]
     cols = np.where(model.mask_minus & (model.r >= pa))[0]
-    end = model.minus
-    r0b = model.basepoint_minus
     rr = model.r[rows]
     rc = model.r[cols]
     phi_vals = minus_cutoff(model)(model.s[cols])
-    st = ka.stages[0]
     sig, w = cc_segment(math.log(1.0 / k0), WITNESS_SIGMA_MAX,
                         WITNESS_N_SIGMA)
     # the k-sum of rank-one kernels as one (rows x K) @ (K x cols) product
@@ -367,12 +377,12 @@ def unboundedness_witness(model: ModelManifold, key_approx, p_list=(3.0, 4.0),
     positive = True
     for i, (s_i, w_i) in enumerate(zip(sig, w)):
         k = math.exp(-s_i)
-        _, du = ka.u(k)
-        dr_u = -(du + st.phi.dvalues)[rows]   # d_r = -d/ds on the minus end
+        dr_u = ka.radial_gradient(k)[rows]
         if np.any(dr_u <= 0):
             positive = False
         left[:, i] = dr_u
-        right[i] = w_i * k * pk.reduced_kernel(end, k, r0b, rc) * phi_vals
+        right[i] = w_i * k * pk.reduced_kernel(
+            model.minus, k, model.radii.basepoint, rc) * phi_vals
     kern = left @ right
     # lower-bound constant against (tau/r) ilg(1/r')/r' in the saturated
     # window r' >= 5/k0
@@ -384,7 +394,8 @@ def unboundedness_witness(model: ModelManifold, key_approx, p_list=(3.0, 4.0),
         cmin = float(np.min(ratio))
     else:
         cmin = math.nan
-    wit = UnboundednessWitness(model, beta, k0, tau, kern, rows, cols,
+    wit = UnboundednessWitness(model, ka.stages[0].beta, k0, tau, kern,
+                               rows, cols,
                                positive and bool(np.all(kern >= 0)),
                                cmin)
     top = model.config.S_minus

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
@@ -38,6 +39,60 @@ class ModeChannel:
     @property
     def is_zero(self) -> bool:
         return self.angular == 0 and self.cross_index == 0
+
+
+@cache
+def cheb_diff_matrix(n: int) -> np.ndarray:
+    """Matrix D with (D y)_i = p'(t_i) for the Chebyshev interpolant p of
+    the values y on the n Clenshaw-Curtis nodes, cached per n: the
+    barycentric D_ij = (w_j / w_i) / (t_i - t_j), t_i - t_j in product
+    form and each diagonal entry minus the rest of its row."""
+    a = np.pi * np.arange(n) / (n - 1)     # t = -cos(a)
+    dt = 2.0 * np.sin(0.5 * np.add.outer(a, a)) \
+        * np.sin(0.5 * np.subtract.outer(a, a))
+    w = (-1.0) ** np.arange(n)
+    w[[0, -1]] *= 0.5
+    D = np.outer(1.0 / w, w) / (dt + np.eye(n))
+    np.fill_diagonal(D, 0.0)
+    np.fill_diagonal(D, -D.sum(axis=1))
+    return D
+
+
+def derivatives(model: ModelManifold, y) -> tuple[np.ndarray, np.ndarray]:
+    """(dy/ds, d2y/ds2) of a grid function by per-segment Chebyshev
+    differentiation.
+
+    Spectral for functions analytic on each segment; at shared segment
+    nodes the two one-sided values are averaged.
+    """
+    y = np.asarray(y, dtype=float)
+    d1 = np.zeros(model.n)
+    d2 = np.zeros(model.n)
+    counts = np.zeros(model.n)
+    for start, n, th, jac, kind in model.segments:
+        sl = slice(start, start + n)
+        D = cheb_diff_matrix(n) / (0.5 * (th[-1] - th[0]))
+        u_t = D @ y[sl]
+        u_tt = D @ u_t
+        # map theta derivatives to s derivatives: s'(theta) = jac,
+        # s''(theta) = sec * jac with sec = -1 (minus), +1 (plus), 0 (neck)
+        sec = {"minus": -1.0, "plus": 1.0, "neck": 0.0}[kind]
+        d1[sl] += u_t / jac
+        d2[sl] += (u_tt - sec * u_t) / jac ** 2
+        counts[sl] += 1.0
+    return d1 / counts, d2 / counts
+
+
+def apply_operator(model: ModelManifold, values, k: float = 0.0):
+    """(Delta + k^2) applied to a glued zero-channel grid function by
+    per-segment Chebyshev differentiation (accurate for functions analytic
+    per segment), with the two boundary values set to zero.
+    `model.radial_laplacian` is the independent finite-difference
+    route."""
+    d1, d2 = derivatives(model, values)
+    out = model.laplacian(d1, d2) + k * k * np.asarray(values, float)
+    out[0] = out[-1] = 0.0
+    return out
 
 
 def segment_interior(model: ModelManifold) -> np.ndarray:
@@ -309,6 +364,6 @@ def basepoint_freezing_exponent(wit) -> float:
         k = math.exp(-s_i)
         dint += w_i * k * np.abs(
             pk.reduced_kernel(model.minus, k, mid, rc)
-            - pk.reduced_kernel(model.minus, k, model.basepoint_minus, rc))
+            - pk.reduced_kernel(model.minus, k, model.radii.basepoint, rc))
     sel = rc > 2.0 / k0
     return loglog_slope(rc[sel], np.maximum(dint[sel], 1e-300))

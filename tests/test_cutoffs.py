@@ -5,7 +5,7 @@ from connsum import model as md
 from connsum.cutoffs import (Bump, Step, minus_cutoff, minus_cutoff_source,
                              on_grid)
 
-from oracles import segment_interior
+from oracles import apply_operator, segment_interior
 
 
 @pytest.fixture(scope="module", params=[128.0, 512.0], ids=["S128", "S512"])
@@ -18,7 +18,7 @@ def test_minus_cutoff_source_matches_spectral_operator(model):
     # independent route: Chebyshev differentiation of the sampled phi_minus
     # instead of the closed-form step derivatives
     v = minus_cutoff_source(model)
-    ref = -md.apply_operator(model, minus_cutoff(model)(model.s))
+    ref = -apply_operator(model, minus_cutoff(model)(model.s))
     sel = segment_interior(model)
     assert np.max(np.abs(v - ref)[sel]) < 1e-7 * np.max(np.abs(v[sel]))
 

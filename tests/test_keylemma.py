@@ -10,7 +10,8 @@ from connsum.errors import DomainError
 from connsum.model import EndSpec, channel_profile
 from connsum.specfun import ilg
 
-from oracles import ModeChannel, fit_envelope, segment_interior
+from oracles import (ModeChannel, apply_operator, fit_envelope,
+                     segment_interior)
 
 
 # ---------------------------------------------------------------------------
@@ -155,7 +156,7 @@ class TestResidual:
             k = math.exp(-2.0 ** j)
             res_cf = key_minus.residual(k)
             uv, _ = key_minus.u(k)
-            res_fd = md.apply_operator(model, uv, k=k) - key_minus.v
+            res_fd = apply_operator(model, uv, k=k) - key_minus.v
             mask = (np.abs(model.s) < 20) & segment_interior(model)
             assert np.max(np.abs((res_cf - res_fd)[mask])) < 1e-9
 
@@ -170,7 +171,7 @@ class TestResidual:
         # v = Delta(bump): phi = -bump decays, beta = 0, residual pure k^2
         s = model.s
         bump = np.exp(-2.0 * s ** 2)
-        lap_b = md.apply_operator(model, bump)
+        lap_b = apply_operator(model, bump)
         ka = kl.build_key_approximation(model, lap_b, q=2, system=sys0)
         assert abs(ka.stages[0].beta) < 1e-8
         k = 1e-3
@@ -188,12 +189,12 @@ class TestResidual:
         k = math.exp(-64.0)
         mask = (np.abs(model.s) < 20) & segment_interior(model)
         uv, _ = ka.u(k)
-        base = np.max(np.abs((md.apply_operator(model, uv, k=k)
+        base = np.max(np.abs((apply_operator(model, uv, k=k)
                               - ka.v)[mask]))
         inflated = {}
         for delta in (0.05, 0.1):
             bad = uv - delta * beta * (1.0 - ka.chi.values)
-            res = md.apply_operator(model, bad, k=k) - ka.v
+            res = apply_operator(model, bad, k=k) - ka.v
             inflated[delta] = np.max(np.abs(res[mask]))
             assert inflated[delta] > 3 * base
         assert inflated[0.1] == pytest.approx(2 * inflated[0.05], rel=0.15)
@@ -242,7 +243,7 @@ class TestEstimates:
 
     def test_lower_bound_vacuous_for_beta_zero(self, model, sys0):
         bump = np.exp(-2.0 * model.s ** 2)
-        lap_b = md.apply_operator(model, bump)
+        lap_b = apply_operator(model, bump)
         ka = kl.build_key_approximation(model, lap_b, q=2, system=sys0)
         out = kl.verify_lower_bound(ka, [1e-3])
         assert not out["applicable"]
