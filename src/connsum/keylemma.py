@@ -136,7 +136,8 @@ class KeyApproximation:
     # -- pieces ---------------------------------------------------------------
 
     def _ilgterm(self, k: float):
-        """ilg(k) (log r - c_gamma - R0(k r)) on supp chi, else 0; equals
+        """ilg(k) (log r - c_gamma - R0(k r)) on supp chi, else 0, and its
+        d/ds, ilg(k) (dr/ds) (1/r + k (K_1(k r) - 1/(k r))); it equals
         1 - ilg(k) K_0(k r) there.  Stable down to k = e^{-500}."""
         if k == 0.0:
             return np.zeros(self.model.n), np.zeros(self.model.n)
@@ -147,7 +148,8 @@ class KeyApproximation:
         r = self.model.r[on]
         il = ilg(k)
         out[on] = il * (self.logr[on] - C_GAMMA - sf.k0_remainder(k * r))
-        dout[on] = il * (self.dlogr[on] + k * sf.k1_tail(k * r))
+        dout[on] = il * (self.dlogr[on] + self.model.dr_ds("minus") * k
+                         * sf.k1_tail(k * r))
         return out, dout
 
     def _delta(self, k: float):

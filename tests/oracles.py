@@ -59,16 +59,17 @@ def cheb_diff_matrix(n: int) -> np.ndarray:
 
 
 def derivatives(model: ModelManifold, y) -> tuple[np.ndarray, np.ndarray]:
-    """(dy/ds, d2y/ds2) of a grid function by per-segment Chebyshev
-    differentiation.
+    """(dy/ds, d2y/ds2) of a grid function, or of each column of an
+    (n, c) array, by per-segment Chebyshev differentiation.
 
     Spectral for functions analytic on each segment; at shared segment
     nodes the two one-sided values are averaged.
     """
     y = np.asarray(y, dtype=float)
-    d1 = np.zeros(model.n)
-    d2 = np.zeros(model.n)
+    d1 = np.zeros_like(y)
+    d2 = np.zeros_like(y)
     counts = np.zeros(model.n)
+    col = (-1,) + (1,) * (y.ndim - 1)
     for start, n, th, jac, kind in model.segments:
         sl = slice(start, start + n)
         D = cheb_diff_matrix(n) / (0.5 * (th[-1] - th[0]))
@@ -77,10 +78,11 @@ def derivatives(model: ModelManifold, y) -> tuple[np.ndarray, np.ndarray]:
         # map theta derivatives to s derivatives: s'(theta) = jac,
         # s''(theta) = sec * jac with sec = -1 (minus), +1 (plus), 0 (neck)
         sec = {"minus": -1.0, "plus": 1.0, "neck": 0.0}[kind]
+        jac = jac.reshape(col)
         d1[sl] += u_t / jac
         d2[sl] += (u_tt - sec * u_t) / jac ** 2
         counts[sl] += 1.0
-    return d1 / counts, d2 / counts
+    return d1 / counts.reshape(col), d2 / counts.reshape(col)
 
 
 def apply_operator(model: ModelManifold, values, k: float = 0.0):
