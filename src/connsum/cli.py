@@ -267,10 +267,8 @@ def cmd_resolvent(args) -> int:
 
 
 def cmd_riesz(args) -> int:
-    """The L^p sweep of the low-energy kernel on ends of length
-    --sweep-max, and unless --skip-witness the p > 2 witness, which
-    builds its own geometry from the same config
-    (riesz.unboundedness_witness)."""
+    """The L^p sweep on ends of length --sweep-max and, unless
+    --skip-witness, the p > 2 witness (riesz.unboundedness_witness)."""
     from dataclasses import replace
 
     from . import riesz as rz

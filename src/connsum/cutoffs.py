@@ -72,11 +72,10 @@ def minus_cutoff_source(model) -> np.ndarray:
 
 
 def log_cutoff(model):
-    """(chi, log r, d/ds log r) on the grid of `model`: the K_0 gluing
-    cutoff chi, 1 for r >= chi[1] and 0 for r <= chi[0] on the minus end,
-    sampled with its derivatives, and log r and its d/ds on the minus end,
-    zero elsewhere.  They make the field chi log r that grows like log r
-    on the two-dimensional end."""
+    """(chi, log r, d/ds log r) on the grid of `model`, the pieces of
+    chi log r: the K_0 gluing cutoff chi, 1 for r >= chi[1] and 0 for
+    r <= chi[0] on the minus end, and log r and its d/ds on the minus end,
+    zero elsewhere."""
     a, b = model.radii.chi
     on = model.mask_minus
     logr = np.where(on, np.log(model.r), 0.0)

@@ -358,8 +358,7 @@ def unboundedness_witness(config: GeometryConfig,
     model = build_model(replace(config, S_minus=WITNESS_S_MINUS,
                                 S_plus=WITNESS_S_PLUS))
     ka = kl.build_key_approximation(model, minus_cutoff_source(model),
-                                    q=WITNESS_Q,
-                                    system=GluedSystem(model, 0.0))
+                                    q=WITNESS_Q)
     k0 = WITNESS_K0
     za, zb = model.radii.zeta
     tau = Bump(-zb, -zb + 1.0, -za - 1.0, -za)(model.s)

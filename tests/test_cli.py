@@ -75,6 +75,8 @@ class TestCli:
          "spectra.plus.dim must be an integer"),
         ({"spectra": {"minus": {"type": "circle", "l_max": True}}},
          "spectra.minus.l_max must be an integer"),
+        # every cutoff transition lies on a product end, |s| > R = 2
+        ({"radii": {"eta": [1.8, 8.0]}}, "R < first cutoff radius"),
     ])
     def test_malformed_geometry_is_config_error(self, tmp_path, capsys,
                                                 geometry, message):
