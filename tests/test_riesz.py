@@ -686,7 +686,8 @@ class TestWitness:
 
     def test_witness(self):
         wit = rz.unboundedness_witness(md.GeometryConfig())
-        assert wit.beta > 0
+        # for v = -Delta phi_minus the first stage's solution is phi_minus
+        assert wit.beta == pytest.approx(1.0, abs=1e-12)
         assert wit.entrywise_nonneg
         assert wit.lower_constant > 0
         # basepoint-freezing error: O(r'^{-2}) bound with room
