@@ -50,12 +50,6 @@ def homogeneous_norm(model: ModelManifold) -> float:
     return float(np.linalg.norm(prob.solve(np.zeros(len(prob.idx)))))
 
 
-def log_harmonic_remainder(model: ModelManifold, U: bvp.LogHarmonic):
-    """(r, |U - log r - c_1|) on the far minus end s < -6."""
-    far = model.s < -6.0
-    return model.r[far], np.abs(U.values[far] - np.log(model.r[far]) - U.c1)
-
-
 def beta_refinement(model: ModelManifold, system: bvp.GluedSystem):
     """(beta, shift): the limit constant beta of the neck bump
     exp(-2 s^2) and its change when every grid field doubles (beta reads

@@ -178,11 +178,9 @@ def cmd_bvp(args) -> int:
     sys0 = bvp.GluedSystem(model, 0.0)
     beta, beta_shift = checks.beta_refinement(model, sys0)
     U = bvp.build_log_harmonic(model, system=sys0)
-    rem = float(np.max(checks.log_harmonic_remainder(model, U)[1]))
     payload = {"homogeneous_norm": hom, "beta": beta,
                "beta_refinement_shift": beta_shift,
-               "log_harmonic_c1": U.c1,
-               "minus_remainder_sup": rem}
+               "log_harmonic_c1": U.c1}
     return finish(args, "bvp.json", payload,
                   {"homogeneous_norm": check(hom, HOMOGENEOUS),
                    "beta_refinement_shift": check(beta_shift, BETA_SHIFT)})

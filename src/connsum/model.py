@@ -207,31 +207,21 @@ class GeometryConfig:
         if not isinstance(raw, dict):
             raise ConfigError("geometry config must be a JSON object, got "
                               f"{type(raw).__name__}")
-        known(raw, ("n_plus", "spectra", "volumes", "R", "S_minus", "S_plus",
-                    "grid", "radii"))
+        known(raw, ("n_plus", "spectra", "R", "S_minus", "S_plus", "grid",
+                    "radii"))
         try:
             kwargs = {}
             if "n_plus" in raw:
                 kwargs["n_plus"] = _require_integer("n_plus", raw["n_plus"], 0)
-            for block in ("spectra", "volumes"):
-                if not isinstance(raw.get(block, {}), dict):
-                    raise ConfigError(f"geometry key {block!r} must be a "
-                                      "mapping")
-                known(raw.get(block, {}), ("minus", "plus"), f"{block}.")
+            spectra = raw.get("spectra", {})
+            if not isinstance(spectra, dict):
+                raise ConfigError("geometry key 'spectra' must be a mapping")
+            known(spectra, ("minus", "plus"), "spectra.")
             # a side the spectra block omits keeps its default section
             for side in ("minus", "plus"):
-                if side in raw.get("spectra", {}):
-                    kwargs[f"{side}_section"] = section(
-                        f"spectra.{side}", raw["spectra"][side])
-            if "volumes" in raw:
-                for side in ("minus", "plus"):
-                    if side in raw["volumes"]:
-                        sec = kwargs.get(f"{side}_section",
-                                         CrossSection.circle() if side == "minus"
-                                         else CrossSection.point())
-                        kwargs[f"{side}_section"] = CrossSection(
-                            sec.kind, sec.dim, float(raw["volumes"][side]),
-                            sec.eigenvalues)
+                if side in spectra:
+                    kwargs[f"{side}_section"] = section(f"spectra.{side}",
+                                                        spectra[side])
             for key in ("R", "S_minus", "S_plus"):
                 if key in raw:
                     kwargs[key] = float(raw[key])

@@ -81,7 +81,8 @@ from scipy.linalg import blas, lu_factor, lu_solve
 
 from . import product_kernels as pk
 from .bvp import GluedSystem
-from .cutoffs import Bump, CutoffField, Step, minus_cutoff, on_grid
+from .cutoffs import (Bump, CutoffField, Step, minus_cutoff,
+                      minus_cutoff_source, on_grid)
 from .errors import SingularSystemError
 from .keylemma import KeyApproximation
 from .lp_estimator import spectral_norms
@@ -157,7 +158,7 @@ class ParametrixPieces:
         self.phi_plus = on_grid(model, Step(*model.radii.phi))
         za, zb = model.radii.zeta
         self.zeta = on_grid(model, Bump(-zb, -za, za, zb))
-        self.v_minus = -self.phi_minus.lap
+        self.v_minus = minus_cutoff_source(model)
         self.v_plus = -self.phi_plus.lap
         sys0 = system if system is not None else GluedSystem(model, 0.0)
         self.u_minus = KeyApproximation(model, self.v_minus, q=q, system=sys0)

@@ -12,15 +12,14 @@ the Euclidean split check live with their tests (tests/test_riesz.py).
 The k-quadrature of Green kernel gradients is semiseparable: each term is
 rank one on either side of the diagonal, so the kernel on densities is
 kept in generator form (bvp.GreenSumOperator) next to its dense values.
-Every norm estimate (the Boyd iteration and the p = 2 bidiagonalization,
-both from lp_estimator, and the structured test family) multiplies
-through that operator at O(n K) per column (K quadrature nodes) instead
-of O(n^2); the dense values serve the Schur masses, whose |values| a
-report takes once, and the bound on the k-quadrature error.  Only the
-fine rule's sum is stored: the embedded coarse rule's difference from it
-is reduced to its largest absolute entry while it is summed.  The p = 2
-bidiagonalization runs its stop test every lp_estimator.GKL_CHECK_EVERY
-steps.
+Every norm bound comes from lp_estimator.  The Boyd iteration and the
+p = 2 bidiagonalization multiply through that operator at O(n K) per
+column (K quadrature nodes) instead of O(n^2); the dense values serve
+the Schur masses, whose |values| a report takes once, and the bound on
+the k-quadrature error.  Only the fine rule's sum is stored: the
+embedded coarse rule's difference from it is reduced to its largest
+absolute entry while it is summed.  The p = 2 bidiagonalization runs
+its stop test every lp_estimator.GKL_CHECK_EVERY steps.
 
 The low-energy kernel drives the boundedness experiments (norm estimates
 stabilizing in the truncation radius for 1 < p <= 2) and the
@@ -42,7 +41,8 @@ from .bvp import GluedSystem, GreenSumOperator, green_kernel_sums
 from .cutoffs import Bump, minus_cutoff, minus_cutoff_source
 from .errors import DomainError, NonConvergenceError
 from .fits import classify_trend, loglog_slope
-from .lp_estimator import boyd_lower_bound, lp_norm, spectral_norms
+from .lp_estimator import (boyd_lower_bound, lp_norm, schur_upper_bound,
+                           spectral_norms)
 from .model import GeometryConfig, ModelManifold, build_model
 from .quadrature import cc_segment
 
@@ -123,26 +123,6 @@ def low_energy_kernel(model: ModelManifold, k0: float,
 # L^p machinery on the model grid
 
 
-def schur_upper_bound(values: np.ndarray, magnitude: np.ndarray,
-                      q: np.ndarray, diagonal, p):
-    """|| K ||_{p->p} <= C_1^{1/p'} C_inf^{1/p} for K f = values (q f) +
-    diagonal f, with C_1 / C_inf its max column / row L^1 masses (Schur
-    interpolation).  magnitude is |values|, typically a view of |values|
-    of the whole kernel, so that the absolute values of several
-    truncations are taken once.  The masses are taken from |values| q,
-    with each diagonal entry replaced by its corrected value, so K is
-    never composed.  They do not depend on p: a vector p gets them once
-    and returns one bound per entry, each equal bit for bit to the
-    scalar call."""
-    own = np.diagonal(magnitude) * q
-    fix = np.abs(np.diagonal(values) * q + diagonal) - own
-    row = float(np.max(magnitude @ q + fix))
-    col = float(np.max((np.ones(len(q)) @ magnitude) * q + fix))
-    bounds = [col ** (1.0 - 1.0 / pj) * row ** (1.0 / pj)
-              for pj in np.atleast_1d(p)]
-    return bounds[0] if np.ndim(p) == 0 else np.array(bounds)
-
-
 @dataclass
 class TrendRow:
     p: float
@@ -167,22 +147,20 @@ def lp_boundedness_report(kern: DiscretizedKernel, p_list, r_maxes) -> dict:
     p, with a bounded/divergent verdict from the R_max trend
     (fits.classify_trend).
 
-    Lower bounds: structured test family (radial plateaus, the aligned
-    profile ilg(1/r')/r' on the two-dimensional end) plus Boyd's power
-    iteration; upper bound: Schur interpolation (p = 2 uses the weighted
-    spectral norm for both, every R_max in one lockstep bidiagonalization,
-    spectral_norms).
+    Every bound comes from lp_estimator.  For p != 2 the lower bound is
+    Boyd's power iteration and the upper bound Schur interpolation
+    (schur_upper_bound); p = 2 uses the weighted spectral norm for both,
+    every R_max in one lockstep bidiagonalization (spectral_norms).
 
     Every (R_max, p != 2) cell is one column of a single lockstep Boyd
-    iteration (lp_estimator.boyd_lower_bound with a support mask) on the
-    whole kernel, so each of its steps is two products with one column
-    per cell.  Those products, the bidiagonalization's and the
-    structured-family images all go through the kernel's operator
-    (bvp.GreenSumOperator), at O(n K) per column; no composed n x n
-    matrix is formed.  Everything independent of p, the family images
-    and the Schur masses, is computed once per R_max.  The masses read a
-    view of |values|, which is taken once per report.  A cell whose iteration overflows has lower bound +inf,
-    and its trend is divergent.
+    iteration (boyd_lower_bound with a support mask) on the whole
+    kernel, so each of its steps is two products with one column per
+    cell.  Those products and the bidiagonalization's go through the
+    kernel's operator (bvp.GreenSumOperator), at O(n K) per column; no
+    composed n x n matrix is formed.  The Schur masses do not depend on
+    p, so they are computed once per R_max, from a view of |values|
+    that is taken once per report.  A cell whose iteration overflows has
+    lower bound +inf, and its trend is divergent.
     """
     model = kern.model
     q = model.weights
@@ -200,13 +178,11 @@ def lp_boundedness_report(kern: DiscretizedKernel, p_list, r_maxes) -> dict:
         mags = np.abs(kern.values)
         for rmax in r_maxes:
             cut = cuts[rmax]
-            family = _family_lower_bounds(model, cut, op, rmax, p_boyd)
             uppers = schur_upper_bound(kern.values[cut, cut],
                                        mags[cut, cut], q[cut],
                                        op.diagonal[cut], p_boyd)
-            for p, lower, upper in zip(p_boyd, family, uppers):
-                cells[p, rmax] = TrendRow(p, rmax,
-                                          max(lower, float(boyd[p, rmax])),
+            for p, upper in zip(p_boyd, uppers):
+                cells[p, rmax] = TrendRow(p, rmax, float(boyd[p, rmax]),
                                           float(upper))
     if 2.0 in p_list:
         # the signed spectral norm: at p = 2 the absolute kernel sits on
@@ -228,38 +204,6 @@ def lp_boundedness_report(kern: DiscretizedKernel, p_list, r_maxes) -> dict:
                            "variation": trend.variation,
                            "growth_exponent": trend.growth_exponent}
     return {"rows": rows, "verdicts": verdicts}
-
-
-def _family_lower_bounds(model: ModelManifold, cut: slice,
-                         op: GreenSumOperator, rmax: float,
-                         p_list) -> list[float]:
-    """Largest ratio ||op f||_p / ||f||_p, for each p, over the structured
-    test family supported on the truncation cut and measured there:
-    radial plateaus for every p, and the aligned profile of each p where
-    it is nonzero.  One product serves every p."""
-    q = model.weights[cut]
-    r = model.r[cut]
-    fam = [np.ones(len(r))] + [np.where(r <= a, 1.0, 0.0)
-                               for a in (4.0, rmax / 4, rmax)]
-    on_minus = model.mask_minus[cut] & (r > 2.0)
-    tests = {p: list(range(len(fam))) for p in p_list}
-    for p in p_list:
-        prof = np.where(on_minus, _aligned_profile(r, p), 0.0)
-        if prof.any():
-            tests[p].append(len(fam))
-            fam.append(prof)
-    padded = np.zeros((model.n, len(fam)))
-    padded[cut] = np.column_stack(fam)
-    images = (op @ padded)[cut]
-    lowers = []
-    for p in p_list:
-        lower = 0.0
-        for i in tests[p]:
-            nf = lp_norm(q, fam[i], p)
-            if nf > 0:
-                lower = max(lower, lp_norm(q, images[:, i], p) / nf)
-        lowers.append(lower)
-    return lowers
 
 
 def _aligned_profile(r, p: float):

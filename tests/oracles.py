@@ -13,7 +13,7 @@ from functools import cache
 
 import numpy as np
 
-from connsum import parametrix as px, product_kernels as pk
+from connsum import bvp, parametrix as px, product_kernels as pk
 from connsum.errors import ConfigError, DomainError, NonConvergenceError
 from connsum.fits import loglog_slope
 from connsum.model import ModelManifold
@@ -369,3 +369,9 @@ def basepoint_freezing_exponent(wit) -> float:
             - pk.reduced_kernel(model.minus, k, model.radii.basepoint, rc))
     sel = rc > 2.0 / k0
     return loglog_slope(rc[sel], np.maximum(dint[sel], 1e-300))
+
+
+def log_harmonic_remainder(model: ModelManifold, U: bvp.LogHarmonic):
+    """(r, |U - log r - c_1|) on the far minus end s < -6."""
+    far = model.s < -6.0
+    return model.r[far], np.abs(U.values[far] - np.log(model.r[far]) - U.c1)

@@ -9,7 +9,7 @@ from connsum import model as md
 from connsum import specfun as sf
 from connsum.errors import DomainError
 
-from oracles import apply_operator, segment_interior
+from oracles import apply_operator, log_harmonic_remainder, segment_interior
 
 
 # ---------------------------------------------------------------------------
@@ -285,7 +285,7 @@ class TestSolveLaplace:
 class TestLogHarmonic:
     def test_minus_asymptotics_exact(self, model):
         U = bvp.build_log_harmonic(model)
-        _, rem = checks.log_harmonic_remainder(model, U)
+        _, rem = log_harmonic_remainder(model, U)
         assert np.max(rem) <= 1e-10 * max(1.0, abs(U.c1))
 
     def test_plus_decay_power(self, model):

@@ -65,7 +65,8 @@ class TestCli:
         ({"spectra": {"minus": {"type": "cirlce"}}}, "'spectra.minus.type'"),
         ({"spectra": {"plsu": {"type": "point"}}},
          "unknown geometry key 'spectra.plsu'"),
-        ({"volumes": {"minsu": 2.0}}, "unknown geometry key 'volumes.minsu'"),
+        # a cross-section's volume is set in its spectra entry only
+        ({"volumes": {"minus": 3.0}}, "unknown geometry key 'volumes'"),
         # an integer key is never truncated from a float or a boolean
         ({"n_plus": 3.7}, "n_plus must be an integer"),
         ({"neck_smoothness": 4}, "unknown geometry key 'neck_smoothness'"),

@@ -66,10 +66,17 @@ class TestBuildModel:
         assert cfg.plus_section == md.CrossSection("explicit", 0, 2.0, (0.0,))
         md.build_model(cfg)
 
-    @pytest.mark.parametrize("block", ["spectra", "volumes"])
+    @pytest.mark.parametrize("block", ["spectra"])
     def test_section_blocks_must_be_mappings(self, block):
         with pytest.raises(ConfigError, match="must be a mapping"):
             md.GeometryConfig.from_dict({block: ["minus"]})
+
+    def test_volumes_block_is_unknown_key(self):
+        # a cross-section's volume is set in its spectra entry only (the
+        # explicit type's volume, a circle's length)
+        with pytest.raises(ConfigError,
+                           match="unknown geometry key 'volumes'"):
+            md.GeometryConfig.from_dict({"volumes": {"minus": 3.0}})
 
 
 class TestGrid:

@@ -23,6 +23,23 @@ from oracles import (apply_operator, dense_error_total, derivatives,
 from oracles import resolvent_kernel as two_step_kernel
 
 
+def derivative_gap(model, value, deriv, rows=slice(None)) -> float:
+    """Largest gap of the spectral d/ds of value (per column) from deriv
+    on rows, over the largest |deriv| there."""
+    d = deriv[rows]
+    return np.max(np.abs(derivatives(model, value)[0][rows] - d)) \
+        / np.max(np.abs(d))
+
+
+def off_source_segments(model) -> np.ndarray:
+    """(n, n) mask of the entries off their column's segments: a kernel
+    column kinks at its source, so spectral d/ds is accurate only there."""
+    off = np.ones((model.n, model.n), dtype=bool)
+    for start, nn, _th, _jac, _kind in model.segments:
+        off[start:start + nn, start:start + nn] = False
+    return off
+
+
 def resolvent_kernel(par, k, dleft=False):
     """The whole kernel of R(k) = G(k)(Id + S(k)), or with dleft of
     d_s R(k), from one solve."""
@@ -183,15 +200,11 @@ class TestAssembly:
         m = p.model
 
         def gap(value, deriv, rows=slice(None)):
-            d = deriv[rows]
-            return np.max(np.abs(derivatives(m, value)[0][rows] - d)) \
-                / np.max(np.abs(d))
+            return derivative_gap(m, value, deriv, rows)
 
         for ka in (p.pieces.u_minus, p.pieces.u_plus):
             assert gap(*ka.u(k)) < 1e-10
-        off = np.ones((m.n, m.n), dtype=bool)
-        for start, nn, _th, _jac, _kind in m.segments:
-            off[start:start + nn, start:start + nn] = False
+        off = off_source_segments(m)
         for side in ("minus", "plus"):
             pair = []
             for dleft in (False, True):
@@ -202,6 +215,59 @@ class TestAssembly:
         q = m.weights[None, :]
         assert gap(p.g_matrix(k) / q, p.g_matrix(k, dleft=True) / q,
                    off) < 1e-9
+
+    # The producers below are checked the same way.  Worst measured over
+    # par and long_par: 5.8e-13 (the glued kernel, at k = 1e-4), 4.8e-11
+    # (_deform, at k = 1e-4), 2.6e-11 (a cutoff's d1, phi_minus) and
+    # 5.0e-14 (its d2), 1.7e-12 (decaying_channel, on the minus end).
+    # The forced fixture is left out: the bumps of its G4 have corners
+    # inside the neck segments, so their spectral d/ds is not accurate.
+
+    @pytest.mark.parametrize("fixture", ["par", "long_par"])
+    @pytest.mark.parametrize("k", [0.0, 1e-4, 1e-2, 0.05, 0.3])
+    def test_glued_kernel_derivative_matches_value(self, request, fixture,
+                                                   k):
+        m = request.getfixturevalue(fixture).model
+        g = bvp.GluedSystem(m, k)
+        assert derivative_gap(m, g.kernel_matrix(), g.kernel_dleft(),
+                              off_source_segments(m)) < 5e-12
+
+    @pytest.mark.parametrize("fixture", ["par", "long_par"])
+    @pytest.mark.parametrize("k", [1e-4, 1e-2, 0.05])
+    def test_deform_derivative_matches_value(self, request, fixture, k):
+        # at k = e^-24 delta_k = r^{2-n} (g_nu(k r) - 1) is below the
+        # rounding of g_nu, so its value carries no digits to differentiate
+        p = request.getfixturevalue(fixture)
+        assert derivative_gap(p.model, *p.pieces.u_plus._deform(k)) < 5e-10
+
+    @pytest.mark.parametrize("fixture", ["par", "long_par"])
+    def test_cutoff_derivatives_match_values(self, request, fixture):
+        pieces = request.getfixturevalue(fixture).pieces
+        for field in (pieces.phi_minus, pieces.phi_plus, pieces.zeta):
+            assert derivative_gap(pieces.model, field.values,
+                                  field.d1) < 2e-10
+            assert derivative_gap(pieces.model, field.d1, field.d2) < 1e-12
+
+    @pytest.mark.parametrize("fixture", ["par", "long_par"])
+    # the minus end's zero-energy solution is constant: no d/ds to compare
+    @pytest.mark.parametrize("end,k", [
+        ("minus", 1e-3), ("minus", 0.05), ("minus", 0.3),
+        ("plus", 0.0), ("plus", 1e-3), ("plus", 0.05), ("plus", 0.3)])
+    def test_decaying_channel_derivative_matches_value(self, request,
+                                                       fixture, end, k):
+        # on the end's nodes past the gluing radius; the hat form's d/dr
+        # is the true d/dr times e^{k (r - R)}, so the d/dr of the hat
+        # value is it plus k times the value
+        m = request.getfixturevalue(fixture).model
+        on = m.mask_minus if end == "minus" else m.mask_plus
+        inner = on & (np.abs(m.s) > m.R)
+        value, ddr, _ = md.decaying_channel(m.end_spec(end), 0, k, m.R,
+                                            m.r[on])
+        hat = np.zeros(m.n)
+        hat[on] = value
+        dds = np.zeros(m.n)
+        dds[on] = m.dr_ds(end) * (ddr + k * value)
+        assert derivative_gap(m, hat, dds, inner) < 2e-11
 
     @pytest.mark.parametrize("config", [
         md.GeometryConfig(),
