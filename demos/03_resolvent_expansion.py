@@ -38,7 +38,7 @@ print(f"solve with Id + E at k = 1e-3: backward error {backward:.1e}, "
 del inverse
 
 print("\n== inverse-log series of R(k) v ==")
-v = par.pieces.v_minus
+v = par.v_minus
 out = px.ilg_expansion(par, v)
 coef, mask = out.coefficients, out.mask
 sol = bvp.solve_laplace(m, v, system=sys0)

@@ -28,7 +28,7 @@ from . import __version__, checks
 from . import specfun as sf
 from .cutoffs import minus_cutoff_source
 from .errors import ConfigError, DomainError, NonConvergenceError, \
-    SingularSystemError
+    SingularSystemError, TruncationError
 from .model import GeometryConfig, build_model
 from .reports import write_csv, write_report
 
@@ -158,8 +158,7 @@ def cmd_extend(args) -> int:
     report = {}
     for tag, end in (("minus", model.minus), ("plus", model.plus)):
         chk = hx.dtn_symbol_check(end, R)
-        report[tag] = {"worst_angular_ratio_dev": chk["worst_angular"],
-                       "cross_ratio_at_largest": chk["cross_at_largest"]}
+        report[tag] = {"cross_ratio_at_largest": chk["cross_at_largest"]}
     data = hx.BoundaryData("minus", R, {(0, 1): 1.0, (2, 0): 0.5})
     u = hx.extend_minus(model.minus, data)
     r = np.linspace(R + 0.5, 4 * R, 12)
@@ -234,7 +233,7 @@ def cmd_resolvent(args) -> int:
                 model, k, vv, par.g_apply(k, inverse.apply(vv, z)))
 
     k0, sigma_min = par.choose_k0([1e-4, 1e-3, 1e-2, 0.05], check_solve)
-    v = par.pieces.v_minus
+    v = par.v_minus
     out = px.ilg_expansion(par, v)
     coef, mask = out.coefficients, out.mask
     sol = bvp.solve_laplace(model, v, system=sys0)
@@ -416,7 +415,8 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as exc:
+    # a TruncationError names a channel beyond the configured spectrum
+    except (ConfigError, TruncationError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except NonConvergenceError as exc:

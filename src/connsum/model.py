@@ -65,9 +65,12 @@ class CrossSection:
     eigenvalues: tuple[float, ...]  # distinct, ascending, eigenvalues[0] == 0
 
     def __post_init__(self):
-        if self.volume <= 0:
-            raise ConfigError("cross-section volume must be positive")
+        if not (math.isfinite(self.volume) and self.volume > 0):
+            raise ConfigError("cross-section volume must be a finite positive "
+                              f"number, got {self.volume!r}")
         ev = self.eigenvalues
+        if not all(math.isfinite(x) for x in ev):
+            raise ConfigError(f"cross-section spectrum must be finite, got {ev}")
         if len(ev) == 0 or ev[0] != 0.0:
             raise ConfigError("cross-section spectrum must start at 0")
         if any(b <= a for a, b in zip(ev, ev[1:])):
@@ -128,9 +131,16 @@ class CutoffRadii:
     def __post_init__(self):
         for name in ("chi", "phi", "eta", "zeta"):
             pair = getattr(self, name)
-            if len(pair) != 2 or not pair[0] < pair[1]:
+            if not isinstance(pair, (tuple, list)) or len(pair) != 2:
+                raise ConfigError(
+                    f"radii.{name} must be an increasing pair, got {pair!r}")
+            pair = tuple(_require_finite(f"radii.{name}", x) for x in pair)
+            if not pair[0] < pair[1]:
                 raise ConfigError(
                     f"radii.{name} must be an increasing pair, got {pair}")
+            object.__setattr__(self, name, pair)
+        object.__setattr__(self, "basepoint",
+                           _require_finite("radii.basepoint", self.basepoint))
 
     def breakpoints(self) -> list[float]:
         return sorted({*self.chi, *self.phi, *self.eta, *self.zeta})
@@ -145,6 +155,15 @@ def _require_integer(key: str, val, least: int) -> int:
         raise ConfigError(f"{key} must be an integer >= {least}, got "
                           f"{val!r}")
     return int(val)
+
+
+def _require_finite(key: str, val) -> float:
+    """val as a float, or a ConfigError naming key unless val is a finite
+    real number other than bool."""
+    if not (isinstance(val, numbers.Real) and not isinstance(val, bool)
+            and math.isfinite(val)):
+        raise ConfigError(f"{key} must be a finite number, got {val!r}")
+    return float(val)
 
 
 @dataclass(frozen=True)
@@ -176,6 +195,11 @@ class GeometryConfig:
     S_plus: float = 128.0
     grid: GridSpec = field(default_factory=GridSpec)
     radii: CutoffRadii = field(default_factory=CutoffRadii)
+
+    def __post_init__(self):
+        for key in ("R", "S_minus", "S_plus"):
+            object.__setattr__(self, key,
+                               _require_finite(key, getattr(self, key)))
 
     @staticmethod
     def from_dict(raw: dict) -> "GeometryConfig":
@@ -224,10 +248,12 @@ class GeometryConfig:
                                                         spectra[side])
             for key in ("R", "S_minus", "S_plus"):
                 if key in raw:
-                    kwargs[key] = float(raw[key])
+                    kwargs[key] = raw[key]
             if "grid" in raw:
                 kwargs["grid"] = GridSpec(**raw["grid"])
             if "radii" in raw:
+                if not isinstance(raw["radii"], dict):
+                    raise ConfigError("geometry key 'radii' must be a mapping")
                 rr = {k: tuple(v) if isinstance(v, (list, tuple)) else v
                       for k, v in raw["radii"].items()}
                 kwargs["radii"] = CutoffRadii(**rr)

@@ -11,7 +11,7 @@ The pre-parametrix is G1 + G2 + G3:
 
 `Parametrix._g_terms` lists these terms of G(k), with the finite-rank G4
 below, once: the product block of each end on supp phi x supp phi
-(`ParametrixPieces.product_block`), the k-independent dense G2, and G3
+(`Parametrix.product_block`), the k-independent dense G2, and G3
 and G4 as low-rank factors; with dleft, the same list for d_s G.
 `g_matrix` adds them into one copy of G2 and makes it G's corrected
 composition matrix in place, `g_apply` applies them to a density
@@ -146,8 +146,10 @@ class LowRank:
         return self.left @ (self.right @ w)
 
 
-class ParametrixPieces:
-    """All k-independent ingredients of the parametrix."""
+class Parametrix:
+    """The parametrix G(k) = G1 + G2 + G3 + G4: its k-independent pieces
+    and the finite-rank fix G4; produces the exact resolvent
+    R(k) = G(k)(Id + S(k)) on the grid."""
 
     def __init__(self, model: ModelManifold, q: int = 2, kbar: float = 1.0,
                  system: GluedSystem | None = None):
@@ -166,6 +168,7 @@ class ParametrixPieces:
         self.gamma_ref = GluedSystem(model, kbar)
         self.weight = weight_w(model)
         self._build_interior()
+        self.fix = finite_rank_fix(self)
 
     def _build_interior(self):
         """G2 = zeta Gamma_kbar zeta times the localizer 1 - phi_- (x) phi_-
@@ -257,6 +260,106 @@ class ParametrixPieces:
         return LowRank(np.stack((left_minus, left_plus), axis=1),
                        np.stack(cols))
 
+    def error(self, k: float) -> ErrorOperator:
+        err = error_kernel(self, k)
+        if self.fix.rank > 0:
+            err.e1 += self.fix.g4_error(k)
+        return err
+
+    def _g_terms(self, k: float, dleft: bool = False):
+        """(G2, product blocks, low-rank terms): the terms of
+        G(k) = G1 + G2 + G3 + G4, or with dleft of its left derivative.
+        G1 is the product block (idx, block) of each end on
+        supp phi x supp phi, G2 the k-independent dense kernel, and G3
+        (rank 2) and G4 (rank M, when the fix has one) are LowRank."""
+        blocks = [self.product_block(side, k, dleft)
+                  for side in ("minus", "plus")]
+        um = self.u_minus.u(k)[int(dleft)]
+        up = self.u_plus.u(k)[int(dleft)]
+        low_rank = [self.basepoint_outer(k, um, up)]
+        if self.fix.rank > 0:
+            low_rank.append(self.fix.g4(dleft))
+        return (self.g2_dleft if dleft else self.g2), blocks, low_rank
+
+    def _g_kink(self, dleft: bool) -> np.ndarray:
+        """The kink diagonal of G: from the exact Green slope jump -1/v,
+        or for d_s G from the value jump +1/v instead."""
+        inv_v = 1.0 / self.model.v
+        return self.model.kink_diagonal(*((0.0, inv_v) if dleft
+                                          else (-inv_v, 0.0)))
+
+    def g_matrix(self, k: float, dleft: bool = False) -> np.ndarray:
+        """The corrected composition matrix of G(k), or with dleft of its
+        left derivative: the terms of _g_terms added into one copy of G2
+        (the low-rank ones by LowRank.add_to; the right factors of G3
+        have disjoint supports, so the bits are those of adding G3's
+        kernel), then weighted by q and given G's kink diagonal in
+        place."""
+        g2, blocks, low_rank = self._g_terms(k, dleft)
+        out = g2.copy()
+        for idx, block in blocks:
+            out[np.ix_(idx, idx)] += block
+        for term in low_rank:
+            out = term.add_to(out)
+        out *= self.model.weights[None, :]
+        out[np.diag_indices(self.model.n)] += self._g_kink(dleft)
+        return out
+
+    def g_apply(self, k: float, u) -> np.ndarray:
+        """g_matrix(k) @ u from the terms of _g_terms, with no n x n
+        matrix."""
+        m = self.model
+        g2, blocks, low_rank = self._g_terms(k)
+        w = m.weights * u
+        out = g2 @ w
+        for idx, block in blocks:
+            out[idx] += block @ w[idx]
+        for term in low_rank:
+            out += term.apply(w)
+        return out + self._g_kink(False) * u
+
+    def s_operator(self, k: float) -> InvertedError:
+        return invert_error(self.error(k))
+
+    def resolvent_apply(self, k: float, v) -> np.ndarray:
+        """R(k) v = G(k)(Id + S(k)) v: InvertedError.apply, one solve for
+        a single right-hand side on the equilibrated system that
+        invert_error writes into the array of E(k), then g_apply, so one
+        apply assembles one dense matrix."""
+        v = np.asarray(v, dtype=float)
+        return self.g_apply(k, self.s_operator(k).apply(v))
+
+    def resolvent_dleft(self, k: float) -> np.ndarray:
+        """d/ds in the left variable of the resolvent kernel: the whole
+        kernel of d_s G (Id + S) from one solve with n right-hand sides,
+        InvertedError.right_compose of d_s G's composition matrix."""
+        inverse = self.s_operator(k)
+        return inverse.right_compose(self.g_matrix(k, dleft=True),
+                                     self._g_kink(True))
+
+    def choose_k0(self, k_list, visit=None) -> tuple[float, dict]:
+        """(k0, {k: sigma_min}): the largest lattice k at which the
+        smallest singular value of the system that s_operator(k) solves,
+        the equilibrated, kink-corrected D (Id + E q + diag(kink)) D^-1,
+        is above K0_FLOOR, and that singular value at every lattice k.
+
+        visit(k, inverse, sigma), when given, is called with each
+        energy's InvertedError and its sigma_min before the next energy's
+        is built, so a caller can solve with the factorization the
+        singular value came from while no n x n array outlives its
+        energy."""
+        sigma_min = {}
+        for k in sorted(k_list):
+            inverse = self.s_operator(k)
+            sigma_min[k] = inverse.sigma_min()
+            if visit is not None:
+                visit(k, inverse, sigma_min[k])
+            del inverse
+        above = [k for k, sig in sigma_min.items() if sig > K0_FLOOR]
+        if not above:
+            raise SingularSystemError("no lattice k keeps Id + E(k) invertible")
+        return max(above), sigma_min
+
 
 @dataclass
 class ErrorOperator:
@@ -289,13 +392,13 @@ class ErrorOperator:
         return hs_norm(self.model, self.e2.kernel(), self.weight)
 
 
-def _phi_commutator_blocks(pieces: ParametrixPieces, k: float):
+def _phi_commutator_blocks(par: Parametrix, k: float):
     """(rows, cols, block) per end: the phi-commutator terms of E'(k) on
     the transition rows of phi times the columns of supp phi."""
-    m = pieces.model
+    m = par.model
     for side in ("minus", "plus"):
-        end, phi, dr_ds = pieces._end_data(side)
-        rows, cols, g_int, g_int_dleft = pieces.commutator_blocks[side]
+        end, phi, dr_ds = par._end_data(side)
+        rows, cols, g_int, g_int_dleft = par.commutator_blocks[side]
         if len(rows) == 0:
             continue
         rr = m.r[rows]
@@ -315,37 +418,37 @@ def _phi_commutator_blocks(pieces: ParametrixPieces, k: float):
         yield rows, cols, block * phi.values[None, cols]
 
 
-def error_kernel(pieces: ParametrixPieces, k: float) -> ErrorOperator:
+def error_kernel(par: Parametrix, k: float) -> ErrorOperator:
     """E(k) = (Delta + k^2) G~(k) - Id, assembled analytically: E'(k) in
     one n x n array that starts as the frozen-energy defect
     (k^2 - kbar^2) G2, E''(k) as its rank-2 factors."""
-    m = pieces.model
-    e1 = (k * k - pieces.kbar ** 2) * pieces.g2
-    for rows, cols, block in _phi_commutator_blocks(pieces, k):
+    m = par.model
+    e1 = (k * k - par.kbar ** 2) * par.g2
+    for rows, cols, block in _phi_commutator_blocks(par, k):
         e1[np.ix_(rows, cols)] += block
     # zeta-commutator terms
-    zrows, zeta_rows = pieces.zeta_rows
+    zrows, zeta_rows = par.zeta_rows
     e1[zrows, :] += zeta_rows
     # key-lemma residual terms, zero at k = 0, where adding that zero
     # still turns the -0.0 entries of -kbar^2 G2 into +0.0
     if k > 0:
-        e2 = pieces.basepoint_outer(k, pieces.u_minus.residual(k),
-                                    pieces.u_plus.residual(k))
+        e2 = par.basepoint_outer(k, par.u_minus.residual(k),
+                                 par.u_plus.residual(k))
     else:
         e2 = LowRank(np.zeros((m.n, 2)), np.zeros((2, m.n)))
     # diagonal jumps: every Green-type factor has slope jump -1/v and its
     # left derivative a value jump 1/v at the diagonal
     v = m.v
-    z = pieces.zeta.values
-    phm, php = pieces.phi_minus.values, pieces.phi_plus.values
-    m_diag = pieces.localizer_diag
-    lap_sum = pieces.phi_minus.lap * phm + pieces.phi_plus.lap * php
-    d1_sum = pieces.phi_minus.d1 * phm + pieces.phi_plus.d1 * php
-    jump_ramp = (-lap_sum * (1.0 - z ** 2) - m_diag * z * pieces.zeta.lap
-                 - (k * k - pieces.kbar ** 2) * z ** 2 * m_diag) / v
+    z = par.zeta.values
+    phm, php = par.phi_minus.values, par.phi_plus.values
+    m_diag = par.localizer_diag
+    lap_sum = par.phi_minus.lap * phm + par.phi_plus.lap * php
+    d1_sum = par.phi_minus.d1 * phm + par.phi_plus.d1 * php
+    jump_ramp = (-lap_sum * (1.0 - z ** 2) - m_diag * z * par.zeta.lap
+                 - (k * k - par.kbar ** 2) * z ** 2 * m_diag) / v
     jump_step = (-2.0 * d1_sum * (1.0 - z ** 2)
-                 - 2.0 * pieces.zeta.d1 * z * m_diag) / v
-    return ErrorOperator(m, k, e1, e2, pieces.weight, jump_ramp, jump_step)
+                 - 2.0 * par.zeta.d1 * z * m_diag) / v
+    return ErrorOperator(m, k, e1, e2, par.weight, jump_ramp, jump_step)
 
 
 # ---------------------------------------------------------------------------
@@ -355,7 +458,7 @@ def error_kernel(pieces: ParametrixPieces, k: float) -> ErrorOperator:
 @dataclass
 class FiniteRankFix:
     """Null-space repair of Id + E(0): G4 = sum_i psi_i (x) phi_i with
-    neck bumps psi_i (sampled with their analytic derivatives) and null
+    bumps psi_i about the neck (sampled with their analytic derivatives) and null
     vectors phi_i."""
     rank: int
     phis: list[np.ndarray] = field(default_factory=list)   # null vectors
@@ -389,10 +492,12 @@ def _weigh(model: ModelManifold, kernel: np.ndarray,
 
 
 def _bump_dictionary(model: ModelManifold):
-    """Smooth compactly supported neck bumps with analytic Laplacians."""
-    R = model.R
-    spans = [(-R, -R / 2, R / 2, R), (-R, -R / 2, 0.0, R / 2),
-             (-R / 2, 0.0, R / 2, R), (-R / 2, -R / 4, R / 4, R / 2)]
+    """Smooth compactly supported bumps about the neck with analytic
+    Laplacians, each corner on a segment boundary (-+b, -+R or 0, b the
+    first cutoff radius), so that no transition straddles a segment."""
+    R, b = model.R, model.radii.breakpoints()[0]
+    spans = [(-b, -R, R, b), (-b, -R, 0.0, R), (-R, 0.0, R, b),
+             (-R, 0.0, 0.0, R)]
     return [on_grid(model, Bump(*span)) for span in spans]
 
 
@@ -400,7 +505,7 @@ def _bump_dictionary(model: ModelManifold):
 NULL_REL_THRESHOLD = 1e-9
 
 
-def finite_rank_fix(pieces: ParametrixPieces,
+def finite_rank_fix(par: Parametrix,
                     err0: ErrorOperator | None = None) -> FiniteRankFix:
     """Compute the null space of Id + E(0) on the weighted space and the
     rank-M correction G4 making Id + E(0) invertible.
@@ -413,9 +518,8 @@ def finite_rank_fix(pieces: ParametrixPieces,
     factorization behind choose_k0; the singular vectors, by a full SVD
     of the system, only when there is a null space to repair.
     """
-    model = pieces.model
-    inverse = invert_error(model, error_kernel(pieces, 0.0)
-                           if err0 is None else err0)
+    model = par.model
+    inverse = invert_error(error_kernel(par, 0.0) if err0 is None else err0)
     thresh = NULL_REL_THRESHOLD * _norm2(inverse.system)
     sigma_min = inverse.sigma_min()
     if sigma_min >= thresh:
@@ -429,8 +533,9 @@ def finite_rank_fix(pieces: ParametrixPieces,
     fix.phis = [Vt[-(i + 1)] / inverse.scale for i in range(null_dim)]
     cokernel = [U[:, -(i + 1)] for i in range(null_dim)]
     fix.bumps = _select_bumps(model, cokernel, inverse.scale)
-    # the system plus (Delta) G4 on L^2_w; the rows of G4 lie in the neck,
-    # inside the span, and at k = 0 the tail has rank 0
+    # the system plus (Delta) G4 on L^2_w; the rows of G4 lie in
+    # |s| <= the first cutoff radius, inside the span, and at k = 0 the
+    # tail has rank 0
     corr = _weigh(model, fix.g4_error(0.0), inverse.scale)
     corr += inverse.system
     fix.sigma_after = replace(inverse, system=corr).sigma_min()
@@ -653,7 +758,7 @@ class InvertedError:
         return 0.0 if self.singular else 1.0 / _norm2(self)
 
 
-def invert_error(model: ModelManifold, err: ErrorOperator) -> InvertedError:
+def invert_error(err: ErrorOperator) -> InvertedError:
     """(Id + E)^{-1} as the equilibrated Nystrom matrix
     D (Id + E q + diag(kink)) D^-1, D = diag(sqrt(q) / w), written into
     E's own array; err is consumed, and no n x n temporary is made
@@ -666,6 +771,7 @@ def invert_error(model: ModelManifold, err: ErrorOperator) -> InvertedError:
     diagonal is nonzero give the span (the collar |s| <= the outer
     radius of zeta), and the nonzero factors of E'' the equilibrated
     tail."""
+    model = err.model
     kink = model.kink_diagonal(err.jump_ramp, err.jump_step)
     c_left = model.kink_diagonal(-err.jump_ramp, err.jump_step)
     span = _span(np.any(err.e1, axis=1) | (kink != 0))
@@ -696,118 +802,6 @@ K0_FLOOR = 1e-6
 ILG_FIT_J = (4, 5, 6, 7, 8)
 ILG_REGION = 12.0
 ILG_CHECK_J = (5.0, 5.75, 6.5, 7.25, 8.0)
-
-
-class Parametrix:
-    """Assembled parametrix with its finite-rank correction; produces the
-    exact resolvent R(k) = G(k)(Id + S(k)) on the grid."""
-
-    def __init__(self, model: ModelManifold, q: int = 2, kbar: float = 1.0,
-                 system: GluedSystem | None = None):
-        self.model = model
-        self.pieces = ParametrixPieces(model, q=q, kbar=kbar, system=system)
-        self.fix = finite_rank_fix(self.pieces)
-
-    def error(self, k: float) -> ErrorOperator:
-        err = error_kernel(self.pieces, k)
-        if self.fix.rank > 0:
-            err.e1 += self.fix.g4_error(k)
-        return err
-
-    def _g_terms(self, k: float, dleft: bool = False):
-        """(G2, product blocks, low-rank terms): the terms of
-        G(k) = G1 + G2 + G3 + G4, or with dleft of its left derivative.
-        G1 is the product block (idx, block) of each end on
-        supp phi x supp phi, G2 the k-independent dense kernel, and G3
-        (rank 2) and G4 (rank M, when the fix has one) are LowRank."""
-        p = self.pieces
-        blocks = [p.product_block(side, k, dleft)
-                  for side in ("minus", "plus")]
-        um = p.u_minus.u(k)[int(dleft)]
-        up = p.u_plus.u(k)[int(dleft)]
-        low_rank = [p.basepoint_outer(k, um, up)]
-        if self.fix.rank > 0:
-            low_rank.append(self.fix.g4(dleft))
-        return (p.g2_dleft if dleft else p.g2), blocks, low_rank
-
-    def _g_kink(self, dleft: bool) -> np.ndarray:
-        """The kink diagonal of G: from the exact Green slope jump -1/v,
-        or for d_s G from the value jump +1/v instead."""
-        inv_v = 1.0 / self.model.v
-        return self.model.kink_diagonal(*((0.0, inv_v) if dleft
-                                          else (-inv_v, 0.0)))
-
-    def g_matrix(self, k: float, dleft: bool = False) -> np.ndarray:
-        """The corrected composition matrix of G(k), or with dleft of its
-        left derivative: the terms of _g_terms added into one copy of G2
-        (the low-rank ones by LowRank.add_to; the right factors of G3
-        have disjoint supports, so the bits are those of adding G3's
-        kernel), then weighted by q and given G's kink diagonal in
-        place."""
-        g2, blocks, low_rank = self._g_terms(k, dleft)
-        out = g2.copy()
-        for idx, block in blocks:
-            out[np.ix_(idx, idx)] += block
-        for term in low_rank:
-            out = term.add_to(out)
-        out *= self.model.weights[None, :]
-        out[np.diag_indices(self.model.n)] += self._g_kink(dleft)
-        return out
-
-    def g_apply(self, k: float, u) -> np.ndarray:
-        """g_matrix(k) @ u from the terms of _g_terms, with no n x n
-        matrix."""
-        m = self.model
-        g2, blocks, low_rank = self._g_terms(k)
-        w = m.weights * u
-        out = g2 @ w
-        for idx, block in blocks:
-            out[idx] += block @ w[idx]
-        for term in low_rank:
-            out += term.apply(w)
-        return out + self._g_kink(False) * u
-
-    def s_operator(self, k: float) -> InvertedError:
-        return invert_error(self.model, self.error(k))
-
-    def resolvent_apply(self, k: float, v) -> np.ndarray:
-        """R(k) v = G(k)(Id + S(k)) v: InvertedError.apply, one solve for
-        a single right-hand side on the equilibrated system that
-        invert_error writes into the array of E(k), then g_apply, so one
-        apply assembles one dense matrix."""
-        v = np.asarray(v, dtype=float)
-        return self.g_apply(k, self.s_operator(k).apply(v))
-
-    def resolvent_dleft(self, k: float) -> np.ndarray:
-        """d/ds in the left variable of the resolvent kernel: the whole
-        kernel of d_s G (Id + S) from one solve with n right-hand sides,
-        InvertedError.right_compose of d_s G's composition matrix."""
-        inverse = self.s_operator(k)
-        return inverse.right_compose(self.g_matrix(k, dleft=True),
-                                     self._g_kink(True))
-
-    def choose_k0(self, k_list, visit=None) -> tuple[float, dict]:
-        """(k0, {k: sigma_min}): the largest lattice k at which the
-        smallest singular value of the system that s_operator(k) solves,
-        the equilibrated, kink-corrected D (Id + E q + diag(kink)) D^-1,
-        is above K0_FLOOR, and that singular value at every lattice k.
-
-        visit(k, inverse, sigma), when given, is called with each
-        energy's InvertedError and its sigma_min before the next energy's
-        is built, so a caller can solve with the factorization the
-        singular value came from while no n x n array outlives its
-        energy."""
-        sigma_min = {}
-        for k in sorted(k_list):
-            inverse = self.s_operator(k)
-            sigma_min[k] = inverse.sigma_min()
-            if visit is not None:
-                visit(k, inverse, sigma_min[k])
-            del inverse
-        above = [k for k, sig in sigma_min.items() if sig > K0_FLOOR]
-        if not above:
-            raise SingularSystemError("no lattice k keeps Id + E(k) invertible")
-        return max(above), sigma_min
 
 
 @dataclass

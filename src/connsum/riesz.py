@@ -45,6 +45,7 @@ from .lp_estimator import (boyd_lower_bound, lp_norm, schur_upper_bound,
                            spectral_norms)
 from .model import GeometryConfig, ModelManifold, build_model
 from .quadrature import cc_segment
+from .specfun import ilg
 
 
 @dataclass
@@ -210,7 +211,7 @@ def _aligned_profile(r, p: float):
     """The profile aligned with the witness right factor: for the operator
     with right factor b = ilg(1/r)/r, the L^p-norming input is b^{p'-1}."""
     pp = p / (p - 1.0)
-    b = np.where(r > 1.0, 1.0 / (np.log(np.maximum(r, 1.0 + 1e-9)) * r), 0.0)
+    b = np.where(r > 1.0, ilg(1.0 / np.maximum(r, 1.0 + 1e-9)) / r, 0.0)
     return b ** (pp - 1.0)
 
 
@@ -221,7 +222,7 @@ def _aligned_profile(r, p: float):
 def witness_f(t):
     """f(t) = ilg(t)/(1 + ilg(t)) for t < 1, 1 for t >= 1."""
     t = np.asarray(t, dtype=float)
-    il = ilg_clipped(t)
+    il = ilg(np.where(t < 1.0, t, 0.0))
     return np.where(t < 1.0, il / (1.0 + il), 1.0)
 
 
@@ -239,18 +240,10 @@ def ilg_chain_inequality() -> dict:
     rp = np.exp(rng.uniform(1.0, np.log(1e6), CHAIN_SAMPLES))
     # k r' < 1
     k = np.exp(rng.uniform(np.log(1e-12), 0.0, CHAIN_SAMPLES)) / rp
-    lhs = ilg_clipped(k)
-    rhs = witness_f(k * rp) * ilg_clipped(1.0 / rp)
+    lhs = ilg(k)
+    rhs = witness_f(k * rp) * ilg(1.0 / rp)
     ok = lhs >= rhs * (1 - 1e-12)
     return {"violations": int((~ok).sum()), "samples": CHAIN_SAMPLES}
-
-
-def ilg_clipped(x):
-    x = np.asarray(x, dtype=float)
-    out = np.zeros_like(x)
-    pos = (x > 0) & (x < 1)
-    out[pos] = 1.0 / np.log(1.0 / x[pos])
-    return out
 
 
 @dataclass
@@ -329,7 +322,7 @@ def unboundedness_witness(config: GeometryConfig,
     kern = left @ right
     # lower-bound constant against (tau/r) ilg(1/r')/r' in the saturated
     # window r' >= 5/k0
-    shape = np.outer(tau[rows] / rr, ilg_clipped(1.0 / rc) / rc)
+    shape = np.outer(tau[rows] / rr, ilg(1.0 / rc) / rc)
     keep = tau[rows] > 0.5
     win = rc >= 5.0 / k0
     if win.sum() >= 3:

@@ -116,14 +116,14 @@ def l_a(a: float, r):
 
 
 def ilg(k):
-    """The inverse-log scale: 1/log(1/k) for k in (0, 1/2], 0 at k = 0.
+    """The inverse-log scale: 1/log(1/k) for k in (0, 1), 0 at k = 0.
 
-    Continuous and monotone increasing on [0, 1/2]; tends to zero slower
-    than any positive power of k.
+    Continuous and monotone increasing on [0, 1), unbounded as k -> 1;
+    tends to zero slower than any positive power of k.
     """
     ka, was_scalar = _as_array(k)
-    if np.any(ka < 0) or np.any(ka > 0.5):
-        raise DomainError("ilg: argument must lie in [0, 1/2]")
+    if np.any(ka < 0) or np.any(ka >= 1):
+        raise DomainError("ilg: argument must lie in [0, 1)")
     out = np.zeros_like(ka)
     pos = ka > 0
     out[pos] = 1.0 / np.log(1.0 / ka[pos])

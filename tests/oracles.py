@@ -327,21 +327,21 @@ def dense_green_kernel(g, dleft: bool = False) -> np.ndarray:
     return out * np.exp(np.clip(expo, -745.0, 700.0)) / g.wronskian
 
 
-def dense_error_total(pieces, k: float) -> np.ndarray:
-    """E(k) of a parametrix.ParametrixPieces summed term by term into a
+def dense_error_total(par, k: float) -> np.ndarray:
+    """E(k) of a parametrix.Parametrix summed term by term into a
     zero n x n array: the phi-commutator blocks, the zeta-commutator rows,
     the frozen-energy defect (k^2 - kbar^2) G2, then E''(k) as a dense
     kernel.  The reference for parametrix.error_kernel, which starts from
     the defect and keeps E'' as its rank-2 factors."""
-    n = pieces.model.n
+    n = par.model.n
     e1 = np.zeros((n, n))
-    for rows, cols, block in px._phi_commutator_blocks(pieces, k):
+    for rows, cols, block in px._phi_commutator_blocks(par, k):
         e1[np.ix_(rows, cols)] += block
-    zrows, zeta_rows = pieces.zeta_rows
+    zrows, zeta_rows = par.zeta_rows
     e1[zrows, :] += zeta_rows
-    e1 += (k * k - pieces.kbar ** 2) * pieces.g2
-    e2 = np.zeros((n, n)) if k <= 0 else pieces.basepoint_outer(
-        k, pieces.u_minus.residual(k), pieces.u_plus.residual(k)).kernel()
+    e1 += (k * k - par.kbar ** 2) * par.g2
+    e2 = np.zeros((n, n)) if k <= 0 else par.basepoint_outer(
+        k, par.u_minus.residual(k), par.u_plus.residual(k)).kernel()
     return e1 + e2
 
 

@@ -174,7 +174,7 @@ def test_criterion_6_parametrix(model, sys0):
 
 def test_criterion_7_ilg_expansion(model, sys0):
     par3 = px.Parametrix(model, q=3, kbar=1.0, system=sys0)
-    v = par3.pieces.v_minus
+    v = par3.v_minus
     out = px.ilg_expansion(par3, v)
     coef, mask = out.coefficients, out.mask
     sol = bvp.solve_laplace(model, v, system=sys0)

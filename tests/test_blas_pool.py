@@ -90,7 +90,7 @@ def test_resolvent_apply_does_not_depend_on_thread_count():
             "m = md.build_model()\n"
             "par = px.Parametrix(m, q=3, kbar=1.0,\n"
             "                    system=bvp.GluedSystem(m, 0.0))\n"
-            "v = par.pieces.v_minus\n"
+            "v = par.v_minus\n"
             "print(json.dumps([hashlib.sha256(\n"
             "    par.resolvent_apply(k, v).tobytes()).hexdigest()\n"
             "    for k in (1e-3, math.exp(-256.0))]))")

@@ -78,11 +78,26 @@ class TestCli:
          "spectra.minus.l_max must be an integer"),
         # every cutoff transition lies on a product end, |s| > R = 2
         ({"radii": {"eta": [1.8, 8.0]}}, "R < first cutoff radius"),
+        # every float of the geometry is a finite number; a string is
+        # written to the file as it stands
+        ({"radii": 5}, "geometry key 'radii' must be a mapping"),
+        ({"radii": {"basepoint": "x"}}, "radii.basepoint must be a finite"),
+        ({"radii": {"chi": ["a", "b"]}}, "radii.chi must be a finite"),
+        ('{"S_minus": 1e400}', "S_minus must be a finite number"),
+        ({"S_minus": float("nan")}, "S_minus must be a finite number"),
+        ({"radii": {"phi": [6, float("inf")]}}, "radii.phi must be a finite"),
+        ({"spectra": {"minus": {"dim": 1, "volume": float("inf"),
+                                "spectrum": [0.0, 1.0]}}},
+         "cross-section volume must be a finite"),
+        ({"spectra": {"minus": {"dim": 1, "volume": 1.0,
+                                "spectrum": [0.0, float("nan")]}}},
+         "cross-section spectrum must be finite"),
     ])
     def test_malformed_geometry_is_config_error(self, tmp_path, capsys,
                                                 geometry, message):
         geo = tmp_path / "geo.json"
-        geo.write_text(json.dumps(geometry))
+        geo.write_text(geometry if isinstance(geometry, str)
+                       else json.dumps(geometry))
         rc = cli.main(["model-build", "--geometry", str(geo),
                        "--out", str(tmp_path)])
         assert rc == cli.EXIT_CONFIG
@@ -106,6 +121,8 @@ class TestCli:
         # fewer than three R_max: no trend to read a verdict from
         ("--sweep-max", "40", "--sweep-max must be >= 128"),
         ("--sweep-max", "127", "--sweep-max must be >= 128"),
+        # the ends' lengths it sets are checked as the geometry's are
+        ("--sweep-max", "inf", "S_minus must be a finite number"),
     ])
     def test_riesz_rejects_invalid_option(self, tmp_path, capsys, option,
                                           value, message):
@@ -212,6 +229,23 @@ class TestCli:
         data = json.loads((tmp_path / "extend.json").read_text())
         assert data["minus"]["cross_ratio_at_largest"] == \
             pytest.approx(1.0, abs=1e-3)
+
+    @pytest.mark.parametrize("minus", [
+        {"type": "circle", "l_max": 0},
+        {"dim": 1, "volume": 6.283185307179586, "spectrum": [0.0]}])
+    def test_extend_beyond_truncation_is_config_error(self, tmp_path,
+                                                      capsys, minus):
+        # extend puts boundary data on channel (0, 1), which a minus
+        # spectrum with one eigenvalue does not have
+        geo = tmp_path / "geo.json"
+        geo.write_text(json.dumps({"spectra": {"minus": minus}}))
+        out = tmp_path / "out"
+        rc = cli.main(["extend", "--geometry", str(geo), "--out", str(out)])
+        err = capsys.readouterr().err
+        assert rc == cli.EXIT_CONFIG
+        assert "beyond the configured spectrum truncation" in err
+        assert "Traceback" not in err
+        assert not out.exists()
 
     def test_geometry_file_roundtrip(self, tmp_path):
         geo = tmp_path / "geo.json"

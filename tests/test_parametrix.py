@@ -75,8 +75,8 @@ def long_par():
 def forced(par, model):
     """A copy of `par` whose finite-rank fix repairs a degenerate E(0) with
     a known null vector, so that G4 (rank >= 1) enters G, d_s G and E(k)."""
-    e0 = error_total(px.error_kernel(par.pieces, 0.0))
-    w = par.pieces.weight
+    e0 = error_total(px.error_kernel(par, 0.0))
+    w = par.weight
     q = model.weights
     g = np.exp(-model.s ** 2)
     # rank-one E with (Id + E) g = 0:  E = -g <g, .>_w / ||g||_w^2
@@ -87,7 +87,7 @@ def forced(par, model):
     deg = px.ErrorOperator(model, 0.0, Edeg, no_e2, w,
                            np.zeros(model.n), np.zeros(model.n))
     out = copy.copy(par)
-    out.fix = px.finite_rank_fix(par.pieces, err0=deg)
+    out.fix = px.finite_rank_fix(par, err0=deg)
     return out
 
 
@@ -123,7 +123,7 @@ class TestAssembly:
         hole = np.abs(model.s) < model.radii.phi[0]
         for side in ("minus", "plus"):
             for dleft in (False, True):
-                idx, block = par.pieces.product_block(side, 0.01, dleft)
+                idx, block = par.product_block(side, 0.01, dleft)
                 assert block.shape == (len(idx), len(idx))
                 assert not np.any(hole[idx])
 
@@ -132,7 +132,7 @@ class TestAssembly:
         # G3 enters by one in-place dgemm; its right factors have
         # disjoint supports, so the values are those of adding its dense
         # kernel, and g_matrix makes no n x n temporary beyond its result
-        right = par.pieces.basepoint_outer(1e-3, model.s, model.s).right
+        right = par.basepoint_outer(1e-3, model.s, model.s).right
         assert not np.any((right[0] != 0) & (right[1] != 0))
         unit = model.n ** 2 * np.dtype(float).itemsize
         for k in (1e-4, 1e-2, 0.3):
@@ -149,7 +149,7 @@ class TestAssembly:
     def test_interior_build_memory(self, par, model):
         # G2 and d_s G2 are formed in the arrays of the frozen kernel and
         # its left derivative, and the localizer only on its phi blocks
-        pieces = copy.copy(par.pieces)
+        pieces = copy.copy(par)
         unit = model.n ** 2 * np.dtype(float).itemsize
         tracemalloc.start()
         try:
@@ -161,7 +161,7 @@ class TestAssembly:
 
     def test_g3_left_factor_at_zero_energy(self, par):
         # u_+-(., 0) = -phi continuation
-        for ka in (par.pieces.u_minus, par.pieces.u_plus):
+        for ka in (par.u_minus, par.u_plus):
             u0, _ = ka.u(0.0)
             np.testing.assert_array_equal(u0, -ka.stages[0].phi.values)
 
@@ -172,7 +172,7 @@ class TestAssembly:
         k = 0.01
         assert par.fix.rank == 0    # G(k) is the pre-parametrix G~(k)
         Gt = g_kernel(par, k)[0]
-        E = error_total(px.error_kernel(par.pieces, k))
+        E = error_total(px.error_kernel(par, k))
         for j in (60, 230, 430, 700):
             lhs = apply_operator(model, Gt[:, j], k=k)
             rhs = E[:, j].copy()
@@ -184,7 +184,7 @@ class TestAssembly:
             scale = np.max(np.abs(E[:, j])) + 1e-30
             assert np.max(np.abs(lhs - rhs)[sel]) / scale < 1e-6
 
-    @pytest.mark.parametrize("fixture", ["par", "long_par"])
+    @pytest.mark.parametrize("fixture", ["par", "long_par", "forced"])
     @pytest.mark.parametrize("k", [0.05, 1e-2, 1e-4, math.exp(-24)])
     def test_derivative_matches_value(self, request, fixture, k):
         # every producer of a value and its d/ds against the spectral d/ds
@@ -192,7 +192,9 @@ class TestAssembly:
         # G's composition matrix with its weights divided out.  A kernel
         # column kinks at its source, so its rows on the source's
         # segments are skipped.  Worst measured: 6e-12 (u), 2.6e-11
-        # (blocks) and 1.1e-10 (g_matrix).  With the sign of the key
+        # (blocks) and 1.1e-10 (g_matrix); forced's g_matrix, with G4 in
+        # it, reads 1.7e-11, and 2.9e-5 with the bump corners inside the
+        # neck segments.  With the sign of the key
         # approximation's Bessel tail flipped on the minus end, u reads
         # 1.6e-2 at k = 0.05 and 1.2e-7 at 1e-4, and g_matrix 1.3e-2 and
         # 1.9e-7
@@ -202,13 +204,13 @@ class TestAssembly:
         def gap(value, deriv, rows=slice(None)):
             return derivative_gap(m, value, deriv, rows)
 
-        for ka in (p.pieces.u_minus, p.pieces.u_plus):
+        for ka in (p.u_minus, p.u_plus):
             assert gap(*ka.u(k)) < 1e-10
         off = off_source_segments(m)
         for side in ("minus", "plus"):
             pair = []
             for dleft in (False, True):
-                idx, block = p.pieces.product_block(side, k, dleft)
+                idx, block = p.product_block(side, k, dleft)
                 pair.append(np.zeros((m.n, len(idx))))
                 pair[-1][idx] = block
             assert gap(*pair, off[:, idx]) < 1e-10
@@ -220,8 +222,11 @@ class TestAssembly:
     # par and long_par: 5.8e-13 (the glued kernel, at k = 1e-4), 4.8e-11
     # (_deform, at k = 1e-4), 2.6e-11 (a cutoff's d1, phi_minus) and
     # 5.0e-14 (its d2), 1.7e-12 (decaying_channel, on the minus end).
-    # The forced fixture is left out: the bumps of its G4 have corners
-    # inside the neck segments, so their spectral d/ds is not accurate.
+    # The forced fixture adds the bumps of its G4 to the cutoffs: 1.2e-11
+    # (d1) and 1.5e-14 (d2).  With corners at -+R/2 and -+R/4, inside
+    # the neck segments, they read 2.9e-5 (d1).  Its model and key
+    # approximations are those of par, so the other producers take only
+    # par and long_par.
 
     @pytest.mark.parametrize("fixture", ["par", "long_par"])
     @pytest.mark.parametrize("k", [0.0, 1e-4, 1e-2, 0.05, 0.3])
@@ -238,15 +243,14 @@ class TestAssembly:
         # at k = e^-24 delta_k = r^{2-n} (g_nu(k r) - 1) is below the
         # rounding of g_nu, so its value carries no digits to differentiate
         p = request.getfixturevalue(fixture)
-        assert derivative_gap(p.model, *p.pieces.u_plus._deform(k)) < 5e-10
+        assert derivative_gap(p.model, *p.u_plus._deform(k)) < 5e-10
 
-    @pytest.mark.parametrize("fixture", ["par", "long_par"])
+    @pytest.mark.parametrize("fixture", ["par", "long_par", "forced"])
     def test_cutoff_derivatives_match_values(self, request, fixture):
-        pieces = request.getfixturevalue(fixture).pieces
-        for field in (pieces.phi_minus, pieces.phi_plus, pieces.zeta):
-            assert derivative_gap(pieces.model, field.values,
-                                  field.d1) < 2e-10
-            assert derivative_gap(pieces.model, field.d1, field.d2) < 1e-12
+        p = request.getfixturevalue(fixture)
+        for field in (p.phi_minus, p.phi_plus, p.zeta, *p.fix.bumps):
+            assert derivative_gap(p.model, field.values, field.d1) < 2e-10
+            assert derivative_gap(p.model, field.d1, field.d2) < 1e-12
 
     @pytest.mark.parametrize("fixture", ["par", "long_par"])
     # the minus end's zero-energy solution is constant: no d/ds to compare
@@ -278,13 +282,13 @@ class TestAssembly:
         # E' starts as the frozen-energy defect and E'' stays rank 2, with
         # the bits of the term-by-term sum into a zero array, signed
         # zeros included
-        pieces = px.ParametrixPieces(md.build_model(config))
+        par = px.Parametrix(md.build_model(config))
         for k in (0.0, 1e-4, 1e-2, 0.05, 0.5):
-            for got in (error_total(px.error_kernel(pieces, k)),
-                        px.error_kernel(pieces, k).take_total()):
+            for got in (error_total(px.error_kernel(par, k)),
+                        px.error_kernel(par, k).take_total()):
                 np.testing.assert_array_equal(
                     got.view(np.uint64),
-                    dense_error_total(pieces, k).view(np.uint64))
+                    dense_error_total(par, k).view(np.uint64))
 
     def test_error_left_support_compact(self, par, model):
         for k in (0.0, 1e-3):
@@ -293,7 +297,7 @@ class TestAssembly:
             assert np.max(np.abs(E[outside, :])) < 1e-20
 
     def test_error_prime_left_support_in_collar(self, par, model):
-        err = px.error_kernel(par.pieces, 1e-3)
+        err = px.error_kernel(par, 1e-3)
         chi_collar = np.abs(model.s) <= model.radii.zeta[1] + 1e-9
         assert np.all(err.e1[~chi_collar, :] == 0.0)
 
@@ -322,7 +326,7 @@ class TestHilbertSchmidt:
         E0 = error_total(par.error(0.0))
         diffs = [px.hs_norm(model,
                             error_total(par.error(math.exp(-2.0 ** j))) - E0,
-                            par.pieces.weight)
+                            par.weight)
                  for j in (2, 4, 6, 7)]
         assert np.all(np.diff(diffs) < 0)
         assert diffs[-1] < 0.2 * diffs[0]
@@ -334,16 +338,18 @@ class TestFiniteRank:
         assert par.fix.sigma_before > 1e-3
         # without a null space no singular vectors are computed
         svd = _count_calls(monkeypatch, np.linalg, "svd")
-        assert px.finite_rank_fix(par.pieces).rank == 0
+        assert px.finite_rank_fix(par).rank == 0
         assert svd == []
 
     def test_synthetic_null_space_repaired(self, forced, model):
         fix = forced.fix
         assert fix.rank >= 1
         assert fix.sigma_after >= 10 * fix.threshold
-        # psi_i supported in the neck: exact support check
-        for psi in [b.values for b in fix.bumps]:
-            assert np.all(psi[np.abs(model.s) > model.R] == 0.0)
+        # psi_i supported in |s| <= b, b the first cutoff radius, where
+        # every corner of a bump sits: exact support check
+        b = model.radii.breakpoints()[0]
+        for psi in [bump.values for bump in fix.bumps]:
+            assert np.all(psi[np.abs(model.s) > b] == 0.0)
 
     def test_null_space_of_the_solved_system(self, par, model):
         # a null vector g of the kink-corrected system that every solve
@@ -351,17 +357,17 @@ class TestFiniteRank:
         # E' = E - (A0 g) (x) (g / w^2) / ||g||_w^2, A0 = Id + E q +
         # diag(kink), so (Id + E' q + diag(kink)) g = 0.  Without the kink
         # diagonal the same E' is invertible (sigma_min 1.1e-4)
-        err = px.error_kernel(par.pieces, 0.0)
+        err = px.error_kernel(par, 0.0)
         kink = model.kink_diagonal(err.jump_ramp, err.jump_step)
         assert np.any(kink)
-        w, q = par.pieces.weight, model.weights
+        w, q = par.weight, model.weights
         g = np.exp(-model.s ** 2)
         e0 = error_total(err)
         a0g = g + e0 @ (q * g) + kink * g
         norm2 = float(np.dot(q / w ** 2, g * g))
         planted = e0 - np.outer(a0g, g / w ** 2) / norm2
         no_e2 = px.LowRank(np.zeros((model.n, 1)), np.zeros((1, model.n)))
-        fix = px.finite_rank_fix(par.pieces, err0=px.ErrorOperator(
+        fix = px.finite_rank_fix(par, err0=px.ErrorOperator(
             model, 0.0, planted, no_e2, w, err.jump_ramp, err.jump_step))
         assert fix.rank >= 1
         assert fix.sigma_after >= 10 * fix.threshold
@@ -401,7 +407,7 @@ class TestInversion:
         unit = model.n ** 2 * np.dtype(float).itemsize
         tracemalloc.start()
         try:
-            inverse = px.invert_error(model, err)
+            inverse = px.invert_error(err)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -728,10 +734,10 @@ class TestResolvent:
         # the cancellation while remaining O(|log k|) uniformly
         jm = np.searchsorted(model.s, -12.0)
         ks = [math.exp(-2.0 ** j) for j in (3, 4, 5, 6, 7)]
-        idx, _ = par.pieces.product_block("minus", ks[0])
+        idx, _ = par.product_block("minus", ks[0])
         i = np.searchsorted(idx, jm)
         assert idx[i] == jm and idx[i + 2] == jm + 2
-        g1_vals = np.array([par.pieces.product_block("minus", k)[1][i, i + 2]
+        g1_vals = np.array([par.product_block("minus", k)[1][i, i + 2]
                             for k in ks])
         logk = np.log(1 / np.array(ks))
         coef = np.polyfit(logk, g1_vals, 1)
@@ -828,7 +834,7 @@ class TestResolvent:
                 "par = px.Parametrix(m, q=3, kbar=1.0,\n"
                 "                    system=bvp.GluedSystem(m, 0.0))\n"
                 "par.choose_k0([1e-4, 1e-3, 1e-2, 0.05])\n"
-                "px.ilg_expansion(par, par.pieces.v_minus)\n"
+                "px.ilg_expansion(par, par.v_minus)\n"
                 "print('connsum.riesz' in sys.modules)")
         src = str(Path(px.__file__).resolve().parents[1])
         env = {**os.environ,
@@ -864,7 +870,7 @@ class TestResolvent:
 class TestIlgExpansion:
     def test_c0_and_residual_order(self, model, sys0):
         par3 = px.Parametrix(model, q=3, kbar=1.0, system=sys0)
-        v = par3.pieces.v_minus
+        v = par3.v_minus
         out = px.ilg_expansion(par3, v)
         coef, mask = out.coefficients, out.mask
         sol = bvp.solve_laplace(model, v, system=sys0)

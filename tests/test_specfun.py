@@ -261,7 +261,7 @@ class TestIlg:
         with pytest.raises(DomainError):
             sf.ilg(-0.1)
         with pytest.raises(DomainError):
-            sf.ilg(0.6)
+            sf.ilg(1.0)
 
 
 class TestStableRemainders:
