@@ -364,13 +364,15 @@ def build_parser() -> argparse.ArgumentParser:
     ap.add_argument("--version", action="version", version=__version__)
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--geometry", help="geometry config JSON file")
+    def common(p, geometry=True):
+        # only the subcommands that build a model read a geometry
+        if geometry:
+            p.add_argument("--geometry", help="geometry config JSON file")
         p.add_argument("--out", default="reports", help="output directory")
         p.add_argument("--seed", type=int, default=0)
 
     p = sub.add_parser("specfun-check", help="special-function invariants")
-    common(p)
+    common(p, geometry=False)
     p.set_defaults(func=cmd_specfun_check)
 
     p = sub.add_parser("model-build", help="validate and build the geometry")
@@ -405,7 +407,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_riesz)
 
     p = sub.add_parser("lp-lemmas", help="power-weight kernel lemma suite")
-    common(p)
+    common(p, geometry=False)
     p.add_argument("--instances", type=int, default=200)
     p.set_defaults(func=cmd_lp_lemmas)
     return ap

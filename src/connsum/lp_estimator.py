@@ -105,31 +105,13 @@ def lemma_predicate(kernel: PowerKernel, p: float) -> bool:
     return all(c > 0 for c in checks)
 
 
-@dataclass
-class BoundednessVerdict:
-    p: float
-    trend: str                  # "stable" | "divergent"
-    norms: list
-    growth_exponent: float | None = None
-
-
-def _log_grid_operator(kernel: PowerKernel, r_max: float, pts_per_decade: int):
-    lo = 1.0 if kernel.domain_start == 1.0 else 1.0 / r_max
-    n = max(24, int(math.log10(r_max / lo) * pts_per_decade) + 1)
-    x = np.geomspace(lo, r_max, n)
-    w2 = np.gradient(x) * x ** (kernel.d2 - 1)
-    w1 = np.gradient(x) * x ** (kernel.d1 - 1)
-    mat = kernel.values(x, x) * w2[None, :]
-    return mat, w1, w2
-
-
 def lp_norm(q: np.ndarray, f: np.ndarray, p: float) -> float:
     """(sum_i q_i |f_i|^p)^{1/p}: the L^p norm under the weights q."""
     return float(np.dot(q, np.abs(f) ** p) ** (1.0 / p))
 
 
 def boyd_lower_bound(mat, w1: np.ndarray, w2: np.ndarray,
-                     p, iters: int, support: np.ndarray | None = None):
+                     p, iters: int, cuts=None):
     """Lower bound for the L^p(w2) -> L^p(w1) norm of the matrix operator
     mat (an ndarray, or any operator with a shape and `@` on both sides,
     such as bvp.GreenSumOperator) by Boyd's nonlinear power iteration
@@ -144,11 +126,12 @@ def boyd_lower_bound(mat, w1: np.ndarray, w2: np.ndarray,
     A scalar p returns one float.  A vector p runs one iteration per
     entry in lockstep, as the columns of one block, so each step costs
     two matrix-matrix products; the bounds come back as an array.  For a
-    square mat, the boolean (n, len(p)) array support restricts column j
-    to the operator truncated to the rows and columns support[:, j]: the
-    column starts from that mask and is masked again after every
-    product, which makes it the iteration on mat[np.ix_(s, s)] up to
-    rounding.
+    square mat, cuts (one slice per entry of p, as spectral_norms takes
+    them) restricts column j to the operator truncated to the rows and
+    columns cuts[j]: the column starts from that mask and is masked
+    again after every product, which makes it the iteration on
+    mat[c, c] up to rounding.  Without cuts every column sees the whole
+    matrix.
 
     A column whose iterate overflows (any non-finite value) stops there
     and reports +inf: the iteration cannot bound that norm, and a norm
@@ -156,15 +139,17 @@ def boyd_lower_bound(mat, w1: np.ndarray, w2: np.ndarray,
     iterate vanishes stops with its best bound so far."""
     scalar = np.ndim(p) == 0
     p = np.atleast_1d(np.asarray(p, dtype=float))
-    if support is None:
-        f = np.ones((mat.shape[1], len(p)))
-        off = None
-    else:
-        if mat.shape[0] != mat.shape[1] or support.shape != (len(w1), len(p)):
-            raise DomainError("boyd_lower_bound: support needs a square "
-                              "matrix and one column per p")
-        f = support.astype(float)
-        off = ~support
+    if cuts is None:
+        cuts = [slice(None)] * len(p)
+    elif mat.shape[0] != mat.shape[1] or len(cuts) != len(p):
+        raise DomainError("boyd_lower_bound: cuts need a square matrix and "
+                          "one slice per p")
+
+    off_rows, off_cols = (np.ones((n, len(p)), dtype=bool)
+                          for n in mat.shape)
+    for j, cut in enumerate(cuts):
+        off_rows[cut, j] = off_cols[cut, j] = False
+    f = (~off_cols).astype(float)
 
     def norms(w, x):
         return (w @ np.abs(x) ** p) ** (1.0 / p)
@@ -187,8 +172,7 @@ def boyd_lower_bound(mat, w1: np.ndarray, w2: np.ndarray,
                 break
             f /= np.where(live, nf, 1.0)
             g = mat @ f
-            if off is not None:
-                g[off] = 0.0
+            g[off_rows] = 0.0
             ng = norms(w1, g)
             stop(np.isfinite(ng))
             np.maximum(best, ng, out=best, where=live)
@@ -196,8 +180,7 @@ def boyd_lower_bound(mat, w1: np.ndarray, w2: np.ndarray,
             # (X^T M)^T rather than M^T X: the transposed product is
             # several times slower at a few dozen columns
             h = ((w1[:, None] * u).T @ mat).T / w2[:, None]
-            if off is not None:
-                h[off] = 0.0
+            h[off_cols] = 0.0
             f = np.abs(h) ** (1.0 / (p - 1.0)) * np.sign(h)
             stop(np.all(np.isfinite(f), axis=0))
     return float(best[0]) if scalar else best
@@ -309,29 +292,39 @@ def spectral_norms(mat, sq: np.ndarray, cuts) -> np.ndarray:
         f"after {GKL_MAX_STEPS} bidiagonalization steps")
 
 
-# truncation radii of empirical_norm_trend, and the log-grid density of
-# random_instance_suite
+# truncation radii of empirical_norm_trend, each a power of ten, and the
+# log-grid density of random_instance_suite
 TREND_R_MAXES = (1e2, 1e3, 1e4, 1e5, 1e6)
 SUITE_PTS_PER_DECADE = 20
 
 
-def empirical_norm_trend(kernel: PowerKernel, p: float,
-                         pts_per_decade: int = 16) -> BoundednessVerdict:
-    """Discretize on log grids up to each R_max, estimate the operator
-    norm by the power iteration, and classify the trend
-    (fits.classify_trend).
+def _log_grid_operator(kernel: PowerKernel, pts_per_decade: int):
+    """The kernel on one log grid up to R = TREND_R_MAXES[-1], nodes
+    10^(i / pts_per_decade) from 1, or from 1/R on the scaling lemma, so
+    that every R_max and 1/R_max is a node: the matrix on densities, the
+    weights of both measures and the slice of each truncation."""
+    ends = [round(math.log10(r)) * pts_per_decade for r in TREND_R_MAXES]
+    one = ends[-1] if kernel.homogeneous else 0     # the index of x = 1
+    x = 10.0 ** ((np.arange(one + ends[-1] + 1) - one) / pts_per_decade)
+    cuts = [slice(one - e if kernel.homogeneous else 0, one + e + 1)
+            for e in ends]
+    w2 = np.gradient(x) * x ** (kernel.d2 - 1)
+    w1 = np.gradient(x) * x ** (kernel.d1 - 1)
+    mat = kernel.values(x, x) * w2[None, :]
+    return mat, w1, w2, cuts
 
-    The verdict matches the exact predicate away from boundary cases.
-    """
+
+def empirical_norm_trend(kernel: PowerKernel, p: float,
+                         pts_per_decade: int = 16):
+    """The norms of the kernel truncated at each R_max, slices of one log
+    grid in one lockstep power iteration (boyd_lower_bound with cuts),
+    and their fits.Trend, which matches the exact predicate away from
+    boundary cases."""
     if p <= 1:
         raise DomainError("empirical_norm_trend: need p > 1")
-    norms = []
-    for rmax in TREND_R_MAXES:
-        mat, w1, w2 = _log_grid_operator(kernel, rmax, pts_per_decade)
-        norms.append(boyd_lower_bound(mat, w1, w2, p, 40))
-    trend = classify_trend(TREND_R_MAXES, norms)
-    return BoundednessVerdict(p, "stable" if trend.bounded else "divergent",
-                              norms, trend.growth_exponent)
+    mat, w1, w2, cuts = _log_grid_operator(kernel, pts_per_decade)
+    norms = boyd_lower_bound(mat, w1, w2, [p] * len(cuts), 40, cuts)
+    return norms, classify_trend(TREND_R_MAXES, norms)
 
 
 def random_instance_suite(n_instances: int = 200, seed: int = 5) -> dict:
@@ -364,13 +357,13 @@ def random_instance_suite(n_instances: int = 200, seed: int = 5) -> dict:
         # the classification
         if _margin(kern, p) < 0.35:
             continue
-        verdict = empirical_norm_trend(kern, p,
-                                       pts_per_decade=SUITE_PTS_PER_DECADE)
+        _, trend = empirical_norm_trend(kern, p,
+                                        pts_per_decade=SUITE_PTS_PER_DECADE)
         total += 1
-        if pred == (verdict.trend == "stable"):
+        if pred == trend.bounded:
             agree += 1
         else:
-            disagreements.append((kern, p, pred, verdict.trend))
+            disagreements.append((kern, p, pred, trend))
     return {"agree": agree, "total": total, "disagreements": disagreements}
 
 

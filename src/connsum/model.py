@@ -21,7 +21,7 @@ from __future__ import annotations
 import json
 import math
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from functools import cached_property
 
 import numpy as np
@@ -213,55 +213,70 @@ class GeometryConfig:
             if not isinstance(spec, dict):
                 raise ConfigError(f"geometry key {key!r} must be a mapping")
             kind = spec.get("type", "explicit")
-            if kind not in _SECTION_KEYS:
+            if not isinstance(kind, str) or kind not in _SECTION_KEYS:
                 raise ConfigError(f"geometry key '{key}.type' must be one of "
                                   f"{', '.join(_SECTION_KEYS)}, got {kind!r}")
             known(spec, _SECTION_KEYS[kind], f"{key}.")
             if kind == "point":
                 return CrossSection.point()
             if kind == "circle":
-                return CrossSection.circle(
-                    spec.get("length", 2 * math.pi),
-                    _require_integer(f"{key}.l_max", spec.get("l_max", 32), 0))
-            return CrossSection("explicit",
-                                _require_integer(f"{key}.dim", spec["dim"], 0),
-                                float(spec["volume"]),
-                                tuple(float(x) for x in spec["spectrum"]))
+                length = _require_finite(f"{key}.length",
+                                         spec.get("length", 2 * math.pi))
+                if not length > 0:
+                    raise ConfigError(f"{key}.length must be positive, got "
+                                      f"{length!r}")
+                args = (length, _require_integer(f"{key}.l_max",
+                                                 spec.get("l_max", 32), 0))
+                build = CrossSection.circle
+            else:
+                for name in ("dim", "volume", "spectrum"):
+                    if name not in spec:
+                        raise ConfigError(
+                            f"missing geometry key '{key}.{name}'")
+                spectrum = spec["spectrum"]
+                if not isinstance(spectrum, (list, tuple)):
+                    raise ConfigError(f"{key}.spectrum must be a list, got "
+                                      f"{spectrum!r}")
+                args = ("explicit",
+                        _require_integer(f"{key}.dim", spec["dim"], 0),
+                        _require_finite(f"{key}.volume", spec["volume"]),
+                        tuple(_require_finite(f"{key}.spectrum[{i}]", x)
+                              for i, x in enumerate(spectrum)))
+                build = CrossSection
+            try:
+                return build(*args)
+            except ConfigError as exc:
+                raise ConfigError(f"{key}: {exc}") from None
 
         if not isinstance(raw, dict):
             raise ConfigError("geometry config must be a JSON object, got "
                               f"{type(raw).__name__}")
         known(raw, ("n_plus", "spectra", "R", "S_minus", "S_plus", "grid",
                     "radii"))
-        try:
-            kwargs = {}
-            if "n_plus" in raw:
-                kwargs["n_plus"] = _require_integer("n_plus", raw["n_plus"], 0)
-            spectra = raw.get("spectra", {})
-            if not isinstance(spectra, dict):
-                raise ConfigError("geometry key 'spectra' must be a mapping")
-            known(spectra, ("minus", "plus"), "spectra.")
-            # a side the spectra block omits keeps its default section
-            for side in ("minus", "plus"):
-                if side in spectra:
-                    kwargs[f"{side}_section"] = section(f"spectra.{side}",
-                                                        spectra[side])
-            for key in ("R", "S_minus", "S_plus"):
-                if key in raw:
-                    kwargs[key] = raw[key]
-            if "grid" in raw:
-                kwargs["grid"] = GridSpec(**raw["grid"])
-            if "radii" in raw:
-                if not isinstance(raw["radii"], dict):
-                    raise ConfigError("geometry key 'radii' must be a mapping")
-                rr = {k: tuple(v) if isinstance(v, (list, tuple)) else v
-                      for k, v in raw["radii"].items()}
-                kwargs["radii"] = CutoffRadii(**rr)
-            return GeometryConfig(**kwargs)
-        except (KeyError, TypeError, ValueError) as exc:
-            if isinstance(exc, ConfigError):
-                raise
-            raise ConfigError(f"invalid geometry config: {exc}") from exc
+        kwargs = {}
+        if "n_plus" in raw:
+            kwargs["n_plus"] = _require_integer("n_plus", raw["n_plus"], 0)
+        spectra = raw.get("spectra", {})
+        if not isinstance(spectra, dict):
+            raise ConfigError("geometry key 'spectra' must be a mapping")
+        known(spectra, ("minus", "plus"), "spectra.")
+        # a side the spectra block omits keeps its default section
+        for side in ("minus", "plus"):
+            if side in spectra:
+                kwargs[f"{side}_section"] = section(f"spectra.{side}",
+                                                    spectra[side])
+        for key in ("R", "S_minus", "S_plus"):
+            if key in raw:
+                kwargs[key] = raw[key]
+        for key, block_type in (("grid", GridSpec), ("radii", CutoffRadii)):
+            if key in raw:
+                block = raw[key]
+                if not isinstance(block, dict):
+                    raise ConfigError(f"geometry key '{key}' must be a "
+                                      "mapping")
+                known(block, [f.name for f in fields(block_type)], f"{key}.")
+                kwargs[key] = block_type(**block)
+        return GeometryConfig(**kwargs)
 
     @staticmethod
     def from_json(path) -> "GeometryConfig":
@@ -555,13 +570,10 @@ class ModelManifold:
         return float(np.dot(self.weights, np.asarray(f, dtype=float)))
 
 
-def build_model(config: GeometryConfig | dict | None = None) -> ModelManifold:
-    """Validate a geometry description and construct the model."""
-    if config is None:
-        config = GeometryConfig()
-    elif isinstance(config, dict):
-        config = GeometryConfig.from_dict(config)
-    return ModelManifold(config)
+def build_model(config: GeometryConfig | None = None) -> ModelManifold:
+    """Construct the model of a geometry config (the default one if
+    None)."""
+    return ModelManifold(GeometryConfig() if config is None else config)
 
 
 # ---------------------------------------------------------------------------

@@ -505,21 +505,20 @@ def _bump_dictionary(model: ModelManifold):
 NULL_REL_THRESHOLD = 1e-9
 
 
-def finite_rank_fix(par: Parametrix,
-                    err0: ErrorOperator | None = None) -> FiniteRankFix:
+def finite_rank_fix(par: Parametrix) -> FiniteRankFix:
     """Compute the null space of Id + E(0) on the weighted space and the
     rank-M correction G4 making Id + E(0) invertible.
 
     Id + E(0) is the system that every solve reads: invert_error
-    consumes E(0) (err0, or error_kernel's), as s_operator does, and the
-    fix reads its InvertedError.  With no null vectors (sigma_min above
-    the relative threshold) the fix is trivial: M = 0 and G4 = 0.  The
+    consumes error_kernel's E(0), as s_operator does, and the fix reads
+    its InvertedError.  With no null vectors (sigma_min above the
+    relative threshold) the fix is trivial: M = 0 and G4 = 0.  The
     extreme singular values come from spectral_norms, sigma_min on the
     factorization behind choose_k0; the singular vectors, by a full SVD
     of the system, only when there is a null space to repair.
     """
     model = par.model
-    inverse = invert_error(error_kernel(par, 0.0) if err0 is None else err0)
+    inverse = invert_error(error_kernel(par, 0.0))
     thresh = NULL_REL_THRESHOLD * _norm2(inverse.system)
     sigma_min = inverse.sigma_min()
     if sigma_min >= thresh:

@@ -154,7 +154,7 @@ def lp_boundedness_report(kern: DiscretizedKernel, p_list, r_maxes) -> dict:
     every R_max in one lockstep bidiagonalization (spectral_norms).
 
     Every (R_max, p != 2) cell is one column of a single lockstep Boyd
-    iteration (boyd_lower_bound with a support mask) on the whole
+    iteration (boyd_lower_bound with one slice per cell) on the whole
     kernel, so each of its steps is two products with one column per
     cell.  Those products and the bidiagonalization's go through the
     kernel's operator (bvp.GreenSumOperator), at O(n K) per column; no
@@ -169,11 +169,9 @@ def lp_boundedness_report(kern: DiscretizedKernel, p_list, r_maxes) -> dict:
     cuts = {rmax: _truncation(model, rmax) for rmax in r_maxes}
     p_boyd = [p for p in p_list if p != 2.0]
     boyd_cells = [(p, rmax) for rmax in r_maxes for p in p_boyd]
-    support = np.zeros((model.n, len(boyd_cells)), dtype=bool)
-    for j, (_, rmax) in enumerate(boyd_cells):
-        support[cuts[rmax], j] = True
     boyd = dict(zip(boyd_cells, boyd_lower_bound(
-        op, q, q, [p for p, _ in boyd_cells], 50, support)))
+        op, q, q, [p for p, _ in boyd_cells], 50,
+        [cuts[rmax] for _, rmax in boyd_cells])))
     cells: dict[tuple[float, float], TrendRow] = {}
     if p_boyd:
         mags = np.abs(kern.values)

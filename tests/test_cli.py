@@ -88,10 +88,51 @@ class TestCli:
         ({"radii": {"phi": [6, float("inf")]}}, "radii.phi must be a finite"),
         ({"spectra": {"minus": {"dim": 1, "volume": float("inf"),
                                 "spectrum": [0.0, 1.0]}}},
-         "cross-section volume must be a finite"),
+         "spectra.minus.volume must be a finite"),
         ({"spectra": {"minus": {"dim": 1, "volume": 1.0,
                                 "spectrum": [0.0, float("nan")]}}},
-         "cross-section spectrum must be finite"),
+         "spectra.minus.spectrum[1] must be a finite"),
+        # every cross-section field is read by its key, and none is
+        # converted from a string or a boolean
+        ({"spectra": {"minus": {"dim": 1, "volume": "x",
+                                "spectrum": [0.0]}}},
+         "spectra.minus.volume must be a finite"),
+        ({"spectra": {"minus": {"type": "circle", "length": "x"}}},
+         "spectra.minus.length must be a finite"),
+        ({"spectra": {"minus": {"dim": 1, "volume": 1.0, "spectrum": 5}}},
+         "spectra.minus.spectrum must be a list"),
+        ({"spectra": {"minus": {"dim": 1, "volume": 1.0,
+                                "spectrum": [0.0, "a"]}}},
+         "spectra.minus.spectrum[1] must be a finite"),
+        ({"spectra": {"minus": {"dim": 1, "volume": 1.0}}},
+         "missing geometry key 'spectra.minus.spectrum'"),
+        ({"grid": 5}, "geometry key 'grid' must be a mapping"),
+        ({"spectra": {"minus": {"type": "circle", "length": -1.0}}},
+         "spectra.minus.length must be positive"),
+        ({"spectra": {"minus": {"type": "circle", "length": 0}}},
+         "spectra.minus.length must be positive"),
+        ({"spectra": {"minus": {"dim": 1, "volume": True,
+                                "spectrum": [0.0, 1.0]}}},
+         "spectra.minus.volume must be a finite"),
+        ({"spectra": {"minus": {"dim": 1, "volume": 1.0,
+                                "spectrum": [False, True]}}},
+         "spectra.minus.spectrum[0] must be a finite"),
+        ({"spectra": {"minus": {"dim": 1, "volume": "6.28",
+                                "spectrum": ["0", "1"]}}},
+         "spectra.minus.volume must be a finite"),
+        ({"spectra": {"minus": {"type": "circle", "length": True}}},
+         "spectra.minus.length must be a finite"),
+        ({"spectra": {"minus": {"type": ["circle"]}}},
+         "'spectra.minus.type' must be one of"),
+        ({"grid": {"neck_ptz": 64}}, "unknown geometry key 'grid.neck_ptz'"),
+        ({"radii": {"khi": [3, 5]}}, "unknown geometry key 'radii.khi'"),
+        # the cross-section's own checks, behind the key of its entry
+        ({"spectra": {"minus": {"dim": 1, "volume": -1.0,
+                                "spectrum": [0.0, 1.0]}}},
+         "spectra.minus: cross-section volume must be a finite positive"),
+        ({"spectra": {"plus": {"dim": 0, "volume": 1.0,
+                               "spectrum": [1.0]}}},
+         "spectra.plus: cross-section spectrum must start at 0"),
     ])
     def test_malformed_geometry_is_config_error(self, tmp_path, capsys,
                                                 geometry, message):
@@ -101,7 +142,19 @@ class TestCli:
         rc = cli.main(["model-build", "--geometry", str(geo),
                        "--out", str(tmp_path)])
         assert rc == cli.EXIT_CONFIG
-        assert message in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert message in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("command", ["specfun-check", "lp-lemmas"])
+    def test_geometry_only_where_a_model_is_built(self, tmp_path, capsys,
+                                                  command):
+        # neither subcommand reads a geometry, so neither takes one
+        with pytest.raises(SystemExit) as exc:
+            cli.main([command, "--geometry", str(tmp_path / "geo.json"),
+                      "--out", str(tmp_path)])
+        assert exc.value.code == cli.EXIT_CONFIG
+        assert "--geometry" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
 
     @pytest.mark.parametrize("n_sigma", ["32", "1"])
     def test_riesz_rejects_even_n_sigma(self, tmp_path, capsys, n_sigma):

@@ -88,12 +88,12 @@ class TestMellin:
         # measured norms stay below the L^1 bound of the profile
         kern = lpe.PowerKernel(1.0, 1.0, 2.0, 0.0, 2.0, 2.0, domain_start=0.0)
         p = 1.5
-        verdict = lpe.empirical_norm_trend(kern, p)
+        norms, trend = lpe.empirical_norm_trend(kern, p)
         bound = mellin_profile_l1(kern, p)
-        assert verdict.trend == "stable"
-        assert max(verdict.norms) <= bound * 1.01
+        assert trend.bounded
+        assert max(norms) <= bound * 1.01
         # the gap closes to within ten percent
-        assert max(verdict.norms) > 0.9 * bound
+        assert max(norms) > 0.9 * bound
 
 
 class TestBoydLowerBound:
@@ -149,18 +149,19 @@ class TestBoydLowerBound:
                                domain_start=0.0)
         p = 1.134
         assert not lpe.lemma_predicate(kern, p)
-        mat, w1, w2 = lpe._log_grid_operator(kern, 1e6, 20)
+        # the last truncation, R_max = 1e6, is the whole grid
+        mat, w1, w2, _ = lpe._log_grid_operator(kern, 20)
         assert lpe.boyd_lower_bound(mat, w1, w2, p, 40) == math.inf
         # the overflow stops its own column only
         both = lpe.boyd_lower_bound(mat, w1, w2, [p, 3.0], 40)
         assert both[0] == math.inf
         assert both[1] == pytest.approx(
             lpe.boyd_lower_bound(mat, w1, w2, 3.0, 40), rel=1e-12)
-        verdict = lpe.empirical_norm_trend(kern, p, pts_per_decade=20)
-        assert verdict.norms[-1] == math.inf
-        assert all(math.isfinite(x) for x in verdict.norms[:-1])
-        assert verdict.trend == "divergent"
-        assert verdict.growth_exponent == math.inf
+        norms, trend = lpe.empirical_norm_trend(kern, p, pts_per_decade=20)
+        assert norms[-1] == math.inf
+        assert all(math.isfinite(x) for x in norms[:-1])
+        assert not trend.bounded
+        assert trend.growth_exponent == math.inf
 
 
 class TestTrend:
@@ -168,13 +169,30 @@ class TestTrend:
         # a' = a violates the lemma: the log-substituted profile is not
         # integrable and the truncated norms grow
         kern = lpe.PowerKernel(1.0, 1.0, 1.0, 1.0, 2.0, 2.0, domain_start=0.0)
-        verdict = lpe.empirical_norm_trend(kern, 1.5)
-        assert verdict.trend == "divergent"
+        _, trend = lpe.empirical_norm_trend(kern, 1.5)
+        assert not trend.bounded
 
     def test_bounded_instance_stable(self):
         kern = lpe.PowerKernel(2.0, 1.0, 3.0, 0.0, 3.0, 2.0)
-        verdict = lpe.empirical_norm_trend(kern, 1.5)
-        assert verdict.trend == "stable"
+        _, trend = lpe.empirical_norm_trend(kern, 1.5)
+        assert trend.bounded
+
+    @pytest.mark.parametrize("kern", [
+        lpe.PowerKernel(1.0, 1.0, 2.0, 0.0, 2.0, 2.0, domain_start=0.0),
+        lpe.PowerKernel(2.0, 1.0, 3.0, 0.0, 3.0, 2.0)])
+    def test_lockstep_matches_per_truncation(self, kern):
+        # every truncation of the one lockstep call is the scalar
+        # iteration on its own copy of the truncated kernel, up to
+        # rounding
+        p = 1.5
+        assert lpe.lemma_predicate(kern, p)
+        norms, _ = lpe.empirical_norm_trend(kern, p)
+        mat, w1, w2, cuts = lpe._log_grid_operator(kern, 16)
+        assert len(norms) == len(cuts) == len(lpe.TREND_R_MAXES)
+        for got, cut in zip(norms, cuts):
+            one = lpe.boyd_lower_bound(mat[cut, cut].copy(), w1[cut],
+                                       w2[cut], p, 40)
+            assert got == pytest.approx(one, rel=1e-12)
 
     def test_duality(self):
         # verdict of the transpose at p' matches

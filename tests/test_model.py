@@ -26,7 +26,7 @@ class TestBuildModel:
 
     def test_invalid_dimension(self):
         with pytest.raises(ConfigError, match="invalid dimension"):
-            md.build_model({"n_plus": 2})
+            md.build_model(md.GeometryConfig.from_dict({"n_plus": 2}))
 
     def test_dimension_consistency_enforced(self):
         cfg = md.GeometryConfig(n_plus=4)  # 2+1 != 4+0
@@ -198,7 +198,8 @@ class TestGrid:
     @pytest.mark.parametrize("neck_pts,n_nodes", [(32, 719), (34, 721)])
     def test_neck_pts_sets_node_count(self, neck_pts, n_nodes):
         # neck_pts // 2 + 1 nodes per neck half, sharing the node at s = 0
-        m = md.build_model({"grid": {"neck_pts": neck_pts}})
+        m = md.build_model(md.GeometryConfig.from_dict(
+            {"grid": {"neck_pts": neck_pts}}))
         assert m.n == n_nodes
 
 

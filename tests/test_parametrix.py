@@ -74,7 +74,8 @@ def long_par():
 @pytest.fixture(scope="module")
 def forced(par, model):
     """A copy of `par` whose finite-rank fix repairs a degenerate E(0) with
-    a known null vector, so that G4 (rank >= 1) enters G, d_s G and E(k)."""
+    a known null vector, so that G4 (rank >= 1) enters G, d_s G and E(k).
+    The fix reads that E(0) from error_kernel, patched for its call."""
     e0 = error_total(px.error_kernel(par, 0.0))
     w = par.weight
     q = model.weights
@@ -87,7 +88,9 @@ def forced(par, model):
     deg = px.ErrorOperator(model, 0.0, Edeg, no_e2, w,
                            np.zeros(model.n), np.zeros(model.n))
     out = copy.copy(par)
-    out.fix = px.finite_rank_fix(par, err0=deg)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(px, "error_kernel", lambda *args: deg)
+        out.fix = px.finite_rank_fix(par)
     return out
 
 
@@ -351,7 +354,8 @@ class TestFiniteRank:
         for psi in [bump.values for bump in fix.bumps]:
             assert np.all(psi[np.abs(model.s) > b] == 0.0)
 
-    def test_null_space_of_the_solved_system(self, par, model):
+    def test_null_space_of_the_solved_system(self, par, model,
+                                             monkeypatch):
         # a null vector g of the kink-corrected system that every solve
         # reads, planted at the neck with E(0)'s jumps kept:
         # E' = E - (A0 g) (x) (g / w^2) / ||g||_w^2, A0 = Id + E q +
@@ -367,8 +371,11 @@ class TestFiniteRank:
         norm2 = float(np.dot(q / w ** 2, g * g))
         planted = e0 - np.outer(a0g, g / w ** 2) / norm2
         no_e2 = px.LowRank(np.zeros((model.n, 1)), np.zeros((1, model.n)))
-        fix = px.finite_rank_fix(par, err0=px.ErrorOperator(
-            model, 0.0, planted, no_e2, w, err.jump_ramp, err.jump_step))
+        err0 = px.ErrorOperator(model, 0.0, planted, no_e2, w,
+                                err.jump_ramp, err.jump_step)
+        with monkeypatch.context() as mp:
+            mp.setattr(px, "error_kernel", lambda *args: err0)
+            fix = px.finite_rank_fix(par)
         assert fix.rank >= 1
         assert fix.sigma_after >= 10 * fix.threshold
         # at the defaults the fix reads the figure that choose_k0 reads

@@ -650,12 +650,12 @@ class TestBoundednessReport:
         cells = [(p, rmax) for rmax in (16.0, 64.0, 512.0)
                  for p in (1.25, 1.5, 1.8, 3.0)]
         ps = [p for p, _ in cells]
-        support = np.column_stack([model.r <= rmax for _, rmax in cells])
+        cuts = [rz._truncation(model, rmax) for _, rmax in cells]
         blocks = {}
         for form, mat in kernel_forms.items():
-            blocks[form] = rz.boyd_lower_bound(mat, q, q, ps, 50, support)
+            blocks[form] = rz.boyd_lower_bound(mat, q, q, ps, 50, cuts)
             assert blocks[form].shape == (len(cells),)
-            assert rz.boyd_lower_bound(mat, q, q, ps, 50, support).tolist() \
+            assert rz.boyd_lower_bound(mat, q, q, ps, 50, cuts).tolist() \
                 == blocks[form].tolist()
         np.testing.assert_allclose(blocks["operator"], blocks["matrix"],
                                    rtol=1e-12, atol=0.0)
