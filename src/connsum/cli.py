@@ -11,8 +11,8 @@ OpenBLAS at one thread, and every LU factorization, LU solve and solve
 check of `resolvent` runs there, so resolvent.json does not depend on the
 thread count.  Each
 report's `checks` block lists the subcommand's pass conditions as
-{name: {value, bound, ok}}; the status line and the choice between exit
-0 and 3 are derived from it.
+{name: {value, bound, sense, ok, margin}} (see `check`); the status line
+and the choice between exit 0 and 3 are derived from it.
 """
 
 from __future__ import annotations
@@ -67,12 +67,23 @@ IDENTITY = 1e-8        # backward error and forward bound of each solve
 GROWTH_TOL = 0.1       # witness growth exponent against its expected value
 
 
-def check(value, bound, strict=True, ok=None) -> dict:
-    """One pass condition: value < bound (strict) or value <= bound,
-    unless ok is the verdict of a library rule."""
-    if ok is None:
-        ok = value < bound if strict else value <= bound
-    return {"value": value, "bound": bound, "ok": bool(ok)}
+SENSES = {"<": lambda v, b: v < b, "<=": lambda v, b: v <= b,
+          ">": lambda v, b: v > b, "==": lambda v, b: v == b}
+
+
+def check(value, sense: str, bound) -> dict:
+    """One pass condition `value sense bound`, sense one of <, <=, > and
+    ==, as a report entry.  Its margin in digits is log10(bound / |value|)
+    for < and <=, |value| floored at machine epsilon, and log10(value /
+    bound) for >; None for ==, for a bound <= 0 and for a value that is
+    not finite (for >, not positive)."""
+    margin = None
+    if sense != "==" and bound > 0 and math.isfinite(value):
+        eps = sys.float_info.epsilon
+        margin = (math.log10(bound / max(abs(value), eps)) if sense != ">"
+                  else math.log10(value / bound) if value > 0 else None)
+    return {"value": value, "bound": bound, "sense": sense,
+            "ok": bool(SENSES[sense](value, bound)), "margin": margin}
 
 
 def _at_least(args, option: str, low: int) -> int:
@@ -102,7 +113,7 @@ def cmd_specfun_check(args) -> int:
     rng = np.random.default_rng(_at_least(args, "--seed", 0))
     worst = checks.bessel_vs_quadrature(np.arange(0, 11, dtype=float),
                                         np.geomspace(1e-3, 50.0, 12))
-    chk = {"bessel_vs_quadrature": check(worst, BESSEL_RTOL, strict=False)}
+    chk = {"bessel_vs_quadrature": check(worst, "<=", BESSEL_RTOL)}
 
     x = rng.uniform(0.01, 20.0, 10000)
     y = x + rng.uniform(1e-3, 30.0, 10000)
@@ -111,14 +122,14 @@ def cmd_specfun_check(args) -> int:
     for nu in (0.0, 1.0, 5.0):
         sel = nu_s == nu
         bad += checks.exponential_comparison_violations(nu, x[sel], y[sel])
-    chk["exponential_comparison"] = check(bad, 0, strict=False)
+    chk["exponential_comparison"] = check(bad, "==", 0)
 
     xs2 = np.geomspace(1e-3, 50.0, 40)
     bad = sum(checks.derivative_bound_violations(m, xs2) for m in range(1, 21))
-    chk["derivative_bound"] = check(bad, 0, strict=False)
+    chk["derivative_bound"] = check(bad, "==", 0)
 
     dev = abs(sf.bessel_K(0.0, 1e-3) + math.log(1e-3) - sf.C_GAMMA)
-    chk["k0_asymptotic_constant"] = check(dev, 1e-4, strict=False)
+    chk["k0_asymptotic_constant"] = check(dev, "<=", 1e-4)
 
     fd_worst = 0.0
     for x0 in (0.5, 1.0, 5.0):
@@ -128,11 +139,11 @@ def cmd_specfun_check(args) -> int:
               - sf.bessel_K(0.0, x0 + 2 * h)) / (12 * h)
         fd_worst = max(fd_worst, abs(fd + sf.bessel_K(1.0, x0))
                        / sf.bessel_K(1.0, x0))
-    chk["k0_prime_recurrence"] = check(fd_worst, 1e-8, strict=False)
+    chk["k0_prime_recurrence"] = check(fd_worst, "<=", 1e-8)
 
     for a in (2.0, 3.0, 4.0, 6.0):
         d = sf.heat_resolvent_identity_check(a, 0.3, 2.0)
-        chk[f"heat_identity_a{a:g}"] = check(d, 1e-6, strict=False)
+        chk[f"heat_identity_a{a:g}"] = check(d, "<=", 1e-6)
 
     payload = {"failures": [{"invariant": n, "value": c["value"]}
                             for n, c in chk.items() if not c["ok"]],
@@ -166,7 +177,7 @@ def cmd_extend(args) -> int:
               for (m_, l_) in data.coeffs)
     report["minus_ode_residual"] = res
     return finish(args, "extend.json", report,
-                  {"minus_ode_residual": check(res, ODE_RESIDUAL)})
+                  {"minus_ode_residual": check(res, "<", ODE_RESIDUAL)})
 
 
 def cmd_bvp(args) -> int:
@@ -180,9 +191,9 @@ def cmd_bvp(args) -> int:
     payload = {"homogeneous_norm": hom, "beta": beta,
                "beta_refinement_shift": beta_shift,
                "log_harmonic_c1": U.c1}
-    return finish(args, "bvp.json", payload,
-                  {"homogeneous_norm": check(hom, HOMOGENEOUS),
-                   "beta_refinement_shift": check(beta_shift, BETA_SHIFT)})
+    return finish(args, "bvp.json", payload, {
+        "homogeneous_norm": check(hom, "<", HOMOGENEOUS),
+        "beta_refinement_shift": check(beta_shift, "<", BETA_SHIFT)})
 
 
 def cmd_keylemma(args) -> int:
@@ -203,10 +214,10 @@ def cmd_keylemma(args) -> int:
                                          U.values[mask])
     payload = {"residual_slopes": slopes, "lower_bound": low,
                "ilg_coefficient_vs_log_harmonic_rel": rel}
-    chk = {f"residual_slope_q{q}": check(abs(slope - q), 0.2, strict=False)
+    chk = {f"residual_slope_q{q}": check(abs(slope - q), "<=", 0.2)
            for q, slope in slopes.items()}
-    chk["lower_bound_positive"] = check(low["constant"], 0, ok=low["positive"])
-    chk["ilg_coefficient_vs_log_harmonic_rel"] = check(rel, ILG_COEF_REL)
+    chk["lower_bound_positive"] = check(low["constant"], ">", 0)
+    chk["ilg_coefficient_vs_log_harmonic_rel"] = check(rel, "<", ILG_COEF_REL)
     return finish(args, "keylemma.json", payload, chk)
 
 
@@ -226,8 +237,9 @@ def cmd_resolvent(args) -> int:
         # backward error and forward-error bound of its one solve, and
         # R(k) vv = G(k)(Id + S(k)) vv against the radiation oracle
         y, z = inverse.solve(vv)
-        backward[k], forward[k] = checks.solve_errors(inverse.system, y, z,
-                                                      sigma)
+        back, fwd = checks.solve_errors(inverse.system, y, z, sigma)
+        backward[f"backward_error_k{k}"] = check(back, "<", IDENTITY)
+        forward[f"forward_bound_k{k}"] = check(fwd, "<", IDENTITY)
         if k in oracle:
             oracle[k] = checks.radiation_oracle_error(
                 model, k, vv, par.g_apply(k, inverse.apply(vv, z)))
@@ -246,20 +258,15 @@ def cmd_resolvent(args) -> int:
                "c0_vs_bvp_rel": c0_rel,
                "c1_vs_beta_logharmonic_rel": c1_rel,
                "oracle_rel_err": oracle,
-               "coefficient_norms": np.max(np.abs(coef), axis=1).tolist(),
-               "solve_errors": {"backward": backward,
-                                "forward_bound": forward,
-                                "bound": IDENTITY}}
+               "coefficient_norms": np.max(np.abs(coef), axis=1).tolist()}
     if q == 1:
         payload["hs_divergence_warning"] = (
             "q = 1: the Hilbert-Schmidt norm of the key-lemma error does "
             "not tend to zero as k -> 0; take q > 1")
-    chk = {"c0_vs_bvp_rel": check(c0_rel, C0_REL),
-           **{f"oracle_k{k}": check(e, ORACLE_REL) for k, e in oracle.items()},
-           **{f"backward_error_k{k}": check(e, IDENTITY)
-              for k, e in backward.items()},
-           **{f"forward_bound_k{k}": check(e, IDENTITY)
-              for k, e in forward.items()}}
+    chk = {"c0_vs_bvp_rel": check(c0_rel, "<", C0_REL),
+           **{f"oracle_k{k}": check(e, "<", ORACLE_REL)
+              for k, e in oracle.items()},
+           **backward, **forward}
     return finish(args, "resolvent.json", payload, chk)
 
 
@@ -303,12 +310,12 @@ def cmd_riesz(args) -> int:
              report["verdicts"][r.p]["verdict"]) for r in report["rows"]]
     write_csv(_outdir(args) / "riesz_boundedness.csv", rows,
               ("p", "R_max", "lower", "upper", "verdict"))
-    payload = {"bounded": {str(p): report["verdicts"][p] for p in p_bounded},
-               "k_quadrature": {"error": kern.quad_error,
-                                "bound": kern.quad_error_bound()}}
-    chk = {f"bounded_p{p}": check(v["variation"], TREND_STABILITY,
-                                  ok=v["verdict"] == "bounded-trend")
+    payload = {"bounded": {str(p): report["verdicts"][p] for p in p_bounded}}
+    # the verdict's own rule (fits.classify_trend)
+    chk = {f"bounded_p{p}": check(v["variation"], "<", TREND_STABILITY)
            for p, v in payload["bounded"].items()}
+    chk["k_quadrature_error"] = check(kern.quad_error, "<=",
+                                      kern.quad_error_bound())
 
     witness_section = {"applicable": False}
     if not args.skip_witness:
@@ -321,13 +328,11 @@ def cmd_riesz(args) -> int:
             "growth": {str(p): g for p, g in wit.growth.items()}}
         for p, g in witness_section["growth"].items():
             err = abs(g["fitted_exponent"] - g["expected"])
-            chk[f"growth_p{p}"] = check(err, GROWTH_TOL, strict=False)
+            chk[f"growth_p{p}"] = check(err, "<=", GROWTH_TOL)
         chk["chain_violations"] = check(
-            witness_section["chain_violations"], 0, strict=False)
-        chk["lower_constant"] = check(wit.lower_constant, 0,
-                                      ok=wit.lower_constant > 0)
-        chk["entrywise_nonneg"] = check(wit.entrywise_nonneg, True,
-                                        ok=wit.entrywise_nonneg)
+            witness_section["chain_violations"], "==", 0)
+        chk["lower_constant"] = check(wit.lower_constant, ">", 0)
+        chk["entrywise_nonneg"] = check(wit.entrywise_nonneg, "==", True)
     payload["witness"] = witness_section
     return finish(args, "riesz.json", payload, chk)
 
@@ -350,7 +355,7 @@ def cmd_lp_lemmas(args) -> int:
               ("d1", "d2", "a", "b", "a_prime", "b_prime", "p", "bounded"))
     payload = {"random_suite": {"agree": out["agree"], "total": out["total"]}}
     return finish(args, "lp_lemmas.json", payload, {"disagreements": check(
-        out["total"] - out["agree"], 0, strict=False)})
+        out["total"] - out["agree"], "==", 0)})
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,6 @@ scalars out, arrays in give arrays out.
 from __future__ import annotations
 
 import math
-from functools import cache
 
 import numpy as np
 from scipy import special
@@ -276,20 +275,14 @@ def _heat_time_integral(a: float, k: float, r: float) -> float:
     return (r / (2.0 * k)) ** p * val
 
 
-@cache
-def _heat_constant(a: float) -> float:
-    """C_a of the heat identity, calibrated at (k, r) = (1, 1)."""
-    return _heat_time_integral(a, 1.0, 1.0) / l_a(a, 1.0)
-
-
 def heat_resolvent_identity_check(a: float, k: float, r: float) -> float:
     """Relative deviation between int_0^oo e^{-tk^2} t^{-a/2} e^{-r^2/4t} dt
-    and C_a k^{a-2} L_a(kr), with C_a calibrated once per a at (k, r) = (1, 1).
+    and C_a k^{a-2} L_a(kr), with C_a = 2^{a/2}.
     """
     if a < 1:
         raise DomainError("heat_resolvent_identity_check: need a >= 1")
     if k <= 0 or r <= 0:
         raise DomainError("heat_resolvent_identity_check: need k, r > 0")
     lhs = _heat_time_integral(a, k, r)
-    rhs = _heat_constant(a) * k ** (a - 2.0) * l_a(a, k * r)
+    rhs = 2.0 ** (0.5 * a) * k ** (a - 2.0) * l_a(a, k * r)
     return abs(lhs - rhs) / abs(rhs)

@@ -1,6 +1,8 @@
 import argparse
 import hashlib
 import json
+import math
+import operator
 
 import numpy as np
 import pytest
@@ -201,9 +203,9 @@ class TestCli:
         assert message in err and "Traceback" not in err
         assert not list(tmp_path.iterdir())
 
-    def test_resolvent_reports_k0_selection(self, tmp_path):
-        assert cli.main(["resolvent", "--out", str(tmp_path)]) == 0
-        data = json.loads((tmp_path / "resolvent.json").read_text())
+    def test_resolvent_reports_k0_selection(self, default_runs):
+        rc, data = default_runs["resolvent"]
+        assert rc == 0
         sel = data["k0_selection"]
         assert list(sel["sigma_min"]) == ["0.0001", "0.001", "0.01", "0.05"]
         assert sel["floor"] == 1e-6
@@ -253,20 +255,22 @@ class TestCli:
         assert shapes == [(m, m)] + 9 * [(m + 2, m + 2)]
         assert matrix_solves == []
 
-    def test_resolvent_reports_solve_errors(self, tmp_path):
-        # both figures of the solve at every lattice energy, each with
-        # its checks entry under IDENTITY; the identity residuals are gone
-        assert cli.main(["resolvent", "--out", str(tmp_path)]) == 0
-        data = json.loads((tmp_path / "resolvent.json").read_text())
-        lattice = ["0.0001", "0.001", "0.01", "0.05"]
-        solves = data["solve_errors"]
-        assert solves["bound"] == cli.IDENTITY
-        for figure, prefix in (("backward", "backward_error"),
-                               ("forward_bound", "forward_bound")):
-            assert list(solves[figure]) == lattice
-            for k, value in solves[figure].items():
-                assert data["checks"][f"{prefix}_k{k}"] == {
-                    "value": value, "bound": cli.IDENTITY, "ok": True}
+    def test_resolvent_reports_solve_errors(self, default_runs):
+        # both figures of the solve at every lattice energy, each written
+        # once, as its checks entry under IDENTITY; the identity
+        # residuals are gone
+        rc, data = default_runs["resolvent"]
+        assert rc == 0
+        for prefix in ("backward_error", "forward_bound"):
+            names = [n for n in data["checks"] if n.startswith(prefix)]
+            assert names == [f"{prefix}_k{k}"
+                             for k in ("0.0001", "0.001", "0.01", "0.05")]
+            for n in names:
+                entry = data["checks"][n]
+                assert entry["bound"] == cli.IDENTITY
+                assert entry["sense"] == "<" and entry["ok"] is True
+                assert 0 < entry["value"] < 1e-12
+        assert "solve_errors" not in data
         assert "identity" not in data and "sk_identity" not in data
 
     def test_extend_large_cross_section_eigenvalue(self, tmp_path):
@@ -345,7 +349,8 @@ class TestCli:
         data = json.loads((tmp_path / "riesz.json").read_text())
         assert data["witness"] == {"applicable": False}
         assert rc in (0, cli.EXIT_INVARIANT)  # small sweep may not stabilize
-        assert list(data["checks"]) == ["bounded_p1.5"]
+        assert list(data["checks"]) == ["bounded_p1.5", "k_quadrature_error"]
+        assert data["checks"]["k_quadrature_error"]["ok"] is True
         assert (rc == 0) == data["checks"]["bounded_p1.5"]["ok"]
 
 
@@ -365,40 +370,70 @@ class TestPassRule:
         assert capsys.readouterr().out == "demo: ok\n"
 
     def test_all_ok(self, tmp_path, capsys):
-        block = {"a": cli.check(0.5, 1.0), "b": cli.check(0, 0, strict=False)}
+        block = {"a": cli.check(0.5, "<", 1.0), "b": cli.check(0, "==", 0)}
         rc, rep = self._finish(tmp_path, block)
         assert rc == cli.EXIT_OK
-        assert rep["checks"] == {"a": {"value": 0.5, "bound": 1.0, "ok": True},
-                                 "b": {"value": 0, "bound": 0, "ok": True}}
+        assert rep["checks"] == {
+            "a": {"value": 0.5, "bound": 1.0, "sense": "<", "ok": True,
+                  "margin": math.log10(2.0)},
+            "b": {"value": 0, "bound": 0, "sense": "==", "ok": True,
+                  "margin": None}}
         assert capsys.readouterr().out == "demo: ok\n"
 
     def test_one_failing_entry(self, tmp_path, capsys):
-        block = {"a": cli.check(0.5, 1.0), "b": cli.check(2.0, 1.0),
-                 "c": cli.check(True, True, ok=True)}
+        block = {"a": cli.check(0.5, "<", 1.0), "b": cli.check(2.0, "<", 1.0),
+                 "c": cli.check(True, "==", True)}
         rc, rep = self._finish(tmp_path, block)
         assert rc == cli.EXIT_INVARIANT
         assert [n for n, c in rep["checks"].items() if not c["ok"]] == ["b"]
+        assert rep["checks"]["b"]["margin"] == -math.log10(2.0)
         assert capsys.readouterr().out == "demo: FAILED b\n"
 
     def test_strict_against_non_strict_at_equality(self):
-        assert cli.check(1e-8, 1e-8)["ok"] is False
-        assert cli.check(1e-8, 1e-8, strict=False)["ok"] is True
-        assert cli.check(float("nan"), 1.0)["ok"] is False
-        assert cli.check(float("nan"), 1.0, strict=False)["ok"] is False
-        # a library verdict is taken as it is, not recomputed from value
-        assert cli.check(2.0, 1.0, ok=True)["ok"] is True
-        assert cli.check(0.5, 1.0, ok=False)["ok"] is False
+        # at the bound < fails and <= passes, both with margin 0; nan
+        # fails every sense and has no margin
+        assert cli.check(1e-8, "<", 1e-8)["ok"] is False
+        assert cli.check(1e-8, "<=", 1e-8)["ok"] is True
+        assert cli.check(1e-8, "<", 1e-8)["margin"] == 0.0
+        assert cli.check(1e-8, "<=", 1e-8)["margin"] == 0.0
+        for sense in cli.SENSES:
+            entry = cli.check(float("nan"), sense, 1.0)
+            assert entry["ok"] is False and entry["margin"] is None
+
+
+@pytest.mark.parametrize("value,sense,bound", [
+    (1.0, "<", 1.0), (2e-8, "<", 1e-8),
+    (1.5e-8, "<=", 1e-8), (math.inf, "<=", 1.0),
+    (0.0, ">", 0), (-1.0, ">", 0), (0.5, ">", 1.0),
+    (1, "==", 0), (False, "==", True)])
+def test_planted_value_fails(value, sense, bound):
+    # a value on the wrong side of its bound turns ok false, and a
+    # margin, where there is one, negative or zero
+    entry = cli.check(value, sense, bound)
+    assert entry["ok"] is False
+    assert entry["margin"] is None or entry["margin"] <= 0
+
+
+def test_margin_is_never_infinite():
+    # a zero value has eps in its place; an infinite one, or a bound that
+    # is not positive, has no margin
+    assert cli.check(0.0, "<", 1.0)["margin"] == \
+        pytest.approx(-math.log10(np.finfo(float).eps))
+    assert cli.check(math.inf, "<", 1.0)["margin"] is None
+    assert cli.check(math.inf, ">", 1.0)["margin"] is None
+    assert cli.check(2.0, "<", 0)["margin"] is None
 
 
 LIGHT = ("specfun-check", "extend", "bvp", "keylemma")
+SUBCOMMANDS = LIGHT + ("model-build", "resolvent", "riesz", "lp-lemmas")
 
 
 @pytest.fixture(scope="module")
-def light_runs(tmp_path_factory):
-    """(exit code, report) of each light subcommand at its defaults."""
-    out = tmp_path_factory.mktemp("light")
+def default_runs(tmp_path_factory):
+    """(exit code, report) of each subcommand at its defaults."""
+    out = tmp_path_factory.mktemp("defaults")
     runs = {}
-    for cmd in LIGHT:
+    for cmd in SUBCOMMANDS:
         rc = cli.main([cmd, "--out", str(out)])
         name = cmd.replace("-", "_") + ".json"
         runs[cmd] = rc, json.loads((out / name).read_text())
@@ -406,8 +441,8 @@ def light_runs(tmp_path_factory):
 
 
 @pytest.mark.parametrize("cmd", LIGHT)
-def test_exit_code_follows_checks(light_runs, cmd):
-    rc, rep = light_runs[cmd]
+def test_exit_code_follows_checks(default_runs, cmd):
+    rc, rep = default_runs[cmd]
     assert rep["checks"]
     assert rc in (cli.EXIT_OK, cli.EXIT_INVARIANT)
     assert (rc == cli.EXIT_OK) == all(c["ok"] for c in rep["checks"].values())
@@ -432,5 +467,60 @@ def test_bounds_equal_acceptance_pins():
     ("bvp", "beta_refinement_shift", 1e-4),
     ("keylemma", "ilg_coefficient_vs_log_harmonic_rel", 1e-3),
 ])
-def test_report_bounds_equal_acceptance_pins(light_runs, cmd, name, pin):
-    assert light_runs[cmd][1]["checks"][name]["bound"] == pin
+def test_report_bounds_equal_acceptance_pins(default_runs, cmd, name, pin):
+    assert default_runs[cmd][1]["checks"][name]["bound"] == pin
+
+
+# every checks entry of the default reports and its sense, by subcommand
+ENTRIES = {
+    "specfun-check": {"bessel_vs_quadrature": "<=",
+                      "exponential_comparison": "==",
+                      "derivative_bound": "==",
+                      "k0_asymptotic_constant": "<=",
+                      "k0_prime_recurrence": "<=",
+                      **{f"heat_identity_a{a}": "<=" for a in (2, 3, 4, 6)}},
+    "extend": {"minus_ode_residual": "<"},
+    "bvp": {"homogeneous_norm": "<", "beta_refinement_shift": "<"},
+    "keylemma": {"residual_slope_q2": "<=", "residual_slope_q3": "<=",
+                 "lower_bound_positive": ">",
+                 "ilg_coefficient_vs_log_harmonic_rel": "<"},
+    "model-build": {},
+    "resolvent": {"c0_vs_bvp_rel": "<",
+                  **{f"oracle_k{k}": "<" for k in ("0.01", "0.001", "0.0001")},
+                  **{f"{f}_k{k}": "<"
+                     for f in ("backward_error", "forward_bound")
+                     for k in ("0.0001", "0.001", "0.01", "0.05")}},
+    "riesz": {"bounded_p1.25": "<", "bounded_p1.5": "<", "bounded_p2.0": "<",
+              "k_quadrature_error": "<=", "growth_p3.0": "<=",
+              "growth_p4.0": "<=", "chain_violations": "==",
+              "lower_constant": ">", "entrywise_nonneg": "=="},
+    "lp-lemmas": {"disagreements": "=="},
+}
+COMPARE = {"<": operator.lt, "<=": operator.le, ">": operator.gt,
+           "==": operator.eq}
+
+
+def test_entries_cover_default_reports(default_runs):
+    assert {cmd: list(rep["checks"]) for cmd, (_, rep)
+            in default_runs.items()} == \
+        {cmd: list(senses) for cmd, senses in ENTRIES.items()}
+
+
+@pytest.mark.parametrize("cmd,name", [(cmd, name) for cmd, senses
+                                      in ENTRIES.items() for name in senses])
+def test_check_entry(default_runs, cmd, name):
+    entry = default_runs[cmd][1]["checks"][name]
+    assert list(entry) == ["value", "bound", "sense", "ok", "margin"]
+    value, sense, bound = entry["value"], entry["sense"], entry["bound"]
+    assert sense == ENTRIES[cmd][name]
+    assert entry["ok"] is COMPARE[sense](value, bound)
+    if sense == "==" or not bound > 0 or not math.isfinite(value) \
+            or (sense == ">" and not value > 0):
+        assert entry["margin"] is None
+    elif sense == ">":
+        assert entry["margin"] == pytest.approx(math.log10(value / bound),
+                                                rel=1e-12)
+    else:
+        floor = float(np.finfo(float).eps)
+        assert entry["margin"] == pytest.approx(
+            math.log10(bound / max(abs(value), floor)), rel=1e-12)

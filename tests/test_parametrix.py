@@ -469,7 +469,7 @@ class TestSolveErrors:
 
     @staticmethod
     def ok(value) -> bool:
-        return cli.check(value, cli.IDENTITY)["ok"]
+        return cli.check(value, "<", cli.IDENTITY)["ok"]
 
     @staticmethod
     def solve(p, k=1e-3):

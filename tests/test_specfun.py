@@ -293,9 +293,14 @@ class TestHeatIdentity:
         d2 = sf.heat_resolvent_identity_check(3.0, 0.2 * c, 2.0 / c)
         assert abs(d1 - d2) < 1e-10
 
-    def test_calibration_constant(self):
-        # the fitted constant is 2^{a/2}
-        assert sf._heat_constant(4.0) == pytest.approx(2.0 ** 2, rel=1e-9)
+    def test_wrong_normalization_shows(self, monkeypatch):
+        # C_a = 2^{a/2} is exact, so a time integral off by 1% reads as a
+        # deviation of 1% at every point
+        integral = sf._heat_time_integral
+        monkeypatch.setattr(sf, "_heat_time_integral",
+                            lambda a, k, r: 1.01 * integral(a, k, r))
+        for a in (2.0, 4.0):
+            assert sf.heat_resolvent_identity_check(a, 0.3, 2.0) > 1e-6
 
 
 def test_pipeline_import_leaves_scipy_integrate_unloaded():
